@@ -33,9 +33,6 @@ from .regret import (bootstrap_regret, estimate_regret,
 from .theory import (DEFAULT_CONSTANT, theory_report, theory_report_csv,
                      theory_report_metadata)
 
-SUBCOMMANDS = ("fit", "regret", "true-regret", "bootstrap", "enumerate",
-               "theory", "semisynth", "selective", "active", "trials")
-
 # argparse dest -> ExperimentConfig field, for flags that override config
 _FLAG_FIELDS = {
     "seed": "master_seed",
@@ -63,7 +60,8 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; explicit flags win over it")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap; results are identical for any value")
+                        help="accepted for compatibility; has no effect (every "
+                             "run is single-threaded)")
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -162,14 +160,12 @@ def _regret_command(args, kind: str):
     trainer = LogisticTrainer(cfg.fit_options())
     if kind == "true-regret":
         ss = _load_semisynth_dir(args.semisynth)
-        report = true_regret(ss, trainer, cfg.k_resamples, cfg.master_seed,
-                             threads=cfg.threads)
+        report = true_regret(ss, trainer, cfg.k_resamples, cfg.master_seed)
         n = ss.base.n_points
     else:
         data = load_csv(args.data, cfg.label_column)
         fn = estimate_regret if kind == "regret" else bootstrap_regret
-        report = fn(data, trainer, cfg.k_resamples, cfg.master_seed,
-                    threads=cfg.threads)
+        report = fn(data, trainer, cfg.k_resamples, cfg.master_seed)
         n = data.n_points
     csv_path = os.path.join(args.out, "regret.csv")
     atomic_write_text(csv_path, regret_report_csv(report))
@@ -241,11 +237,9 @@ def _cmd_selective(args):
     ss = _semisynth_input(args, cfg)
     trainer = LogisticTrainer(cfg.fit_options())
     model = fit_logistic(ss.base, cfg.fit_options())
-    estimated = estimate_regret(ss.base, trainer, cfg.k_resamples,
-                                cfg.master_seed, threads=cfg.threads)
+    estimated = estimate_regret(ss.base, trainer, cfg.k_resamples, cfg.master_seed)
     true_rep = true_regret(ss, trainer, cfg.k_resamples,
-                           rng.derive_master(cfg.master_seed, rng.REFERENCE, 0),
-                           threads=cfg.threads)
+                           rng.derive_master(cfg.master_seed, rng.REFERENCE, 0))
     grid = cfg.cutoff_grid
     outputs = []
     for ranking, scores in (("estimated_regret", estimated.regret),
@@ -272,8 +266,7 @@ def _cmd_active(args):
                                     strategy=strategy,
                                     initial_fraction=cfg.initial_fraction,
                                     batch=cfg.batch_size,
-                                    n_batches=cfg.n_batches,
-                                    threads=cfg.threads)
+                                    n_batches=cfg.n_batches)
         path = os.path.join(args.out, f"active_{strategy}.csv")
         save_trace(trace, path)
         outputs.append(path)

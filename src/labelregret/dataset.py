@@ -20,8 +20,6 @@ from . import errors, rng
 from ._io import atomic_write_text, dump_json, format_float
 from .glm import FitOptions, LogisticModel, fit_logistic, predict_proba
 
-_U64_MAX = (1 << 64) - 1
-
 
 def _default_names(d: int) -> tuple:
     return tuple(f"x{i}" for i in range(d))
@@ -31,8 +29,8 @@ def _default_names(d: int) -> tuple:
 class Dataset:
     """An n-by-d feature matrix with one {-1,+1} label per row.
 
-    Arrays are copied on construction and frozen read-only, so instances are
-    safe to share across threads.
+    Arrays are copied on construction and frozen read-only, so an instance
+    can be shared freely and never changes after it is built.
     """
 
     features: np.ndarray
@@ -83,16 +81,16 @@ class LabelDrawSeed:
     """Identifies one label-drawing substream.
 
     (master_seed, stream_index, point index) fully determines each Bernoulli
-    outcome, independent of evaluation order and worker count. Stream 0 is the
-    initial draw of a semi-synthetic dataset; resample k uses stream k.
+    outcome, independent of evaluation order and of how many streams are drawn
+    together. Stream 0 is the initial draw of a semi-synthetic dataset;
+    resample k uses stream k.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) <= _U64_MAX:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+        rng._check_seed(self.master_seed)
         if int(self.stream_index) < 0:
             raise ValueError("stream_index must be non-negative")
 
@@ -104,13 +102,7 @@ def draw_labels(probs, seed: LabelDrawSeed, point_indices=None) -> np.ndarray:
     permuted or partial set of points reproduces exactly the labels those
     points get in a full draw.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise errors.LengthMismatch("probs must be 1-D")
-    ok = (p >= 0.0) & (p <= 1.0)
-    if not np.all(ok):
-        bad = int(np.argmin(ok))
-        raise errors.ProbOutOfRange(bad, float(p[bad]))
+    p = _checked_probs(probs)
     if point_indices is None:
         idx = np.arange(p.size, dtype=np.int64)
     else:
@@ -119,6 +111,29 @@ def draw_labels(probs, seed: LabelDrawSeed, point_indices=None) -> np.ndarray:
             raise errors.LengthMismatch("point_indices must match probs in length")
     u = rng.point_uniforms(seed.master_seed, rng.LABELS, seed.stream_index, idx)
     return np.where(u < p, 1, -1).astype(np.int64)
+
+
+def draw_label_rows(probs, master_seed: int, n_rows: int) -> np.ndarray:
+    """n_rows x n matrix of {-1,+1} labels, one row per resample.
+
+    Row k-1 is bit-identical to draw_labels(probs, LabelDrawSeed(master_seed,
+    k)); the probabilities are validated once for all rows.
+    """
+    p = _checked_probs(probs)
+    u = rng.stream_prefixes(master_seed, rng.LABELS, range(1, n_rows + 1), p.size)
+    return np.where(u < p, 1, -1).astype(np.int64, copy=False)
+
+
+def _checked_probs(probs) -> np.ndarray:
+    """probs as a 1-D float array, or ProbOutOfRange naming the first bad entry."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1:
+        raise errors.LengthMismatch("probs must be 1-D")
+    ok = (p >= 0.0) & (p <= 1.0)
+    if not np.all(ok):
+        bad = int(np.argmin(ok))
+        raise errors.ProbOutOfRange(bad, float(p[bad]))
+    return p
 
 
 @dataclass(frozen=True)

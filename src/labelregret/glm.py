@@ -2,7 +2,8 @@
 
 The optimizer minimizes the sum-form loss sum_i log(1 + exp(-y_i x_i'theta))
 (optionally plus ridge/2 * ||theta||^2) with full Newton steps, a Cholesky
-solve, and step halving. Labels are in {-1, +1} throughout.
+solve, and step halving. fit_logistic_batch runs the same iteration for many
+label vectors on one feature matrix at once. Labels are in {-1, +1} throughout.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ PROB_CLIP = 1e-12
 # Unregularized fits whose parameter norm passes this are declared separable.
 DIVERGENCE_GUARD = 1e6
 MAX_HALVINGS = 30
+# fit_logistic_batch advances at most this many label entries (rows times
+# points) at once, which bounds its working arrays whatever the row count.
+BATCH_ENTRIES = 1 << 14
+# Ridge escalation ladder applied when an unregularized refit hits a
+# separable resample. Counts of such refits are reported, never hidden.
+FALLBACK_RIDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 
@@ -39,11 +46,15 @@ def sigmoid(z):
     overflow anywhere in the float range. NaN input propagates to NaN.
     """
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _logistic(z, np.exp(-np.abs(z)))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _logistic(z, e):
+    """sigmoid(z) given e = exp(-|z|)."""
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,163 @@ def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
     return model
 
 
+def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0=None):
+    """Fit one logistic model per row of label_rows, all sharing the design X.
+
+    X is the n x d design matrix (intercept column already appended, see
+    design_matrix) and label_rows a K x n matrix of {-1,+1} labels. Every row
+    runs the Newton iteration of fit_logistic from theta0 (zeros when None),
+    with all rows still iterating advanced together: each iteration is one
+    sigmoid over the K x n margins, one K x d gradient, one product to K d x d
+    Hessians and one batched solve, and the step halving and the stopping
+    rules act per row. Every check of fit_logistic is kept per row.
+
+    Returns (thetas, separable): the K x d fitted parameters and a boolean
+    K-vector, True exactly where fit_logistic would raise FitDiverged or
+    SingularHessian on that row; those rows of thetas are NaN. Raises
+    NoConvergence when any other row ends above opts.grad_tol.
+    """
+    X = np.asarray(X, dtype=float)
+    label_rows = np.asarray(label_rows)
+    n, d = X.shape
+    if label_rows.ndim != 2 or label_rows.shape[1] != n:
+        raise errors.DimensionMismatch(
+            f"label rows have shape {label_rows.shape}, expected (K, {n})")
+    K = label_rows.shape[0]
+    start = np.zeros(d)
+    if theta0 is not None:
+        start = np.asarray(theta0, dtype=float)
+        if start.shape != (d,):
+            raise errors.DimensionMismatch(
+                f"warm start has shape {start.shape}, expected ({d},)")
+    thetas = np.full((K, d), np.nan)
+    separable = np.ones(K, dtype=bool)
+    if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
+        return thetas, separable
+    # Row i of XX is the flattened outer product x_i x_i', so W @ XX stacks
+    # the Hessians X' diag(w_k) X of all rows without a K x n x d temporary.
+    XX = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+    block = max(1, BATCH_ENTRIES // n)
+    for first in range(0, K, block):
+        rows = slice(first, first + block)
+        thetas[rows], separable[rows] = _newton_rows(X, XX, label_rows[rows], opts, start)
+    return thetas, separable
+
+
+def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0):
+    """fit_logistic_batch on one block of label rows, after the rank check."""
+    n, d = X.shape
+    Y = np.asarray(label_rows, dtype=float)
+    K = Y.shape[0]
+    ridge = opts.ridge
+    thetas = np.tile(theta0, (K, 1))
+    separable = np.zeros(K, dtype=bool)
+    Y01 = Y > 0.0
+    ridge_eye = ridge * np.eye(d)
+
+    def evaluate(T, rows):
+        """Margins, exp(-|margin|) and penalized losses at the parameter rows T.
+
+        The loss terms equal np.logaddexp(0, -y z) of penalized_loss; the
+        exponentials are kept for the sigmoid at the same point.
+        """
+        Z = T @ X.T
+        E = np.exp(-np.abs(Z))
+        terms = np.log1p(E) + np.maximum(-Y[rows] * Z, 0.0)
+        return Z, E, terms.sum(axis=1) + 0.5 * ridge * (T * T).sum(axis=1)
+
+    def gradients(rows):
+        """Probabilities and penalized gradients at the current rows' thetas."""
+        P = _logistic(Z[rows], E[rows])
+        return P, (P - Y01[rows]) @ X + ridge * thetas[rows]
+
+    def accept(rows, T, evaluated):
+        """Move rows to T; the recorded loss never increases (see fit_logistic)."""
+        thetas[rows] = T
+        Z[rows], E[rows], new_loss = evaluated
+        loss[rows] = np.minimum(new_loss, loss[rows])
+
+    Z, E, loss = evaluate(thetas, slice(None))  # cached at each row's current theta
+    active = np.arange(K)     # rows still iterating
+    stopped = []              # rows that left the loop without meeting grad_tol
+    for _ in range(opts.max_iters):
+        if ridge == 0.0:
+            diverged = np.linalg.norm(thetas[active], axis=1) > DIVERGENCE_GUARD
+            separable[active[diverged]] = True
+            active = active[~diverged]
+        P, grad = gradients(active)
+        going = np.max(np.abs(grad), axis=1) > opts.grad_tol
+        active, P, grad = active[going], P[going], grad[going]
+        if active.size == 0:
+            break
+        H = ((P * (1.0 - P)) @ XX).reshape(-1, d, d) + ridge_eye
+        # Rank was verified above, so a non-PD Hessian means the Newton
+        # weights collapsed on the way to an infinite optimum.
+        factorizable = _cholesky_succeeds(H)
+        separable[active[~factorizable]] = True
+        active, grad, H = active[factorizable], grad[factorizable], H[factorizable]
+        T = thetas[active]
+        step = np.linalg.solve(H, -grad[:, :, None])[:, :, 0]
+        predicted = -0.5 * np.einsum("kd,kd->k", grad, step)
+        floor = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(loss[active]))
+        # As in fit_logistic: below the float resolution of the loss, take the
+        # pure Newton step and keep the recorded loss monotone.
+        pure = predicted <= floor
+        rows, candidate = active[pure], T[pure] + step[pure]
+        accept(rows, candidate, evaluate(candidate, rows))
+        # Step halving for the other rows, each with its own scale.
+        search = np.flatnonzero(~pure)
+        scale = np.ones(search.size)
+        accepted = pure.copy()
+        for _ in range(MAX_HALVINGS + 1):
+            candidate = T[search] + scale[:, None] * step[search]
+            moved = np.any(candidate != T[search], axis=1)  # else halved below float resolution
+            search, scale, candidate = search[moved], scale[moved], candidate[moved]
+            if search.size == 0:
+                break
+            rows = active[search]
+            cZ, cE, candidate_loss = evaluate(candidate, rows)
+            better = candidate_loss <= loss[rows]
+            accept(rows[better], candidate[better],
+                   (cZ[better], cE[better], candidate_loss[better]))
+            accepted[search[better]] = True
+            search, scale = search[~better], 0.5 * scale[~better]
+        # observable decrease expected but not found: stop and re-check
+        stopped.append(active[~accepted])
+        active = active[accepted]
+    stopped.append(active)  # out of iterations
+
+    recheck = np.concatenate(stopped)
+    if recheck.size:
+        worst = np.max(np.abs(gradients(recheck)[1]))
+        if worst > opts.grad_tol:
+            raise errors.NoConvergence(
+                f"gradient norm {worst:.3e} above tolerance {opts.grad_tol:g} "
+                f"after {opts.max_iters} iterations")
+
+    if ridge == 0.0:
+        # As in fit_logistic: a fitted direction that classifies every
+        # training point strictly correctly proves there is no finite optimum.
+        separable |= np.any(thetas != 0.0, axis=1) & (np.min(Y * Z, axis=1) > 0)
+    thetas[separable] = np.nan
+    return thetas, separable
+
+
+def _cholesky_succeeds(H) -> np.ndarray:
+    """For each matrix of the stack H, whether its Cholesky factorization exists."""
+    try:
+        np.linalg.cholesky(H)
+        return np.ones(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.ones(len(H), dtype=bool)
+        for k, h in enumerate(H):
+            try:
+                np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return ok
+
+
 def predict_proba(model: LogisticModel, x):
     """Predicted probability of the +1 label, for one point or a matrix of rows."""
     x = np.asarray(x, dtype=float)
@@ -301,7 +469,9 @@ class TrainerHandle:
     fit maps a Dataset to a predictor (feature matrix -> probabilities).
     Subclasses may additionally support warm starts, which the estimators use
     to start each refit from the base optimum, and ridge-escalation refits for
-    resamples that turn out separable.
+    resamples that turn out separable. fit_many is the estimators' entry
+    point for many refits on one feature matrix; subclasses may override it
+    with a batched implementation that gives the same results.
     """
 
     name = "trainer"
@@ -316,6 +486,23 @@ class TrainerHandle:
     def fit_with_extra_ridge(self, data: "Dataset", extra_ridge: float) -> Predictor:
         raise errors.RefitFallbackExhausted(
             f"trainer {self.name!r} has no ridge fallback")
+
+    def fit_many(self, data: "Dataset", label_rows, eval_features, warm_state):
+        """Refit on data's features once per row of label_rows.
+
+        Every refit starts from warm_state and falls back to the ridge ladder
+        when its resample is separable (see fit_with_fallback). Returns the
+        K x m predictions at eval_features and the number of refits that
+        needed the ladder.
+        """
+        samples = np.empty((len(label_rows), np.asarray(eval_features).shape[0]))
+        n_fallbacks = 0
+        for k, labels in enumerate(label_rows):
+            predictor, _, used_fallback = fit_with_fallback(
+                self, data.with_labels(labels), warm_state)
+            samples[k] = predictor(eval_features)
+            n_fallbacks += used_fallback
+        return samples, n_fallbacks
 
 
 class LogisticTrainer(TrainerHandle):
@@ -338,6 +525,16 @@ class LogisticTrainer(TrainerHandle):
     def fit_with_extra_ridge(self, data: "Dataset", extra_ridge: float) -> Predictor:
         opts = replace(self.opts, ridge=self.opts.ridge + extra_ridge)
         return self._predictor(fit_logistic(data, opts))
+
+    def fit_many(self, data: "Dataset", label_rows, eval_features, warm_state):
+        """All refits in one fit_logistic_batch call; separable rows take the ladder one by one."""
+        include = self.opts.include_intercept
+        thetas, separable = fit_logistic_batch(
+            design_matrix(data.features, include), label_rows, self.opts, theta0=warm_state)
+        samples = sigmoid(thetas @ design_matrix(eval_features, include).T)
+        for k in np.flatnonzero(separable):
+            samples[k] = fit_on_ridge_ladder(self, data.with_labels(label_rows[k]))(eval_features)
+        return samples, int(separable.sum())
 
 
 class EchoTrainer(TrainerHandle):
@@ -376,6 +573,31 @@ class ConstantTrainer(TrainerHandle):
     def fit(self, data: "Dataset") -> Predictor:
         value = self.value
         return lambda X: np.full(np.atleast_2d(np.asarray(X)).shape[0], value)
+
+
+def fit_with_fallback(trainer: TrainerHandle, data: "Dataset", warm_state):
+    """Fit, escalating through FALLBACK_RIDGES when a resample is separable.
+
+    Returns (predictor, new_warm_state, fallback_used). The warm state only
+    advances on a clean fit.
+    """
+    try:
+        predictor, new_state = trainer.warm_fit(data, warm_state)
+        return predictor, new_state, False
+    except (errors.FitDiverged, errors.SingularHessian):
+        pass
+    return fit_on_ridge_ladder(trainer, data), warm_state, True
+
+
+def fit_on_ridge_ladder(trainer: TrainerHandle, data: "Dataset") -> Predictor:
+    """Predictor of the first FALLBACK_RIDGES rung at which the data can be fit."""
+    for extra in FALLBACK_RIDGES:
+        try:
+            return trainer.fit_with_extra_ridge(data, extra)
+        except (errors.FitDiverged, errors.SingularHessian):
+            continue
+    raise errors.RefitFallbackExhausted(
+        f"resample could not be fit even with extra ridge up to {FALLBACK_RIDGES[-1]:g}")
 
 
 # ---------------------------------------------------------------------------

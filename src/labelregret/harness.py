@@ -19,8 +19,9 @@ from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset,
                       gaussian_features, load_csv, semisynthetic_from_model,
                       two_cluster_population)
 from .glm import (FitOptions, LogisticTrainer, TrainerHandle, bernoulli_kl,
-                  fit_logistic, LogisticModel, mean_kl, predict_proba)
-from .regret import _fit_with_fallback, _initial_fit, _prediction_samples, estimate_regret, true_regret
+                  fit_logistic, fit_with_fallback, LogisticModel, mean_kl,
+                  predict_proba)
+from .regret import _initial_fit, _prediction_samples, estimate_regret, true_regret
 from .theory import q_values
 
 RANKINGS = ("true_regret", "estimated_regret", "oracle_error")
@@ -144,7 +145,7 @@ class ActiveLearningTrace:
 
 def _pool_scores(ss: SemiSyntheticDataset, labeled: np.ndarray, pool: np.ndarray,
                  predictor, warm_state, trainer: TrainerHandle, K: int,
-                 strategy: str, seed: int, step: int, threads: int) -> np.ndarray:
+                 strategy: str, seed: int, step: int) -> np.ndarray:
     """Acquisition scores for the pool points under one strategy."""
     if strategy == "uniform":
         return rng.substream(seed, rng.UNIFORM_ACQUISITION, step).random(pool.size)
@@ -157,15 +158,14 @@ def _pool_scores(ss: SemiSyntheticDataset, labeled: np.ndarray, pool: np.ndarray
         resample_probs = ss.true_probs[labeled]
     step_seed = rng.derive_master(seed, rng.ACQUISITION_SCORE, step)
     samples, _ = _prediction_samples(labeled_data, resample_probs, features[pool],
-                                     trainer, K, step_seed, warm_state, threads)
+                                     trainer, K, step_seed, warm_state)
     return samples.var(axis=0, ddof=1)
 
 
 def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int,
                         seed: int, *, strategy: str,
                         initial_fraction: float = 0.5, batch: int = 1,
-                        n_batches: Optional[int] = None,
-                        threads: int = 1) -> ActiveLearningTrace:
+                        n_batches: Optional[int] = None) -> ActiveLearningTrace:
     """Grow the labeled set batch by batch, guided by per-point scores.
 
     Starts from a seeded split at initial_fraction. Each step refits on the
@@ -194,14 +194,11 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
 
     def fit_labeled(current, warm):
         data = Dataset(features[current], ss.base.labels[current], ss.base.feature_names)
-        return _fit_with_fallback(trainer, data, warm)
+        return fit_with_fallback(trainer, data, warm)
 
-    try:
-        predictor, warm_state = _initial_fit(
-            trainer, Dataset(features[labeled], ss.base.labels[labeled],
-                             ss.base.feature_names))
-    except errors.InitialFitFailed:
-        raise
+    predictor, warm_state = _initial_fit(
+        trainer, Dataset(features[labeled], ss.base.labels[labeled],
+                         ss.base.feature_names))
 
     trace_n = [int(labeled.size)]
     trace_kl = [mean_kl(ss.true_probs, predictor(features))]
@@ -209,7 +206,7 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
     step = 0
     while pool.size and (n_batches is None or step < n_batches):
         scores = _pool_scores(ss, labeled, pool, predictor, warm_state, trainer,
-                              K, strategy, seed, step, threads)
+                              K, strategy, seed, step)
         take = min(batch, pool.size)
         # descending score, ties toward the smaller point index
         order = np.lexsort((pool, -scores))
@@ -310,8 +307,7 @@ def _reference_true_regret(features, ground_truth, gt_ridge, config,
     ss = semisynthetic_from_model(features, ground_truth, LabelDrawSeed(ref_master, 0),
                                   gt_ridge=gt_ridge)
     report = true_regret(ss, trainer, config.k_resamples,
-                         rng.derive_master(ref_master, rng.TRIAL, 0),
-                         threads=config.threads)
+                         rng.derive_master(ref_master, rng.TRIAL, 0))
     return report.regret
 
 
@@ -342,7 +338,7 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
             ss = _trial_dataset(features, ground_truth, gt_ridge, config, t)
             trial_seed = rng.derive_master(config.master_seed, rng.TRIAL, t)
             report = estimate_regret(ss.base, trainer, config.k_resamples,
-                                     trial_seed, threads=config.threads)
+                                     trial_seed)
             model = fit_logistic(ss.base, config.fit_options())
             series["estimated_regret"].append(report.regret)
             series["q"].append(q_values(model, features))
@@ -358,7 +354,7 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
             trial_seed = rng.derive_master(config.master_seed, rng.TRIAL, t)
             model = fit_logistic(ss.base, config.fit_options())
             report = estimate_regret(ss.base, trainer, config.k_resamples,
-                                     trial_seed, threads=config.threads)
+                                     trial_seed)
             grid = config.cutoff_grid
             curves = {
                 "estimated_kl": selective_prediction_curve(
@@ -388,8 +384,7 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
                 trace = active_learning_run(
                     ss, trainer, config.k_resamples, trial_seed,
                     strategy=strategy, initial_fraction=config.initial_fraction,
-                    batch=config.batch_size, n_batches=config.n_batches,
-                    threads=config.threads)
+                    batch=config.batch_size, n_batches=config.n_batches)
                 series[strategy].append(trace.mean_kl)
                 if first_trace is None:
                     first_trace = trace

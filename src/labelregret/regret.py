@@ -9,7 +9,6 @@ the test oracle for the Monte Carlo path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,13 +16,13 @@ import numpy as np
 
 from . import errors, rng
 from ._io import atomic_write_text, dump_json, format_float
-from .dataset import Dataset, LabelDrawSeed, SemiSyntheticDataset, draw_labels
-from .glm import TrainerHandle
+from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_rows
+# The ladder is defined with the trainers; it stays importable from here.
+from .glm import FALLBACK_RIDGES, TrainerHandle, fit_with_fallback
 
-# Ridge escalation ladder applied when an unregularized refit hits a
-# separable resample. Counts of such refits are reported, never hidden.
-FALLBACK_RIDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 ENUMERATION_LIMIT = 22
+# Assignments refit together by one fit_many call during enumeration.
+ENUMERATION_BLOCK = 4096
 SKIP_WEIGHT = 1e-15
 SKIP_MASS = 1e-12
 
@@ -58,6 +57,9 @@ class RegretReport:
         base_pred = np.array(self.base_pred, dtype=float)
         if not (regret.shape == mean_pred.shape == base_pred.shape):
             raise errors.LengthMismatch("report arrays must share one length")
+        for name, arr in (("regret", regret), ("mean_pred", mean_pred), ("base_pred", base_pred)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} values must be finite")
         # A [0,1]-valued variable has population variance at most 1/4; the
         # unbiased K-1 estimator can exceed that by the factor K/(K-1).
         cap = 0.25 if self.estimator == "enumeration" else 0.25 * self.n_resamples / (self.n_resamples - 1)
@@ -114,26 +116,6 @@ def point_deviations(preds_a, preds_b) -> DeviationReport:
 # refitting machinery
 
 
-def _fit_with_fallback(trainer: TrainerHandle, data: Dataset, warm_state):
-    """Fit, escalating through FALLBACK_RIDGES when a resample is separable.
-
-    Returns (predictor, new_warm_state, fallback_used). The warm state only
-    advances on a clean fit.
-    """
-    try:
-        predictor, new_state = trainer.warm_fit(data, warm_state)
-        return predictor, new_state, False
-    except (errors.FitDiverged, errors.SingularHessian):
-        pass
-    for extra in FALLBACK_RIDGES:
-        try:
-            return trainer.fit_with_extra_ridge(data, extra), warm_state, True
-        except (errors.FitDiverged, errors.SingularHessian):
-            continue
-    raise errors.RefitFallbackExhausted(
-        f"resample could not be fit even with extra ridge up to {FALLBACK_RIDGES[-1]:g}")
-
-
 def _initial_fit(trainer: TrainerHandle, data: Dataset):
     try:
         return trainer.warm_fit(data, None)
@@ -143,27 +125,15 @@ def _initial_fit(trainer: TrainerHandle, data: Dataset):
 
 def _prediction_samples(train: Dataset, resample_probs, eval_features,
                         trainer: TrainerHandle, K: int, master_seed: int,
-                        warm_state, threads: int = 1):
-    """K x m matrix of predictions at eval_features across label resamples.
+                        warm_state):
+    """K x m matrix of predictions at eval_features across label resamples,
+    plus the number of refits that needed the ridge fallback.
 
-    Resample k draws its labels from stream k of the master seed, so results
-    are identical for any number of worker threads.
+    Resample k draws its labels from stream k of the master seed and every
+    refit starts from warm_state, so row k-1 is the same refit whatever K is.
     """
-    probs = np.asarray(resample_probs, dtype=float)
-
-    def one(k: int):
-        labels = draw_labels(probs, LabelDrawSeed(master_seed, k))
-        predictor, _, used_fallback = _fit_with_fallback(trainer, train.with_labels(labels), warm_state)
-        return np.asarray(predictor(eval_features), dtype=float), used_fallback
-
-    if threads <= 1:
-        results = [one(k) for k in range(1, K + 1)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(1, K + 1)))
-    samples = np.stack([r[0] for r in results])
-    n_fallbacks = sum(r[1] for r in results)
-    return samples, n_fallbacks
+    labels = draw_label_rows(resample_probs, master_seed, K)
+    return trainer.fit_many(train, labels, eval_features, warm_state)
 
 
 def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
@@ -188,7 +158,7 @@ def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
 
 
 def estimate_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *,
-                    keep_samples: bool = False, threads: int = 1) -> RegretReport:
+                    keep_samples: bool = False) -> RegretReport:
     """Monte Carlo regret: resample labels from the base model's own predictions.
 
     Fits the base model, then for k = 1..K redraws every label from the base
@@ -200,26 +170,26 @@ def estimate_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *,
     predictor, warm_state = _initial_fit(trainer, data)
     base_pred = np.asarray(predictor(data.features), dtype=float)
     samples, n_fallbacks = _prediction_samples(
-        data, base_pred, data.features, trainer, K, seed, warm_state, threads)
+        data, base_pred, data.features, trainer, K, seed, warm_state)
     return _sampling_report(samples, base_pred, "monte_carlo", seed,
                             trainer.name, n_fallbacks, keep_samples)
 
 
 def true_regret(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int, seed: int, *,
-                keep_samples: bool = False, threads: int = 1) -> RegretReport:
+                keep_samples: bool = False) -> RegretReport:
     """Regret under the ground truth: labels resampled from the true probabilities."""
     if K < 2:
         raise errors.TooFewResamples(f"K must be at least 2, got {K}")
     predictor, warm_state = _initial_fit(trainer, ss.base)
     base_pred = np.asarray(predictor(ss.base.features), dtype=float)
     samples, n_fallbacks = _prediction_samples(
-        ss.base, ss.true_probs, ss.base.features, trainer, K, seed, warm_state, threads)
+        ss.base, ss.true_probs, ss.base.features, trainer, K, seed, warm_state)
     return _sampling_report(samples, base_pred, "true_resample", seed,
                             trainer.name, n_fallbacks, keep_samples)
 
 
 def bootstrap_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *,
-                     keep_samples: bool = False, threads: int = 1) -> RegretReport:
+                     keep_samples: bool = False) -> RegretReport:
     """Row-resampling baseline: refit on K bootstrap replicates of the rows.
 
     Unlike the label-resampling estimators this keeps every observed label
@@ -230,20 +200,14 @@ def bootstrap_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *
     predictor, warm_state = _initial_fit(trainer, data)
     base_pred = np.asarray(predictor(data.features), dtype=float)
     n = data.n_points
-
-    def one(k: int):
+    samples = np.empty((K, n))
+    n_fallbacks = 0
+    for k in range(1, K + 1):
         rows = rng.substream(seed, rng.BOOTSTRAP_ROWS, k).integers(0, n, size=n)
         replicate = Dataset(data.features[rows], data.labels[rows], data.feature_names)
-        pred, _, used_fallback = _fit_with_fallback(trainer, replicate, warm_state)
-        return np.asarray(pred(data.features), dtype=float), used_fallback
-
-    if threads <= 1:
-        results = [one(k) for k in range(1, K + 1)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(1, K + 1)))
-    samples = np.stack([r[0] for r in results])
-    n_fallbacks = sum(r[1] for r in results)
+        pred, _, used_fallback = fit_with_fallback(trainer, replicate, warm_state)
+        samples[k - 1] = pred(data.features)
+        n_fallbacks += used_fallback
     return _sampling_report(samples, base_pred, "bootstrap", seed,
                             trainer.name, n_fallbacks, keep_samples)
 
@@ -254,8 +218,9 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle, *,
 
     Assignment weights are the product of per-point Bernoulli probabilities;
     regret[i] is the exact population variance sum(w p~**2) - (sum(w p~))**2.
-    Assignments are visited in Gray-code order so consecutive refits differ by
-    one label flip and can share a warm start. Assignments of weight below
+    Assignments are refit in blocks of ENUMERATION_BLOCK through one
+    trainer.fit_many call each, every refit starting from theta = 0 (the
+    trainer's cold start). Assignments of weight below
     1e-15 are skipped only when their total mass is below 1e-12.
     """
     X = np.asarray(features, dtype=float)
@@ -268,10 +233,7 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle, *,
     p = np.asarray(probs, dtype=float)
     if p.shape != (n,):
         raise errors.LengthMismatch(f"{n} points but {p.size} probabilities")
-    ok = (p >= 0.0) & (p <= 1.0)
-    if not np.all(ok):
-        bad = int(np.argmin(ok))
-        raise errors.ProbOutOfRange(bad, float(p[bad]))
+    p = _checked_probs(p)
 
     # weights indexed by assignment bitmask; bit i set means label[i] = +1
     weights = np.ones(1)
@@ -284,27 +246,20 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle, *,
     skip = tiny if weights[tiny].sum() < SKIP_MASS else np.zeros_like(tiny)
 
     names = tuple(feature_names) if feature_names else ()
-    labels = -np.ones(n, dtype=np.int64)
-    template = Dataset(X, labels, names)
+    template = Dataset(X, -np.ones(n, dtype=np.int64), names)
     m1 = np.zeros(n)
     m2 = np.zeros(n)
-    warm_state = None
     n_fallbacks = 0
-    code = 0
-    for g in range(2 ** n):
-        if g:
-            bit = (g & -g).bit_length() - 1
-            code ^= 1 << bit
-            labels[bit] = -labels[bit]
-        if skip[code]:
-            continue
-        w = weights[code]
-        pred, warm_state, used_fallback = _fit_with_fallback(
-            trainer, template.with_labels(labels), warm_state)
-        n_fallbacks += used_fallback
-        values = np.asarray(pred(X), dtype=float)
-        m1 += w * values
-        m2 += w * values ** 2
+    kept = np.flatnonzero(~skip)
+    bits = np.arange(n)
+    for start in range(0, kept.size, ENUMERATION_BLOCK):
+        codes = kept[start:start + ENUMERATION_BLOCK]
+        labels = np.where((codes[:, None] >> bits) & 1, 1, -1)
+        values, block_fallbacks = trainer.fit_many(template, labels, X, None)
+        n_fallbacks += block_fallbacks
+        w = weights[codes]
+        m1 += w @ values
+        m2 += w @ values ** 2
     regret = np.maximum(m2 - m1 ** 2, 0.0)
     return RegretReport(
         regret=regret,

@@ -3,8 +3,8 @@
 Every random quantity in the package is derived from a 64-bit master seed, an
 integer purpose tag, and a stream index, hashed through numpy's SeedSequence
 into a Philox counter-based generator.  The value for point i is always draw
-number i of its substream, so outcomes never depend on evaluation order,
-chunking, or worker count.
+number i of its substream, so outcomes never depend on evaluation order or on
+how many substreams are drawn together.
 """
 
 from __future__ import annotations
@@ -58,6 +58,20 @@ def point_uniforms(
         raise ValueError("point indices must be non-negative")
     prefix = substream(master_seed, purpose, stream_index).random(int(idx.max()) + 1)
     return prefix[idx]
+
+
+def stream_prefixes(master_seed: int, purpose: int, stream_indices, n: int) -> np.ndarray:
+    """Matrix whose row j holds the first n draws of substream stream_indices[j].
+
+    Row j equals point_uniforms(master_seed, purpose, stream_indices[j],
+    range(n)), so a request for fewer or reordered streams returns exactly
+    the rows the full request would.
+    """
+    stream_indices = list(stream_indices)
+    out = np.empty((len(stream_indices), n))
+    for row, k in zip(out, stream_indices):
+        substream(master_seed, purpose, k).random(out=row)
+    return out
 
 
 def derive_master(master_seed: int, purpose: int, stream_index: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 import labelregret as lr
 from labelregret import errors
-from labelregret.dataset import load_semisynthetic, save_semisynthetic
+from labelregret.dataset import draw_label_rows, load_semisynthetic, save_semisynthetic
 
 from conftest import write_lines
 
@@ -148,6 +148,20 @@ class TestDrawLabels:
         probs = np.full(100, 0.4)
         np.testing.assert_array_equal(lr.draw_labels(probs, seed),
                                       lr.draw_labels(probs, seed))
+
+    def test_label_rows_match_single_draws(self):
+        """Row k-1 of the resample matrix is the draw of stream k, bit for bit."""
+        probs = np.random.default_rng(4).uniform(size=30)
+        rows = draw_label_rows(probs, 77, 25)
+        assert rows.shape == (25, 30)
+        for k in range(1, 26):
+            np.testing.assert_array_equal(rows[k - 1],
+                                          lr.draw_labels(probs, lr.LabelDrawSeed(77, k)))
+        with pytest.raises(errors.ProbOutOfRange) as info:
+            draw_label_rows([0.5, -0.1], 77, 3)
+        assert info.value.index == 1
+        with pytest.raises(ValueError):
+            draw_label_rows(probs, -1, 3)
 
     def test_streams_differ(self):
         probs = np.full(200, 0.5)

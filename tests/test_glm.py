@@ -5,8 +5,8 @@ import pytest
 
 import labelregret as lr
 from labelregret import errors
-from labelregret.glm import (design_matrix, loss_gradient, loss_hessian,
-                             penalized_loss)
+from labelregret.glm import (design_matrix, fit_logistic_batch, loss_gradient,
+                             loss_hessian, penalized_loss)
 
 
 def finite_difference_gradient(theta, X, y, ridge, h=1e-6):
@@ -151,6 +151,72 @@ class TestFitLogistic:
         tight = lr.fit_logistic(cluster_ss.base,
                                 lr.FitOptions(ridge=50.0, include_intercept=False))
         assert np.linalg.norm(tight.theta) < np.linalg.norm(loose.theta)
+
+
+def per_row_fits(features, label_rows, opts, theta0=None):
+    """fit_logistic once per label row: the reference for fit_logistic_batch.
+
+    Returns (thetas, raised): NaN rows and True where the fit raised
+    FitDiverged or SingularHessian.
+    """
+    d = design_matrix(features, opts.include_intercept).shape[1]
+    thetas = np.full((len(label_rows), d), np.nan)
+    raised = np.zeros(len(label_rows), dtype=bool)
+    for k, labels in enumerate(label_rows):
+        try:
+            model = lr.fit_logistic(lr.Dataset(features, labels), opts, theta0=theta0)
+            thetas[k] = model.theta
+        except (errors.FitDiverged, errors.SingularHessian):
+            raised[k] = True
+    return thetas, raised
+
+
+class TestFitLogisticBatch:
+    """The batched engine against one fit_logistic call per row."""
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_matches_per_row_fits(self, ridge):
+        gen = np.random.default_rng(5)
+        features = gen.standard_normal((50, 3))
+        probs = lr.sigmoid(features @ np.array([1.0, -0.5, 0.3]) + 0.2)
+        label_rows = np.where(gen.random((40, 50)) < probs, 1, -1)
+        opts = lr.FitOptions(ridge=ridge, include_intercept=True)
+        for theta0 in (None, np.array([0.5, -0.2, 0.1, 0.0])):
+            expected, raised = per_row_fits(features, label_rows, opts, theta0)
+            thetas, separable = fit_logistic_batch(
+                design_matrix(features, True), label_rows, opts, theta0=theta0)
+            np.testing.assert_array_equal(separable, raised)
+            np.testing.assert_allclose(thetas, expected, rtol=0, atol=1e-9)
+
+    def test_separable_rows_flagged_exactly_where_per_row_fit_raises(self):
+        """All 16 label assignments of the 4-point set, and a rank-deficient
+        design whose every row must take the ridge fallback."""
+        opts = lr.FitOptions(include_intercept=False)
+        cases = [
+            (np.array([[1.0], [1.0], [-1.0], [-1.0]]),
+             np.array([[1 if (code >> i) & 1 else -1 for i in range(4)]
+                       for code in range(16)])),
+            (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, -2.0]]),
+             np.array([[1, -1, 1, -1], [1, 1, -1, -1]])),
+        ]
+        for features, label_rows in cases:
+            expected, raised = per_row_fits(features, label_rows, opts)
+            thetas, separable = fit_logistic_batch(features, label_rows, opts)
+            np.testing.assert_array_equal(separable, raised)
+            np.testing.assert_allclose(thetas, expected, rtol=0, atol=1e-9)
+
+    def test_no_convergence_when_budget_tiny(self):
+        features = lr.gaussian_features(200, 2, 3)
+        probs = lr.sigmoid(features @ np.array([1.0, -1.0]))
+        label_rows = np.stack([lr.draw_labels(probs, lr.LabelDrawSeed(3, k))
+                               for k in range(4)])
+        with pytest.raises(errors.NoConvergence):
+            fit_logistic_batch(features, label_rows,
+                               lr.FitOptions(max_iters=1, include_intercept=False))
+
+    def test_label_shape_checked(self):
+        with pytest.raises(errors.DimensionMismatch):
+            fit_logistic_batch(np.ones((3, 1)), np.ones((2, 4)), lr.FitOptions())
 
 
 class TestLogLoss:

@@ -55,13 +55,32 @@ class TestEstimateRegret:
         with pytest.raises(errors.InitialFitFailed):
             lr.estimate_regret(separable, trainer, 10, seed=0)
 
-    def test_bit_identical_across_runs_and_threads(self, small_dataset, flat_trainer):
-        a = lr.estimate_regret(small_dataset, flat_trainer, 40, seed=9)
-        b = lr.estimate_regret(small_dataset, flat_trainer, 40, seed=9)
-        c = lr.estimate_regret(small_dataset, flat_trainer, 40, seed=9, threads=3)
+    def test_bit_identical_across_runs_and_prefixes(self, small_dataset, cluster_ss,
+                                                    flat_trainer):
+        """Resample k depends only on (seed, k): a rerun repeats every value and
+        a shorter run is exactly the first rows of a longer one."""
+        a = lr.estimate_regret(small_dataset, flat_trainer, 40, seed=9, keep_samples=True)
+        b = lr.estimate_regret(small_dataset, flat_trainer, 40, seed=9, keep_samples=True)
         np.testing.assert_array_equal(a.regret, b.regret)
-        np.testing.assert_array_equal(a.regret, c.regret)
-        np.testing.assert_array_equal(a.mean_pred, c.mean_pred)
+        np.testing.assert_array_equal(a.mean_pred, b.mean_pred)
+        for data in (small_dataset, cluster_ss.base):
+            short = lr.estimate_regret(data, flat_trainer, 40, seed=9, keep_samples=True)
+            full = lr.estimate_regret(data, flat_trainer, 300, seed=9, keep_samples=True)
+            np.testing.assert_array_equal(short.samples, full.samples[:40])
+
+    def test_samples_match_per_resample_refits(self, cluster_ss, plain_trainer):
+        """Row k-1 of the samples is the refit on draw_labels stream k, started
+        from the base optimum, as one fit_logistic call per resample gives it."""
+        data = cluster_ss.base
+        report = lr.estimate_regret(data, plain_trainer, 30, seed=4, keep_samples=True)
+        base = lr.fit_logistic(data, plain_trainer.opts)
+        for k in range(1, 31):
+            labels = lr.draw_labels(report.base_pred, lr.LabelDrawSeed(4, k))
+            model = lr.fit_logistic(data.with_labels(labels), plain_trainer.opts,
+                                    theta0=base.theta)
+            np.testing.assert_allclose(report.samples[k - 1],
+                                       lr.predict_proba(model, data.features),
+                                       rtol=0, atol=1e-12)
 
     def test_matches_enumeration_oracle(self, small_dataset, flat_trainer):
         """Monte Carlo converges on the exact enumeration value, point by point."""
@@ -139,8 +158,9 @@ class TestBootstrapRegret:
         assert np.max(np.abs(boot.regret - mc.regret)) > 0.0
 
     def test_deterministic(self, small_dataset, flat_trainer):
-        a = lr.bootstrap_regret(small_dataset, flat_trainer, 30, seed=8)
-        b = lr.bootstrap_regret(small_dataset, flat_trainer, 30, seed=8, threads=2)
+        a = lr.bootstrap_regret(small_dataset, flat_trainer, 30, seed=8, keep_samples=True)
+        b = lr.bootstrap_regret(small_dataset, flat_trainer, 30, seed=8, keep_samples=True)
+        np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.regret, b.regret)
 
 
@@ -196,6 +216,17 @@ class TestReportValidation:
         with pytest.raises(ValueError):
             lr.RegretReport(np.array([0.3]), np.array([0.5]), np.array([0.5]),
                             1000, "monte_carlo", 0, "t")
+
+    @pytest.mark.parametrize("field", ["regret", "mean_pred", "base_pred"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, field, bad):
+        """NaN passes every min/max range check, so finiteness is checked on its own."""
+        arrays = {"regret": np.array([0.1, 0.1]), "mean_pred": np.array([0.5, 0.5]),
+                  "base_pred": np.array([0.5, 0.5])}
+        arrays[field][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lr.RegretReport(arrays["regret"], arrays["mean_pred"], arrays["base_pred"],
+                            10, "monte_carlo", 0, "t")
 
     def test_csv_round_trip_values(self, small_dataset, flat_trainer):
         report = lr.estimate_regret(small_dataset, flat_trainer, 20, seed=14)

@@ -180,7 +180,8 @@ class TestTheoryAgainstEnumeration:
         moderate: measured per-seed correlations at n = 12..14 span
         0.72-0.98. The frozen small-n floor is 0.7 per seed / 0.85 median;
         the tight production-scale thresholds (0.95 correlation, 0.15 median
-        relative error at n = 2000) live in the acceptance suite.
+        relative error at n = 2000) are checked by
+        TestTheoryAtScale.test_q_tracks_monte_carlo_regret.
         """
         opts = lr.FitOptions(ridge=0.0, include_intercept=False)
         correlations = []
@@ -196,3 +197,18 @@ class TestTheoryAgainstEnumeration:
                                             exact.regret)[0, 1])
         assert min(correlations) >= 0.7
         assert np.median(correlations) >= 0.85
+
+
+class TestTheoryAtScale:
+    def test_q_tracks_monte_carlo_regret(self):
+        """Acceptance thresholds at n = 2000, where the closed form's error
+        terms are small: per seed, corr(q, regret) >= 0.95 and the median
+        relative error |regret - q| / q <= 0.15, with K = 1000 resamples."""
+        opts = lr.FitOptions(ridge=0.0, include_intercept=False)
+        for seed in (1, 2, 3):
+            ss = lr.gaussian_semisynthetic(2000, 2, [0.6, -0.6], seed)
+            model = lr.fit_logistic(ss.base, opts)
+            q = lr.q_values(model, ss.base.features)
+            regret = lr.estimate_regret(ss.base, lr.LogisticTrainer(opts), 1000, seed).regret
+            assert np.corrcoef(q, regret)[0, 1] >= 0.95
+            assert np.median(np.abs(regret - q) / q) <= 0.15
