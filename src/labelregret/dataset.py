@@ -362,12 +362,15 @@ def load_semisynthetic(csv_path, json_path) -> SemiSyntheticDataset:
     """Read back a saved semi-synthetic dataset, re-verifying its invariants."""
     with open(json_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    names = list(sidecar["feature_names"])
+    try:
+        names = list(sidecar["feature_names"])
+        model = LogisticModel(np.asarray(sidecar["theta"], dtype=float),
+                              bool(sidecar["includes_intercept"]))
+        seed = LabelDrawSeed(int(sidecar["seed"]["master_seed"]),
+                             int(sidecar["seed"]["stream_index"]))
+    except KeyError as exc:
+        raise errors.MissingSidecarKey(json_path, exc.args[0]) from None
     label_column = sidecar.get("label_column", "label")
-    model = LogisticModel(np.asarray(sidecar["theta"], dtype=float),
-                          bool(sidecar["includes_intercept"]))
-    seed = LabelDrawSeed(int(sidecar["seed"]["master_seed"]),
-                         int(sidecar["seed"]["stream_index"]))
 
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -377,7 +380,10 @@ def load_semisynthetic(csv_path, json_path) -> SemiSyntheticDataset:
             raise errors.MissingLabelColumn(
                 f"header {header} does not match sidecar columns {expected}")
         rows, labels, probs = [], [], []
-        for row in reader:
+        for r, row in enumerate(reader):
+            if len(row) != len(header):
+                missing = header[min(len(row), len(header) - 1)]
+                raise errors.NonNumericCell(r, missing, "<wrong row length>")
             rows.append([float(c) for c in row[:len(names)]])
             labels.append(int(row[len(names)]))
             probs.append(float(row[len(names) + 1]))

@@ -16,6 +16,12 @@ class MissingLabelColumn(LabelRegretError):
     pass
 
 
+class MissingSidecarKey(LabelRegretError):
+    def __init__(self, path, key: str):
+        super().__init__(f"{path} has no {key!r} entry")
+        self.key = key
+
+
 class NonNumericCell(LabelRegretError):
     def __init__(self, row: int, column: str, value: str = ""):
         super().__init__(f"non-numeric cell at data row {row}, column {column!r}: {value!r}")

@@ -471,7 +471,9 @@ class TrainerHandle:
     to start each refit from the base optimum, and ridge-escalation refits for
     resamples that turn out separable. fit_many is the estimators' entry
     point for many refits on one feature matrix; subclasses may override it
-    with a batched implementation that gives the same results.
+    with a batched implementation that gives the same results, as
+    LogisticTrainer does: its separable rows go down the ladder one rung per
+    batch instead of one row at a time.
     """
 
     name = "trainer"
@@ -527,14 +529,28 @@ class LogisticTrainer(TrainerHandle):
         return self._predictor(fit_logistic(data, opts))
 
     def fit_many(self, data: "Dataset", label_rows, eval_features, warm_state):
-        """All refits in one fit_logistic_batch call; separable rows take the ladder one by one."""
+        """All refits in one fit_logistic_batch call, then one call per ladder rung.
+
+        The rows the first call marks separable go down FALLBACK_RIDGES
+        together: each rung refits the rows still pending from a cold start,
+        as fit_with_extra_ridge does, and passes on only those still separable.
+        """
         include = self.opts.include_intercept
-        thetas, separable = fit_logistic_batch(
-            design_matrix(data.features, include), label_rows, self.opts, theta0=warm_state)
+        X = design_matrix(data.features, include)
+        label_rows = np.asarray(label_rows)
+        thetas, separable = fit_logistic_batch(X, label_rows, self.opts, theta0=warm_state)
+        pending = np.flatnonzero(separable)
+        n_fallbacks = pending.size
+        for extra in FALLBACK_RIDGES:
+            if pending.size == 0:
+                break
+            opts = replace(self.opts, ridge=self.opts.ridge + extra)
+            thetas[pending], separable = fit_logistic_batch(X, label_rows[pending], opts)
+            pending = pending[separable]
+        if pending.size:
+            raise _ladder_exhausted()
         samples = sigmoid(thetas @ design_matrix(eval_features, include).T)
-        for k in np.flatnonzero(separable):
-            samples[k] = fit_on_ridge_ladder(self, data.with_labels(label_rows[k]))(eval_features)
-        return samples, int(separable.sum())
+        return samples, n_fallbacks
 
 
 class EchoTrainer(TrainerHandle):
@@ -596,8 +612,14 @@ def fit_on_ridge_ladder(trainer: TrainerHandle, data: "Dataset") -> Predictor:
             return trainer.fit_with_extra_ridge(data, extra)
         except (errors.FitDiverged, errors.SingularHessian):
             continue
-    raise errors.RefitFallbackExhausted(
-        f"resample could not be fit even with extra ridge up to {FALLBACK_RIDGES[-1]:g}")
+    raise _ladder_exhausted()
+
+
+def _ladder_exhausted() -> errors.RefitFallbackExhausted:
+    """The error for a resample that no FALLBACK_RIDGES rung could fit."""
+    top = f"up to {FALLBACK_RIDGES[-1]:g}" if FALLBACK_RIDGES else "(the ladder is empty)"
+    return errors.RefitFallbackExhausted(
+        f"resample could not be fit even with extra ridge {top}")
 
 
 # ---------------------------------------------------------------------------

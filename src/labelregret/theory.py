@@ -20,7 +20,7 @@ from scipy import linalg
 
 from . import errors
 from ._io import atomic_write_text, dump_json, format_float
-from .glm import LogisticModel, design_matrix, predict_proba
+from .glm import LogisticModel, design_matrix, sigmoid
 
 DEFAULT_CONSTANT = 800.0
 
@@ -31,29 +31,14 @@ def compute_hessian(model: LogisticModel, features) -> np.ndarray:
     When the model has an intercept the constant-1 column participates as an
     ordinary feature, so the matrix is (d+1) x (d+1).
     """
-    X = design_matrix(features, model.includes_intercept)
-    if X.shape[1] != model.theta.size:
-        raise errors.DimensionMismatch(
-            f"model has {model.theta.size} parameters but points have {X.shape[1]} columns")
-    p = predict_proba(model, np.asarray(features, dtype=float))
-    w = p * (1.0 - p)
-    H = np.einsum("i,ij,ik->jk", w, X, X)
-    return (H + H.T) / 2.0
+    X, p = _design_and_probs(model, features)
+    return _hessian(X, p)
 
 
 def q_values(model: LogisticModel, features) -> np.ndarray:
     """Closed-form variance q_i per point, via one Cholesky factorization of H."""
-    X = design_matrix(features, model.includes_intercept)
-    H = compute_hessian(model, features)
-    try:
-        factor = linalg.cho_factor(H, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise errors.SingularHessian(
-            "loss Hessian is not positive definite; features are rank deficient") from None
-    solved = linalg.cho_solve(factor, X.T, check_finite=False)  # d x n
-    quad = np.einsum("ij,ji->i", X, solved)  # x_i' H^{-1} x_i
-    p = predict_proba(model, np.asarray(features, dtype=float))
-    return np.maximum((p * (1.0 - p)) ** 2 * quad, 0.0)
+    X, p = _design_and_probs(model, features)
+    return _q_from(X, p, _hessian(X, p))
 
 
 def epsilon_bound(model: LogisticModel, features,
@@ -68,23 +53,59 @@ def epsilon_bound(model: LogisticModel, features,
     true iff epsilon < 1 and n >= 2. The default constant 800 is loose by
     construction; it is a parameter so tighter empirical values can be tried.
     """
+    X, p = _design_and_probs(model, features)
+    bound = _bound_fields(model, X, _hessian(X, p), constant)
+    return bound["epsilon"], bound["bound_applies"]
+
+
+def _design_and_probs(model: LogisticModel, features):
+    """The design matrix of features and the model's probabilities at its rows."""
+    X = design_matrix(features, model.includes_intercept)
+    if X.shape[1] != model.theta.size:
+        raise errors.DimensionMismatch(
+            f"model has {model.theta.size} parameters but points have {X.shape[1]} columns")
+    return X, sigmoid(X @ model.theta)
+
+
+def _hessian(X, p) -> np.ndarray:
+    """X' diag(p (1 - p)) X, symmetrized."""
+    w = p * (1.0 - p)
+    H = np.einsum("i,ij,ik->jk", w, X, X)
+    return (H + H.T) / 2.0
+
+
+def _q_from(X, p, H) -> np.ndarray:
+    try:
+        factor = linalg.cho_factor(H, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise errors.SingularHessian(
+            "loss Hessian is not positive definite; features are rank deficient") from None
+    solved = linalg.cho_solve(factor, X.T, check_finite=False)  # d x n
+    quad = np.einsum("ij,ji->i", X, solved)  # x_i' H^{-1} x_i
+    return np.maximum((p * (1.0 - p)) ** 2 * quad, 0.0)
+
+
+def _bound_fields(model: LogisticModel, X, H, constant: float) -> dict:
+    """Every TheoryReport field but q: the spectrum of H, the point norms and epsilon."""
     if constant <= 0:
         raise ValueError("constant must be positive")
-    X = design_matrix(features, model.includes_intercept)
     n, d = X.shape
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0.0):
         raise errors.ZeroNormPoint(int(np.argmax(norms == 0.0)))
     x_max = float(norms.max())
     x_min = float(norms.min())
-    H = compute_hessian(model, features)
-    lam_min = float(linalg.eigvalsh(H)[0])
+    eigenvalues = linalg.eigvalsh(H)
+    lam_min = float(eigenvalues[0])
     if lam_min <= 0:
         raise errors.SingularHessian("smallest Hessian eigenvalue is not positive")
     theta_norm = float(np.linalg.norm(model.theta))
     epsilon = constant * d * x_max * (math.log(n * x_max / x_min) + x_max * theta_norm) \
         / math.sqrt(lam_min)
-    return epsilon, bool(epsilon < 1.0 and n >= 2)
+    return {"lambda_min": lam_min, "lambda_max": float(eigenvalues[-1]),
+            "x_max": x_max, "x_min": x_min, "theta_norm": theta_norm,
+            "epsilon": epsilon, "bound_applies": bool(epsilon < 1.0 and n >= 2),
+            "constant": float(constant)}
 
 
 @dataclass(frozen=True)
@@ -107,41 +128,23 @@ class TheoryReport:
             raise ValueError("q values must be non-negative")
         if not (0 < self.lambda_min <= self.lambda_max):
             raise errors.SingularHessian("need 0 < lambda_min <= lambda_max")
-        if self.bound_applies != (self.epsilon < 1.0):
-            # n >= 2 is checked by the builder; a report is only constructed
-            # with the flag already consistent.
-            raise ValueError("bound_applies is inconsistent with epsilon")
+        if self.bound_applies != (self.epsilon < 1.0 and q.size >= 2):
+            raise ValueError("bound_applies is inconsistent with epsilon and n")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
 
 def theory_report(model: LogisticModel, features,
                   constant: float = DEFAULT_CONSTANT) -> TheoryReport:
-    """Compute q values, the Hessian spectrum, and the error bound in one pass."""
-    X = design_matrix(features, model.includes_intercept)
-    n = X.shape[0]
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        raise errors.ZeroNormPoint(int(np.argmax(norms == 0.0)))
-    H = compute_hessian(model, features)
-    eigenvalues = linalg.eigvalsh(H)
-    lam_min = float(eigenvalues[0])
-    lam_max = float(eigenvalues[-1])
-    if lam_min <= 0:
-        raise errors.SingularHessian("smallest Hessian eigenvalue is not positive")
-    q = q_values(model, features)
-    epsilon, applies = epsilon_bound(model, features, constant)
-    return TheoryReport(
-        q=q,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        x_max=float(norms.max()),
-        x_min=float(norms.min()),
-        theta_norm=float(np.linalg.norm(model.theta)),
-        epsilon=float(epsilon),
-        bound_applies=applies and n >= 2,
-        constant=float(constant),
-    )
+    """Compute q values, the Hessian spectrum, and the error bound in one pass.
+
+    The design, the probabilities and the Hessian are computed once and
+    shared by q and epsilon.
+    """
+    X, p = _design_and_probs(model, features)
+    H = _hessian(X, p)
+    bound = _bound_fields(model, X, H, constant)
+    return TheoryReport(q=_q_from(X, p, H), **bound)
 
 
 def theory_report_csv(report: TheoryReport) -> str:

@@ -5,8 +5,8 @@ import pytest
 
 import labelregret as lr
 from labelregret import errors
-from labelregret.glm import (design_matrix, fit_logistic_batch, loss_gradient,
-                             loss_hessian, penalized_loss)
+from labelregret.glm import (design_matrix, fit_logistic_batch, fit_with_fallback,
+                             loss_gradient, loss_hessian, penalized_loss)
 
 
 def finite_difference_gradient(theta, X, y, ridge, h=1e-6):
@@ -312,6 +312,52 @@ class TestTrainers:
         a = plain_trainer.fit(cluster_ss.base)(cluster_ss.base.features)
         b = plain_trainer.fit(cluster_ss.base)(cluster_ss.base.features)
         np.testing.assert_array_equal(a, b)
+
+
+def all_assignments(n):
+    """Every {-1,+1} label vector of n points, one per row (2**n rows)."""
+    codes = np.arange(2 ** n)[:, None]
+    return np.where((codes >> np.arange(n)) & 1, 1, -1)
+
+
+class TestBatchedRidgeLadder:
+    """LogisticTrainer.fit_many, whose separable rows go down FALLBACK_RIDGES
+    one rung per batch, against one fit_with_fallback call per row."""
+
+    @staticmethod
+    def assert_matches_per_row_ladder(n, n_features, include_intercept):
+        features = np.random.default_rng(n).standard_normal((n, n_features))
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=include_intercept))
+        label_rows = all_assignments(n)
+        data = lr.Dataset(features, label_rows[0])
+        samples, n_fallbacks = trainer.fit_many(data, label_rows, features, None)
+
+        expected = np.empty_like(samples)
+        expected_fallbacks = 0
+        for k, labels in enumerate(label_rows):
+            predictor, _, used = fit_with_fallback(trainer, data.with_labels(labels), None)
+            expected[k] = predictor(features)
+            expected_fallbacks += used
+        assert n_fallbacks == expected_fallbacks > 0
+        np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, n_features, include_intercept", [(6, 1, False), (9, 2, True)])
+    def test_matches_per_row_ladder_on_every_assignment(self, n, n_features, include_intercept):
+        self.assert_matches_per_row_ladder(n, n_features, include_intercept)
+
+    def test_rows_still_separable_move_to_the_next_rung(self, monkeypatch):
+        """A zero rung leaves every separable row separable, so all of them
+        must be refit on the rung after it."""
+        monkeypatch.setattr("labelregret.glm.FALLBACK_RIDGES", (0.0, 1e-6))
+        self.assert_matches_per_row_ladder(9, 2, True)
+
+    def test_exhausted_ladder_raises(self, monkeypatch):
+        monkeypatch.setattr("labelregret.glm.FALLBACK_RIDGES", ())
+        features = np.array([[1.0], [2.0], [-1.0]])
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=False))
+        label_rows = np.array([[1, -1, -1], [1, 1, -1]])  # the second is separable
+        with pytest.raises(errors.RefitFallbackExhausted):
+            trainer.fit_many(lr.Dataset(features, label_rows[0]), label_rows, features, None)
 
 
 class TestHessianHelper:

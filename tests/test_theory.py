@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,26 @@ class TestTheoryReport:
         assert 0 < report.x_min <= report.x_max
         assert np.all(report.q > 0)
         assert report.bound_applies == (report.epsilon < 1.0)
+
+    def test_report_equals_the_public_pieces(self, cluster_ss):
+        """The shared Hessian gives bit for bit what the separate functions give."""
+        model = lr.fit_logistic(cluster_ss.base, lr.FitOptions(include_intercept=True))
+        features = cluster_ss.base.features
+        report = lr.theory_report(model, features, constant=3.0)
+        eigenvalues = np.linalg.eigvalsh(lr.compute_hessian(model, features))
+        np.testing.assert_array_equal(report.q, lr.q_values(model, features))
+        assert (report.epsilon, report.bound_applies) == lr.epsilon_bound(model, features, 3.0)
+        assert report.lambda_min == pytest.approx(eigenvalues[0], rel=1e-12)
+        assert report.lambda_max == pytest.approx(eigenvalues[-1], rel=1e-12)
+
+    def test_single_point_never_applies_the_bound(self):
+        """n=1 with epsilon < 1: the bound needs n >= 2, and the report agrees."""
+        report = lr.theory_report(lr.LogisticModel([0.0]), [[1.0]], constant=1e-6)
+        assert report.epsilon < 1.0
+        assert report.bound_applies is False
+        assert lr.epsilon_bound(lr.LogisticModel([0.0]), [[1.0]], 1e-6) == (report.epsilon, False)
+        with pytest.raises(ValueError, match="inconsistent"):
+            replace(report, bound_applies=True)
 
     def test_intercept_counts_as_feature(self, cluster_ss):
         """With an intercept the norms and dimension include the ones column."""
