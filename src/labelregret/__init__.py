@@ -16,13 +16,12 @@ from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset,
                       gaussian_semisynthetic, load_csv, load_semisynthetic,
                       make_semisynthetic, save_semisynthetic,
                       semisynthetic_from_model, standardize_features,
-                      two_cluster_population, two_cluster_semisynthetic,
-                      write_csv)
+                      two_cluster_population, two_cluster_semisynthetic)
 from .errors import LabelRegretError
 from .glm import (ConstantTrainer, EchoTrainer, FitOptions, LogisticModel,
                   LogisticTrainer, TrainerHandle, auc, bernoulli_kl,
                   design_matrix, fit_logistic, load_model, log_loss, mean_kl,
-                  predict_proba, save_model, sigmoid)
+                  predict_proba, sigmoid)
 from .harness import (ActiveLearningTrace, SelectiveCurve, TrialsResult,
                       TrialSummary, active_learning_run, oracle_error_scores,
                       run_trials, selective_prediction_curve, summarize_trials)
@@ -47,10 +46,10 @@ __all__ = [
     "gaussian_semisynthetic", "load_csv", "load_model", "load_semisynthetic",
     "log_loss", "make_semisynthetic", "mean_kl", "oracle_error_scores",
     "point_deviations", "predict_proba", "q_values", "run_trials",
-    "save_model", "save_regret_report", "save_semisynthetic",
+    "save_regret_report", "save_semisynthetic",
     "save_theory_report", "selective_prediction_curve",
     "semisynthetic_from_model", "sigmoid", "standardize_features",
     "summarize_trials", "theory_report", "true_regret",
     "two_cluster_population", "two_cluster_semisynthetic",
-    "variance_standard_error", "write_csv",
+    "variance_standard_error",
 ]

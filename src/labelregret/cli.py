@@ -10,14 +10,13 @@ through a temp-file-plus-rename, so output files are never partial.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import errors, rng
-from ._io import atomic_write_text, dump_json
+from ._io import dump_json, write_table
 from .config import ExperimentConfig
 from .dataset import (LabelDrawSeed, load_csv, load_semisynthetic,
                       make_semisynthetic, save_semisynthetic,
@@ -25,40 +24,18 @@ from .dataset import (LabelDrawSeed, load_csv, load_semisynthetic,
 from .glm import (LogisticTrainer, auc, fit_logistic, load_model, log_loss,
                   model_to_dict, predict_proba)
 from .harness import (active_learning_run, base_population, oracle_error_scores,
-                      run_trials, save_selective_curve, save_trace,
-                      save_trials_result, selective_prediction_curve)
+                      run_trials, save_trials_result, selective_prediction_curve)
 from .regret import (bootstrap_regret, estimate_regret,
-                     exact_regret_enumeration, regret_report_csv,
-                     regret_report_metadata, true_regret)
-from .theory import (DEFAULT_CONSTANT, theory_report, theory_report_csv,
-                     theory_report_metadata)
-
-# argparse dest -> ExperimentConfig field, for flags that override config
-_FLAG_FIELDS = {
-    "seed": "master_seed",
-    "k": "k_resamples",
-    "n_trials": "n_trials",
-    "ridge": "ridge",
-    "intercept": "include_intercept",
-    "grad_tol": "grad_tol",
-    "max_iters": "max_iters",
-    "gt_ridge": "ground_truth_ridge",
-    "gt_intercept": "ground_truth_intercept",
-    "label_column": "label_column",
-    "dataset": "dataset",
-    "n_points": "n_points",
-    "n_features": "n_features",
-    "p_high": "p_high",
-    "initial_fraction": "initial_fraction",
-    "batch": "batch_size",
-    "n_batches": "n_batches",
-    "threads": "threads",
-}
+                     exact_regret_enumeration, regret_report_metadata,
+                     regret_report_table, true_regret)
+from .theory import (DEFAULT_CONSTANT, theory_report, theory_report_metadata,
+                     theory_report_table)
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; explicit flags win over it")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
+    parser.add_argument("--seed", type=int, default=None, dest="master_seed",
+                        help="master seed")
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility; has no effect (every "
                              "run is single-threaded)")
@@ -68,38 +45,29 @@ def _add_common(parser):
 def _add_trainer(parser):
     parser.add_argument("--ridge", type=float, default=None)
     parser.add_argument("--intercept", action=argparse.BooleanOptionalAction,
-                        default=None)
+                        default=None, dest="include_intercept")
     parser.add_argument("--grad-tol", type=float, default=None, dest="grad_tol")
     parser.add_argument("--max-iters", type=int, default=None, dest="max_iters")
 
 
 def _add_resample(parser):
-    parser.add_argument("--k", type=int, default=None, help="number of resamples")
+    parser.add_argument("--k", type=int, default=None, dest="k_resamples",
+                        help="number of resamples")
 
 
 def _resolve_config(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = base if base is not None else ExperimentConfig()
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        unknown = set(payload) - set(ExperimentConfig.field_names())
-        if unknown:
-            raise errors.UnknownConfigKey(unknown)
-        cfg = cfg.replace(**payload)
-    overrides = {}
-    for dest, field in _FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[field] = value
+    if getattr(args, "config", None):
+        cfg = cfg.with_file(args.config)
+    # every flag that sets a config field has that field's name as its dest
+    overrides = {name: getattr(args, name) for name in ExperimentConfig.field_names()
+                 if getattr(args, name, None) is not None}
     if getattr(args, "data", None):
         overrides["dataset"] = "csv"
         overrides["data_path"] = args.data
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
-    if overrides:
-        cfg = cfg.replace(**overrides)
-    return cfg.validate()
+    return cfg.replace(**overrides)
 
 
 def _write_meta(out_dir, command: str, cfg: ExperimentConfig, extra: dict,
@@ -168,7 +136,7 @@ def _regret_command(args, kind: str):
         report = fn(data, trainer, cfg.k_resamples, cfg.master_seed)
         n = data.n_points
     csv_path = os.path.join(args.out, "regret.csv")
-    atomic_write_text(csv_path, regret_report_csv(report))
+    write_table(csv_path, *regret_report_table(report))
     meta = _write_meta(args.out, kind, cfg, {"report": regret_report_metadata(report)},
                        [csv_path])
     print(f"{kind}: n={n} K={report.n_resamples} "
@@ -189,7 +157,7 @@ def _cmd_enumerate(args):
         features, names = data.features, data.feature_names
     report = exact_regret_enumeration(features, probs, trainer, feature_names=names)
     csv_path = os.path.join(args.out, "enumeration.csv")
-    atomic_write_text(csv_path, regret_report_csv(report))
+    write_table(csv_path, *regret_report_table(report))
     meta = _write_meta(args.out, "enumerate", cfg,
                        {"report": regret_report_metadata(report)}, [csv_path])
     print(f"enumerate: n={features.shape[0]} assignments={report.n_resamples} "
@@ -206,7 +174,7 @@ def _cmd_theory(args):
         model = fit_logistic(data, cfg.fit_options())
     report = theory_report(model, data.features, constant=args.constant)
     csv_path = os.path.join(args.out, "theory.csv")
-    atomic_write_text(csv_path, theory_report_csv(report))
+    write_table(csv_path, *theory_report_table(report))
     meta = _write_meta(args.out, "theory", cfg,
                        {"report": theory_report_metadata(report)}, [csv_path])
     print(f"theory: n={data.n_points} epsilon={report.epsilon:.6g} "
@@ -247,7 +215,8 @@ def _cmd_selective(args):
                             ("oracle_error", oracle_error_scores(ss, model))):
         curve = selective_prediction_curve(ss, model, scores, grid, ranking=ranking)
         path = os.path.join(args.out, f"selective_{ranking}.csv")
-        save_selective_curve(curve, path)
+        write_table(path, ["cutoff", "coverage", "mean_kl", "n_kept"],
+                    [curve.cutoffs, curve.coverages, curve.mean_kls, curve.n_kept])
         outputs.append(path)
     meta = _write_meta(args.out, "selective", cfg, {}, outputs)
     print(f"selective: n={ss.base.n_points} K={cfg.k_resamples} "
@@ -268,7 +237,7 @@ def _cmd_active(args):
                                     batch=cfg.batch_size,
                                     n_batches=cfg.n_batches)
         path = os.path.join(args.out, f"active_{strategy}.csv")
-        save_trace(trace, path)
+        write_table(path, ["n_labeled", "mean_kl"], [trace.n_labeled, trace.mean_kl])
         outputs.append(path)
         finals[strategy] = float(trace.mean_kl[-1])
     meta = _write_meta(args.out, "active", cfg, {"final_mean_kl": finals}, outputs)
@@ -358,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit a ridge ground truth and redraw the labels")
     p.add_argument("--data", required=True)
     p.add_argument("--label-column", default=None, dest="label_column")
-    p.add_argument("--gt-ridge", type=float, default=None, dest="gt_ridge")
+    p.add_argument("--gt-ridge", type=float, default=None, dest="ground_truth_ridge")
     p.add_argument("--gt-intercept", action=argparse.BooleanOptionalAction,
-                   default=None, dest="gt_intercept")
+                   default=None, dest="ground_truth_intercept")
     p.add_argument("--stream", type=int, default=0,
                    help="label draw stream index (trial number)")
     _add_common(p)
@@ -376,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-points", type=int, default=None, dest="n_points")
         p.add_argument("--p-high", type=float, default=None, dest="p_high")
         if name == "active":
-            p.add_argument("--initial-fraction", type=float, default=None,
-                           dest="initial_fraction")
-            p.add_argument("--batch", type=int, default=None)
+            p.add_argument("--initial-fraction", type=float, default=None)
+            p.add_argument("--batch", type=int, default=None, dest="batch_size")
             p.add_argument("--n-batches", type=int, default=None, dest="n_batches")
         _add_resample(p)
         _add_trainer(p)
@@ -394,13 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--data")
     p.add_argument("--label-column", default=None, dest="label_column")
-    p.add_argument("--gt-ridge", type=float, default=None, dest="gt_ridge")
+    p.add_argument("--gt-ridge", type=float, default=None, dest="ground_truth_ridge")
     p.add_argument("--n-points", type=int, default=None, dest="n_points")
     p.add_argument("--n-features", type=int, default=None, dest="n_features")
     p.add_argument("--p-high", type=float, default=None, dest="p_high")
-    p.add_argument("--initial-fraction", type=float, default=None,
-                   dest="initial_fraction")
-    p.add_argument("--batch", type=int, default=None)
+    p.add_argument("--initial-fraction", type=float, default=None)
+    p.add_argument("--batch", type=int, default=None, dest="batch_size")
     p.add_argument("--n-batches", type=int, default=None, dest="n_batches")
     _add_resample(p)
     _add_trainer(p)
@@ -422,7 +389,7 @@ def dispatch(argv) -> int:
     except errors.LabelRegretError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

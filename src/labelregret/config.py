@@ -8,11 +8,17 @@ output. Unknown keys are a hard error so typos cannot silently change runs.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
+import numbers
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
-from . import errors
+from . import errors, rng
+from ._io import read_json
+
+# What each annotated field type accepts; bool is rejected where it is not the type.
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str, list: list}
 
 
 @dataclass
@@ -52,8 +58,15 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def validate(self) -> "ExperimentConfig":
-        if not 0 <= int(self.master_seed) < 2 ** 64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+        for name, kinds in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if value is None and type(None) in kinds:
+                continue
+            if not isinstance(value, _ACCEPTS[kinds[0]]) or (
+                    isinstance(value, bool) and kinds[0] is not bool):
+                raise ValueError(f"{name} must be "
+                                 f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+        rng._check_seed(self.master_seed)
         if self.k_resamples < 2:
             raise ValueError("k_resamples must be at least 2")
         if self.n_trials < 1:
@@ -78,6 +91,13 @@ class ExperimentConfig:
             raise ValueError("n_batches must be non-negative")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        for name, min_len in (("cutoff_grid", 2), ("true_theta", 1)):
+            values = getattr(self, name)
+            if values is not None and (len(values) < min_len or not all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in values)):
+                raise ValueError(f"{name} must be a list of at least {min_len} "
+                                 f"finite numbers, got {values!r}")
         return self
 
     def fit_options(self):
@@ -94,21 +114,13 @@ class ExperimentConfig:
     def field_names(cls):
         return tuple(f.name for f in dataclasses.fields(cls))
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = set(cls.field_names())
-        unknown = set(payload) - known
+    def with_file(self, path) -> "ExperimentConfig":
+        """This config with every field the JSON object in path sets replaced."""
+        payload = read_json(path)
+        unknown = set(payload) - set(self.field_names())
         if unknown:
             raise errors.UnknownConfigKey(unknown)
-        return cls(**payload).validate()
-
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise errors.UnknownConfigKey(["<config file is not a JSON object>"])
-        return cls.from_dict(payload)
+        return self.replace(**payload)
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes).validate()
@@ -123,3 +135,8 @@ class ExperimentConfig:
             return cls(n_trials=100, n_points=200, k_resamples=300,
                        batch_size=10, n_batches=5)
         raise ValueError(f"unknown profile {name!r}; choose 'desk' or 'paper'")
+
+
+# field -> (T,) or (T, NoneType) for Optional[T]; resolving annotations per validate is slow
+_FIELD_KINDS = {name: typing.get_args(hint) or (hint,)
+                for name, hint in typing.get_type_hints(ExperimentConfig).items()}

@@ -9,7 +9,6 @@ true per-point resampling variance computable at all.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import errors, rng
-from ._io import atomic_write_text, dump_json, format_float
+from ._io import NUMBER, dump_json, read_json, write_table
 from .glm import FitOptions, LogisticModel, fit_logistic, predict_proba
 
 
@@ -266,10 +265,9 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise errors.EmptyDataset(f"{path} is empty") from None
+        header = next(reader, None)
+        if header is None:
+            raise errors.EmptyDataset(f"{path} is empty")
         if label_column not in header:
             raise errors.MissingLabelColumn(
                 f"column {label_column!r} not found in header {header}")
@@ -308,18 +306,6 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     return Dataset(np.asarray(rows, dtype=float), np.asarray(labels), feature_names)
 
 
-def write_csv(data: Dataset, path, label_column: str = "label") -> None:
-    """Write a Dataset so load_csv reads back an identical object."""
-    if label_column in data.feature_names:
-        raise ValueError(f"label column {label_column!r} collides with a feature name")
-    lines = [",".join([*data.feature_names, label_column])]
-    for i in range(data.n_points):
-        cells = [format_float(v) for v in data.features[i]]
-        cells.append(str(int(data.labels[i])))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def standardize_features(data: Dataset):
     """Zero-mean unit-variance columns; returns (dataset, transform record)."""
     mean = data.features.mean(axis=0)
@@ -328,7 +314,7 @@ def standardize_features(data: Dataset):
         col = data.feature_names[int(np.argmax(std == 0))]
         raise ValueError(f"column {col!r} is constant and cannot be standardized")
     transformed = (data.features - mean) / std
-    record = {"mean": [float(v) for v in mean], "std": [float(v) for v in std]}
+    record = {"mean": mean, "std": std}
     return Dataset(transformed, data.labels, data.feature_names), record
 
 
@@ -339,15 +325,10 @@ def standardize_features(data: Dataset):
 def save_semisynthetic(ss: SemiSyntheticDataset, csv_path, json_path, *,
                        label_column: str = "label") -> None:
     names = ss.base.feature_names
-    lines = [",".join([*names, label_column, "true_prob"])]
-    for i in range(ss.base.n_points):
-        cells = [format_float(v) for v in ss.base.features[i]]
-        cells.append(str(int(ss.base.labels[i])))
-        cells.append(format_float(ss.true_probs[i]))
-        lines.append(",".join(cells))
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    write_table(csv_path, [*names, label_column, "true_prob"],
+                [*ss.base.features.T, ss.base.labels, ss.true_probs])
     sidecar = {
-        "theta": [float(v) for v in ss.ground_truth.theta],
+        "theta": ss.ground_truth.theta,
         "includes_intercept": bool(ss.ground_truth.includes_intercept),
         "feature_names": list(names),
         "seed": {"master_seed": int(ss.seed.master_seed),
@@ -358,39 +339,30 @@ def save_semisynthetic(ss: SemiSyntheticDataset, csv_path, json_path, *,
     dump_json(json_path, sidecar)
 
 
+_SIDECAR_SCHEMA = {
+    "feature_names": [str],
+    "theta": [NUMBER],
+    "includes_intercept": bool,
+    "seed": {"master_seed": int, "stream_index": int},
+    "ridge": (*NUMBER, type(None)),
+    "label_column": (str, type(None)),
+}
+
+
 def load_semisynthetic(csv_path, json_path) -> SemiSyntheticDataset:
     """Read back a saved semi-synthetic dataset, re-verifying its invariants."""
-    with open(json_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    try:
-        names = list(sidecar["feature_names"])
-        model = LogisticModel(np.asarray(sidecar["theta"], dtype=float),
-                              bool(sidecar["includes_intercept"]))
-        seed = LabelDrawSeed(int(sidecar["seed"]["master_seed"]),
-                             int(sidecar["seed"]["stream_index"]))
-    except KeyError as exc:
-        raise errors.MissingSidecarKey(json_path, exc.args[0]) from None
-    label_column = sidecar.get("label_column", "label")
-
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = [*names, label_column, "true_prob"]
-        if header != expected:
-            raise errors.MissingLabelColumn(
-                f"header {header} does not match sidecar columns {expected}")
-        rows, labels, probs = [], [], []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                missing = header[min(len(row), len(header) - 1)]
-                raise errors.NonNumericCell(r, missing, "<wrong row length>")
-            rows.append([float(c) for c in row[:len(names)]])
-            labels.append(int(row[len(names)]))
-            probs.append(float(row[len(names) + 1]))
-
-    if not rows:
-        raise errors.EmptyDataset(f"{csv_path} has no data rows")
-    base = Dataset(np.asarray(rows, dtype=float), np.asarray(labels), tuple(names))
+    sidecar = read_json(json_path, _SIDECAR_SCHEMA)
+    names = tuple(sidecar["feature_names"])
+    model = LogisticModel(np.asarray(sidecar["theta"], dtype=float),
+                          sidecar["includes_intercept"])
+    seed = LabelDrawSeed(sidecar["seed"]["master_seed"], sidecar["seed"]["stream_index"])
+    table = load_csv(csv_path, sidecar.get("label_column", "label"))
+    expected = (*names, "true_prob")
+    if table.feature_names != expected:
+        raise errors.MissingLabelColumn(
+            f"columns {list(table.feature_names)} do not match sidecar columns "
+            f"{list(expected)}")
+    base = Dataset(table.features[:, :-1], table.labels, names)
     ridge = sidecar.get("ridge")
-    return SemiSyntheticDataset(base, np.asarray(probs, dtype=float), model, seed,
+    return SemiSyntheticDataset(base, table.features[:, -1], model, seed,
                                 None if ridge is None else float(ridge))

@@ -16,9 +16,12 @@ class MissingLabelColumn(LabelRegretError):
     pass
 
 
-class MissingSidecarKey(LabelRegretError):
-    def __init__(self, path, key: str):
-        super().__init__(f"{path} has no {key!r} entry")
+class BadJsonFile(LabelRegretError):
+    """A JSON input is malformed, lacks a key or holds a value of the wrong kind."""
+
+    def __init__(self, path, key, problem: str):
+        where = "" if key is None else f" key {key!r}"
+        super().__init__(f"{path}:{where} {problem}")
         self.key = key
 
 

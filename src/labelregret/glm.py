@@ -8,7 +8,6 @@ label vectors on one feature matrix at once. Labels are in {-1, +1} throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -18,7 +17,7 @@ from scipy.special import rel_entr
 from scipy.stats import rankdata
 
 from . import errors
-from ._io import atomic_write_text
+from ._io import NUMBER, read_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -627,26 +626,24 @@ def _ladder_exhausted() -> errors.RefitFallbackExhausted:
 
 
 def model_to_dict(model: LogisticModel, feature_names) -> dict:
+    """The model as the JSON object that load_model reads back."""
     names = list(feature_names)
     if len(names) != model.n_features:
         raise errors.DimensionMismatch(
             f"model expects {model.n_features} features, got {len(names)} names")
     return {
-        "theta": [float(v) for v in model.theta],
+        "theta": model.theta,
         "includes_intercept": bool(model.includes_intercept),
         "feature_names": names,
     }
 
 
-def save_model(path, model: LogisticModel, feature_names) -> None:
-    atomic_write_text(path, json.dumps(model_to_dict(model, feature_names),
-                                       indent=2, sort_keys=True) + "\n")
+_MODEL_SCHEMA = {"theta": [NUMBER], "includes_intercept": bool, "feature_names": [str]}
 
 
 def load_model(path):
     """Read a model JSON file; returns (model, feature_names)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path, _MODEL_SCHEMA)
     model = LogisticModel(np.asarray(payload["theta"], dtype=float),
-                          bool(payload["includes_intercept"]))
-    return model, list(payload["feature_names"])
+                          payload["includes_intercept"])
+    return model, payload["feature_names"]

@@ -7,13 +7,14 @@ semi-synthetic data; every harness therefore consumes a SemiSyntheticDataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from . import errors, rng
-from ._io import atomic_write_text, dump_json, format_float
+from ._io import dump_json, format_float, write_table
 from .config import ExperimentConfig
 from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset,
                       gaussian_features, load_csv, semisynthetic_from_model,
@@ -322,6 +323,10 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}")
     config.validate()
+    if (experiment == "selective" and config.cutoff_grid is not None
+            and len(config.cutoff_grid) != DEFAULT_GRID_POINTS):
+        raise ValueError(f"trials aggregate selective curves over {DEFAULT_GRID_POINTS} "
+                         f"cutoffs; the cutoff_grid has {len(config.cutoff_grid)}")
     features, ground_truth, gt_ridge = base_population(config)
     trainer = LogisticTrainer(config.fit_options())
     n = features.shape[0]
@@ -402,51 +407,17 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
 # serialization
 
 
-def save_selective_curve(curve: SelectiveCurve, csv_path) -> None:
-    lines = ["cutoff,coverage,mean_kl,n_kept"]
-    for i in range(curve.cutoffs.size):
-        lines.append(",".join([
-            format_float(curve.cutoffs[i]),
-            format_float(curve.coverages[i]),
-            format_float(curve.mean_kls[i]),
-            str(int(curve.n_kept[i])),
-        ]))
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
-
-
-def save_trace(trace: ActiveLearningTrace, csv_path) -> None:
-    lines = ["n_labeled,mean_kl"]
-    for i in range(trace.n_labeled.size):
-        lines.append(f"{int(trace.n_labeled[i])},{format_float(trace.mean_kl[i])}")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
-
-
 def save_trials_result(result: TrialsResult, out_dir) -> None:
     """One CSV per series (rows = trials) plus a JSON of summaries."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
+    header = ["trial", *map(format_float, result.positions)]
     for name, matrix in result.series.items():
-        lines = [",".join(["trial"] + [format_float(p) for p in result.positions])]
-        for t in range(matrix.shape[0]):
-            lines.append(",".join([str(t)] + [format_float(v) for v in matrix[t]]))
-        atomic_write_text(os.path.join(out_dir, f"trials_{name}.csv"),
-                          "\n".join(lines) + "\n")
+        write_table(os.path.join(out_dir, f"trials_{name}.csv"), header,
+                    [np.arange(matrix.shape[0]), *matrix.T])
     payload = {
         "experiment": result.experiment,
-        "positions": [float(p) for p in result.positions],
-        "extras": {k: [float(v) for v in arr] for k, arr in result.extras.items()},
-        "summaries": {
-            name: {
-                "median": [float(v) for v in s.median],
-                "q25": [float(v) for v in s.q25],
-                "q75": [float(v) for v in s.q75],
-                "min": [float(v) for v in s.min],
-                "max": [float(v) for v in s.max],
-                "n_trials": s.n_trials,
-            }
-            for name, s in result.summaries.items()
-        },
+        "positions": result.positions,
+        "extras": result.extras,
+        "summaries": {name: asdict(s) for name, s in result.summaries.items()},
         "config": result.config.to_dict(),
     }
     dump_json(os.path.join(out_dir, "summary.json"), payload)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors, rng
-from ._io import atomic_write_text, dump_json, format_float
+from ._io import dump_json, write_table
 from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_rows
 # The ladder is defined with the trainers; it stays importable from here.
 from .glm import FALLBACK_RIDGES, TrainerHandle, fit_with_fallback
@@ -294,16 +294,11 @@ def variance_standard_error(samples: np.ndarray) -> np.ndarray:
 # serialization
 
 
-def regret_report_csv(report: RegretReport) -> str:
-    lines = ["point_index,base_pred,mean_pred,regret"]
-    for i in range(report.n_points):
-        lines.append(",".join([
-            str(i),
-            format_float(report.base_pred[i]),
-            format_float(report.mean_pred[i]),
-            format_float(report.regret[i]),
-        ]))
-    return "\n".join(lines) + "\n"
+def regret_report_table(report: RegretReport):
+    """(header, columns) of the per-point regret table, for _io.write_table."""
+    return (["point_index", "base_pred", "mean_pred", "regret"],
+            [np.arange(report.n_points), report.base_pred, report.mean_pred,
+             report.regret])
 
 
 def regret_report_metadata(report: RegretReport) -> dict:
@@ -317,5 +312,5 @@ def regret_report_metadata(report: RegretReport) -> dict:
 
 
 def save_regret_report(report: RegretReport, csv_path, json_path) -> None:
-    atomic_write_text(csv_path, regret_report_csv(report))
+    write_table(csv_path, *regret_report_table(report))
     dump_json(json_path, regret_report_metadata(report))

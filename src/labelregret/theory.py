@@ -19,7 +19,7 @@ import numpy as np
 from scipy import linalg
 
 from . import errors
-from ._io import atomic_write_text, dump_json, format_float
+from ._io import dump_json, write_table
 from .glm import LogisticModel, design_matrix, sigmoid
 
 DEFAULT_CONSTANT = 800.0
@@ -147,11 +147,9 @@ def theory_report(model: LogisticModel, features,
     return TheoryReport(q=_q_from(X, p, H), **bound)
 
 
-def theory_report_csv(report: TheoryReport) -> str:
-    lines = ["point_index,q"]
-    for i, value in enumerate(report.q):
-        lines.append(f"{i},{format_float(value)}")
-    return "\n".join(lines) + "\n"
+def theory_report_table(report: TheoryReport):
+    """(header, columns) of the per-point q table, for _io.write_table."""
+    return ["point_index", "q"], [np.arange(report.q.size), report.q]
 
 
 def theory_report_metadata(report: TheoryReport) -> dict:
@@ -168,5 +166,5 @@ def theory_report_metadata(report: TheoryReport) -> dict:
 
 
 def save_theory_report(report: TheoryReport, csv_path, json_path) -> None:
-    atomic_write_text(csv_path, theory_report_csv(report))
+    write_table(csv_path, *theory_report_table(report))
     dump_json(json_path, theory_report_metadata(report))

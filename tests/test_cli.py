@@ -4,7 +4,10 @@ import pytest
 
 import labelregret as lr
 from labelregret import cli
+from labelregret._io import write_table
 from labelregret.dataset import save_semisynthetic
+
+from conftest import write_lines
 
 
 @pytest.fixture
@@ -46,5 +49,134 @@ class TestSemisynthLoadErrors:
         path.write_text(json.dumps(sidecar), encoding="utf-8")
         assert true_regret(semisynth_dir, tmp_path / "out") == 1
         err = capsys.readouterr().err
-        assert err.startswith("MissingSidecarKey: ") and repr(key) in err
+        assert err.startswith("BadJsonFile: ") and repr(key) in err
         assert "Traceback" not in err
+
+
+@pytest.fixture
+def data_csv(tmp_path):
+    """A 12-point, 2-feature CSV with 0/1 labels."""
+    ss = lr.gaussian_semisynthetic(12, 2, [1.0, -0.7], 42)
+    path = tmp_path / "data.csv"
+    write_table(path, ["a", "b", "label"],
+                [*ss.base.features.T, (ss.base.labels + 1) // 2])
+    return path
+
+
+def _edit_json(path, change):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(change(payload)), encoding="utf-8")
+
+
+def _bad_config(tmp_path, data_csv, semisynth_dir, text):
+    (tmp_path / "cfg.json").write_text(text, encoding="utf-8")
+    return ["regret", "--data", str(data_csv), "--config", str(tmp_path / "cfg.json")]
+
+
+def _bad_model(tmp_path, data_csv, semisynth_dir, change):
+    assert cli.dispatch(["fit", "--data", str(data_csv), "--out", str(tmp_path / "fit")]) == 0
+    _edit_json(tmp_path / "fit" / "model.json", change)
+    return ["theory", "--data", str(data_csv), "--model", str(tmp_path / "fit" / "model.json")]
+
+
+def _bad_semisynth(tmp_path, data_csv, semisynth_dir, damage):
+    damage(semisynth_dir)
+    return ["true-regret", "--semisynth", str(semisynth_dir), "--k", "5"]
+
+
+def _set_seed_to_int(directory):
+    _edit_json(directory / "semisynth.json", lambda s: {**s, "seed": 5})
+
+
+def _rename_feature(directory):
+    _edit_json(directory / "semisynth.json", lambda s: {**s, "feature_names": ["x1", "x0"]})
+
+
+def _empty_csv(directory):
+    (directory / "semisynth.csv").write_text("", encoding="utf-8")
+
+
+def _non_numeric_cell(directory):
+    path = directory / "semisynth.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = "abc," + lines[2].split(",", 1)[1]
+    write_lines(path, lines)
+
+
+BAD_INPUTS = {
+    "config holding a number": (_bad_config, "5", "BadJsonFile"),
+    "config not JSON": (_bad_config, "{k_resamples", "BadJsonFile"),
+    "config with an unknown key": (_bad_config, '{"k_resample": 3}', "UnknownConfigKey"),
+    "config value of the wrong type": (_bad_config, '{"k_resamples": "abc"}', "ValueError"),
+    "config grid of one cutoff": (_bad_config, '{"cutoff_grid": [0.5]}', "ValueError"),
+    "model without includes_intercept": (
+        _bad_model, lambda payload: {k: v for k, v in payload.items()
+                                     if k != "includes_intercept"}, "BadJsonFile"),
+    "model as a JSON list": (_bad_model, lambda payload: [1, 2], "BadJsonFile"),
+    "model theta of strings": (_bad_model, lambda payload: {**payload, "theta": ["a"]},
+                               "BadJsonFile"),
+    "sidecar seed as an integer": (_bad_semisynth, _set_seed_to_int, "BadJsonFile"),
+    "sidecar names not the CSV columns": (_bad_semisynth, _rename_feature,
+                                          "MissingLabelColumn"),
+    "empty semisynth.csv": (_bad_semisynth, _empty_csv, "EmptyDataset"),
+    "non-numeric semisynth cell": (_bad_semisynth, _non_numeric_cell, "NonNumericCell"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS, ids=list(BAD_INPUTS))
+def test_bad_input_exits_1_with_one_line(case, tmp_path, data_csv, semisynth_dir, capsys):
+    build, detail, error = BAD_INPUTS[case]
+    argv = build(tmp_path, data_csv, semisynth_dir, detail)
+    capsys.readouterr()
+    assert cli.dispatch([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Each command line lacks exactly one required flag.
+MISSING_FLAG = [
+    ["fit", "--out", "o"],
+    ["fit", "--data", "d.csv"],
+    ["regret", "--out", "o"],
+    ["regret", "--data", "d.csv"],
+    ["true-regret", "--out", "o"],
+    ["true-regret", "--semisynth", "s"],
+    ["bootstrap", "--out", "o"],
+    ["bootstrap", "--data", "d.csv"],
+    ["enumerate", "--out", "o"],
+    ["enumerate", "--data", "d.csv"],
+    ["theory", "--out", "o"],
+    ["theory", "--data", "d.csv"],
+    ["semisynth", "--out", "o"],
+    ["semisynth", "--data", "d.csv"],
+    ["selective"],
+    ["active"],
+    ["trials", "--out", "o"],
+    ["trials", "--experiment", "active"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", MISSING_FLAG, ids=[" ".join(a) or "none" for a in MISSING_FLAG])
+def test_missing_required_flag_exits_2(argv, capsys):
+    assert cli.dispatch(argv) == 2
+    assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["fit", "--data", "DATA"], ["--ridge", "0.25", "--seed", "9", "--no-intercept"]),
+    (["selective"], ["--n-points", "20", "--k", "10", "--p-high", "0.7", "--seed", "4"]),
+    (["trials", "--experiment", "theory_vs_actual"],
+     ["--n-trials", "1", "--n-points", "20", "--k", "10", "--dataset", "gaussian",
+      "--n-features", "3"]),
+], ids=["fit", "selective", "trials"])
+def test_config_round_trip(command, flags, tmp_path, data_csv):
+    """A run's meta.json config fed back through --config reproduces that config."""
+    command = [str(data_csv) if arg == "DATA" else arg for arg in command]
+    out, meta, cfg = tmp_path / "out", tmp_path / "out" / "meta.json", tmp_path / "cfg.json"
+    assert cli.dispatch([*command, *flags, "--out", str(out)]) == 0
+    first = json.loads(meta.read_text(encoding="utf-8"))["config"]
+    cfg.write_text(json.dumps(first), encoding="utf-8")
+    assert cli.dispatch([*command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(meta.read_text(encoding="utf-8"))["config"] == first

@@ -3,7 +3,7 @@ import pytest
 
 import labelregret as lr
 from labelregret import errors
-from labelregret.regret import FALLBACK_RIDGES, regret_report_csv
+from labelregret.regret import FALLBACK_RIDGES, save_regret_report
 
 
 class TestPointDeviations:
@@ -228,10 +228,10 @@ class TestReportValidation:
             lr.RegretReport(arrays["regret"], arrays["mean_pred"], arrays["base_pred"],
                             10, "monte_carlo", 0, "t")
 
-    def test_csv_round_trip_values(self, small_dataset, flat_trainer):
+    def test_csv_round_trip_values(self, small_dataset, flat_trainer, tmp_path):
         report = lr.estimate_regret(small_dataset, flat_trainer, 20, seed=14)
-        text = regret_report_csv(report)
-        lines = text.strip().splitlines()
+        save_regret_report(report, tmp_path / "regret.csv", tmp_path / "regret.json")
+        lines = (tmp_path / "regret.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "point_index,base_pred,mean_pred,regret"
         parsed = np.array([[float(v) for v in line.split(",")[1:]]
                            for line in lines[1:]])

@@ -7,7 +7,7 @@ import pytest
 import labelregret as lr
 from labelregret import errors
 from labelregret.glm import design_matrix, loss_gradient, loss_hessian
-from labelregret.theory import theory_report_csv
+from labelregret.theory import save_theory_report
 
 
 class TestComputeHessian:
@@ -184,10 +184,11 @@ class TestTheoryReport:
         expected_min = math.sqrt(raw_norms.min() ** 2 + 1.0)
         assert report.x_min == pytest.approx(expected_min, rel=1e-12)
 
-    def test_csv_layout(self, cluster_ss):
+    def test_csv_layout(self, cluster_ss, tmp_path):
         model = lr.fit_logistic(cluster_ss.base, lr.FitOptions(include_intercept=False))
         report = lr.theory_report(model, cluster_ss.base.features)
-        lines = theory_report_csv(report).strip().splitlines()
+        save_theory_report(report, tmp_path / "theory.csv", tmp_path / "theory.json")
+        lines = (tmp_path / "theory.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "point_index,q"
         assert len(lines) == cluster_ss.base.n_points + 1
 
