@@ -56,9 +56,8 @@ def _add_resample(parser):
 
 
 def _resolve_config(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """base overlaid with the --config file, then the flags; validated once, merged."""
     cfg = base if base is not None else ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = cfg.with_file(args.config)
     # every flag that sets a config field has that field's name as its dest
     overrides = {name: getattr(args, name) for name in ExperimentConfig.field_names()
                  if getattr(args, name, None) is not None}
@@ -67,6 +66,8 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> ExperimentCon
         overrides["data_path"] = args.data
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
+    if getattr(args, "config", None):
+        return cfg.with_file(args.config, **overrides)
     return cfg.replace(**overrides)
 
 
@@ -169,7 +170,11 @@ def _cmd_theory(args):
     cfg = _resolve_config(args)
     data = load_csv(args.data, cfg.label_column)
     if args.model:
-        model, _ = load_model(args.model)
+        model, names = load_model(args.model)
+        if tuple(names) != data.feature_names:
+            raise errors.FeatureNameMismatch(
+                f"model {args.model} was fitted on columns {names}, but "
+                f"{args.data} has feature columns {list(data.feature_names)}")
     else:
         model = fit_logistic(data, cfg.fit_options())
     report = theory_report(model, data.features, constant=args.constant)

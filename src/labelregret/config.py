@@ -114,13 +114,16 @@ class ExperimentConfig:
     def field_names(cls):
         return tuple(f.name for f in dataclasses.fields(cls))
 
-    def with_file(self, path) -> "ExperimentConfig":
-        """This config with every field the JSON object in path sets replaced."""
+    def with_file(self, path, **overrides) -> "ExperimentConfig":
+        """This config with every field the JSON object in path sets replaced.
+
+        overrides win over the file; only the merged config is validated.
+        """
         payload = read_json(path)
         unknown = set(payload) - set(self.field_names())
         if unknown:
             raise errors.UnknownConfigKey(unknown)
-        return self.replace(**payload)
+        return self.replace(**{**payload, **overrides})
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes).validate()

@@ -9,7 +9,9 @@ true per-point resampling variance computable at all.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -257,53 +259,131 @@ def gaussian_semisynthetic(n: int, d: int, theta, master_seed: int, *,
 # CSV ingestion
 
 
+# Line ends as a text file opened with newline="" splits at them.
+_LINE_END = re.compile(rb"\r\n?|\n")
+# numpy's float parser strips these ASCII separators around a number; float()
+# rejects any cell that holds one.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a headered CSV with one label column; all other columns numeric.
 
-    Label values {0, 1} are mapped to {-1, +1} (0 becomes -1); {-1, +1} pass
-    through unchanged.
+    Accepted input is UTF-8 text, one header record naming the columns, and
+    then one record per line (ended by \\n, \\r\\n or a lone \\r), each with
+    as many cells as the header. Blank lines are rejected. A cell may be
+    double-quoted and padded with whitespace; it must hold a number that
+    numpy's float parser reads, and every value must be finite. Label values
+    must be -1, 0 or 1: 0 is mapped to -1, and -1 and +1 pass through.
+
+    The data rows are parsed in one np.loadtxt call and checked as arrays.
+    Only when that fails are the rows scanned once, with float() on each
+    cell in row order, to raise the first error: NonNumericCell (row, column)
+    for a short or long row, an unreadable or non-finite feature cell, and
+    InvalidLabelValue (row) for a label outside {-1, 0, 1}.
+
+    A cell that float() reads but numpy does not is rejected the same way
+    (InvalidLabelValue in the label column): digit-group underscores such as
+    1_0, non-ASCII digits, and a quoted cell holding a line break.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise errors.EmptyDataset(f"{path} is empty")
-        if label_column not in header:
-            raise errors.MissingLabelColumn(
-                f"column {label_column!r} not found in header {header}")
-        label_pos = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_pos)
-        if not feature_names:
-            raise errors.EmptyDataset(f"{path} has no feature columns")
-
-        rows, labels = [], []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                missing = header[min(len(row), len(header) - 1)]
-                raise errors.NonNumericCell(r, missing, "<wrong row length>")
-            values = []
-            for i, cell in enumerate(row):
-                if i == label_pos:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise errors.NonNumericCell(r, header[i], cell) from None
-                if not math.isfinite(v):
-                    raise errors.NonNumericCell(r, header[i], cell)
-                values.append(v)
-            try:
-                raw_label = float(row[label_pos])
-            except ValueError:
-                raise errors.InvalidLabelValue(r, row[label_pos]) from None
-            if raw_label not in (-1.0, 0.0, 1.0):
-                raise errors.InvalidLabelValue(r, row[label_pos])
-            labels.append(1 if raw_label == 1.0 else -1)
-            rows.append(values)
-
-    if not rows:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    lines = _text_lines(raw)
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise errors.EmptyDataset(f"{path} is empty")
+    if label_column not in header:
+        raise errors.MissingLabelColumn(
+            f"column {label_column!r} not found in header {header}")
+    label_pos = header.index(label_column)
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_pos)
+    if not feature_names:
+        raise errors.EmptyDataset(f"{path} has no feature columns")
+    start = _body_start(raw, reader.line_num)
+    if start == len(raw):
         raise errors.EmptyDataset(f"{path} has a header but no data rows")
-    return Dataset(np.asarray(rows, dtype=float), np.asarray(labels), feature_names)
+    try:
+        table = _parse_rows(raw, start, lines, len(header), label_pos)
+    except ValueError:
+        _raise_first_bad_cell(raw, header, label_pos)
+        raise
+    labels = np.where(table[:, label_pos] == 1.0, 1, -1)
+    return Dataset(np.delete(table, label_pos, axis=1), labels, feature_names)
+
+
+def _text_lines(raw: bytes):
+    """raw decoded and split into lines as open(path, encoding="utf-8", newline="") does."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+
+def _body_start(raw: bytes, header_lines: int) -> int:
+    """Byte offset just past the first header_lines lines of raw."""
+    ends = [m.end() for _, m in zip(range(header_lines), _LINE_END.finditer(raw))]
+    return ends[-1] if len(ends) == header_lines else len(raw)
+
+
+def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -> np.ndarray:
+    """The data rows as one float array; ValueError unless every check passes.
+
+    lines is positioned at the first data row, which starts at byte start.
+    """
+    if raw[start:start + 1] in (b"\r", b"\n"):  # loadtxt warns on a body of blank lines
+        raise ValueError("blank first data line")
+    if any(raw.find(sep, start) >= 0 for sep in _SEPARATORS):
+        raise ValueError("ASCII separator character in the data rows")
+    table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
+                       quotechar='"')
+    n_lines = raw.count(b"\n", start) + (not raw.endswith((b"\n", b"\r")))
+    if raw.find(b"\r", start) >= 0:
+        n_lines += raw.count(b"\r", start) - raw.count(b"\r\n", start)
+    # loadtxt skips blank lines and joins quoted line breaks, so either
+    # leaves fewer rows than lines
+    if table.shape != (n_lines, n_columns):
+        raise ValueError("blank line, quoted line break or wrong row length")
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value")
+    labels = table[:, label_pos]
+    if not ((labels == 0.0) | (np.abs(labels) == 1.0)).all():
+        raise ValueError("label outside {-1, 0, 1}")
+    return table
+
+
+def _raise_first_bad_cell(raw: bytes, header, label_pos: int) -> None:
+    """Raise the error of the first data row, in file order, that fails a check.
+
+    Row lengths and float() decide the error and its row and column, so a
+    file rejected for them fails here exactly as it always has. Only when
+    none fails is the first cell raised that float() reads but np.loadtxt
+    does not; returns only if there is none either.
+    """
+    reader = csv.reader(_text_lines(raw))
+    next(reader)
+    order = [*(i for i in range(len(header)) if i != label_pos), label_pos]
+    unparsed = None  # first cell that float() reads but np.loadtxt does not
+    for r, row in enumerate(reader):
+        if len(row) != len(header):
+            missing = header[min(len(row), len(header) - 1)]
+            raise errors.NonNumericCell(r, missing, "<wrong row length>")
+        for i in order:
+            cell = row[i]
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if i == label_pos and value not in (-1.0, 0.0, 1.0):
+                raise errors.InvalidLabelValue(r, cell)
+            if i != label_pos and not math.isfinite(value):
+                raise errors.NonNumericCell(r, header[i], cell)
+            core = cell.strip()
+            if unparsed is None and ("_" in core or not core.isascii()
+                                     or "\r" in cell or "\n" in cell):
+                unparsed = (r, i, cell)
+    if unparsed is not None:
+        r, i, cell = unparsed
+        if i == label_pos:
+            raise errors.InvalidLabelValue(r, cell)
+        raise errors.NonNumericCell(r, header[i], cell)
 
 
 def standardize_features(data: Dataset):

@@ -43,6 +43,10 @@ class EmptyDataset(LabelRegretError):
     pass
 
 
+class FeatureNameMismatch(LabelRegretError):
+    """A saved model's feature names differ from the data's feature columns."""
+
+
 class ProbOutOfRange(LabelRegretError):
     def __init__(self, index: int, value: float):
         super().__init__(f"probability at index {index} is {value}, outside [0, 1]")

@@ -180,3 +180,92 @@ def test_config_round_trip(command, flags, tmp_path, data_csv):
     cfg.write_text(json.dumps(first), encoding="utf-8")
     assert cli.dispatch([*command, "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads(meta.read_text(encoding="utf-8"))["config"] == first
+
+
+class TestTheoryModelColumns:
+    """theory --model checks the model's feature names against the data's columns."""
+
+    @pytest.fixture
+    def model_path(self, tmp_path, data_csv):
+        assert cli.dispatch(["fit", "--data", str(data_csv), "--out", str(tmp_path / "fit")]) == 0
+        return tmp_path / "fit" / "model.json"
+
+    def test_matching_columns_run(self, tmp_path, data_csv, model_path):
+        assert cli.dispatch(["theory", "--data", str(data_csv), "--model", str(model_path),
+                             "--out", str(tmp_path / "out")]) == 0
+
+    def test_swapped_columns_exit_1(self, tmp_path, data_csv, model_path, capsys):
+        lines = data_csv.read_text(encoding="utf-8").splitlines()
+        swapped = tmp_path / "swapped.csv"
+        write_lines(swapped, [",".join([b, a, label])
+                              for a, b, label in (line.split(",") for line in lines)])
+        capsys.readouterr()
+        assert cli.dispatch(["theory", "--data", str(swapped), "--model", str(model_path),
+                             "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FeatureNameMismatch: ") and err.count("\n") == 1
+        assert "['a', 'b']" in err and "['b', 'a']" in err
+        assert "Traceback" not in err
+
+
+class TestConfigFileAndFlags:
+    """Flags win over --config, and only the merged config is validated."""
+
+    def _run(self, tmp_path, data_csv, payload, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        return cli.dispatch(["regret", "--data", str(data_csv), "--config", str(cfg),
+                             *flags, "--out", str(tmp_path / "out")])
+
+    def test_flag_overrides_invalid_file_value(self, tmp_path, data_csv):
+        assert self._run(tmp_path, data_csv, {"k_resamples": 1}, "--k", "10") == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text(encoding="utf-8"))
+        assert meta["config"]["k_resamples"] == 10
+        assert meta["report"]["n_resamples"] == 10
+
+    def test_data_flag_completes_csv_dataset(self, tmp_path, data_csv):
+        assert self._run(tmp_path, data_csv, {"dataset": "csv"}, "--k", "5") == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text(encoding="utf-8"))
+        assert meta["config"]["dataset"] == "csv"
+        assert meta["config"]["data_path"] == str(data_csv)
+
+    def test_invalid_file_value_without_flag_exits_1(self, tmp_path, data_csv, capsys):
+        assert self._run(tmp_path, data_csv, {"k_resamples": 1}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and "k_resamples" in err
+
+
+def _expected_config(**fields):
+    """The config as meta.json stores it."""
+    return json.loads(json.dumps(lr.ExperimentConfig(**fields).to_dict()))
+
+
+@pytest.mark.parametrize("command", ["fit", "theory", "regret", "enumerate"])
+def test_meta_json_contents(command, tmp_path, data_csv):
+    """meta.json names the command, the files written, the resolved config and the report."""
+    out = tmp_path / "out"
+    flags = {"fit": ["--ridge", "0.5"], "theory": [], "regret": ["--k", "20", "--seed", "3"],
+             "enumerate": ["--ridge", "0.1"]}[command]
+    assert cli.dispatch([command, "--data", str(data_csv), *flags, "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+    assert meta["command"] == command
+    written = sorted(p.name for p in out.iterdir() if p.name != "meta.json")
+    assert meta["outputs"] == written == [{"fit": "model.json", "theory": "theory.csv",
+                                           "regret": "regret.csv",
+                                           "enumerate": "enumeration.csv"}[command]]
+    common = {"dataset": "csv", "data_path": str(data_csv), "out_dir": str(out)}
+    expected = {"fit": dict(include_intercept=True, ridge=0.5), "theory": {},
+                "regret": dict(k_resamples=20, master_seed=3),
+                "enumerate": dict(ridge=0.1)}[command]
+    assert meta["config"] == _expected_config(**common, **expected)
+    if command == "fit":
+        assert set(meta) == {"command", "config", "outputs", "log_loss", "auc"}
+        return
+    report = meta["report"]
+    if command == "theory":
+        assert isinstance(report["epsilon"], float)
+        assert report["bound_applies"] == (report["epsilon"] < 1.0)
+    else:
+        assert report["n_resamples"] == {"regret": 20, "enumerate": 2 ** 12}[command]
+        assert isinstance(report["n_fallback_refits"], int)
+        assert 0 <= report["n_fallback_refits"] <= report["n_resamples"]

@@ -1,4 +1,6 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +131,177 @@ class TestLoadCsv:
             np.testing.assert_array_equal(loaded.features, original.features)
             np.testing.assert_array_equal(loaded.labels, original.labels)
             assert loaded.feature_names == original.feature_names
+
+
+def reference_load_csv(path, label_column="label"):
+    """The per-cell loader that load_csv replaced: the oracle for its results and errors."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise errors.EmptyDataset(f"{path} is empty")
+        if label_column not in header:
+            raise errors.MissingLabelColumn(
+                f"column {label_column!r} not found in header {header}")
+        label_pos = header.index(label_column)
+        feature_names = tuple(h for i, h in enumerate(header) if i != label_pos)
+        if not feature_names:
+            raise errors.EmptyDataset(f"{path} has no feature columns")
+
+        rows, labels = [], []
+        for r, row in enumerate(reader):
+            if len(row) != len(header):
+                missing = header[min(len(row), len(header) - 1)]
+                raise errors.NonNumericCell(r, missing, "<wrong row length>")
+            values = []
+            for i, cell in enumerate(row):
+                if i == label_pos:
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise errors.NonNumericCell(r, header[i], cell) from None
+                if not math.isfinite(v):
+                    raise errors.NonNumericCell(r, header[i], cell)
+                values.append(v)
+            try:
+                raw_label = float(row[label_pos])
+            except ValueError:
+                raise errors.InvalidLabelValue(r, row[label_pos]) from None
+            if raw_label not in (-1.0, 0.0, 1.0):
+                raise errors.InvalidLabelValue(r, row[label_pos])
+            labels.append(1 if raw_label == 1.0 else -1)
+            rows.append(values)
+
+    if not rows:
+        raise errors.EmptyDataset(f"{path} has a header but no data rows")
+    return lr.Dataset(np.asarray(rows, dtype=float), np.asarray(labels), feature_names)
+
+
+def load_outcome(loader, path, label_column="label"):
+    """A loaded Dataset as bytes, or the error class with its row and column."""
+    try:
+        d = loader(path, label_column)
+    except errors.LabelRegretError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return (d.features.shape, d.features.dtype, d.features.tobytes(),
+            d.labels.dtype, d.labels.tobytes(), d.feature_names)
+
+
+# name -> (file text, label column); every case loads as the reference loads it
+LOADER_CORPUS = {
+    "lf": ("a,b,label\n1,2,0\n3,4,1\n", "label"),
+    "crlf": ("a,b,label\r\n1,2,0\r\n3,4,1\r\n", "label"),
+    "lone cr": ("a,b,label\r1,2,0\r3,4,1\r", "label"),
+    "crlf header, lf rows": ("a,label\r\n1,0\n2,1\n", "label"),
+    "no final line end": ("a,label\n1,0\n2,1", "label"),
+    "blank middle line": ("a,label\n1,0\n\n2,1\n", "label"),
+    "trailing blank line": ("a,label\n1,0\n2,1\n\n", "label"),
+    "trailing blank crlf line": ("a,label\r\n1,0\r\n\r\n", "label"),
+    "blank first data line": ("a,label\n\n1,0\n", "label"),
+    "only a blank data line": ("a,label\n\n", "label"),
+    "whitespace line": ("a,label\n1,0\n  \n", "label"),
+    "quoted numbers": ('a,b,label\n"1.5","-2",0\n"3e1",4,"1"\n', "label"),
+    "quote then digits": ('a,label\n"1"2,0\n', "label"),
+    "quoted comma": ('a,label\n"1,5",0\n', "label"),
+    "padded cells": ("a,b,label\n 1 ,\t2\t, 0\n\x0b3\x0c,4 ,1 \n", "label"),
+    "non-ascii space padding": ("a,label\n1\xa0,0\n 2,1\n", "label"),
+    "separator padding": ("a,label\n\x1c1,0\n", "label"),
+    "separator beside a non-ascii space": ("a,label\n2,0\n\x1c1\xa0,1\n", "label"),
+    "separator in the label": ("a,label\n2,1\x1f\n", "label"),
+    "labels +1 1.0 -0 1e0": ("a,label\n1,+1\n2,1.0\n3,-0\n4,1e0\n5,-1\n", "label"),
+    "extreme values": ("a,b,label\n-0.0,5e-324,1\n1e308,-1.7976931348623157e308,0\n"
+                       "0.10000000000000001,2.2250738585072014e-308,0\n", "label"),
+    "17 significant digits": ("a,label\n0.30000000000000004,0\n-1.2345678901234567,1\n"
+                              "9007199254740993,0\n", "label"),
+    "nan": ("a,label\n1,0\nnan,1\n", "label"),
+    "inf": ("a,label\ninf,0\n", "label"),
+    "Infinity": ("a,b,label\n1,-Infinity,0\n", "label"),
+    "overflow to inf": ("a,label\n1e400,0\n", "label"),
+    "short row": ("a,b,label\n1,2,0\n3,1\n", "label"),
+    "long row": ("a,b,label\n1,2,0\n3,4,1,5\n", "label"),
+    "one-cell row": ("a,b,label\n1,2,0\n7\n", "label"),
+    "trailing comma": ("a,label\n1,0,\n", "label"),
+    "empty cell": ("a,b,label\n1,,0\n", "label"),
+    "non-numeric cell": ("a,b,label\n1,2,0\n1,oops,1\n", "label"),
+    "non-numeric label": ("a,label\n1,yes\n", "label"),
+    "label 2": ("a,label\n1,0\n2,2\n", "label"),
+    "label 0.5": ("a,label\n1,0.5\n", "label"),
+    "nan label": ("a,label\n1,nan\n", "label"),
+    "empty label": ("a,label\n1,\n", "label"),
+    "bad feature before bad label": ("label,a,b\n7,1,x\n", "label"),
+    "first of two bad rows": ("a,label\n1,0\nx,1\n2,3\n", "label"),
+    "label first": ("y,a,b\n1,0.5,2\n0,1.5,3\n", "y"),
+    "label middle": ("a,y,b\n0.5,1,2\n1.5,0,3\n", "y"),
+    "label last": ("a,b,y\n0.5,2,1\n1.5,3,0\n", "y"),
+    "bad label first": ("y,a\n3,1\n", "y"),
+    "quoted header": ('"a","b",label\n1,2,0\n', "label"),
+    "header only": ("a,label\n", "label"),
+    "header without line end": ("a,label", "label"),
+    "empty file": ("", "label"),
+    "missing label column": ("a,b\n1,2\n", "label"),
+    "no feature columns": ("label\n1\n", "label"),
+    "hex number": ("a,label\n0x10,0\n", "label"),
+    "nul cell": ("a,label\n1\x00,0\n", "label"),
+    "unterminated quote at end": ('a,label\n1,"0', "label"),
+}
+
+
+class TestLoaderMatchesReference:
+    """load_csv gives the reference loader's Dataset bit for bit, or its error."""
+
+    @pytest.mark.parametrize("case", LOADER_CORPUS, ids=list(LOADER_CORPUS))
+    def test_corpus(self, tmp_path, case):
+        text, label_column = LOADER_CORPUS[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body of blank lines
+            outcome = load_outcome(lr.load_csv, path, label_column)
+        assert outcome == load_outcome(reference_load_csv, path, label_column)
+
+    # cells float() reads but numpy's parser does not; the reference accepts them
+    NARROWED = {
+        "digit-group underscore": ("a,b,label\n1,2,0\n3,1_0,1\n", errors.NonNumericCell, 1, "b"),
+        "underscore in the label": ("a,label\n1,0_1\n", errors.InvalidLabelValue, 0, None),
+        "non-ascii digit": ("a,label\n١,0\n", errors.NonNumericCell, 0, "a"),
+        "quoted line break": ('a,label\n"1\n",0\n', errors.NonNumericCell, 0, "a"),
+    }
+
+    @pytest.mark.parametrize("case", NARROWED, ids=list(NARROWED))
+    def test_narrowed_cells_rejected(self, tmp_path, case):
+        text, error, row, column = self.NARROWED[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        reference_load_csv(path)
+        with pytest.raises(error) as info:
+            lr.load_csv(path)
+        assert (info.value.row, getattr(info.value, "column", None)) == (row, column)
+
+    def test_earlier_reference_error_wins_over_narrowed_cell(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_lines(path, ["a,label", "1_0,0", "1,0", "nan,1"])
+        with pytest.raises(errors.NonNumericCell) as info:
+            lr.load_csv(path)
+        assert info.value.row == 2
+
+    def test_large_round_trip_is_byte_identical(self, tmp_path):
+        """2,000 x 20 through write_table and load_csv: same Dataset, same file."""
+        gen = np.random.default_rng(17)
+        features = gen.standard_normal((2000, 20)) * 10.0 ** gen.integers(-12, 12, (2000, 20))
+        features[0, :3] = [-0.0, 5e-324, 1e308]
+        original = lr.Dataset(features, gen.choice([-1, 1], size=2000),
+                              tuple(f"c{j}" for j in range(20)))
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_table(first, [*original.feature_names, "label"],
+                    [*original.features.T, original.labels])
+        loaded = lr.load_csv(first)
+        assert loaded.features.tobytes() == original.features.tobytes()
+        assert loaded.labels.tobytes() == original.labels.tobytes()
+        assert loaded.feature_names == original.feature_names
+        write_table(second, [*loaded.feature_names, "label"],
+                    [*loaded.features.T, loaded.labels])
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestDrawLabels:
