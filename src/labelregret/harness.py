@@ -29,6 +29,18 @@ RANKINGS = ("true_regret", "estimated_regret", "oracle_error")
 STRATEGIES = ("true_regret", "estimated_regret", "uniform")
 EXPERIMENTS = ("theory_vs_actual", "selective", "active")
 DEFAULT_GRID_POINTS = 21
+# Ranking scores are compared after rounding to multiples of TIE_TOLERANCE
+# times the largest |score|. Scores that are equal in exact arithmetic (the
+# two-cluster population is symmetric) then tie exactly instead of being
+# ordered by last-bit rounding noise.
+TIE_TOLERANCE = 1e-9
+
+
+def _tie_rounded(values, scores) -> np.ndarray:
+    """values rounded to multiples of TIE_TOLERANCE * max|scores|."""
+    values = np.asarray(values, dtype=float)
+    unit = TIE_TOLERANCE * float(np.max(np.abs(scores)))
+    return values if unit == 0.0 else np.rint(values / unit) * unit
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +78,14 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
     """Error versus coverage when predictions with score above a cutoff abstain.
 
     For each cutoff c the points with score <= c are kept and the mean KL to
-    the true probabilities is computed over them. Cutoffs keeping no point are
-    dropped (an all-empty grid is an error); the grid must reach max(score) so
-    the last entry always covers the whole dataset. The default grid is the 21
-    evenly spaced quantiles of the scores. With ranking="oracle_error" pass
-    the per-point KL itself as the score; that curve is the best achievable.
+    the true probabilities is computed over them. Scores and cutoffs are
+    compared after rounding both to multiples of TIE_TOLERANCE (1e-9) times
+    max|score|, so scores within that tolerance are kept or dropped together.
+    Cutoffs keeping no point are dropped (an all-empty grid is an error); the
+    grid must reach max(score) so the last entry always covers the whole
+    dataset. The default grid is the 21 evenly spaced quantiles of the rounded
+    scores. With ranking="oracle_error" pass the per-point KL itself as the
+    score; that curve is the best achievable.
     """
     if ranking not in RANKINGS:
         raise ValueError(f"ranking must be one of {RANKINGS}")
@@ -80,20 +95,22 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
         raise errors.LengthMismatch(f"{n} points but {scores.size} scores")
     if not np.all(np.isfinite(scores)):
         raise ValueError("ranking scores must be finite")
+    key = _tie_rounded(scores, scores)
     if grid is None:
-        grid = np.quantile(scores, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS))
+        grid = np.quantile(key, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS))
     cutoffs = np.sort(np.asarray(grid, dtype=float))
     if cutoffs.size < 2:
         raise ValueError("the cutoff grid must contain at least 2 values")
-    if cutoffs[-1] < scores.max():
+    cutoff_keys = _tie_rounded(cutoffs, scores)
+    if cutoff_keys[-1] < key.max():
         raise ValueError("the cutoff grid must include a value >= max(score)")
 
     pred = predict_proba(model, ss.base.features)
     kl = bernoulli_kl(ss.true_probs, pred)
 
     rows = []
-    for c in cutoffs:
-        keep = scores <= c
+    for c, c_key in zip(cutoffs, cutoff_keys):
+        keep = key <= c_key
         kept = int(keep.sum())
         if kept == 0:
             continue
@@ -172,8 +189,10 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
     Starts from a seeded split at initial_fraction. Each step refits on the
     labeled points, scores the pool (resampling variance under the chosen
     strategy, or uniform random), moves the top-batch pool points into the
-    labeled set (score ties break toward the lower point index), and records
-    the mean KL of the current model over all points. n_batches=None keeps
+    labeled set, and records the mean KL of the current model over all points.
+    Scores are ranked after rounding to multiples of TIE_TOLERANCE (1e-9)
+    times their largest magnitude, and ties break toward the lower point
+    index. n_batches=None keeps
     acquiring until the pool is empty.
     """
     if strategy not in STRATEGIES:
@@ -209,8 +228,8 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
         scores = _pool_scores(ss, labeled, pool, predictor, warm_state, trainer,
                               K, strategy, seed, step)
         take = min(batch, pool.size)
-        # descending score, ties toward the smaller point index
-        order = np.lexsort((pool, -scores))
+        # descending rounded score, ties toward the smaller point index
+        order = np.lexsort((pool, -_tie_rounded(scores, scores)))
         chosen = pool[order[:take]]
         labeled = np.sort(np.concatenate([labeled, chosen]))
         pool = np.setdiff1d(pool, chosen, assume_unique=True)

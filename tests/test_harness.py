@@ -1,6 +1,10 @@
+import json
+
+import numpy as np
 import pytest
 
-from labelregret import glm, harness
+import labelregret as lr
+from labelregret import errors, glm, harness
 from labelregret.config import ExperimentConfig
 
 
@@ -16,3 +20,151 @@ def test_trials_reject_custom_grid_before_any_refit(monkeypatch):
                            cutoff_grid=[0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match=f"{harness.DEFAULT_GRID_POINTS} cutoffs"):
         harness.run_trials(cfg, "selective")
+
+
+@pytest.fixture
+def ss40():
+    return lr.two_cluster_semisynthetic(40, lr.LabelDrawSeed(7))
+
+
+@pytest.fixture
+def trainer():
+    return lr.LogisticTrainer(lr.FitOptions(ridge=0.01, include_intercept=False))
+
+
+def _fit(ss):
+    return lr.fit_logistic(ss.base, lr.FitOptions(ridge=0.01, include_intercept=False))
+
+
+def _near_ties(values, seed):
+    """values moved by up to 3 ulps each: equal in exact arithmetic, not in floats."""
+    values = np.asarray(values, dtype=float)
+    steps = np.random.default_rng(seed).integers(-3, 4, values.size)
+    return values + steps * np.spacing(values)
+
+
+class TestSelectivePredictionCurve:
+    @pytest.mark.parametrize("dedupe", [True, False])
+    def test_coverage_non_decreasing_and_last_row_covers_all(self, cluster_ss, dedupe):
+        model = _fit(cluster_ss)
+        n = cluster_ss.base.n_points
+        for seed in range(5):
+            scores = np.random.default_rng(seed).exponential(size=n)
+            curve = harness.selective_prediction_curve(cluster_ss, model, scores,
+                                                       dedupe=dedupe)
+            assert np.all(np.diff(curve.coverages) >= 0)
+            assert np.all(np.diff(curve.n_kept) >= 0)
+            assert curve.coverages[-1] == 1.0 and curve.n_kept[-1] == n
+            all_kl = lr.bernoulli_kl(cluster_ss.true_probs,
+                                     lr.predict_proba(model, cluster_ss.base.features))
+            assert curve.mean_kls[-1] == pytest.approx(all_kl.mean(), rel=1e-12)
+
+    def test_near_tied_scores_are_kept_together(self, cluster_ss):
+        """Scores equal in exact arithmetic fall on the same side of every cutoff."""
+        model = _fit(cluster_ss)
+        exact = np.repeat(np.arange(1, 11) / 10.0, 20)  # ten groups of 20 tied points
+        noisy = _near_ties(exact, 0)
+        assert len(np.unique(noisy)) > 10
+        grid = np.arange(1, 11) / 10.0
+        for g in (grid, None):
+            a = harness.selective_prediction_curve(cluster_ss, model, exact, g, dedupe=False)
+            b = harness.selective_prediction_curve(cluster_ss, model, noisy, g, dedupe=False)
+            np.testing.assert_array_equal(a.n_kept, b.n_kept)
+            np.testing.assert_array_equal(a.mean_kls, b.mean_kls)
+            assert np.all(a.n_kept % 20 == 0)
+
+    def test_grid_ending_at_max_score_is_accepted(self, cluster_ss):
+        model = _fit(cluster_ss)
+        scores = np.random.default_rng(3).random(cluster_ss.base.n_points)
+        grid = [scores.min(), scores.max()]
+        curve = harness.selective_prediction_curve(cluster_ss, model, scores, grid)
+        assert curve.coverages[-1] == 1.0
+        with pytest.raises(ValueError, match="max"):
+            harness.selective_prediction_curve(cluster_ss, model, scores,
+                                               [0.0, 0.5 * scores.max()])
+
+
+class TestActiveLearningRun:
+    @pytest.mark.parametrize("strategy", harness.STRATEGIES)
+    def test_trace_has_one_entry_per_batch_plus_start(self, ss40, trainer, strategy):
+        trace = harness.active_learning_run(ss40, trainer, 10, 3, strategy=strategy,
+                                            batch=2, n_batches=3)
+        assert trace.n_labeled.size == trace.mean_kl.size == 4
+        np.testing.assert_array_equal(np.diff(trace.n_labeled), [2, 2, 2])
+        assert trace.n_labeled[0] == 20
+
+    def test_runs_until_the_pool_is_empty(self, ss40, trainer):
+        trace = harness.active_learning_run(ss40, trainer, 10, 3, strategy="uniform",
+                                            batch=6)
+        assert trace.n_labeled.tolist() == [20, 26, 32, 38, 40]
+
+    def test_zero_batches_records_only_the_start(self, ss40, trainer):
+        trace = harness.active_learning_run(ss40, trainer, 10, 3, strategy="uniform",
+                                            n_batches=0)
+        assert trace.n_labeled.tolist() == [20]
+
+    def test_empty_pool_raises(self, trainer):
+        ss = lr.semisynthetic_from_model(np.array([[1.0, 0.5]]),
+                                         lr.LogisticModel(np.array([0.3, 0.2])),
+                                         lr.LabelDrawSeed(1))
+        with pytest.raises(errors.EmptyPool):
+            harness.active_learning_run(ss, trainer, 10, 3, strategy="uniform")
+
+    @pytest.mark.parametrize("near", [False, True])
+    def test_tied_scores_go_to_the_lower_index(self, ss40, trainer, monkeypatch, near):
+        pools = []
+
+        def tied_scores(ss, labeled, pool, *args):
+            pools.append(pool.copy())
+            scores = np.full(pool.size, 0.25)
+            return _near_ties(scores, len(pools)) if near else scores
+
+        monkeypatch.setattr(harness, "_pool_scores", tied_scores)
+        harness.active_learning_run(ss40, trainer, 10, 3, strategy="estimated_regret",
+                                    batch=3, n_batches=4)
+        assert len(pools) == 4
+        for before, after in zip(pools, pools[1:]):
+            np.testing.assert_array_equal(np.setdiff1d(before, after), before[:3])
+
+    def test_higher_score_goes_first(self, ss40, trainer, monkeypatch):
+        pools = []
+
+        def scores_by_index(ss, labeled, pool, *args):
+            pools.append(pool.copy())
+            return pool.astype(float)  # the highest index scores highest
+
+        monkeypatch.setattr(harness, "_pool_scores", scores_by_index)
+        harness.active_learning_run(ss40, trainer, 10, 3, strategy="true_regret",
+                                    batch=2, n_batches=2)
+        np.testing.assert_array_equal(np.setdiff1d(pools[0], pools[1]), pools[0][-2:])
+
+
+class TestRunTrials:
+    CONFIGS = {
+        "theory_vs_actual": dict(n_trials=2, n_points=20, k_resamples=10),
+        "selective": dict(n_trials=2, n_points=40, k_resamples=10),
+        "active": dict(n_trials=2, n_points=20, k_resamples=10, batch_size=2,
+                       n_batches=2),
+    }
+    SERIES = {
+        "theory_vs_actual": {"estimated_regret", "q"},
+        "selective": {"estimated_kl", "true_kl", "oracle_kl", "estimated_coverage"},
+        "active": set(harness.STRATEGIES),
+    }
+
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_same_seed_gives_byte_identical_output(self, tmp_path, experiment):
+        cfg = ExperimentConfig(master_seed=5, ridge=0.01, **self.CONFIGS[experiment])
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            out.mkdir()
+            harness.save_trials_result(harness.run_trials(cfg, experiment), out)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        names = {f"trials_{s}.csv" for s in self.SERIES[experiment]} | {"summary.json"}
+        assert set(outputs[0]) == names
+        summary = json.loads(outputs[0]["summary.json"])
+        assert set(summary) == {"experiment", "positions", "extras", "summaries", "config"}
+        assert set(summary["summaries"]) == self.SERIES[experiment]
+        assert summary["experiment"] == experiment
