@@ -70,7 +70,8 @@ def dump_json(path, payload) -> None:
 
 # A schema maps each key of a JSON object to the kind its value must have: a
 # type or tuple of types, [kind] for an array of that kind, or a nested schema
-# for a nested object. A key whose kind is a tuple holding NoneType may be absent.
+# for a nested object. A key whose kind is a tuple holding NoneType may be absent;
+# (nested schema, NoneType) is an optional nested object.
 NUMBER = (int, float)
 
 
@@ -91,6 +92,10 @@ def read_json(path, schema: dict | None = None) -> dict:
 
 
 def _check_kind(path, key, value, kind) -> None:
+    if isinstance(kind, tuple) and isinstance(kind[0], dict):
+        if value is None:
+            return
+        kind = kind[0]
     if isinstance(kind, (dict, list)):
         expected, types = ("an object", dict) if isinstance(kind, dict) else ("an array", list)
     else:

@@ -112,7 +112,8 @@ def _cmd_fit(args):
     preds = predict_proba(model, data.features)
     out = args.out
     model_path = os.path.join(out, "model.json")
-    dump_json(model_path, model_to_dict(model, data.feature_names))
+    dump_json(model_path, model_to_dict(model, data.feature_names,
+                                        extra.get("standardization")))
     extra["log_loss"] = log_loss(preds, data.labels)
     try:
         extra["auc"] = auc(preds, data.labels)
@@ -170,11 +171,13 @@ def _cmd_theory(args):
     cfg = _resolve_config(args)
     data = load_csv(args.data, cfg.label_column)
     if args.model:
-        model, names = load_model(args.model)
+        model, names, standardization = load_model(args.model)
         if tuple(names) != data.feature_names:
             raise errors.FeatureNameMismatch(
                 f"model {args.model} was fitted on columns {names}, but "
                 f"{args.data} has feature columns {list(data.feature_names)}")
+        if standardization is not None:  # the model saw standardized features
+            data, _ = standardize_features(data, standardization)
     else:
         model = fit_logistic(data, cfg.fit_options())
     report = theory_report(model, data.features, constant=args.constant)

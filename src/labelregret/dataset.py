@@ -290,7 +290,7 @@ def load_csv(path, label_column: str = "label") -> Dataset:
         raw = fh.read()
     lines = _text_lines(raw)
     reader = csv.reader(lines)
-    header = next(reader, None)
+    header = next(_records(reader), None)
     if header is None:
         raise errors.EmptyDataset(f"{path} is empty")
     if label_column not in header:
@@ -361,7 +361,7 @@ def _raise_first_bad_cell(raw: bytes, header, label_pos: int) -> None:
     next(reader)
     order = [*(i for i in range(len(header)) if i != label_pos), label_pos]
     unparsed = None  # first cell that float() reads but np.loadtxt does not
-    for r, row in enumerate(reader):
+    for r, row in enumerate(_records(reader)):
         if len(row) != len(header):
             missing = header[min(len(row), len(header) - 1)]
             raise errors.NonNumericCell(r, missing, "<wrong row length>")
@@ -386,10 +386,28 @@ def _raise_first_bad_cell(raw: bytes, header, label_pos: int) -> None:
         raise errors.NonNumericCell(r, header[i], cell)
 
 
-def standardize_features(data: Dataset):
-    """Zero-mean unit-variance columns; returns (dataset, transform record)."""
-    mean = data.features.mean(axis=0)
-    std = data.features.std(axis=0)
+def _records(reader):
+    """The rows of a csv.reader; a row it cannot read raises UnreadableCsvRecord."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise errors.UnreadableCsvRecord(reader.line_num, exc) from None
+
+
+def standardize_features(data: Dataset, transform=None):
+    """Zero-mean unit-variance columns; returns (dataset, transform record).
+
+    With transform, a record this function returned for other data, that
+    record's mean and std are applied instead of the data's own.
+    """
+    if transform is not None:
+        mean, std = transform["mean"], transform["std"]
+    else:
+        mean = data.features.mean(axis=0)
+        std = data.features.std(axis=0)
     if np.any(std == 0):
         col = data.feature_names[int(np.argmax(std == 0))]
         raise ValueError(f"column {col!r} is constant and cannot be standardized")

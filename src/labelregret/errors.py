@@ -43,6 +43,14 @@ class EmptyDataset(LabelRegretError):
     pass
 
 
+class UnreadableCsvRecord(LabelRegretError):
+    """The csv module cannot read a record, e.g. one with a cell over its size limit."""
+
+    def __init__(self, line: int, problem):
+        super().__init__(f"CSV record ending at line {line} cannot be read: {problem}")
+        self.line = line
+
+
 class FeatureNameMismatch(LabelRegretError):
     """A saved model's feature names differ from the data's feature columns."""
 

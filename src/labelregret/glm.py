@@ -1,9 +1,11 @@
 """Logistic regression by Newton's method, plus the evaluation metrics.
 
 The optimizer minimizes the sum-form loss sum_i log(1 + exp(-y_i x_i'theta))
-(optionally plus ridge/2 * ||theta||^2) with full Newton steps, a Cholesky
-solve, and step halving. fit_logistic_batch runs the same iteration for many
-label vectors on one feature matrix at once. Labels are in {-1, +1} throughout.
+(optionally plus ridge/2 * ||theta||^2) with full Newton steps and step
+halving: a Cholesky factorization checks that the Hessian is positive
+definite, and np.linalg.solve takes the step. fit_logistic_batch runs the same
+iteration for many label vectors on one feature matrix at once. Labels are in
+{-1, +1} throughout.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import linalg
-from scipy.special import rel_entr
-from scipy.stats import rankdata
 
 from . import errors
 from ._io import NUMBER, read_json
@@ -169,12 +168,12 @@ def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
             break
         H = loss_hessian(theta, X, opts.ridge)
         try:
-            factor = linalg.cho_factor(H, check_finite=False)
+            np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
             # Rank was verified above, so a non-PD Hessian means the Newton
             # weights collapsed on the way to an infinite optimum.
             raise errors.FitDiverged("Newton system collapsed; data looks separable")
-        step = linalg.cho_solve(factor, -grad, check_finite=False)
+        step = np.linalg.solve(H, -grad)
         # grad' H^-1 grad / 2 is the decrease the full step achieves up to
         # higher-order terms. Once it sinks below the float resolution of the
         # loss value, a loss-based line search only sees rounding noise; take
@@ -437,9 +436,22 @@ def auc(probs, labels) -> float:
     n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise errors.SingleClass("need at least one positive and one negative label")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of values, each tie group given the mean of its positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # first sorted position of each group of equal values, plus the end
+    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    group_sizes = np.diff(bounds)
+    ranks = np.empty(values.size)
+    # a group over sorted positions a..b-1 has mean 1-based position (a + 1 + b) / 2
+    ranks[order] = np.repeat((bounds[:-1] + 1 + bounds[1:]) / 2.0, group_sizes)
+    return ranks
 
 
 def bernoulli_kl(true_probs, pred_probs) -> np.ndarray:
@@ -450,7 +462,22 @@ def bernoulli_kl(true_probs, pred_probs) -> np.ndarray:
         raise errors.LengthMismatch(
             f"true_probs has length {p.size} but pred_probs has length {q.size}")
     q = np.clip(q, PROB_CLIP, 1.0 - PROB_CLIP)
-    return rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q)
+    return _rel_entr(p, q) + _rel_entr(1.0 - p, 1.0 - q)
+
+
+def _rel_entr(x, y) -> np.ndarray:
+    """x log(x / y) elementwise for x >= 0 and y > 0, and 0 where x == 0.
+
+    Where x / y lies in (0.5, 2) the term is evaluated as x log1p((x - y) / y),
+    which keeps the relative accuracy of the near-zero terms that make up
+    small KL divergences.
+    """
+    ratio = x / y
+    near = (ratio > 0.5) & (ratio < 2.0)
+    # each log sees only the entries of its own branch; log(1) = 0 keeps x == 0 at 0
+    log_near = np.log1p(np.where(near, (x - y) / y, 0.0))
+    log_far = np.log(np.where(near | (x == 0.0), 1.0, ratio))
+    return x * np.where(near, log_near, log_far)
 
 
 def mean_kl(true_probs, pred_probs) -> float:
@@ -625,25 +652,48 @@ def _ladder_exhausted() -> errors.RefitFallbackExhausted:
 # serialization
 
 
-def model_to_dict(model: LogisticModel, feature_names) -> dict:
-    """The model as the JSON object that load_model reads back."""
+def model_to_dict(model: LogisticModel, feature_names, standardization=None) -> dict:
+    """The model as the JSON object that load_model reads back.
+
+    standardization is the {"mean", "std"} record of
+    dataset.standardize_features when the model was fitted on standardized
+    features; it is stored so the same transform can be applied to new data.
+    """
     names = list(feature_names)
     if len(names) != model.n_features:
         raise errors.DimensionMismatch(
             f"model expects {model.n_features} features, got {len(names)} names")
-    return {
+    payload = {
         "theta": model.theta,
         "includes_intercept": bool(model.includes_intercept),
         "feature_names": names,
     }
+    if standardization is not None:
+        payload["standardization"] = standardization
+    return payload
 
 
-_MODEL_SCHEMA = {"theta": [NUMBER], "includes_intercept": bool, "feature_names": [str]}
+_MODEL_SCHEMA = {"theta": [NUMBER], "includes_intercept": bool, "feature_names": [str],
+                 "standardization": ({"mean": [NUMBER], "std": [NUMBER]}, type(None))}
 
 
 def load_model(path):
-    """Read a model JSON file; returns (model, feature_names)."""
+    """Read a model JSON file; returns (model, feature_names, standardization).
+
+    standardization is the {"mean", "std"} record stored by model_to_dict,
+    or None for a model fitted on the raw features.
+    """
     payload = read_json(path, _MODEL_SCHEMA)
     model = LogisticModel(np.asarray(payload["theta"], dtype=float),
                           payload["includes_intercept"])
-    return model, payload["feature_names"]
+    standardization = payload.get("standardization")
+    if standardization is not None:
+        mean, std = (np.asarray(standardization[k], dtype=float) for k in ("mean", "std"))
+        if mean.shape != (model.n_features,) or std.shape != mean.shape:
+            raise errors.DimensionMismatch(
+                f"{path}: standardization needs {model.n_features} means and stds, "
+                f"got {mean.size} and {std.size}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
+            raise ValueError(f"{path}: standardization means must be finite and stds positive")
+        standardization = {"mean": mean, "std": std}
+    return model, payload["feature_names"], standardization

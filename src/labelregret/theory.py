@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from . import errors
 from ._io import dump_json, write_table
@@ -36,7 +35,7 @@ def compute_hessian(model: LogisticModel, features) -> np.ndarray:
 
 
 def q_values(model: LogisticModel, features) -> np.ndarray:
-    """Closed-form variance q_i per point, via one Cholesky factorization of H."""
+    """Closed-form variance q_i per point, via one inverse of the d x d matrix H."""
     X, p = _design_and_probs(model, features)
     return _q_from(X, p, _hessian(X, p))
 
@@ -76,12 +75,12 @@ def _hessian(X, p) -> np.ndarray:
 
 def _q_from(X, p, H) -> np.ndarray:
     try:
-        factor = linalg.cho_factor(H, check_finite=False)
+        np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         raise errors.SingularHessian(
             "loss Hessian is not positive definite; features are rank deficient") from None
-    solved = linalg.cho_solve(factor, X.T, check_finite=False)  # d x n
-    quad = np.einsum("ij,ji->i", X, solved)  # x_i' H^{-1} x_i
+    # x_i' H^{-1} x_i; inverting the d x d H is cheaper than solving for the n columns of X'
+    quad = np.einsum("ij,ij->i", X @ np.linalg.inv(H), X)
     return np.maximum((p * (1.0 - p)) ** 2 * quad, 0.0)
 
 
@@ -95,7 +94,7 @@ def _bound_fields(model: LogisticModel, X, H, constant: float) -> dict:
         raise errors.ZeroNormPoint(int(np.argmax(norms == 0.0)))
     x_max = float(norms.max())
     x_min = float(norms.min())
-    eigenvalues = linalg.eigvalsh(H)
+    eigenvalues = np.linalg.eigvalsh(H)
     lam_min = float(eigenvalues[0])
     if lam_min <= 0:
         raise errors.SingularHessian("smallest Hessian eigenvalue is not positive")

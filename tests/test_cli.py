@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import labelregret as lr
@@ -103,6 +104,15 @@ def _non_numeric_cell(directory):
     write_lines(path, lines)
 
 
+def _bad_data(tmp_path, data_csv, semisynth_dir, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    return ["fit", "--data", str(path)]
+
+
+# longer than the csv module's default field size limit of 131,072 characters
+BIG_CELL = "x" * 140_000
+
 BAD_INPUTS = {
     "config holding a number": (_bad_config, "5", "BadJsonFile"),
     "config not JSON": (_bad_config, "{k_resamples", "BadJsonFile"),
@@ -120,6 +130,10 @@ BAD_INPUTS = {
                                           "MissingLabelColumn"),
     "empty semisynth.csv": (_bad_semisynth, _empty_csv, "EmptyDataset"),
     "non-numeric semisynth cell": (_bad_semisynth, _non_numeric_cell, "NonNumericCell"),
+    "CSV header cell over the field limit": (
+        _bad_data, f"{BIG_CELL},b,label\n1,2,1\n3,4,0\n", "UnreadableCsvRecord"),
+    "cell over the field limit in a rejected row": (
+        _bad_data, f"a,b,label\n1,2,1\n3,{BIG_CELL},0\n", "UnreadableCsvRecord"),
 }
 
 
@@ -269,3 +283,42 @@ def test_meta_json_contents(command, tmp_path, data_csv):
         assert report["n_resamples"] == {"regret": 20, "enumerate": 2 ** 12}[command]
         assert isinstance(report["n_fallback_refits"], int)
         assert 0 <= report["n_fallback_refits"] <= report["n_resamples"]
+
+
+class TestTheoryStandardizedModel:
+    """theory --model computes q on the features the model was fitted on."""
+
+    @pytest.mark.parametrize("standardize", [False, True], ids=["plain", "standardized"])
+    def test_report_matches_the_fit(self, tmp_path, data_csv, standardize):
+        fit_flags = ["--standardize"] if standardize else []
+        assert cli.dispatch(["fit", "--data", str(data_csv), *fit_flags,
+                             "--out", str(tmp_path / "fit")]) == 0
+        model_path = tmp_path / "fit" / "model.json"
+        assert ("standardization" in json.loads(model_path.read_text(encoding="utf-8"))
+                ) == standardize
+        out = tmp_path / "theory"
+        assert cli.dispatch(["theory", "--data", str(data_csv), "--model", str(model_path),
+                             "--out", str(out)]) == 0
+
+        data = lr.load_csv(data_csv)
+        if standardize:
+            data, _ = lr.standardize_features(data)
+        model = lr.fit_logistic(data, lr.FitOptions(include_intercept=True))
+        expected = lr.theory_report(model, data.features)
+        report = json.loads((out / "meta.json").read_text(encoding="utf-8"))["report"]
+        assert report["epsilon"] == pytest.approx(expected.epsilon, rel=1e-12)
+        assert report["lambda_min"] == pytest.approx(expected.lambda_min, rel=1e-12)
+        q = np.loadtxt(out / "theory.csv", delimiter=",", skiprows=1)[:, 1]
+        np.testing.assert_allclose(q, expected.q, rtol=1e-12)
+
+    def test_standardization_of_the_wrong_length_exits_1(self, tmp_path, data_csv, capsys):
+        assert cli.dispatch(["fit", "--data", str(data_csv), "--standardize",
+                             "--out", str(tmp_path / "fit")]) == 0
+        model_path = tmp_path / "fit" / "model.json"
+        _edit_json(model_path, lambda m: {**m, "standardization": {"mean": [0.0],
+                                                                   "std": [1.0]}})
+        capsys.readouterr()
+        assert cli.dispatch(["theory", "--data", str(data_csv), "--model", str(model_path),
+                             "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("DimensionMismatch: ") and err.count("\n") == 1

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import labelregret as lr
-from labelregret import errors
+from labelregret import errors, glm
 from labelregret._io import dump_json
 from labelregret.glm import (design_matrix, fit_logistic_batch, fit_with_fallback,
                              loss_gradient, loss_hessian, model_to_dict,
@@ -294,6 +298,79 @@ class TestMeanKl:
             lr.mean_kl([0.5], [0.5, 0.5])
 
 
+class TestScipyOracles:
+    """The numpy replacements for scipy.stats.rankdata and scipy.special.rel_entr.
+
+    scipy is only the oracle here; the package itself never imports it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def scipy_modules(self):
+        self.stats = pytest.importorskip("scipy.stats")
+        self.special = pytest.importorskip("scipy.special")
+
+    def test_average_ranks_equal_rankdata(self):
+        gen = np.random.default_rng(12)
+        for _ in range(500):
+            n = int(gen.integers(1, 80))
+            values = gen.integers(0, int(gen.integers(1, 9)), n) * gen.choice([1.0, 0.1, -3.0])
+            np.testing.assert_array_equal(glm._average_ranks(values),
+                                          self.stats.rankdata(values, method="average"))
+
+    def test_auc_is_bit_identical_to_the_rankdata_formula(self):
+        gen = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(gen.integers(2, 300))
+            scores = np.round(gen.uniform(size=n), int(gen.integers(1, 4)))
+            labels = np.where(np.arange(n) % 2 == 0, 1, -1)
+            gen.shuffle(labels)
+            pos = labels == 1
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            ranks = self.stats.rankdata(scores, method="average")
+            u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+            assert lr.auc(scores, labels) == float(u / (n_pos * n_neg))
+
+    @staticmethod
+    def _kl_cases():
+        gen = np.random.default_rng(14)
+        n = 20_000
+        p = gen.uniform(size=n)
+        p[:500], p[500:1000] = 0.0, 1.0
+        near = np.clip(p + gen.normal(0.0, 1e-4, n), 0.0, 1.0)  # the log1p branch
+        q = np.where(gen.uniform(size=n) < 0.5, near, gen.uniform(size=n))
+        q[1000:1500], q[1500:2000], q[2000:2500] = 0.0, 1.0, 1e-13  # clipped
+        return p, q
+
+    def test_rel_entr_within_4_ulps(self):
+        p, q = self._kl_cases()
+        q = np.clip(q, glm.PROB_CLIP, 1.0 - glm.PROB_CLIP)
+        for x, y in ((p, q), (1.0 - p, 1.0 - q)):
+            ours, ref = glm._rel_entr(x, y), self.special.rel_entr(x, y)
+            assert np.all(np.abs(ours - ref) <= 4 * np.spacing(np.abs(ref)))
+            np.testing.assert_array_equal(ours[x == 0.0], 0.0)
+
+    def test_bernoulli_kl_within_4_ulps_of_each_term(self):
+        """The two terms can cancel, so the bound is on the terms, not on their sum."""
+        p, q = self._kl_cases()
+        clipped = np.clip(q, glm.PROB_CLIP, 1.0 - glm.PROB_CLIP)
+        t1 = self.special.rel_entr(p, clipped)
+        t2 = self.special.rel_entr(1.0 - p, 1.0 - clipped)
+        error = np.abs(lr.bernoulli_kl(p, q) - (t1 + t2))
+        assert np.all(error <= 4 * (np.spacing(np.abs(t1)) + np.spacing(np.abs(t2))))
+
+
+def test_cli_import_loads_no_scipy():
+    """A fresh interpreter that imports the command line has no scipy module loaded."""
+    src = str(Path(lr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, labelregret.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 class TestTrainers:
     def test_echo_predicts_observed_labels(self, small_dataset):
         predictor = lr.EchoTrainer().fit(small_dataset)
@@ -382,10 +459,11 @@ class TestModelSerialization:
         model = lr.LogisticModel(np.array([0.25, -1.5, 3.0]), includes_intercept=True)
         path = tmp_path / "model.json"
         dump_json(path, model_to_dict(model, ["a", "b"]))
-        loaded, names = lr.load_model(path)
+        loaded, names, standardization = lr.load_model(path)
         np.testing.assert_array_equal(loaded.theta, model.theta)
         assert loaded.includes_intercept is True
         assert names == ["a", "b"]
+        assert standardization is None
 
     def test_name_count_checked(self):
         model = lr.LogisticModel(np.ones(2))

@@ -87,6 +87,24 @@ class TestQValues:
         direct = (p * (1 - p)) ** 2 * np.einsum("ij,jk,ik->i", X, H_inv, X)
         np.testing.assert_allclose(q, direct, rtol=1e-10)
 
+    def test_matches_cholesky_solve(self):
+        """q from the d x d inverse agrees with scipy's Cholesky solve at scale."""
+        linalg = pytest.importorskip("scipy.linalg")
+        gen = np.random.default_rng(21)
+        X = gen.standard_normal((10_000, 20))
+        model = lr.LogisticModel(gen.normal(0.0, 0.3, 21), includes_intercept=True)
+        q = lr.q_values(model, X)
+        Xd = design_matrix(X, True)
+        p = lr.predict_proba(model, X)
+        H = lr.compute_hessian(model, X)
+        solved = linalg.cho_solve(linalg.cho_factor(H), Xd.T)
+        reference = (p * (1 - p)) ** 2 * np.einsum("ij,ji->i", Xd, solved)
+        np.testing.assert_allclose(q, reference, rtol=1e-13)
+        report = lr.theory_report(model, X)
+        eigenvalues = linalg.eigvalsh(H)
+        assert report.lambda_min == pytest.approx(eigenvalues[0], rel=1e-12)
+        assert report.lambda_max == pytest.approx(eigenvalues[-1], rel=1e-12)
+
     def test_duplicated_points_share_value(self):
         X = np.array([[1.0, 2.0], [0.5, -1.0], [1.0, 2.0]])
         q = lr.q_values(lr.LogisticModel(np.array([0.3, -0.2])), X)
