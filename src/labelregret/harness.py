@@ -192,8 +192,7 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
     labeled set, and records the mean KL of the current model over all points.
     Scores are ranked after rounding to multiples of TIE_TOLERANCE (1e-9)
     times their largest magnitude, and ties break toward the lower point
-    index. n_batches=None keeps
-    acquiring until the pool is empty.
+    index. n_batches=None keeps acquiring until the pool is empty.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")

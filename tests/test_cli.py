@@ -125,6 +125,10 @@ BAD_INPUTS = {
     "model as a JSON list": (_bad_model, lambda payload: [1, 2], "BadJsonFile"),
     "model theta of strings": (_bad_model, lambda payload: {**payload, "theta": ["a"]},
                                "BadJsonFile"),
+    "model standardization of strings": (
+        _bad_model, lambda payload: {**payload, "standardization": {"mean": ["a", "b"],
+                                                                    "std": [1.0, 1.0]}},
+        "BadJsonFile"),
     "sidecar seed as an integer": (_bad_semisynth, _set_seed_to_int, "BadJsonFile"),
     "sidecar names not the CSV columns": (_bad_semisynth, _rename_feature,
                                           "MissingLabelColumn"),
