@@ -264,6 +264,8 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 # numpy's float parser strips these ASCII separators around a number; float()
 # rejects any cell that holds one.
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# The largest csv field size limit that a C long holds on every platform.
+_NO_FIELD_LIMIT = 2**31 - 1
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
@@ -355,8 +357,19 @@ def _raise_first_bad_cell(raw: bytes, header, label_pos: int) -> None:
     Row lengths and float() decide the error and its row and column, so a
     file rejected for them fails here exactly as it always has. Only when
     none fails is the first cell raised that float() reads but np.loadtxt
-    does not; returns only if there is none either.
+    does not; returns only if there is none either. The csv module's field
+    size limit is lifted for this scan, because np.loadtxt reads a cell of
+    any length, so a long valid cell must not hide a later bad one.
     """
+    limit = csv.field_size_limit(_NO_FIELD_LIMIT)
+    try:
+        _scan_rows(raw, header, label_pos)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _scan_rows(raw: bytes, header, label_pos: int) -> None:
+    """The rejection scan of _raise_first_bad_cell, under its field size limit."""
     reader = csv.reader(_text_lines(raw))
     next(reader)
     order = [*(i for i in range(len(header)) if i != label_pos), label_pos]

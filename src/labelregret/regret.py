@@ -202,11 +202,12 @@ def bootstrap_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *
     n = data.n_points
     samples = np.empty((K, n))
     n_fallbacks = 0
-    for k in range(1, K + 1):
-        rows = rng.substream(seed, rng.BOOTSTRAP_ROWS, k).integers(0, n, size=n)
+    streams = rng.keyed_generators(seed, rng.BOOTSTRAP_ROWS, range(1, K + 1))
+    for k, gen in enumerate(streams):
+        rows = gen.integers(0, n, size=n)
         replicate = Dataset(data.features[rows], data.labels[rows], data.feature_names)
         pred, _, used_fallback = fit_with_fallback(trainer, replicate, warm_state)
-        samples[k - 1] = pred(data.features)
+        samples[k] = pred(data.features)
         n_fallbacks += used_fallback
     return _sampling_report(samples, base_pred, "bootstrap", seed,
                             trainer.name, n_fallbacks, keep_samples)

@@ -1,13 +1,29 @@
 """Counter-based random substreams.
 
 Every random quantity in the package is derived from a 64-bit master seed, an
-integer purpose tag, and a stream index, hashed through numpy's SeedSequence
-into a Philox counter-based generator.  The value for point i is always draw
-number i of its substream, so outcomes never depend on evaluation order or on
-how many substreams are drawn together.
+integer purpose tag, and a stream index. The mapping is numpy's own:
+SeedSequence(master_seed, spawn_key=(purpose, stream_index)) hashes the three
+into a Philox4x64-10 key, generate_state(2, uint64), and the stream is that
+Philox from counter 0, read through a numpy Generator (so the first uniform
+is Generator.random()). The value for point i is always draw number i of its
+substream, so outcomes never depend on evaluation order or on how many
+substreams are drawn together.
+
+substream builds one stream the numpy way, with a new SeedSequence and
+Philox. keyed_generators and stream_prefixes reproduce the same streams for
+many indices at once: they compute every Philox key in one vectorised pass
+of the SeedSequence hash (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number Generation",
+2014), then re-key a single Philox per stream. The reproduction relies on
+numpy's stream-compatibility policy (NEP 19), under which SeedSequence and
+the bit generators' streams stay fixed across releases. If numpy ever
+changes them, tests/test_rng.py, which compares the two paths bit for bit,
+fails.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -23,6 +39,13 @@ FEATURES = 6
 REFERENCE = 7
 
 _U64_MAX = (1 << 64) - 1
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def _check_seed(master_seed: int) -> int:
@@ -63,15 +86,137 @@ def point_uniforms(
 def stream_prefixes(master_seed: int, purpose: int, stream_indices, n: int) -> np.ndarray:
     """Matrix whose row j holds the first n draws of substream stream_indices[j].
 
-    Row j equals point_uniforms(master_seed, purpose, stream_indices[j],
-    range(n)), so a request for fewer or reordered streams returns exactly
-    the rows the full request would.
+    Row j equals substream(master_seed, purpose, stream_indices[j]).random(n)
+    bit for bit, and so point_uniforms(master_seed, purpose,
+    stream_indices[j], range(n)); a request for fewer or reordered streams
+    returns exactly the rows the full request would. The keys of all rows
+    come from one vectorised SeedSequence hash (see keyed_generators).
     """
     stream_indices = list(stream_indices)
     out = np.empty((len(stream_indices), n))
-    for row, k in zip(out, stream_indices):
-        substream(master_seed, purpose, k).random(out=row)
+    for row, gen in zip(out, keyed_generators(master_seed, purpose, stream_indices)):
+        gen.random(out=row)
     return out
+
+
+def keyed_generators(master_seed: int, purpose: int, stream_indices):
+    """Iterator over generators, one at the start of each substream in stream_indices.
+
+    The generator for index k draws exactly what substream(master_seed,
+    purpose, k) draws. It is one Generator whose Philox is re-keyed in place
+    (counter 0, empty buffer) as the iterator advances, so take the draws of
+    one stream before asking for the next. All keys are computed in this
+    call, so a bad seed or a negative index raises ValueError at once.
+    """
+    keys = _philox_keys(_check_seed(master_seed), int(purpose), stream_indices)
+    return _rekeyed(keys.tolist())
+
+
+def _rekeyed(keys: list):
+    """One Generator, its Philox reset to each key in turn: counter 0, empty buffer."""
+    gen = np.random.Generator(np.random.Philox(0))
+    key_state = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": key_state,
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        key_state["key"] = key
+        gen.bit_generator.state = state
+        yield gen
+
+
+def _philox_keys(seed: int, purpose: int, stream_indices) -> np.ndarray:
+    """(len(stream_indices), 2) uint64 Philox keys, one per stream index.
+
+    Row j is SeedSequence(seed, spawn_key=(purpose, stream_indices[j]))
+    .generate_state(2, np.uint64). The hash runs once for all streams: the
+    words of the seed and the purpose are the same for every stream, and the
+    stream indices, whose words come last, are mixed in a word at a time as
+    uint32 arrays. An index of w 32-bit words takes its key after word w, so
+    each round keys the streams whose words are used up and carries the rest.
+    """
+    indices = [operator.index(k) for k in stream_indices]
+    keys = np.empty((len(indices), 2), dtype=np.uint64)
+    if not indices:
+        return keys
+    if min(indices) < 0:
+        raise ValueError(f"stream index must be non-negative, got {min(indices)}")
+    # With a spawn key, SeedSequence pads the seed words to the pool size.
+    seed_words = _words(seed)
+    pool, const = _mix_entropy(seed_words + [0] * (_POOL_SIZE - len(seed_words)), _INIT_A)
+    pool, const = _mix_in(pool, _words(purpose), const)
+    rest = np.array(indices, dtype=np.uint64 if max(indices) <= _U64_MAX else object)
+    rows = np.arange(len(indices))
+    pool = [np.full(rows.size, word, dtype=np.uint32) for word in pool]
+    while rows.size:
+        pool, const = _mix_in(pool, [(rest & _MASK32).astype(np.uint32)], const)
+        rest = rest >> 32
+        done = rest == 0
+        state = [word[done].astype(np.uint64) for word in _generate_state(pool)]
+        keys[rows[done], 0] = state[0] | state[1] << np.uint64(32)
+        keys[rows[done], 1] = state[2] | state[3] << np.uint64(32)
+        rows, rest, pool = rows[~done], rest[~done], [word[~done] for word in pool]
+    return keys
+
+
+def _words(value: int) -> list:
+    """value as SeedSequence splits an integer: 32-bit words, least significant first."""
+    if value < 0:
+        raise ValueError(f"SeedSequence words must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash step; returns (hashed value, next hash constant).
+
+    value is a Python int below 2**32 or a uint32 array; const is a Python int.
+    """
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words; both Python ints, or both uint32 arrays."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _mix_entropy(words: list, const: int):
+    """Hash the first pool-size entropy words into the pool and mix it through."""
+    pool = []
+    for word in words:
+        hashed, const = _hashmix(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+def _mix_in(pool: list, words: list, const: int):
+    """Mix each entropy word beyond the pool size into every pool word."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+def _generate_state(pool: list) -> list:
+    """generate_state(4, uint32) of a pool: the four uint32 words of two uint64s."""
+    const, state = _INIT_B, []
+    for word in pool:
+        hashed, const = _hashmix(word, const, _MULT_B)
+        state.append(hashed)
+    return state
 
 
 def derive_master(master_seed: int, purpose: int, stream_index: int) -> int:

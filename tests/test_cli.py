@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -137,7 +138,7 @@ BAD_INPUTS = {
     "CSV header cell over the field limit": (
         _bad_data, f"{BIG_CELL},b,label\n1,2,1\n3,4,0\n", "UnreadableCsvRecord"),
     "cell over the field limit in a rejected row": (
-        _bad_data, f"a,b,label\n1,2,1\n3,{BIG_CELL},0\n", "UnreadableCsvRecord"),
+        _bad_data, f"a,b,label\n1,2,1\n3,{BIG_CELL},0\n", "NonNumericCell"),
 }
 
 
@@ -150,6 +151,17 @@ def test_bad_input_exits_1_with_one_line(case, tmp_path, data_csv, semisynth_dir
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_long_valid_cell_does_not_hide_a_later_bad_cell(tmp_path, capsys):
+    """The rejection scan reads cells of any length and then restores the csv limit."""
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,b,label\n0.{'1' * 139_998},2,1\nabc,4,0\n", encoding="utf-8")
+    limit = csv.field_size_limit()
+    assert cli.dispatch(["fit", "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "NonNumericCell: non-numeric cell at data row 1, column 'a': 'abc'\n"
+    assert csv.field_size_limit() == limit
 
 
 # Each command line lacks exactly one required flag.

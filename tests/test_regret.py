@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import labelregret as lr
-from labelregret import errors
+from labelregret import errors, rng
 from labelregret.regret import FALLBACK_RIDGES, save_regret_report
 
 
@@ -156,6 +156,27 @@ class TestBootstrapRegret:
         boot = lr.bootstrap_regret(cluster_ss.base, flat_trainer, 80, seed=6)
         mc = lr.estimate_regret(cluster_ss.base, flat_trainer, 80, seed=6)
         assert np.max(np.abs(boot.regret - mc.regret)) > 0.0
+
+    def test_replicate_rows_are_the_bootstrap_substreams(self):
+        """Replicate k refits on substream(seed, BOOTSTRAP_ROWS, k).integers(0, n, size=n)."""
+        class RowRecorder(lr.ConstantTrainer):
+            def __init__(self):
+                super().__init__(0.5)
+                self.rows = []
+
+            def fit(self, data):
+                self.rows.append(data.features[:, 0].astype(np.int64))
+                return super().fit(data)
+
+        n, K, seed = 37, 12, 2**63 + 12345
+        trainer = RowRecorder()
+        data = lr.Dataset(np.arange(n, dtype=float)[:, None], np.ones(n, dtype=int))
+        lr.bootstrap_regret(data, trainer, K, seed=seed)
+        assert len(trainer.rows) == K + 1  # the initial fit, then one refit per replicate
+        np.testing.assert_array_equal(trainer.rows[0], np.arange(n))
+        for k, rows in enumerate(trainer.rows[1:], start=1):
+            expected = rng.substream(seed, rng.BOOTSTRAP_ROWS, k).integers(0, n, size=n)
+            np.testing.assert_array_equal(rows, expected)
 
     def test_deterministic(self, small_dataset, flat_trainer):
         a = lr.bootstrap_regret(small_dataset, flat_trainer, 30, seed=8, keep_samples=True)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from labelregret import rng
 
@@ -42,3 +43,70 @@ class TestDeriveMaster:
         assert a == b
         assert a != c
         assert 0 <= a < 2 ** 64
+
+
+# Seeds of one and two 32-bit words at their edges, purposes 0, 1 and 5.
+ORACLE_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+ORACLE_PURPOSES = [rng.LABELS, rng.BOOTSTRAP_ROWS, rng.ACQUISITION_SCORE]
+# Stream 0, indices of one, two and three spawn-key words, reordered and repeated.
+MIXED_INDICES = [7, 0, 2**32 + 5, 3, 2**32 - 1, 2**32, 2**40 + 1, 2**64 - 1, 2**64, 0, 2**70]
+
+
+def per_stream_prefixes(seed, purpose, indices, n):
+    """The reference: one numpy SeedSequence and Philox per stream."""
+    return np.array([rng.substream(seed, purpose, k).random(n) for k in indices]).reshape(
+        len(indices), n)
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestStreamPrefixesMatchNumpy:
+    """stream_prefixes keys all streams in one vectorised hash; numpy is the oracle."""
+
+    @pytest.mark.parametrize("purpose", ORACLE_PURPOSES)
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_first_300_streams(self, seed, purpose):
+        for n in (0, 1, 3, 4, 6, 9, 200):
+            assert_same_bits(rng.stream_prefixes(seed, purpose, range(300), n),
+                             per_stream_prefixes(seed, purpose, range(300), n))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_reordered_indices_of_several_words(self, seed):
+        for purpose in ORACLE_PURPOSES:
+            got = rng.stream_prefixes(seed, purpose, MIXED_INDICES, 9)
+            assert_same_bits(got, per_stream_prefixes(seed, purpose, MIXED_INDICES, 9))
+            subset = [2, 8, 5]
+            assert_same_bits(rng.stream_prefixes(seed, purpose,
+                                                 [MIXED_INDICES[j] for j in subset], 9),
+                             got[subset])
+
+    def test_no_streams(self):
+        assert rng.stream_prefixes(5, rng.LABELS, [], 4).shape == (0, 4)
+        assert rng.stream_prefixes(5, rng.LABELS, range(3), 0).shape == (3, 0)
+
+    def test_bad_index_or_seed_raises(self):
+        with pytest.raises(ValueError):
+            rng.stream_prefixes(5, rng.LABELS, [3, -1], 4)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                rng.stream_prefixes(seed, rng.LABELS, [3], 4)
+            with pytest.raises(ValueError):
+                rng.keyed_generators(seed, rng.LABELS, [3])
+
+
+class TestKeyedGenerators:
+    @pytest.mark.parametrize("seed", [5, 2**64 - 1])
+    def test_draws_match_substream_after_a_dirty_buffer(self, seed):
+        """Each re-keyed stream starts clean, whatever the previous one left buffered."""
+        draws = (lambda g: g.integers(0, 2**32, size=3),  # raw 32-bit words: no rejection
+                 lambda g: g.integers(0, 37, size=37),  # a bootstrap row draw
+                 lambda g: g.random(2))
+        streams = rng.keyed_generators(seed, rng.BOOTSTRAP_ROWS, MIXED_INDICES)
+        for k, gen in zip(MIXED_INDICES, streams):
+            expected = rng.substream(seed, rng.BOOTSTRAP_ROWS, k)
+            for draw in draws:
+                np.testing.assert_array_equal(draw(gen), draw(expected))
+            gen.integers(0, 2**32, size=3)  # leave half a 64-bit word buffered
