@@ -71,9 +71,9 @@ class ExperimentConfig:
             raise ValueError("k_resamples must be at least 2")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if self.ridge < 0 or self.ground_truth_ridge < 0:
-            raise ValueError("ridge values must be non-negative")
-        if self.grad_tol <= 0 or self.max_iters < 1:
+        if not (0 <= self.ridge < math.inf and 0 <= self.ground_truth_ridge < math.inf):
+            raise ValueError("ridge values must be finite and non-negative")
+        if not 0 < self.grad_tol < math.inf or self.max_iters < 1:
             raise ValueError("bad optimizer tolerances")
         if self.dataset not in {"two_cluster", "gaussian", "csv"}:
             raise ValueError(f"unknown dataset kind {self.dataset!r}")

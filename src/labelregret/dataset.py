@@ -185,10 +185,9 @@ def make_semisynthetic(features, raw_labels, ridge: float = 1.0,
     """Fit a ridge logistic ground truth on the raw labels, then redraw labels.
 
     The ridge keeps the fitted ground truth finite on separable inputs and is
-    recorded in the result; ridge 0 on separable data raises FitDiverged.
+    recorded in the result; ridge 0 on separable data raises FitDiverged, and
+    FitOptions rejects a negative or non-finite ridge.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
     raw = Dataset(features, raw_labels, tuple(feature_names) if feature_names else ())
     opts = FitOptions(ridge=ridge, include_intercept=include_intercept)
     ground_truth = fit_logistic(raw, opts)

@@ -3,13 +3,15 @@
 The optimizer minimizes the sum-form loss sum_i log(1 + exp(-y_i x_i'theta))
 (optionally plus ridge/2 * ||theta||^2) with full Newton steps and step
 halving: a Cholesky factorization checks that the Hessian is positive
-definite, and np.linalg.solve takes the step. fit_logistic_batch runs the same
-iteration for many label vectors on one feature matrix at once. Labels are in
-{-1, +1} throughout.
+definite, and np.linalg.solve takes the step. There is one implementation,
+fit_logistic_batch, which fits many label vectors on one feature matrix at
+once; fit_logistic is its one-row case and equals the matching batch row bit
+for bit. Labels are in {-1, +1} throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -30,6 +32,9 @@ MAX_HALVINGS = 30
 # fit_logistic_batch advances at most this many label entries (rows times
 # points) at once, which bounds its working arrays whatever the row count.
 BATCH_ENTRIES = 1 << 14
+# Largest n * d^2 for which fit_logistic_batch builds its n x d^2 table of
+# outer products (2 MiB); see there for the rule and its reasons.
+HESSIAN_TABLE_ENTRIES = 1 << 18
 # Ridge escalation ladder applied when an unregularized refit hits a
 # separable resample. Counts of such refits are reported, never hidden.
 FALLBACK_RIDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
@@ -89,12 +94,12 @@ class FitOptions:
     include_intercept: bool = True
 
     def __post_init__(self):
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be finite and non-negative, got {self.ridge!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
 
 
 def design_matrix(features, include_intercept: bool) -> np.ndarray:
@@ -107,138 +112,57 @@ def design_matrix(features, include_intercept: bool) -> np.ndarray:
     return X
 
 
-def penalized_loss(theta, X, y, ridge: float) -> float:
-    """Sum-form logistic loss plus ridge/2 * ||theta||^2, evaluated stably."""
-    theta = np.asarray(theta, dtype=float)
-    z = X @ theta
-    return float(np.logaddexp(0.0, -y * z).sum() + 0.5 * ridge * theta @ theta)
-
-
-def loss_gradient(theta, X, y, ridge: float) -> np.ndarray:
-    p = sigmoid(X @ np.asarray(theta, dtype=float))
-    y01 = (np.asarray(y, dtype=float) + 1.0) / 2.0
-    return X.T @ (p - y01) + ridge * np.asarray(theta, dtype=float)
-
-
-def loss_hessian(theta, X, ridge: float) -> np.ndarray:
-    p = sigmoid(X @ np.asarray(theta, dtype=float))
-    w = p * (1.0 - p)
-    H = X.T @ (X * w[:, None])
-    if ridge:
-        H = H + ridge * np.eye(X.shape[1])
-    return H
-
-
 def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
                  theta0=None, return_trace: bool = False):
-    """Fit a logistic model by Newton iteration with step halving.
+    """Fit a logistic model to data's labels: fit_logistic_batch on one row.
 
-    Stops once the infinity norm of the penalized gradient is at or below
-    opts.grad_tol. With ridge 0 the features must be full rank and the data
-    must not be linearly separable, otherwise no finite unique optimum exists;
-    rank deficiency raises SingularHessian and separability raises
-    FitDiverged. When return_trace is true the per-iteration penalized loss
-    values are returned alongside the model (the sequence never increases).
+    The model equals, bit for bit, row k of any fit_logistic_batch call on the
+    same design, options and theta0 whose row k holds these labels. A flagged
+    row raises SingularHessian when no ridge is applied and the features are
+    rank deficient, and FitDiverged otherwise. With return_trace the penalized
+    loss at the start and after each Newton step comes back with the model;
+    it never increases, and its length less one is the number of steps.
     """
     X = design_matrix(data.features, opts.include_intercept)
-    y = np.asarray(data.labels, dtype=float)
-    n, d = X.shape
-    if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
-        raise errors.SingularHessian(
-            f"feature matrix has rank below {d} and no ridge is applied")
-
-    if theta0 is None:
-        theta = np.zeros(d)
-    else:
-        theta = np.array(theta0, dtype=float)
-        if theta.shape != (d,):
-            raise errors.DimensionMismatch(
-                f"warm start has shape {theta.shape}, expected ({d},)")
-
-    loss = penalized_loss(theta, X, y, opts.ridge)
-    trace = [loss]
-    converged = False
-    for _ in range(opts.max_iters):
-        if opts.ridge == 0.0 and np.linalg.norm(theta) > DIVERGENCE_GUARD:
-            raise errors.FitDiverged(
-                f"parameter norm exceeded {DIVERGENCE_GUARD:g}; data looks separable")
-        grad = loss_gradient(theta, X, y, opts.ridge)
-        if np.max(np.abs(grad)) <= opts.grad_tol:
-            converged = True
-            break
-        H = loss_hessian(theta, X, opts.ridge)
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            # Rank was verified above, so a non-PD Hessian means the Newton
-            # weights collapsed on the way to an infinite optimum.
-            raise errors.FitDiverged("Newton system collapsed; data looks separable")
-        step = np.linalg.solve(H, -grad)
-        # grad' H^-1 grad / 2 is the decrease the full step achieves up to
-        # higher-order terms. Once it sinks below the float resolution of the
-        # loss value, a loss-based line search only sees rounding noise; take
-        # the pure Newton step there (quadratic-convergence phase, true loss
-        # drops by under one ulp) and keep the bookkeeping monotone.
-        predicted = -0.5 * float(grad @ step)
-        floor = 16.0 * np.finfo(float).eps * max(1.0, abs(loss))
-        if predicted <= floor:
-            theta = theta + step
-            loss = min(penalized_loss(theta, X, y, opts.ridge), loss)
-            trace.append(loss)
-            continue
-        scale = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = theta + scale * step
-            if np.all(candidate == theta):
-                break  # halved below float resolution: no progress this way
-            candidate_loss = penalized_loss(candidate, X, y, opts.ridge)
-            if candidate_loss <= loss:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            break  # observable decrease expected but not found: stop and re-check
-        theta, loss = candidate, candidate_loss
-        trace.append(loss)
-
-    if not converged:
-        grad = loss_gradient(theta, X, y, opts.ridge)
-        if np.max(np.abs(grad)) > opts.grad_tol:
-            raise errors.NoConvergence(
-                f"gradient norm {np.max(np.abs(grad)):.3e} above tolerance "
-                f"{opts.grad_tol:g} after {opts.max_iters} iterations")
-
-    if opts.ridge == 0.0:
-        # The gradient can sink below any tolerance by sheer underflow when
-        # the data is separable; a fitted direction that classifies every
-        # training point strictly correctly proves there is no finite optimum.
-        margins = y * (X @ theta)
-        if np.any(theta) and np.min(margins) > 0:
-            raise errors.FitDiverged(
-                "fitted direction separates the training data; no finite optimum")
-
-    model = LogisticModel(theta, opts.include_intercept)
-    if return_trace:
-        return model, trace
-    return model
+    trace = []
+    thetas, separable = fit_logistic_batch(X, np.asarray(data.labels)[None, :], opts,
+                                           theta0=theta0, trace=trace)
+    if separable[0]:
+        if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < X.shape[1]:
+            raise errors.SingularHessian("features are rank deficient and no ridge is applied")
+        raise errors.FitDiverged("data looks separable; no finite optimum")
+    model = LogisticModel(thetas[0], opts.include_intercept)
+    return (model, np.concatenate(trace).tolist()) if return_trace else model
 
 
-def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0=None):
+def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0=None,
+                       trace=None):
     """Fit one logistic model per row of label_rows, all sharing the design X.
 
     X is the n x d design matrix (intercept column already appended, see
-    design_matrix) and label_rows a K x n matrix of {-1,+1} labels. Every row
-    runs the Newton iteration of fit_logistic from theta0 (zeros when None),
-    with all rows still iterating advanced together: each iteration is one
-    sigmoid over the K x n margins, one K x d gradient, one product to K d x d
-    Hessians and one batched solve, and the step halving and the stopping
-    rules act per row. Every check of fit_logistic is kept per row.
+    design_matrix) and label_rows a K x n matrix of {-1,+1} labels. Each row
+    is fitted from theta0 (zeros when None) until the infinity norm of its
+    penalized gradient is at most opts.grad_tol. The rows still iterating
+    advance together, and the step halving and stopping rules act per row.
+
+    No row's arithmetic depends on the other rows or on K, so each row equals
+    fit_logistic on its labels bit for bit. Every product with X is a
+    vector-matrix product of its own, since one matrix product lets BLAS pick
+    its kernel, and so its rounding, by the row count. The Hessians
+    X' diag(w) X come from an n x d^2 table of outer products when n * d^2 is
+    at most HESSIAN_TABLE_ENTRIES, and as X'(w X) otherwise. The table is
+    fast for many rows on a small design, but theory_large's 10000 x 21
+    design would need 35 MB for it; and as the rule reads the design alone,
+    never K, a row's Hessian is formed the same way in every batch.
 
     Returns (thetas, separable): the K x d fitted parameters and a boolean
-    K-vector, True exactly where fit_logistic would raise FitDiverged or
-    SingularHessian on that row; those rows of thetas are NaN. Raises
-    NoConvergence when any other row ends above opts.grad_tol.
+    K-vector, True (with NaN thetas) where a row has no finite unique optimum.
+    That needs ridge 0 and either a rank-deficient design or linearly
+    separable data, shown by a parameter norm past DIVERGENCE_GUARD, a Hessian
+    that is not positive definite, or a fit that classifies every point
+    strictly correctly. Raises NoConvergence when another row ends above
+    opts.grad_tol. A trace list receives, block by block, the rows' penalized
+    losses at the start and after each iteration in which one took a step.
     """
     X = np.asarray(X, dtype=float)
     label_rows = np.asarray(label_rows)
@@ -247,29 +171,27 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
         raise errors.DimensionMismatch(
             f"label rows have shape {label_rows.shape}, expected (K, {n})")
     K = label_rows.shape[0]
-    start = np.zeros(d)
-    if theta0 is not None:
-        start = np.asarray(theta0, dtype=float)
-        if start.shape != (d,):
-            raise errors.DimensionMismatch(
-                f"warm start has shape {start.shape}, expected ({d},)")
+    start = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float)
+    if start.shape != (d,):
+        raise errors.DimensionMismatch(f"warm start has shape {start.shape}, expected ({d},)")
     thetas = np.full((K, d), np.nan)
     separable = np.ones(K, dtype=bool)
     if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
         return thetas, separable
-    # Row i of XX is the flattened outer product x_i x_i', so W @ XX stacks
-    # the Hessians X' diag(w_k) X of all rows without a K x n x d temporary.
-    XX = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+    # Row i of XX is the flattened outer product x_i x_i', so w @ XX is X' diag(w) X.
+    XX = (X[:, :, None] * X[:, None, :]).reshape(n, d * d) \
+        if n * d * d <= HESSIAN_TABLE_ENTRIES else None
     block = max(1, BATCH_ENTRIES // n)
     for first in range(0, K, block):
         rows = slice(first, first + block)
-        thetas[rows], separable[rows] = _newton_rows(X, XX, label_rows[rows], opts, start)
+        thetas[rows], separable[rows] = _newton_rows(X, XX, label_rows[rows], opts, start,
+                                                     trace)
     return thetas, separable
 
 
-def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0):
-    """fit_logistic_batch on one block of label rows, after the rank check."""
-    n, d = X.shape
+def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
+    """fit_logistic_batch on one block of rows, after the rank check (XX None: no table)."""
+    d = X.shape[1]
     Y = np.asarray(label_rows, dtype=float)
     K = Y.shape[0]
     ridge = opts.ridge
@@ -279,28 +201,20 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0):
     ridge_eye = ridge * np.eye(d)
 
     def evaluate(T, rows):
-        """Margins, exp(-|margin|) and penalized losses at the parameter rows T.
-
-        The loss terms equal np.logaddexp(0, -y z) of penalized_loss; the
-        exponentials are kept for the sigmoid at the same point.
-        """
-        Z = T @ X.T
+        """Margins, exp(-|margin|) and penalized losses (with no overflow) at thetas T."""
+        Z = _row_products(T, X.T)
         E = np.exp(-np.abs(Z))
-        terms = np.log1p(E) + np.maximum(-Y[rows] * Z, 0.0)
+        terms = np.log1p(E) + np.maximum(-Y[rows] * Z, 0.0)  # log(1 + exp(-y z))
         return Z, E, terms.sum(axis=1) + 0.5 * ridge * (T * T).sum(axis=1)
 
     def gradients(rows):
         """Probabilities and penalized gradients at the current rows' thetas."""
         P = _logistic(Z[rows], E[rows])
-        return P, (P - Y01[rows]) @ X + ridge * thetas[rows]
-
-    def accept(rows, T, evaluated):
-        """Move rows to T; the recorded loss never increases (see fit_logistic)."""
-        thetas[rows] = T
-        Z[rows], E[rows], new_loss = evaluated
-        loss[rows] = np.minimum(new_loss, loss[rows])
+        return P, _row_products(P - Y01[rows], X) + ridge * thetas[rows]
 
     Z, E, loss = evaluate(thetas, slice(None))  # cached at each row's current theta
+    if trace is not None:
+        trace.append(loss.copy())
     active = np.arange(K)     # rows still iterating
     stopped = []              # rows that left the loop without meeting grad_tol
     for _ in range(opts.max_iters):
@@ -313,7 +227,11 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0):
         active, P, grad = active[going], P[going], grad[going]
         if active.size == 0:
             break
-        H = ((P * (1.0 - P)) @ XX).reshape(-1, d, d) + ridge_eye
+        W = P * (1.0 - P)  # each row's penalized Hessian is X' diag(w) X + ridge I
+        if XX is None:
+            H = np.matmul(X.T, W[:, :, None] * X) + ridge_eye
+        else:
+            H = _row_products(W, XX).reshape(-1, d, d) + ridge_eye
         # Rank was verified above, so a non-PD Hessian means the Newton
         # weights collapsed on the way to an infinite optimum.
         factorizable = _cholesky_succeeds(H)
@@ -321,33 +239,34 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0):
         active, grad, H = active[factorizable], grad[factorizable], H[factorizable]
         T = thetas[active]
         step = np.linalg.solve(H, -grad[:, :, None])[:, :, 0]
-        predicted = -0.5 * np.einsum("kd,kd->k", grad, step)
-        floor = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(loss[active]))
-        # As in fit_logistic: below the float resolution of the loss, take the
-        # pure Newton step and keep the recorded loss monotone.
-        pure = predicted <= floor
-        rows, candidate = active[pure], T[pure] + step[pure]
-        accept(rows, candidate, evaluate(candidate, rows))
-        # Step halving for the other rows, each with its own scale.
-        search = np.flatnonzero(~pure)
-        scale = np.ones(search.size)
-        accepted = pure.copy()
+        # grad' H^-1 grad / 2 is the decrease the full step achieves up to
+        # higher-order terms. Once it sinks below the float resolution of the
+        # loss value, a loss-based line search only sees rounding noise; such a
+        # "pure" row takes the full Newton step (quadratic-convergence phase,
+        # true loss drops by under one ulp) and its recorded loss stays monotone.
+        predicted = -0.5 * (grad * step).sum(axis=1)
+        pure = predicted <= 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(loss[active]))
+        search, scale = np.arange(active.size), 1.0  # rows halving their step
+        accepted = np.zeros(active.size, dtype=bool)
         for _ in range(MAX_HALVINGS + 1):
-            candidate = T[search] + scale[:, None] * step[search]
-            moved = np.any(candidate != T[search], axis=1)  # else halved below float resolution
-            search, scale, candidate = search[moved], scale[moved], candidate[moved]
             if search.size == 0:
                 break
+            candidate = T[search] + scale * step[search]
+            moved = np.any(candidate != T[search], axis=1)  # else halved below float resolution
+            search, candidate = search[moved], candidate[moved]
             rows = active[search]
             cZ, cE, candidate_loss = evaluate(candidate, rows)
-            better = candidate_loss <= loss[rows]
-            accept(rows[better], candidate[better],
-                   (cZ[better], cE[better], candidate_loss[better]))
+            better = pure[search] | (candidate_loss <= loss[rows])
+            rows = rows[better]
+            thetas[rows], Z[rows], E[rows] = candidate[better], cZ[better], cE[better]
+            loss[rows] = np.minimum(candidate_loss[better], loss[rows])  # never increases
             accepted[search[better]] = True
-            search, scale = search[~better], 0.5 * scale[~better]
+            search, scale = search[~better], 0.5 * scale
         # observable decrease expected but not found: stop and re-check
         stopped.append(active[~accepted])
         active = active[accepted]
+        if trace is not None and active.size:
+            trace.append(loss.copy())
     stopped.append(active)  # out of iterations
 
     recheck = np.concatenate(stopped)
@@ -359,11 +278,17 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0):
                 f"after {opts.max_iters} iterations")
 
     if ridge == 0.0:
-        # As in fit_logistic: a fitted direction that classifies every
+        # The gradient can sink below any tolerance by sheer underflow when
+        # the data is separable; a fitted direction that classifies every
         # training point strictly correctly proves there is no finite optimum.
         separable |= np.any(thetas != 0.0, axis=1) & (np.min(Y * Z, axis=1) > 0)
     thetas[separable] = np.nan
     return thetas, separable
+
+
+def _row_products(A, B):
+    """The rows A[k] @ B, each a vector-matrix product of its own."""
+    return np.matmul(A[:, None, :], B)[:, 0, :]
 
 
 def _cholesky_succeeds(H) -> np.ndarray:
@@ -560,6 +485,8 @@ class LogisticTrainer(TrainerHandle):
         The rows the first call marks separable go down FALLBACK_RIDGES
         together: each rung refits the rows still pending from a cold start,
         as fit_with_extra_ridge does, and passes on only those still separable.
+        Row k of the samples is the same whatever other rows share the call or
+        a rung: no engine row depends on another, nor does a row's prediction.
         """
         include = self.opts.include_intercept
         X = design_matrix(data.features, include)
@@ -575,7 +502,7 @@ class LogisticTrainer(TrainerHandle):
             pending = pending[separable]
         if pending.size:
             raise _ladder_exhausted()
-        samples = sigmoid(thetas @ design_matrix(eval_features, include).T)
+        samples = sigmoid(_row_products(thetas, design_matrix(eval_features, include).T))
         return samples, n_fallbacks
 
 

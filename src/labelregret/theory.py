@@ -86,8 +86,8 @@ def _q_from(X, p, H) -> np.ndarray:
 
 def _bound_fields(model: LogisticModel, X, H, constant: float) -> dict:
     """Every TheoryReport field but q: the spectrum of H, the point norms and epsilon."""
-    if constant <= 0:
-        raise ValueError("constant must be positive")
+    if not 0 < constant < math.inf:
+        raise ValueError(f"constant must be finite and positive, got {constant!r}")
     n, d = X.shape
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0.0):

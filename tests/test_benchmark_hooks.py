@@ -1,7 +1,9 @@
 """The names the benchmark in perfbench/ reaches into labelregret for.
 
-perfbench/tracer.py wraps the functions in its TARGETS, and the mc_separable
-oracle in perfbench/workloads.py refits through fit_with_extra_ridge along
+perfbench/tracer.py wraps the functions in its TARGETS and counts
+glm.fit_logistic.newton_steps from the loss trace of
+fit_logistic(..., return_trace=True), and the mc_separable oracle in
+perfbench/workloads.py refits through fit_with_extra_ridge along
 regret.FALLBACK_RIDGES. A rename that drops any of them breaks the benchmark
 without failing any other test. The files are read, never imported.
 """
@@ -10,9 +12,12 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import labelregret as lr
+
+import glm_reference as reference
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,3 +44,21 @@ def test_oracle_ladder_hooks_exist():
 
     assert FALLBACK_RIDGES == lr.glm.FALLBACK_RIDGES and len(FALLBACK_RIDGES) > 0
     assert callable(lr.LogisticTrainer.fit_with_extra_ridge)
+
+
+def test_fit_trace_counts_the_reference_newton_steps(small_dataset, cluster_ss):
+    """The tracer's call: a (model, list) pair whose list never increases and
+    has one entry more than the reference fit takes Newton steps."""
+    cases = [(small_dataset, lr.FitOptions(include_intercept=False), None),
+             (small_dataset, lr.FitOptions(ridge=0.5, include_intercept=True), None),
+             (cluster_ss.base, lr.FitOptions(include_intercept=False), None),
+             (cluster_ss.base, lr.FitOptions(include_intercept=True), np.array([0.3, -0.2, 0.1]))]
+    for data, opts, theta0 in cases:
+        result = lr.fit_logistic(data, opts, theta0=theta0, return_trace=True)
+        assert isinstance(result, tuple) and len(result) == 2
+        model, trace = result
+        assert isinstance(model, lr.LogisticModel) and isinstance(trace, list)
+        assert np.all(np.diff(trace) <= 0.0)
+        _, reference_trace = reference.fit_logistic(data, opts, theta0=theta0,
+                                                    return_trace=True)
+        assert len(trace) - 1 == len(reference_trace) - 1 > 0

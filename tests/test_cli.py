@@ -111,6 +111,10 @@ def _bad_data(tmp_path, data_csv, semisynth_dir, text):
     return ["fit", "--data", str(path)]
 
 
+def _flags(tmp_path, data_csv, semisynth_dir, argv):
+    return [str(data_csv) if arg == "DATA" else arg for arg in argv]
+
+
 # longer than the csv module's default field size limit of 131,072 characters
 BIG_CELL = "x" * 140_000
 
@@ -139,6 +143,20 @@ BAD_INPUTS = {
         _bad_data, f"{BIG_CELL},b,label\n1,2,1\n3,4,0\n", "UnreadableCsvRecord"),
     "cell over the field limit in a rejected row": (
         _bad_data, f"a,b,label\n1,2,1\n3,{BIG_CELL},0\n", "NonNumericCell"),
+    # A NaN or infinite setting would otherwise pass every comparison-based check
+    # and end in zero regret, a theta = 0 model or NaN tokens in meta.json.
+    "regret --grad-tol inf": (_flags, ["regret", "--data", "DATA", "--grad-tol", "inf"],
+                              "ValueError"),
+    "regret --ridge nan": (_flags, ["regret", "--data", "DATA", "--ridge", "nan"], "ValueError"),
+    "regret --ridge inf": (_flags, ["regret", "--data", "DATA", "--ridge", "inf"], "ValueError"),
+    "fit --ridge nan": (_flags, ["fit", "--data", "DATA", "--ridge", "nan"], "ValueError"),
+    "fit --grad-tol nan": (_flags, ["fit", "--data", "DATA", "--grad-tol", "nan"], "ValueError"),
+    "semisynth --gt-ridge nan": (_flags, ["semisynth", "--data", "DATA", "--gt-ridge", "nan"],
+                                 "ValueError"),
+    "theory --constant nan": (_flags, ["theory", "--data", "DATA", "--constant", "nan"],
+                              "ValueError"),
+    "theory --constant inf": (_flags, ["theory", "--data", "DATA", "--constant", "inf"],
+                              "ValueError"),
 }
 
 

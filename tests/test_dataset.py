@@ -420,6 +420,11 @@ class TestSemiSynthetic:
             lr.make_semisynthetic(features, labels, ridge=0.0,
                                   seed=lr.LabelDrawSeed(0))
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    def test_ridge_must_be_finite_and_non_negative(self, ridge):
+        with pytest.raises(ValueError):
+            lr.make_semisynthetic(np.array([[-1.0], [1.0]]), [-1, 1], ridge=ridge)
+
     def test_length_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             lr.make_semisynthetic(np.ones((3, 1)), [1, -1], seed=lr.LabelDrawSeed(0))

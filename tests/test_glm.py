@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 import labelregret as lr
 from labelregret import errors, glm
 from labelregret._io import dump_json
-from labelregret.glm import (design_matrix, fit_logistic_batch, fit_with_fallback,
-                             loss_gradient, loss_hessian, model_to_dict,
-                             penalized_loss)
+from labelregret.glm import design_matrix, fit_logistic_batch, model_to_dict
+
+import glm_reference as reference
+from glm_reference import loss_gradient, loss_hessian, penalized_loss
 
 
 def finite_difference_gradient(theta, X, y, ridge, h=1e-6):
@@ -152,6 +154,13 @@ class TestFitLogistic:
         warm = lr.fit_logistic(cluster_ss.base, opts, theta0=cold.theta + 0.1)
         np.testing.assert_allclose(warm.theta, cold.theta, atol=1e-7)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ridge", math.nan), ("ridge", math.inf), ("ridge", -1.0),
+        ("grad_tol", math.nan), ("grad_tol", math.inf), ("grad_tol", 0.0)])
+    def test_options_reject_non_finite_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError):
+            lr.FitOptions(**{field: value})
+
     def test_ridge_shrinks_parameters(self, cluster_ss):
         loose = lr.fit_logistic(cluster_ss.base, lr.FitOptions(include_intercept=False))
         tight = lr.fit_logistic(cluster_ss.base,
@@ -160,7 +169,7 @@ class TestFitLogistic:
 
 
 def per_row_fits(features, label_rows, opts, theta0=None):
-    """fit_logistic once per label row: the reference for fit_logistic_batch.
+    """The reference fit once per label row: the oracle for fit_logistic_batch.
 
     Returns (thetas, raised): NaN rows and True where the fit raised
     FitDiverged or SingularHessian.
@@ -170,7 +179,8 @@ def per_row_fits(features, label_rows, opts, theta0=None):
     raised = np.zeros(len(label_rows), dtype=bool)
     for k, labels in enumerate(label_rows):
         try:
-            model = lr.fit_logistic(lr.Dataset(features, labels), opts, theta0=theta0)
+            model = reference.fit_logistic(lr.Dataset(features, labels), opts,
+                                           theta0=theta0)
             thetas[k] = model.theta
         except (errors.FitDiverged, errors.SingularHessian):
             raised[k] = True
@@ -178,7 +188,7 @@ def per_row_fits(features, label_rows, opts, theta0=None):
 
 
 class TestFitLogisticBatch:
-    """The batched engine against one fit_logistic call per row."""
+    """The batched engine against one reference fit per row."""
 
     @pytest.mark.parametrize("ridge", [0.0, 0.1])
     def test_matches_per_row_fits(self, ridge):
@@ -223,6 +233,52 @@ class TestFitLogisticBatch:
     def test_label_shape_checked(self):
         with pytest.raises(errors.DimensionMismatch):
             fit_logistic_batch(np.ones((3, 1)), np.ones((2, 4)), lr.FitOptions())
+
+
+class TestSingleFitIsABatchRow:
+    """fit_logistic is the engine run on one row, and no row's arithmetic
+    depends on the others, so a single fit equals its batch row bit for bit."""
+
+    # 60 x 4 takes the Hessians from the outer-product table, 600 x 21 as X'(w X)
+    @pytest.mark.parametrize("n, n_features", [(60, 3), (600, 20)])
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_equals_batch_row(self, n, n_features, ridge):
+        d = n_features + 1
+        assert (n * d * d <= glm.HESSIAN_TABLE_ENTRIES) == (n == 60)
+        gen = np.random.default_rng(n)
+        features = gen.standard_normal((n, n_features))
+        probs = lr.sigmoid(features @ gen.normal(0.0, 0.5, n_features) + 0.2)
+        label_rows = np.where(gen.random((12, n)) < probs, 1, -1)
+        opts = lr.FitOptions(ridge=ridge, include_intercept=True)
+        X = design_matrix(features, True)
+        for theta0 in (None, gen.normal(0.0, 0.2, d)):
+            thetas, separable = fit_logistic_batch(X, label_rows, opts, theta0=theta0)
+            assert not separable.any()
+            for k, labels in enumerate(label_rows):
+                model = lr.fit_logistic(lr.Dataset(features, labels), opts, theta0=theta0)
+                np.testing.assert_array_equal(model.theta, thetas[k])
+
+    def test_lone_ladder_row_equals_its_rung_at_twice_k(self):
+        """One separable row is alone on its fallback rung; with every row
+        doubled, the rung refits it together with its copy. fit_many on one
+        row alone, laddered or not, gives that row the same again."""
+        features = np.random.default_rng(9).standard_normal((9, 2))
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=True))
+        assignments = all_assignments(9)
+        _, separable = fit_logistic_batch(design_matrix(features, True), assignments,
+                                          trainer.opts)
+        label_rows = np.concatenate([assignments[~separable][:7],
+                                     assignments[separable][:1]])
+        data = lr.Dataset(features, label_rows[0])
+        once, once_fallbacks = trainer.fit_many(data, label_rows, features, None)
+        twice, twice_fallbacks = trainer.fit_many(data, np.concatenate([label_rows] * 2),
+                                                  features, None)
+        assert (once_fallbacks, twice_fallbacks) == (1, 2)
+        np.testing.assert_array_equal(twice[:8], once)
+        np.testing.assert_array_equal(twice[8:], once)
+        for k in (0, 7):
+            alone, _ = trainer.fit_many(data, label_rows[k:k + 1], features, None)
+            np.testing.assert_array_equal(alone[0], once[k])
 
 
 class TestLogLoss:
@@ -399,9 +455,23 @@ def all_assignments(n):
     return np.where((codes >> np.arange(n)) & 1, 1, -1)
 
 
+def reference_ladder_fit(data, opts):
+    """The reference fit, then one reference fit per FALLBACK_RIDGES rung until
+    one succeeds, as the mc_separable benchmark oracle refits a resample.
+
+    Returns (model, whether a rung was needed).
+    """
+    for rung, extra in enumerate((0.0, *glm.FALLBACK_RIDGES)):
+        try:
+            return reference.fit_logistic(data, replace(opts, ridge=opts.ridge + extra)), rung > 0
+        except (errors.FitDiverged, errors.SingularHessian):
+            continue
+    raise errors.RefitFallbackExhausted("no rung fits the resample")
+
+
 class TestBatchedRidgeLadder:
     """LogisticTrainer.fit_many, whose separable rows go down FALLBACK_RIDGES
-    one rung per batch, against one fit_with_fallback call per row."""
+    one rung per batch, against the reference ladder run row by row."""
 
     @staticmethod
     def assert_matches_per_row_ladder(n, n_features, include_intercept):
@@ -414,8 +484,8 @@ class TestBatchedRidgeLadder:
         expected = np.empty_like(samples)
         expected_fallbacks = 0
         for k, labels in enumerate(label_rows):
-            predictor, _, used = fit_with_fallback(trainer, data.with_labels(labels), None)
-            expected[k] = predictor(features)
+            model, used = reference_ladder_fit(data.with_labels(labels), trainer.opts)
+            expected[k] = lr.predict_proba(model, features)
             expected_fallbacks += used
         assert n_fallbacks == expected_fallbacks > 0
         np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-12)

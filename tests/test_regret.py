@@ -5,6 +5,8 @@ import labelregret as lr
 from labelregret import errors, rng
 from labelregret.regret import FALLBACK_RIDGES, save_regret_report
 
+import glm_reference as reference
+
 
 class TestPointDeviations:
     def test_identical_sequences(self):
@@ -70,14 +72,14 @@ class TestEstimateRegret:
 
     def test_samples_match_per_resample_refits(self, cluster_ss, plain_trainer):
         """Row k-1 of the samples is the refit on draw_labels stream k, started
-        from the base optimum, as one fit_logistic call per resample gives it."""
+        from the base optimum, as one reference fit per resample gives it."""
         data = cluster_ss.base
         report = lr.estimate_regret(data, plain_trainer, 30, seed=4, keep_samples=True)
-        base = lr.fit_logistic(data, plain_trainer.opts)
+        base = reference.fit_logistic(data, plain_trainer.opts)
         for k in range(1, 31):
             labels = lr.draw_labels(report.base_pred, lr.LabelDrawSeed(4, k))
-            model = lr.fit_logistic(data.with_labels(labels), plain_trainer.opts,
-                                    theta0=base.theta)
+            model = reference.fit_logistic(data.with_labels(labels), plain_trainer.opts,
+                                           theta0=base.theta)
             np.testing.assert_allclose(report.samples[k - 1],
                                        lr.predict_proba(model, data.features),
                                        rtol=0, atol=1e-12)

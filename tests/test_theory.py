@@ -6,8 +6,10 @@ import pytest
 
 import labelregret as lr
 from labelregret import errors
-from labelregret.glm import design_matrix, loss_gradient, loss_hessian
+from labelregret.glm import design_matrix
 from labelregret.theory import save_theory_report
+
+from glm_reference import loss_gradient, loss_hessian
 
 
 class TestComputeHessian:
