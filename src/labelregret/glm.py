@@ -125,18 +125,18 @@ def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
     """
     X = design_matrix(data.features, opts.include_intercept)
     trace = []
-    thetas, separable = fit_logistic_batch(X, np.asarray(data.labels)[None, :], opts,
-                                           theta0=theta0, trace=trace)
+    thetas, separable = _fit_rows(X, np.asarray(data.labels)[None, :], opts, theta0, trace)
     if separable[0]:
-        if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < X.shape[1]:
-            raise errors.SingularHessian("features are rank deficient and no ridge is applied")
+        d = X.shape[1]
+        if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
+            raise errors.SingularHessian(
+                f"feature matrix has rank below {d} and no ridge is applied")
         raise errors.FitDiverged("data looks separable; no finite optimum")
     model = LogisticModel(thetas[0], opts.include_intercept)
     return (model, np.concatenate(trace).tolist()) if return_trace else model
 
 
-def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0=None,
-                       trace=None):
+def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0=None):
     """Fit one logistic model per row of label_rows, all sharing the design X.
 
     X is the n x d design matrix (intercept column already appended, see
@@ -160,10 +160,16 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     That needs ridge 0 and either a rank-deficient design or linearly
     separable data, shown by a parameter norm past DIVERGENCE_GUARD, a Hessian
     that is not positive definite, or a fit that classifies every point
-    strictly correctly. Raises NoConvergence when another row ends above
-    opts.grad_tol. A trace list receives, block by block, the rows' penalized
-    losses at the start and after each iteration in which one took a step.
+    strictly correctly. Raises NoConvergence when another row is still above
+    opts.grad_tol after opts.max_iters steps, or when its step halving finds
+    no decrease.
     """
+    return _fit_rows(X, label_rows, opts, theta0, None)
+
+
+def _fit_rows(X, label_rows, opts: FitOptions, theta0, trace):
+    """fit_logistic_batch, appending to a trace list the losses of the rows still
+    iterating at the start and after each step: a one-row call's loss trace."""
     X = np.asarray(X, dtype=float)
     label_rows = np.asarray(label_rows)
     n, d = X.shape
@@ -190,43 +196,59 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
 
 
 def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
-    """fit_logistic_batch on one block of rows, after the rank check (XX None: no table)."""
-    d = X.shape[1]
-    Y = np.asarray(label_rows, dtype=float)
-    K = Y.shape[0]
-    ridge = opts.ridge
-    thetas = np.tile(theta0, (K, 1))
-    separable = np.zeros(K, dtype=bool)
-    Y01 = Y > 0.0
-    ridge_eye = ridge * np.eye(d)
+    """_fit_rows on one block of rows, after the rank check (XX None: no table).
 
-    def evaluate(T, rows):
+    The loop holds only the rows still iterating: their block indices, thetas,
+    margins z, exp(-|z|), losses and labels. A row's results are written out
+    when it leaves, and the arrays shrink only when a row does.
+    """
+    d = X.shape[1]
+    ridge = opts.ridge
+    ridge_eye = ridge * np.eye(d)
+    thetas = np.full((len(label_rows), d), np.nan)
+    separable = np.zeros(len(label_rows), dtype=bool)
+
+    def evaluate(T, Y):
         """Margins, exp(-|margin|) and penalized losses (with no overflow) at thetas T."""
         Z = _row_products(T, X.T)
         E = np.exp(-np.abs(Z))
-        terms = np.log1p(E) + np.maximum(-Y[rows] * Z, 0.0)  # log(1 + exp(-y z))
+        terms = np.log1p(E) + np.maximum(-Y * Z, 0.0)  # log(1 + exp(-y z))
         return Z, E, terms.sum(axis=1) + 0.5 * ridge * (T * T).sum(axis=1)
 
-    def gradients(rows):
-        """Probabilities and penalized gradients at the current rows' thetas."""
-        P = _logistic(Z[rows], E[rows])
-        return P, _row_products(P - Y01[rows], X) + ridge * thetas[rows]
-
-    Z, E, loss = evaluate(thetas, slice(None))  # cached at each row's current theta
+    rows = np.arange(len(label_rows))
+    T = np.tile(theta0, (rows.size, 1))
+    Y = np.asarray(label_rows, dtype=float)
+    Z, E, loss = evaluate(T, Y)  # at each row's current theta
     if trace is not None:
         trace.append(loss.copy())
-    active = np.arange(K)     # rows still iterating
-    stopped = []              # rows that left the loop without meeting grad_tol
-    for _ in range(opts.max_iters):
-        if ridge == 0.0:
-            diverged = np.linalg.norm(thetas[active], axis=1) > DIVERGENCE_GUARD
-            separable[active[diverged]] = True
-            active = active[~diverged]
-        P, grad = gradients(active)
+    stalled = False  # some row's step halving found no decrease
+    for iteration in range(opts.max_iters + 1):
+        if ridge == 0.0 and iteration < opts.max_iters:
+            diverged = np.linalg.norm(T, axis=1) > DIVERGENCE_GUARD
+            if diverged.any():
+                separable[rows[diverged]] = True
+                rows, T, Y, Z, E, loss = (a[~diverged] for a in (rows, T, Y, Z, E, loss))
+        P = _logistic(Z, E)
+        grad = _row_products(P - (Y > 0.0), X) + ridge * T  # penalized gradients
         going = np.max(np.abs(grad), axis=1) > opts.grad_tol
-        active, P, grad = active[going], P[going], grad[going]
-        if active.size == 0:
+        if not going.all():
+            done = ~going
+            thetas[rows[done]] = T[done]
+            if ridge == 0.0:
+                # The gradient can sink below any tolerance by sheer underflow
+                # when the data is separable; a fitted direction that classifies
+                # every training point strictly correctly proves there is no
+                # finite optimum.
+                separable[rows[done]] = (np.any(T[done] != 0.0, axis=1)
+                                         & (np.min(Y[done] * Z[done], axis=1) > 0))
+            rows, T, Y, Z, E, loss, P, grad = (
+                a[going] for a in (rows, T, Y, Z, E, loss, P, grad))
+        if rows.size == 0:
             break
+        if iteration == opts.max_iters or stalled:
+            raise errors.NoConvergence(
+                f"gradient norm {np.max(np.abs(grad)):.3e} above tolerance {opts.grad_tol:g} "
+                f"after {opts.max_iters} iterations")
         W = P * (1.0 - P)  # each row's penalized Hessian is X' diag(w) X + ridge I
         if XX is None:
             H = np.matmul(X.T, W[:, :, None] * X) + ridge_eye
@@ -235,9 +257,10 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
         # Rank was verified above, so a non-PD Hessian means the Newton
         # weights collapsed on the way to an infinite optimum.
         factorizable = _cholesky_succeeds(H)
-        separable[active[~factorizable]] = True
-        active, grad, H = active[factorizable], grad[factorizable], H[factorizable]
-        T = thetas[active]
+        if not factorizable.all():
+            separable[rows[~factorizable]] = True
+            rows, T, Y, Z, E, loss, grad, H = (
+                a[factorizable] for a in (rows, T, Y, Z, E, loss, grad, H))
         step = np.linalg.solve(H, -grad[:, :, None])[:, :, 0]
         # grad' H^-1 grad / 2 is the decrease the full step achieves up to
         # higher-order terms. Once it sinks below the float resolution of the
@@ -245,43 +268,24 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
         # "pure" row takes the full Newton step (quadratic-convergence phase,
         # true loss drops by under one ulp) and its recorded loss stays monotone.
         predicted = -0.5 * (grad * step).sum(axis=1)
-        pure = predicted <= 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(loss[active]))
-        search, scale = np.arange(active.size), 1.0  # rows halving their step
-        accepted = np.zeros(active.size, dtype=bool)
+        pure = predicted <= 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(loss))
+        search, scale = np.arange(rows.size), 1.0  # rows halving their step
         for _ in range(MAX_HALVINGS + 1):
+            candidate = T[search] + scale * step[search]
+            cZ, cE, candidate_loss = evaluate(candidate, Y[search])
+            better = pure[search] | (candidate_loss <= loss[search])
+            took = search[better]
+            T[took], Z[took], E[took] = candidate[better], cZ[better], cE[better]
+            loss[took] = np.minimum(candidate_loss[better], loss[took])  # never increases
+            search, scale = search[~better], 0.5 * scale
             if search.size == 0:
                 break
-            candidate = T[search] + scale * step[search]
-            moved = np.any(candidate != T[search], axis=1)  # else halved below float resolution
-            search, candidate = search[moved], candidate[moved]
-            rows = active[search]
-            cZ, cE, candidate_loss = evaluate(candidate, rows)
-            better = pure[search] | (candidate_loss <= loss[rows])
-            rows = rows[better]
-            thetas[rows], Z[rows], E[rows] = candidate[better], cZ[better], cE[better]
-            loss[rows] = np.minimum(candidate_loss[better], loss[rows])  # never increases
-            accepted[search[better]] = True
-            search, scale = search[~better], 0.5 * scale
-        # observable decrease expected but not found: stop and re-check
-        stopped.append(active[~accepted])
-        active = active[accepted]
-        if trace is not None and active.size:
+        # A row left searching expected an observable decrease and found none.
+        # It keeps its theta, where the gradient is above grad_tol, so the next
+        # pass raises NoConvergence.
+        stalled = search.size > 0
+        if trace is not None:
             trace.append(loss.copy())
-    stopped.append(active)  # out of iterations
-
-    recheck = np.concatenate(stopped)
-    if recheck.size:
-        worst = np.max(np.abs(gradients(recheck)[1]))
-        if worst > opts.grad_tol:
-            raise errors.NoConvergence(
-                f"gradient norm {worst:.3e} above tolerance {opts.grad_tol:g} "
-                f"after {opts.max_iters} iterations")
-
-    if ridge == 0.0:
-        # The gradient can sink below any tolerance by sheer underflow when
-        # the data is separable; a fitted direction that classifies every
-        # training point strictly correctly proves there is no finite optimum.
-        separable |= np.any(thetas != 0.0, axis=1) & (np.min(Y * Z, axis=1) > 0)
     thetas[separable] = np.nan
     return thetas, separable
 

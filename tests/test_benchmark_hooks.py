@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import labelregret as lr
+from labelregret import errors
 
 import glm_reference as reference
 
@@ -62,3 +63,28 @@ def test_fit_trace_counts_the_reference_newton_steps(small_dataset, cluster_ss):
         _, reference_trace = reference.fit_logistic(data, opts, theta0=theta0,
                                                     return_trace=True)
         assert len(trace) - 1 == len(reference_trace) - 1 > 0
+
+
+def test_stalled_fit_raises_like_the_reference(small_dataset):
+    """A tolerance below rounding: the steps stop moving theta before the
+    gradient meets it. Both fits end in NoConvergence, so on this path no
+    trace comes back and the tracer counts the call as failed, not its steps."""
+    opts = lr.FitOptions(grad_tol=1e-300, max_iters=40, include_intercept=False)
+    for fit in (lr.fit_logistic, reference.fit_logistic):
+        with pytest.raises(errors.NoConvergence):
+            fit(small_dataset, opts, return_trace=True)
+
+
+def test_failed_step_halving_raises_like_the_reference(small_dataset, monkeypatch):
+    """With no halvings allowed, the first full Newton step from this warm
+    start raises the loss. Both fits stop there with the same NoConvergence,
+    so again no trace comes back."""
+    monkeypatch.setattr(lr.glm, "MAX_HALVINGS", 0)
+    monkeypatch.setattr(reference, "MAX_HALVINGS", 0)
+    opts = lr.FitOptions(include_intercept=False)
+    messages = []
+    for fit in (lr.fit_logistic, reference.fit_logistic):
+        with pytest.raises(errors.NoConvergence) as raised:
+            fit(small_dataset, opts, theta0=np.array([3.0, 3.0]), return_trace=True)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]

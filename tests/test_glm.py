@@ -96,16 +96,20 @@ class TestFitLogistic:
     def test_rank_deficient_raises(self):
         X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, -2.0]])
         data = lr.Dataset(X, [1, -1, 1, -1])
-        with pytest.raises(errors.SingularHessian):
+        with pytest.raises(errors.SingularHessian, match="^feature matrix has rank below 2 "):
             lr.fit_logistic(data, lr.FitOptions(include_intercept=False))
 
     def test_no_convergence_when_budget_tiny(self):
+        """The same error and message as the reference fit."""
         features = lr.gaussian_features(200, 2, 3)
         ss = lr.semisynthetic_from_model(features, lr.LogisticModel([1.0, -1.0]),
                                          lr.LabelDrawSeed(3))
-        with pytest.raises(errors.NoConvergence):
-            lr.fit_logistic(ss.base, lr.FitOptions(max_iters=1,
-                                                   include_intercept=False))
+        opts = lr.FitOptions(max_iters=1, include_intercept=False)
+        with pytest.raises(errors.NoConvergence) as raised:
+            lr.fit_logistic(ss.base, opts)
+        with pytest.raises(errors.NoConvergence) as expected:
+            reference.fit_logistic(ss.base, opts)
+        assert str(raised.value) == str(expected.value)
 
     def test_recovers_generating_parameters(self):
         """Consistency at n = 50000: the fit lands within 0.05 per coordinate
