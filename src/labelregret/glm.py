@@ -6,7 +6,11 @@ halving: a Cholesky factorization checks that the Hessian is positive
 definite, and np.linalg.solve takes the step. There is one implementation,
 fit_logistic_batch, which fits many label vectors on one feature matrix at
 once; fit_logistic is its one-row case and equals the matching batch row bit
-for bit. Labels are in {-1, +1} throughout.
+for bit. Without ridge, an iterate that gives every point a positive margin
+proves the labels separable, so that there is no finite optimum; this proof
+is checked on every pass, the warm start included, and such a row stops
+there. The rows of a block advance together, so a block runs as many passes
+as its slowest row still iterating. Labels are in {-1, +1} throughout.
 """
 
 from __future__ import annotations
@@ -119,12 +123,14 @@ def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
     The model equals, bit for bit, row k of any fit_logistic_batch call on the
     same design, options and theta0 whose row k holds these labels. A flagged
     row raises SingularHessian when no ridge is applied and the features are
-    rank deficient, and FitDiverged otherwise. With return_trace the penalized
+    rank deficient, and FitDiverged otherwise; without ridge, labels are
+    flagged as separable on the first pass, the warm start included, whose
+    theta gives every point a positive margin. With return_trace the penalized
     loss at the start and after each Newton step comes back with the model;
     it never increases, and its length less one is the number of steps.
     """
     X = design_matrix(data.features, opts.include_intercept)
-    trace = []
+    trace = [] if return_trace else None
     thetas, separable = _fit_rows(X, np.asarray(data.labels)[None, :], opts, theta0, trace)
     if separable[0]:
         d = X.shape[1]
@@ -143,7 +149,9 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     design_matrix) and label_rows a K x n matrix of {-1,+1} labels. Each row
     is fitted from theta0 (zeros when None) until the infinity norm of its
     penalized gradient is at most opts.grad_tol. The rows still iterating
-    advance together, and the step halving and stopping rules act per row.
+    advance together, so a block of rows runs as many passes as its slowest
+    row still iterating; the step halving and stopping rules act per row, and
+    a row leaves the block on the pass that finds it converged or separable.
 
     No row's arithmetic depends on the other rows or on K, so each row equals
     fit_logistic on its labels bit for bit. Every product with X is a
@@ -158,9 +166,10 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     Returns (thetas, separable): the K x d fitted parameters and a boolean
     K-vector, True (with NaN thetas) where a row has no finite unique optimum.
     That needs ridge 0 and either a rank-deficient design or linearly
-    separable data, shown by a parameter norm past DIVERGENCE_GUARD, a Hessian
-    that is not positive definite, or a fit that classifies every point
-    strictly correctly. Raises NoConvergence when another row is still above
+    separable data, shown by an iterate that classifies every point strictly
+    correctly (a proof checked on every pass, theta0 included), a parameter
+    norm past DIVERGENCE_GUARD before the last pass, or a Hessian that is not
+    positive definite. Raises NoConvergence when another row is still above
     opts.grad_tol after opts.max_iters steps, or when its step halving finds
     no decrease.
     """
@@ -199,68 +208,83 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
     """_fit_rows on one block of rows, after the rank check (XX None: no table).
 
     The loop holds only the rows still iterating: their block indices, thetas,
-    margins z, exp(-|z|), losses and labels. A row's results are written out
-    when it leaves, and the arrays shrink only when a row does.
+    labels (as -y and as 0/1), margins z, exp(-|z|) and losses. A row's results
+    are written out when it leaves, and the arrays shrink only when a row does.
+    The full Newton step is tried on the whole arrays; only the rows that
+    reject it are gathered to halve it.
     """
     d = X.shape[1]
+    XT = X.T
     ridge = opts.ridge
     ridge_eye = ridge * np.eye(d)
+    pure_floor = 16.0 * np.finfo(float).eps
     thetas = np.full((len(label_rows), d), np.nan)
     separable = np.zeros(len(label_rows), dtype=bool)
 
-    def evaluate(T, Y):
+    def evaluate(T, negY):
         """Margins, exp(-|margin|) and penalized losses (with no overflow) at thetas T."""
-        Z = _row_products(T, X.T)
+        Z = _row_products(T, XT)
         E = np.exp(-np.abs(Z))
-        terms = np.log1p(E) + np.maximum(-Y * Z, 0.0)  # log(1 + exp(-y z))
-        return Z, E, terms.sum(axis=1) + 0.5 * ridge * (T * T).sum(axis=1)
+        loss = (np.log1p(E) + np.maximum(negY * Z, 0.0)).sum(axis=1)  # log(1 + exp(-y z))
+        if ridge:
+            loss += 0.5 * ridge * (T * T).sum(axis=1)
+        return Z, E, loss
 
     rows = np.arange(len(label_rows))
     T = np.tile(theta0, (rows.size, 1))
     Y = np.asarray(label_rows, dtype=float)
-    Z, E, loss = evaluate(T, Y)  # at each row's current theta
+    negY, y01 = -Y, (Y > 0.0)
+    Z, E, loss = evaluate(T, negY)  # at each row's current theta
     if trace is not None:
         trace.append(loss.copy())
     stalled = False  # some row's step halving found no decrease
     for iteration in range(opts.max_iters + 1):
-        if ridge == 0.0 and iteration < opts.max_iters:
-            diverged = np.linalg.norm(T, axis=1) > DIVERGENCE_GUARD
-            if diverged.any():
-                separable[rows[diverged]] = True
-                rows, T, Y, Z, E, loss = (a[~diverged] for a in (rows, T, Y, Z, E, loss))
+        if ridge == 0.0:
+            # A theta that gives every point a positive margin (and so is not
+            # 0) proves the labels separable: there is no finite optimum. The
+            # gradient of such a row can even sink below any tolerance by
+            # sheer underflow. Before the last pass, a parameter norm past
+            # DIVERGENCE_GUARD declares a row separable too.
+            leaving = (negY * Z).max(axis=1) < 0.0
+            if iteration < opts.max_iters:
+                leaving |= np.sqrt((T * T).sum(axis=1)) > DIVERGENCE_GUARD
+            if leaving.any():
+                separable[rows[leaving]] = True
+                if leaving.all():
+                    break
+                rows, T, negY, y01, Z, E, loss = (
+                    a[~leaving] for a in (rows, T, negY, y01, Z, E, loss))
         P = _logistic(Z, E)
-        grad = _row_products(P - (Y > 0.0), X) + ridge * T  # penalized gradients
+        grad = _row_products(P - y01, X)  # penalized gradients
+        if ridge:
+            grad += ridge * T
         going = np.max(np.abs(grad), axis=1) > opts.grad_tol
         if not going.all():
-            done = ~going
-            thetas[rows[done]] = T[done]
-            if ridge == 0.0:
-                # The gradient can sink below any tolerance by sheer underflow
-                # when the data is separable; a fitted direction that classifies
-                # every training point strictly correctly proves there is no
-                # finite optimum.
-                separable[rows[done]] = (np.any(T[done] != 0.0, axis=1)
-                                         & (np.min(Y[done] * Z[done], axis=1) > 0))
-            rows, T, Y, Z, E, loss, P, grad = (
-                a[going] for a in (rows, T, Y, Z, E, loss, P, grad))
-        if rows.size == 0:
-            break
+            thetas[rows[~going]] = T[~going]
+            if not going.any():
+                break
+            rows, T, negY, y01, Z, E, loss, P, grad = (
+                a[going] for a in (rows, T, negY, y01, Z, E, loss, P, grad))
         if iteration == opts.max_iters or stalled:
             raise errors.NoConvergence(
                 f"gradient norm {np.max(np.abs(grad)):.3e} above tolerance {opts.grad_tol:g} "
                 f"after {opts.max_iters} iterations")
         W = P * (1.0 - P)  # each row's penalized Hessian is X' diag(w) X + ridge I
         if XX is None:
-            H = np.matmul(X.T, W[:, :, None] * X) + ridge_eye
+            H = np.matmul(XT, W[:, :, None] * X)
         else:
-            H = _row_products(W, XX).reshape(-1, d, d) + ridge_eye
+            H = _row_products(W, XX).reshape(-1, d, d)
+        if ridge:
+            H += ridge_eye
         # Rank was verified above, so a non-PD Hessian means the Newton
         # weights collapsed on the way to an infinite optimum.
         factorizable = _cholesky_succeeds(H)
         if not factorizable.all():
             separable[rows[~factorizable]] = True
-            rows, T, Y, Z, E, loss, grad, H = (
-                a[factorizable] for a in (rows, T, Y, Z, E, loss, grad, H))
+            if not factorizable.any():
+                break
+            rows, T, negY, y01, Z, E, loss, grad, H = (
+                a[factorizable] for a in (rows, T, negY, y01, Z, E, loss, grad, H))
         step = np.linalg.solve(H, -grad[:, :, None])[:, :, 0]
         # grad' H^-1 grad / 2 is the decrease the full step achieves up to
         # higher-order terms. Once it sinks below the float resolution of the
@@ -268,22 +292,30 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
         # "pure" row takes the full Newton step (quadratic-convergence phase,
         # true loss drops by under one ulp) and its recorded loss stays monotone.
         predicted = -0.5 * (grad * step).sum(axis=1)
-        pure = predicted <= 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(loss))
-        search, scale = np.arange(rows.size), 1.0  # rows halving their step
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = T[search] + scale * step[search]
-            cZ, cE, candidate_loss = evaluate(candidate, Y[search])
-            better = pure[search] | (candidate_loss <= loss[search])
-            took = search[better]
-            T[took], Z[took], E[took] = candidate[better], cZ[better], cE[better]
-            loss[took] = np.minimum(candidate_loss[better], loss[took])  # never increases
-            search, scale = search[~better], 0.5 * scale
-            if search.size == 0:
-                break
-        # A row left searching expected an observable decrease and found none.
-        # It keeps its theta, where the gradient is above grad_tol, so the next
-        # pass raises NoConvergence.
-        stalled = search.size > 0
+        pure = predicted <= pure_floor * np.maximum(1.0, np.abs(loss))
+        candidate = T + step
+        cZ, cE, c_loss = evaluate(candidate, negY)
+        better = pure | (c_loss <= loss)
+        if better.all():
+            T, Z, E, loss = candidate, cZ, cE, np.minimum(c_loss, loss)
+            stalled = False
+        else:
+            search, scale = np.arange(rows.size), 1.0  # rows halving their step
+            for halving in range(MAX_HALVINGS + 1):
+                if halving:
+                    candidate = T[search] + scale * step[search]
+                    cZ, cE, c_loss = evaluate(candidate, negY[search])
+                    better = pure[search] | (c_loss <= loss[search])
+                took = search[better]
+                T[took], Z[took], E[took] = candidate[better], cZ[better], cE[better]
+                loss[took] = np.minimum(c_loss[better], loss[took])  # never increases
+                search, scale = search[~better], 0.5 * scale
+                if search.size == 0:
+                    break
+            # A row left searching expected an observable decrease and found
+            # none. It keeps its theta, where the gradient is above grad_tol,
+            # so the next pass raises NoConvergence.
+            stalled = search.size > 0
         if trace is not None:
             trace.append(loss.copy())
     thetas[separable] = np.nan

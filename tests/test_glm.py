@@ -146,11 +146,14 @@ class TestFitLogistic:
                                    atol=10 * opts.grad_tol)
 
     def test_loss_trace_never_increases(self, cluster_ss):
-        _, trace = lr.fit_logistic(cluster_ss.base,
-                                   lr.FitOptions(include_intercept=False),
-                                   return_trace=True)
-        assert len(trace) >= 2
-        assert np.all(np.diff(trace) <= 0.0)
+        """Also where the last, pure, Newton step raises the computed loss by
+        a rounding error, which the recorded loss must not show."""
+        rounding = lr.gaussian_semisynthetic(200, 2, [1.0, -0.5], 23).base
+        for data in (cluster_ss.base, rounding):
+            _, trace = lr.fit_logistic(data, lr.FitOptions(include_intercept=False),
+                                       return_trace=True)
+            assert len(trace) >= 2
+            assert np.all(np.diff(trace) <= 0.0)
 
     def test_warm_start_reaches_same_optimum(self, cluster_ss):
         opts = lr.FitOptions(include_intercept=False)
@@ -283,6 +286,95 @@ class TestSingleFitIsABatchRow:
         for k in (0, 7):
             alone, _ = trainer.fit_many(data, label_rows[k:k + 1], features, None)
             np.testing.assert_array_equal(alone[0], once[k])
+
+
+class TestSeparabilityProof:
+    """At ridge 0 a row leaves as separable on the first pass, the warm start
+    included, where its theta gives every point a positive margin."""
+
+    def test_separable_rows_leave_within_a_small_budget(self):
+        """Every assignment of a 6-point set: at max_iters=8 the engine flags
+        the rows the reference flags at the default budget of 100."""
+        features = np.array([[-1.5], [-0.7], [-0.2], [0.4], [0.9], [1.8]])
+        label_rows = all_assignments(6)
+        expected, raised = per_row_fits(features, label_rows,
+                                        lr.FitOptions(include_intercept=False))
+        thetas, separable = fit_logistic_batch(
+            features, label_rows, lr.FitOptions(max_iters=8, include_intercept=False))
+        assert 0 < raised.sum() < len(label_rows)
+        np.testing.assert_array_equal(separable, raised)
+        np.testing.assert_allclose(thetas, expected, rtol=0, atol=1e-9)
+
+    def test_separating_warm_start_leaves_before_any_step(self):
+        X = np.array([[-1.0], [0.5], [2.0]])
+        trace = []
+        thetas, separable = glm._fit_rows(X, np.array([[-1, 1, 1]]),
+                                          lr.FitOptions(include_intercept=False),
+                                          np.array([0.1]), trace)
+        assert separable.tolist() == [True] and np.isnan(thetas).all()
+        assert len(trace) == 1
+
+    def test_small_budget_separable_fit_diverges(self):
+        """Two steps leave no room for the norm guard, but the second iterate
+        separates the points, so the fit raises FitDiverged (which sends a
+        resample down the ridge ladder), not NoConvergence."""
+        data = lr.Dataset([[-1.0], [1.0]], [-1, 1])
+        with pytest.raises(errors.FitDiverged):
+            lr.fit_logistic(data, lr.FitOptions(max_iters=2, include_intercept=False))
+
+
+def test_failed_step_halving_stops_on_the_next_pass(small_dataset, monkeypatch):
+    """With no halvings allowed, the full step from this warm start raises the
+    loss: the row keeps its theta, and the next pass raises NoConvergence
+    instead of repeating the step until max_iters."""
+    monkeypatch.setattr(glm, "MAX_HALVINGS", 0)
+    X = design_matrix(small_dataset.features, False)
+    trace = []
+    with pytest.raises(errors.NoConvergence):
+        glm._fit_rows(X, small_dataset.labels[None, :], lr.FitOptions(include_intercept=False),
+                      np.array([3.0, 3.0]), trace)
+    assert len(trace) == 2
+
+
+def random_fit_case(gen):
+    """A small random fit: (dataset, options, warm start or None). About one
+    design in eight is rank deficient, by a repeated or a zero column."""
+    n, n_features = int(gen.integers(2, 14)), int(gen.integers(1, 4))
+    features = gen.normal(0.0, 1.5, (n, n_features))
+    if n_features > 1 and gen.random() < 0.125:
+        features[:, -1] = 0.0 if gen.random() < 0.5 else 2.0 * features[:, 0]
+    probs = lr.sigmoid(features @ gen.normal(0.0, 1.5, n_features) + gen.normal(0.0, 0.5))
+    labels = np.where(gen.random(n) < probs, 1, -1)
+    opts = lr.FitOptions(ridge=float(gen.choice([0.0, 1e-6, 0.1])),
+                         include_intercept=bool(gen.random() < 0.5))
+    d = n_features + opts.include_intercept
+    theta0 = gen.normal(0.0, 0.5, d) if gen.random() < 0.3 else None
+    return lr.Dataset(features, labels), opts, theta0
+
+
+def fit_outcome(fit, data, opts, theta0):
+    """(class name, theta): "fit" with the fitted theta, or the error's class."""
+    try:
+        return "fit", fit(data, opts, theta0=theta0).theta
+    except errors.LabelRegretError as exc:
+        return type(exc).__name__, None
+
+
+def test_engine_matches_the_reference_on_random_fits():
+    """400 seeded random fits: the same outcome class as the reference, and
+    the same theta within 1e-9 of its largest entry."""
+    gen = np.random.default_rng(2507)
+    outcomes = []
+    for _ in range(400):
+        data, opts, theta0 = random_fit_case(gen)
+        outcome, theta = fit_outcome(lr.fit_logistic, data, opts, theta0)
+        expected, expected_theta = fit_outcome(reference.fit_logistic, data, opts, theta0)
+        assert outcome == expected
+        if theta is not None:
+            np.testing.assert_allclose(theta, expected_theta, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(expected_theta)))
+        outcomes.append(outcome)
+    assert {"fit", "FitDiverged", "SingularHessian"} <= set(outcomes)
 
 
 class TestLogLoss:
