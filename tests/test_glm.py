@@ -288,9 +288,10 @@ class TestSingleFitIsABatchRow:
             np.testing.assert_array_equal(alone[0], once[k])
 
 
-class TestSeparabilityProof:
+class TestSeparableRowsLeave:
     """At ridge 0 a row leaves as separable on the first pass, the warm start
-    included, where its theta gives every point a positive margin."""
+    included, where its theta gives every point a positive margin, and also
+    past the norm guard or when its Hessian fails the Cholesky test."""
 
     def test_separable_rows_leave_within_a_small_budget(self):
         """Every assignment of a 6-point set: at max_iters=8 the engine flags
@@ -306,6 +307,8 @@ class TestSeparabilityProof:
         np.testing.assert_allclose(thetas, expected, rtol=0, atol=1e-9)
 
     def test_separating_warm_start_leaves_before_any_step(self):
+        """The warm start already separates the labels, so the row leaves on
+        the first pass and its loss trace holds the start alone."""
         X = np.array([[-1.0], [0.5], [2.0]])
         trace = []
         thetas, separable = glm._fit_rows(X, np.array([[-1, 1, 1]]),
@@ -313,6 +316,24 @@ class TestSeparabilityProof:
                                           np.array([0.1]), trace)
         assert separable.tolist() == [True] and np.isnan(thetas).all()
         assert len(trace) == 1
+
+    def test_norm_guard_and_collapsed_weights_flag_rows_like_the_reference(self):
+        """Signs of separability other than the margin proof. On a nearly
+        collinear design some rows have their optimum past DIVERGENCE_GUARD.
+        From a warm start so far out that every Newton weight underflows,
+        each Hessian fails the Cholesky test."""
+        x = np.array([0.12, -1.41, 0.91, 0.23])
+        collinear = np.column_stack([x, x + 1e-6 * np.array([1.0, 1.0, 2.0, -3.0])])
+        cases = [(collinear, all_assignments(4), None),
+                 (np.array([[1.0], [2.0], [-1.0]]), np.array([[1, -1, -1], [-1, 1, -1]]),
+                  np.array([1000.0]))]
+        opts = lr.FitOptions(include_intercept=False)
+        for features, label_rows, theta0 in cases:
+            expected, raised = per_row_fits(features, label_rows, opts, theta0)
+            thetas, separable = fit_logistic_batch(features, label_rows, opts, theta0=theta0)
+            assert raised.any()
+            np.testing.assert_array_equal(separable, raised)
+            np.testing.assert_allclose(thetas, expected, rtol=1e-9, atol=1e-9)
 
     def test_small_budget_separable_fit_diverges(self):
         """Two steps leave no room for the norm guard, but the second iterate
@@ -353,26 +374,29 @@ def random_fit_case(gen):
 
 
 def fit_outcome(fit, data, opts, theta0):
-    """(class name, theta): "fit" with the fitted theta, or the error's class."""
+    """("fit", theta, loss trace) for a fit, or (the error's class, None, None)."""
     try:
-        return "fit", fit(data, opts, theta0=theta0).theta
+        model, trace = fit(data, opts, theta0=theta0, return_trace=True)
+        return "fit", model.theta, np.array(trace)
     except errors.LabelRegretError as exc:
-        return type(exc).__name__, None
+        return type(exc).__name__, None, None
 
 
 def test_engine_matches_the_reference_on_random_fits():
-    """400 seeded random fits: the same outcome class as the reference, and
-    the same theta within 1e-9 of its largest entry."""
+    """400 seeded random fits: the same outcome class as the reference, the
+    same theta within 1e-9 of its largest entry, and the same loss trace."""
     gen = np.random.default_rng(2507)
     outcomes = []
     for _ in range(400):
         data, opts, theta0 = random_fit_case(gen)
-        outcome, theta = fit_outcome(lr.fit_logistic, data, opts, theta0)
-        expected, expected_theta = fit_outcome(reference.fit_logistic, data, opts, theta0)
+        outcome, theta, trace = fit_outcome(lr.fit_logistic, data, opts, theta0)
+        expected, expected_theta, expected_trace = fit_outcome(
+            reference.fit_logistic, data, opts, theta0)
         assert outcome == expected
         if theta is not None:
             np.testing.assert_allclose(theta, expected_theta, rtol=0,
                                        atol=1e-9 * np.max(np.abs(expected_theta)))
+            np.testing.assert_allclose(trace, expected_trace, rtol=1e-9)
         outcomes.append(outcome)
     assert {"fit", "FitDiverged", "SingularHessian"} <= set(outcomes)
 
