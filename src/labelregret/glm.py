@@ -89,6 +89,10 @@ class LogisticModel:
         """Number of data columns the model expects (intercept excluded)."""
         return self.theta.size - (1 if self.includes_intercept else 0)
 
+    def __call__(self, x):
+        """The model as a predictor: predict_proba(self, x)."""
+        return predict_proba(self, x)
+
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -169,9 +173,9 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     separable data, shown by an iterate that classifies every point strictly
     correctly (a proof checked on every pass, theta0 included), a parameter
     norm past DIVERGENCE_GUARD before the last pass, or a Hessian that is not
-    positive definite. Raises NoConvergence when another row is still above
-    opts.grad_tol after opts.max_iters steps, or when its step halving finds
-    no decrease.
+    positive definite or that np.linalg.solve finds singular. Raises
+    NoConvergence when another row is still above opts.grad_tol after
+    opts.max_iters steps, or when its step halving finds no decrease.
     """
     return _fit_rows(X, label_rows, opts, theta0, None)
 
@@ -276,16 +280,16 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
             H = _row_products(W, XX).reshape(-1, d, d)
         if ridge:
             H += ridge_eye
-        # Rank was verified above, so a non-PD Hessian means the Newton
-        # weights collapsed on the way to an infinite optimum.
-        factorizable = _cholesky_succeeds(H)
-        if not factorizable.all():
-            separable[rows[~factorizable]] = True
-            if not factorizable.any():
+        # Rank was verified above, so a Hessian with no step (not PD, or
+        # singular in floating point) means the Newton weights collapsed on
+        # the way to an infinite optimum.
+        step, solvable = _newton_steps(H, grad)
+        if not solvable.all():
+            separable[rows[~solvable]] = True
+            if not solvable.any():
                 break
-            rows, T, negY, y01, Z, E, loss, grad, H = (
-                a[factorizable] for a in (rows, T, negY, y01, Z, E, loss, grad, H))
-        step = np.linalg.solve(H, -grad[:, :, None])[:, :, 0]
+            rows, T, negY, y01, Z, E, loss, grad, step = (
+                a[solvable] for a in (rows, T, negY, y01, Z, E, loss, grad, step))
         # grad' H^-1 grad / 2 is the decrease the full step achieves up to
         # higher-order terms. Once it sinks below the float resolution of the
         # loss value, a loss-based line search only sees rounding noise; such a
@@ -327,19 +331,22 @@ def _row_products(A, B):
     return np.matmul(A[:, None, :], B)[:, 0, :]
 
 
-def _cholesky_succeeds(H) -> np.ndarray:
-    """For each matrix of the stack H, whether its Cholesky factorization exists."""
+def _newton_steps(H, grad):
+    """Newton steps -H[k]^-1 grad[k] of a stack, and whether each exists: H[k]
+    must pass the Cholesky test, and rounding can still make the solve find it
+    singular. Solving one H[k] alone gives the same bits as solving the stack."""
     try:
         np.linalg.cholesky(H)
-        return np.ones(len(H), dtype=bool)
+        return np.linalg.solve(H, -grad[:, :, None])[:, :, 0], np.ones(len(H), dtype=bool)
     except np.linalg.LinAlgError:
-        ok = np.ones(len(H), dtype=bool)
+        step, ok = np.zeros_like(grad), np.ones(len(H), dtype=bool)
         for k, h in enumerate(H):
             try:
                 np.linalg.cholesky(h)
+                step[k] = np.linalg.solve(h, -grad[k])
             except np.linalg.LinAlgError:
                 ok[k] = False
-        return ok
+        return step, ok
 
 
 def predict_proba(model: LogisticModel, x):
@@ -454,80 +461,66 @@ class TrainerHandle:
     """A deterministic training procedure usable by the resampling estimators.
 
     fit maps a Dataset to a predictor (feature matrix -> probabilities).
-    Subclasses may additionally support warm starts, which the estimators use
-    to start each refit from the base optimum, and ridge-escalation refits for
-    resamples that turn out separable. fit_many is the estimators' entry
-    point for many refits on one feature matrix; subclasses may override it
-    with a batched implementation that gives the same results, as
-    LogisticTrainer does: its separable rows go down the ladder one rung per
-    batch instead of one row at a time.
+    start, where given, is a predictor that an earlier fit of the same trainer
+    returned; a trainer may start its optimizer there (the estimators pass the
+    base fit, so that every refit starts from the base optimum), and a trainer
+    with nothing to warm-start ignores it. fit_many is the estimators' entry
+    point for many refits on one feature matrix. Only LogisticTrainer has a
+    ridge-fallback ladder for resamples that turn out separable; any other
+    trainer's fit errors propagate.
     """
 
     name = "trainer"
 
-    def fit(self, data: "Dataset") -> Predictor:
+    def fit(self, data: "Dataset", start=None) -> Predictor:
         raise NotImplementedError
 
-    def warm_fit(self, data: "Dataset", state):
-        """Fit reusing an opaque warm-start state; returns (predictor, state)."""
-        return self.fit(data), state
+    def fit_many(self, data: "Dataset", label_rows, eval_features, start=None):
+        """Refit on data's features once per row of label_rows, each from start.
 
-    def fit_with_extra_ridge(self, data: "Dataset", extra_ridge: float) -> Predictor:
-        raise errors.RefitFallbackExhausted(
-            f"trainer {self.name!r} has no ridge fallback")
-
-    def fit_many(self, data: "Dataset", label_rows, eval_features, warm_state):
-        """Refit on data's features once per row of label_rows.
-
-        Every refit starts from warm_state and falls back to the ridge ladder
-        when its resample is separable (see fit_with_fallback). Returns the
-        K x m predictions at eval_features and the number of refits that
-        needed the ladder.
+        Returns the K x m predictions at eval_features and the number of
+        refits that needed a ridge fallback: always 0 here, where each row is
+        one fit call. Subclasses may override this with a batched
+        implementation that gives the same rows, as LogisticTrainer does.
         """
         samples = np.empty((len(label_rows), np.asarray(eval_features).shape[0]))
-        n_fallbacks = 0
         for k, labels in enumerate(label_rows):
-            predictor, _, used_fallback = fit_with_fallback(
-                self, data.with_labels(labels), warm_state)
-            samples[k] = predictor(eval_features)
-            n_fallbacks += used_fallback
-        return samples, n_fallbacks
+            samples[k] = self.fit(data.with_labels(labels), start)(eval_features)
+        return samples, 0
 
 
 class LogisticTrainer(TrainerHandle):
-    """Logistic regression trainer around fit_logistic."""
+    """Logistic regression trainer around fit_logistic, whose predictors are the
+    fitted LogisticModels. fit starts Newton's method at start.theta; fit_many
+    has the package's only ridge fallback, the FALLBACK_RIDGES ladder."""
 
     def __init__(self, opts: FitOptions = FitOptions()):
         self.opts = opts
         self.name = f"logistic(ridge={opts.ridge:g})"
 
-    def _predictor(self, model: LogisticModel) -> Predictor:
-        return lambda X: predict_proba(model, X)
+    def fit(self, data: "Dataset", start: "LogisticModel | None" = None) -> LogisticModel:
+        return fit_logistic(data, self.opts, theta0=None if start is None else start.theta)
 
-    def fit(self, data: "Dataset") -> Predictor:
-        return self._predictor(fit_logistic(data, self.opts))
+    def fit_with_extra_ridge(self, data: "Dataset", extra_ridge: float) -> LogisticModel:
+        """A cold fit with extra_ridge added to the trainer's ridge."""
+        return fit_logistic(data, replace(self.opts, ridge=self.opts.ridge + extra_ridge))
 
-    def warm_fit(self, data: "Dataset", state):
-        model = fit_logistic(data, self.opts, theta0=state)
-        return self._predictor(model), np.array(model.theta)
-
-    def fit_with_extra_ridge(self, data: "Dataset", extra_ridge: float) -> Predictor:
-        opts = replace(self.opts, ridge=self.opts.ridge + extra_ridge)
-        return self._predictor(fit_logistic(data, opts))
-
-    def fit_many(self, data: "Dataset", label_rows, eval_features, warm_state):
-        """All refits in one fit_logistic_batch call, then one call per ladder rung.
+    def fit_many(self, data: "Dataset", label_rows, eval_features, start=None):
+        """All refits in one fit_logistic_batch call from start.theta (zeros
+        without a start), then one call per ladder rung.
 
         The rows the first call marks separable go down FALLBACK_RIDGES
         together: each rung refits the rows still pending from a cold start,
         as fit_with_extra_ridge does, and passes on only those still separable.
-        Row k of the samples is the same whatever other rows share the call or
-        a rung: no engine row depends on another, nor does a row's prediction.
+        The count returned is the number of rows that needed a rung. Row k of
+        the samples is the same whatever other rows share the call or a rung:
+        no engine row depends on another, nor does a row's prediction.
         """
         include = self.opts.include_intercept
         X = design_matrix(data.features, include)
         label_rows = np.asarray(label_rows)
-        thetas, separable = fit_logistic_batch(X, label_rows, self.opts, theta0=warm_state)
+        thetas, separable = fit_logistic_batch(
+            X, label_rows, self.opts, theta0=None if start is None else start.theta)
         pending = np.flatnonzero(separable)
         n_fallbacks = pending.size
         for extra in FALLBACK_RIDGES:
@@ -537,7 +530,9 @@ class LogisticTrainer(TrainerHandle):
             thetas[pending], separable = fit_logistic_batch(X, label_rows[pending], opts)
             pending = pending[separable]
         if pending.size:
-            raise _ladder_exhausted()
+            top = f"up to {FALLBACK_RIDGES[-1]:g}" if FALLBACK_RIDGES else "(the ladder is empty)"
+            raise errors.RefitFallbackExhausted(
+                f"resample could not be fit even with extra ridge {top}")
         samples = sigmoid(_row_products(thetas, design_matrix(eval_features, include).T))
         return samples, n_fallbacks
 
@@ -552,7 +547,7 @@ class EchoTrainer(TrainerHandle):
 
     name = "echo"
 
-    def fit(self, data: "Dataset") -> Predictor:
+    def fit(self, data: "Dataset", start=None) -> Predictor:
         labels01 = (np.asarray(data.labels, dtype=float) + 1.0) / 2.0
         train_features = data.features
 
@@ -575,40 +570,9 @@ class ConstantTrainer(TrainerHandle):
         self.value = float(value)
         self.name = f"constant({value:g})"
 
-    def fit(self, data: "Dataset") -> Predictor:
+    def fit(self, data: "Dataset", start=None) -> Predictor:
         value = self.value
         return lambda X: np.full(np.atleast_2d(np.asarray(X)).shape[0], value)
-
-
-def fit_with_fallback(trainer: TrainerHandle, data: "Dataset", warm_state):
-    """Fit, escalating through FALLBACK_RIDGES when a resample is separable.
-
-    Returns (predictor, new_warm_state, fallback_used). The warm state only
-    advances on a clean fit.
-    """
-    try:
-        predictor, new_state = trainer.warm_fit(data, warm_state)
-        return predictor, new_state, False
-    except (errors.FitDiverged, errors.SingularHessian):
-        pass
-    return fit_on_ridge_ladder(trainer, data), warm_state, True
-
-
-def fit_on_ridge_ladder(trainer: TrainerHandle, data: "Dataset") -> Predictor:
-    """Predictor of the first FALLBACK_RIDGES rung at which the data can be fit."""
-    for extra in FALLBACK_RIDGES:
-        try:
-            return trainer.fit_with_extra_ridge(data, extra)
-        except (errors.FitDiverged, errors.SingularHessian):
-            continue
-    raise _ladder_exhausted()
-
-
-def _ladder_exhausted() -> errors.RefitFallbackExhausted:
-    """The error for a resample that no FALLBACK_RIDGES rung could fit."""
-    top = f"up to {FALLBACK_RIDGES[-1]:g}" if FALLBACK_RIDGES else "(the ladder is empty)"
-    return errors.RefitFallbackExhausted(
-        f"resample could not be fit even with extra ridge {top}")
 
 
 # ---------------------------------------------------------------------------

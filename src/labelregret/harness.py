@@ -20,8 +20,7 @@ from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset,
                       gaussian_features, load_csv, semisynthetic_from_model,
                       two_cluster_population)
 from .glm import (FitOptions, LogisticTrainer, TrainerHandle, bernoulli_kl,
-                  fit_logistic, fit_with_fallback, LogisticModel, mean_kl,
-                  predict_proba)
+                  fit_logistic, LogisticModel, mean_kl, predict_proba)
 from .regret import _initial_fit, _prediction_samples, estimate_regret, true_regret
 from .theory import q_values
 
@@ -162,9 +161,10 @@ class ActiveLearningTrace:
 
 
 def _pool_scores(ss: SemiSyntheticDataset, labeled: np.ndarray, pool: np.ndarray,
-                 predictor, warm_state, trainer: TrainerHandle, K: int,
+                 predictor, trainer: TrainerHandle, K: int,
                  strategy: str, seed: int, step: int) -> np.ndarray:
-    """Acquisition scores for the pool points under one strategy."""
+    """Acquisition scores for the pool points under one strategy; the
+    resampled refits start from predictor, the current fit."""
     if strategy == "uniform":
         return rng.substream(seed, rng.UNIFORM_ACQUISITION, step).random(pool.size)
     features = ss.base.features
@@ -176,7 +176,7 @@ def _pool_scores(ss: SemiSyntheticDataset, labeled: np.ndarray, pool: np.ndarray
         resample_probs = ss.true_probs[labeled]
     step_seed = rng.derive_master(seed, rng.ACQUISITION_SCORE, step)
     samples, _ = _prediction_samples(labeled_data, resample_probs, features[pool],
-                                     trainer, K, step_seed, warm_state)
+                                     trainer, K, step_seed, predictor)
     return samples.var(axis=0, ddof=1)
 
 
@@ -211,20 +211,17 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
 
     features = ss.base.features
 
-    def fit_labeled(current, warm):
-        data = Dataset(features[current], ss.base.labels[current], ss.base.feature_names)
-        return fit_with_fallback(trainer, data, warm)
+    def labeled_data():
+        return Dataset(features[labeled], ss.base.labels[labeled], ss.base.feature_names)
 
-    predictor, warm_state = _initial_fit(
-        trainer, Dataset(features[labeled], ss.base.labels[labeled],
-                         ss.base.feature_names))
+    predictor = _initial_fit(trainer, labeled_data())
 
     trace_n = [int(labeled.size)]
     trace_kl = [mean_kl(ss.true_probs, predictor(features))]
 
     step = 0
     while pool.size and (n_batches is None or step < n_batches):
-        scores = _pool_scores(ss, labeled, pool, predictor, warm_state, trainer,
+        scores = _pool_scores(ss, labeled, pool, predictor, trainer,
                               K, strategy, seed, step)
         take = min(batch, pool.size)
         # descending rounded score, ties toward the smaller point index
@@ -232,7 +229,10 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
         chosen = pool[order[:take]]
         labeled = np.sort(np.concatenate([labeled, chosen]))
         pool = np.setdiff1d(pool, chosen, assume_unique=True)
-        predictor, warm_state, _ = fit_labeled(labeled, warm_state)
+        # No ridge ladder here: the labeled set only grows from one that
+        # fitted cleanly, and a superset of non-separable, full-rank rows is
+        # neither separable nor rank deficient.
+        predictor = trainer.fit(labeled_data(), predictor)
         trace_n.append(int(labeled.size))
         trace_kl.append(mean_kl(ss.true_probs, predictor(features)))
         step += 1

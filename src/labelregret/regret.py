@@ -17,8 +17,8 @@ import numpy as np
 from . import errors, rng
 from ._io import dump_json, write_table
 from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_rows
-# The ladder is defined with the trainers; it stays importable from here.
-from .glm import FALLBACK_RIDGES, TrainerHandle, fit_with_fallback
+# The mc_separable benchmark oracle imports FALLBACK_RIDGES from this module.
+from .glm import FALLBACK_RIDGES, TrainerHandle
 
 ENUMERATION_LIMIT = 22
 # Assignments refit together by one fit_many call during enumeration.
@@ -117,23 +117,24 @@ def point_deviations(preds_a, preds_b) -> DeviationReport:
 
 
 def _initial_fit(trainer: TrainerHandle, data: Dataset):
+    """The trainer's fit on data: the base predictor and every refit's start."""
     try:
-        return trainer.warm_fit(data, None)
+        return trainer.fit(data)
     except errors.LabelRegretError as exc:
         raise errors.InitialFitFailed(f"initial fit failed: {exc}") from exc
 
 
 def _prediction_samples(train: Dataset, resample_probs, eval_features,
-                        trainer: TrainerHandle, K: int, master_seed: int,
-                        warm_state):
+                        trainer: TrainerHandle, K: int, master_seed: int, start):
     """K x m matrix of predictions at eval_features across label resamples,
     plus the number of refits that needed the ridge fallback.
 
     Resample k draws its labels from stream k of the master seed and every
-    refit starts from warm_state, so row k-1 is the same refit whatever K is.
+    refit starts from the predictor start, so row k-1 is the same refit
+    whatever K is.
     """
     labels = draw_label_rows(resample_probs, master_seed, K)
-    return trainer.fit_many(train, labels, eval_features, warm_state)
+    return trainer.fit_many(train, labels, eval_features, start)
 
 
 def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
@@ -167,10 +168,10 @@ def estimate_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *,
     """
     if K < 2:
         raise errors.TooFewResamples(f"K must be at least 2, got {K}")
-    predictor, warm_state = _initial_fit(trainer, data)
+    predictor = _initial_fit(trainer, data)
     base_pred = np.asarray(predictor(data.features), dtype=float)
     samples, n_fallbacks = _prediction_samples(
-        data, base_pred, data.features, trainer, K, seed, warm_state)
+        data, base_pred, data.features, trainer, K, seed, predictor)
     return _sampling_report(samples, base_pred, "monte_carlo", seed,
                             trainer.name, n_fallbacks, keep_samples)
 
@@ -180,10 +181,10 @@ def true_regret(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int, seed: 
     """Regret under the ground truth: labels resampled from the true probabilities."""
     if K < 2:
         raise errors.TooFewResamples(f"K must be at least 2, got {K}")
-    predictor, warm_state = _initial_fit(trainer, ss.base)
+    predictor = _initial_fit(trainer, ss.base)
     base_pred = np.asarray(predictor(ss.base.features), dtype=float)
     samples, n_fallbacks = _prediction_samples(
-        ss.base, ss.true_probs, ss.base.features, trainer, K, seed, warm_state)
+        ss.base, ss.true_probs, ss.base.features, trainer, K, seed, predictor)
     return _sampling_report(samples, base_pred, "true_resample", seed,
                             trainer.name, n_fallbacks, keep_samples)
 
@@ -193,11 +194,12 @@ def bootstrap_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *
     """Row-resampling baseline: refit on K bootstrap replicates of the rows.
 
     Unlike the label-resampling estimators this keeps every observed label
-    attached to its point; it never flips a label, only reweights rows.
+    attached to its point; it never flips a label, only reweights rows. Each
+    replicate is one one-row fit_many call started from the base fit.
     """
     if K < 2:
         raise errors.TooFewResamples(f"K must be at least 2, got {K}")
-    predictor, warm_state = _initial_fit(trainer, data)
+    predictor = _initial_fit(trainer, data)
     base_pred = np.asarray(predictor(data.features), dtype=float)
     n = data.n_points
     samples = np.empty((K, n))
@@ -206,8 +208,8 @@ def bootstrap_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *
     for k, gen in enumerate(streams):
         rows = gen.integers(0, n, size=n)
         replicate = Dataset(data.features[rows], data.labels[rows], data.feature_names)
-        pred, _, used_fallback = fit_with_fallback(trainer, replicate, warm_state)
-        samples[k] = pred(data.features)
+        samples[k:k + 1], used_fallback = trainer.fit_many(
+            replicate, replicate.labels[None], data.features, predictor)
         n_fallbacks += used_fallback
     return _sampling_report(samples, base_pred, "bootstrap", seed,
                             trainer.name, n_fallbacks, keep_samples)

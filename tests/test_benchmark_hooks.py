@@ -2,11 +2,17 @@
 
 perfbench/tracer.py wraps the functions in its TARGETS and counts
 glm.fit_logistic.newton_steps from the loss trace of
-fit_logistic(..., return_trace=True), and the mc_separable oracle in
-perfbench/workloads.py refits through fit_with_extra_ridge along
-regret.FALLBACK_RIDGES. A rename that drops any of them breaks the benchmark
-without failing any other test. The files are read, never imported.
+fit_logistic(..., return_trace=True). The mc_separable oracle in
+perfbench/workloads.py takes its base probabilities as
+LogisticTrainer(opts).fit(Dataset(X, y))(X), which works because a fitted
+LogisticModel is its own predictor, and refits each assignment as
+trainer.fit_with_extra_ridge(data, extra)(X) along regret.FALLBACK_RIDGES. A
+rename that drops any of them, or a change to what these calls return, breaks
+the benchmark without failing any other test. The files are read, never
+imported.
 """
+
+from dataclasses import replace
 
 import ast
 import importlib
@@ -45,6 +51,24 @@ def test_oracle_ladder_hooks_exist():
 
     assert FALLBACK_RIDGES == lr.glm.FALLBACK_RIDGES and len(FALLBACK_RIDGES) > 0
     assert callable(lr.LogisticTrainer.fit_with_extra_ridge)
+
+
+def test_oracle_call_shapes_give_fit_logistic_predictions():
+    """Both oracle calls equal predict_proba of fit_logistic, bit for bit, at
+    the trainer's ridge plus the rung's extra ridge."""
+    from labelregret.regret import FALLBACK_RIDGES
+
+    X = np.array([[-1.5], [-0.7], [-0.2], [0.4], [0.9], [1.8]])
+    mixed, separable = lr.Dataset(X, [-1, 1, -1, 1, -1, 1]), lr.Dataset(X, [-1, -1, -1, 1, 1, 1])
+    for ridge in (0.0, 0.01):
+        opts = lr.FitOptions(ridge=ridge, include_intercept=False)
+        trainer = lr.LogisticTrainer(opts)
+        np.testing.assert_array_equal(trainer.fit(lr.Dataset(X, mixed.labels))(X),
+                                      lr.predict_proba(lr.fit_logistic(mixed, opts), X))
+        for data, extra in [(mixed, 0.0), *((separable, e) for e in FALLBACK_RIDGES)]:
+            expected = lr.fit_logistic(data, replace(opts, ridge=ridge + extra))
+            np.testing.assert_array_equal(trainer.fit_with_extra_ridge(data, extra)(X),
+                                          lr.predict_proba(expected, X))
 
 
 def test_fit_trace_counts_the_reference_newton_steps(small_dataset, cluster_ss):

@@ -157,6 +157,10 @@ BAD_INPUTS = {
                               "ValueError"),
     "theory --constant inf": (_flags, ["theory", "--data", "DATA", "--constant", "inf"],
                               "ValueError"),
+    # At the default ridge of 0, the initial split of this population is separable.
+    "active with a separable initial split": (
+        _flags, ["active", "--seed", "7", "--n-points", "12", "--batch", "1", "--k", "50"],
+        "InitialFitFailed"),
 }
 
 
@@ -166,7 +170,8 @@ def test_bad_input_exits_1_with_one_line(case, tmp_path, data_csv, semisynth_dir
     argv = build(tmp_path, data_csv, semisynth_dir, detail)
     capsys.readouterr()
     assert cli.dispatch([*argv, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 

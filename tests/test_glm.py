@@ -11,6 +11,7 @@ import pytest
 import labelregret as lr
 from labelregret import errors, glm
 from labelregret._io import dump_json
+from labelregret.dataset import draw_label_rows
 from labelregret.glm import design_matrix, fit_logistic_batch, model_to_dict
 
 import glm_reference as reference
@@ -335,6 +336,21 @@ class TestSeparableRowsLeave:
             np.testing.assert_array_equal(separable, raised)
             np.testing.assert_allclose(thetas, expected, rtol=1e-9, atol=1e-9)
 
+    def test_singular_solve_flags_the_row(self):
+        """From this warm start, a pool-score resample of an active-learning
+        run, the Hessian passes the Cholesky test but np.linalg.solve finds it
+        singular. The row is flagged as separable, as it would be had the
+        Cholesky test failed, where the reference loop raises LinAlgError."""
+        features, _ = lr.two_cluster_population(16)
+        data = lr.Dataset(features[[4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15]],
+                          [1, 1, 1, 1, 1, 1, 1, -1, 1, -1, -1])
+        opts = lr.FitOptions(include_intercept=True)
+        theta0 = np.array([-2.1528393990161208, 18.032097356444652, 16.55867347990018])
+        with pytest.raises(np.linalg.LinAlgError):
+            reference.fit_logistic(data, opts, theta0=theta0)
+        with pytest.raises(errors.FitDiverged):
+            lr.fit_logistic(data, opts, theta0=theta0)
+
     def test_small_budget_separable_fit_diverges(self):
         """Two steps leave no room for the norm guard, but the second iterate
         separates the points, so the fit raises FitDiverged (which sends a
@@ -567,6 +583,62 @@ class TestTrainers:
         a = plain_trainer.fit(cluster_ss.base)(cluster_ss.base.features)
         b = plain_trainer.fit(cluster_ss.base)(cluster_ss.base.features)
         np.testing.assert_array_equal(a, b)
+
+    def test_default_fit_many_fits_each_row_from_start(self, small_dataset):
+        """The generic fit_many calls fit once per label row, passing start on,
+        and reports no fallbacks."""
+        class StartRecorder(lr.ConstantTrainer):
+            def __init__(self):
+                super().__init__(0.3)
+                self.calls = []
+
+            def fit(self, data, start=None):
+                self.calls.append((data.labels.tolist(), start))
+                return super().fit(data)
+
+        trainer, start = StartRecorder(), object()
+        label_rows = np.array([[1] * 8, [-1] * 8, [1, -1] * 4])
+        samples, n_fallbacks = trainer.fit_many(small_dataset, label_rows,
+                                                small_dataset.features[:3], start)
+        assert n_fallbacks == 0
+        np.testing.assert_array_equal(samples, np.full((3, 3), 0.3))
+        assert trainer.calls == [(row.tolist(), start) for row in label_rows]
+
+    def test_model_is_its_own_predictor(self, cluster_ss):
+        model = lr.fit_logistic(cluster_ss.base, lr.FitOptions(include_intercept=True))
+        X = cluster_ss.base.features
+        np.testing.assert_array_equal(model(X), lr.predict_proba(model, X))
+        point = model(X[3])
+        assert isinstance(point, float) and point == lr.predict_proba(model, X[3])
+
+    def test_fit_starts_at_the_start_models_theta(self, small_dataset):
+        opts = lr.FitOptions(ridge=0.1, include_intercept=True)
+        trainer = lr.LogisticTrainer(opts)
+        start = lr.LogisticModel(np.array([0.4, -0.3, 0.2]), includes_intercept=True)
+        flipped = small_dataset.with_labels(-small_dataset.labels)
+        warm = trainer.fit(flipped, start=start)
+        assert isinstance(warm, lr.LogisticModel)
+        np.testing.assert_array_equal(
+            warm.theta, lr.fit_logistic(flipped, opts, theta0=start.theta).theta)
+        np.testing.assert_array_equal(trainer.fit(flipped).theta,
+                                      lr.fit_logistic(flipped, opts).theta)
+
+    def test_fit_many_rows_are_the_batch_rows_predictions(self, cluster_ss):
+        """Each row of fit_many from a start is sigmoid of the design times
+        the matching fit_logistic_batch row from start.theta, bit for bit."""
+        data = cluster_ss.base
+        opts = lr.FitOptions(include_intercept=True)
+        trainer = lr.LogisticTrainer(opts)
+        start = trainer.fit(data)
+        label_rows = draw_label_rows(start(data.features), 4, 30)
+        eval_features = np.random.default_rng(5).standard_normal((11, 2))
+        samples, n_fallbacks = trainer.fit_many(data, label_rows, eval_features, start)
+        X = design_matrix(data.features, True)
+        thetas, separable = fit_logistic_batch(X, label_rows, opts, theta0=start.theta)
+        assert n_fallbacks == separable.sum() == 0
+        E = design_matrix(eval_features, True)
+        for k, theta in enumerate(thetas):
+            np.testing.assert_array_equal(samples[k], lr.sigmoid(E @ theta))
 
 
 def all_assignments(n):

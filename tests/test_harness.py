@@ -126,6 +126,67 @@ class TestActiveLearningRun:
         for before, after in zip(pools, pools[1:]):
             np.testing.assert_array_equal(np.setdiff1d(before, after), before[:3])
 
+    def test_refits_start_from_the_current_fit(self, ss40):
+        """Each labeled refit starts from the predictor the previous fit
+        returned, and so does every pool-score resample of that step."""
+        class StartRecorder(lr.LogisticTrainer):
+            def __init__(self):
+                super().__init__(lr.FitOptions(ridge=0.01, include_intercept=False))
+                self.fits, self.score_starts = [], []
+
+            def fit(self, data, start=None):
+                model = super().fit(data, start)
+                self.fits.append((start, model))
+                return model
+
+            def fit_many(self, data, label_rows, eval_features, start=None):
+                self.score_starts.append(start)
+                return super().fit_many(data, label_rows, eval_features, start)
+
+        trainer = StartRecorder()
+        harness.active_learning_run(ss40, trainer, 10, 3, strategy="estimated_regret",
+                                    batch=4, n_batches=3)
+        starts, models = zip(*trainer.fits)
+        assert len(models) == 4 and starts[0] is None
+        assert all(start is model for start, model in zip(starts[1:], models))
+        assert all(start is model for start, model in zip(trainer.score_starts, models))
+
+    def test_unregularized_runs_need_no_ridge_ladder(self):
+        """Labeled refits have no ridge fallback: the labeled set only grows
+        from one the initial fit fitted cleanly, and a superset of
+        non-separable, full-rank rows is neither separable nor rank
+        deficient. So on small populations at ridge 0 a run either fails its
+        initial fit or finishes, with the pool emptied."""
+        outcomes = {"finished": 0, "initial fit failed": 0}
+        for n in (8, 11, 14):
+            for d in (1, 2):
+                for intercept in (False, True):
+                    trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=intercept))
+                    for seed in range(8):
+                        ss = lr.gaussian_semisynthetic(n, d, [1.0, -1.0][:d], seed)
+                        try:
+                            trace = harness.active_learning_run(
+                                ss, trainer, 6, seed, strategy="estimated_regret", batch=2)
+                        except errors.InitialFitFailed:
+                            outcomes["initial fit failed"] += 1
+                            continue
+                        assert trace.n_labeled[-1] == n
+                        outcomes["finished"] += 1
+        assert min(outcomes.values()) > 0
+
+    @pytest.mark.parametrize("seed", [9, 12, 18])
+    def test_singular_newton_solve_ends_as_a_package_error(self, seed):
+        """In these runs a pool-score resample warm-started far out has a
+        Hessian that np.linalg.solve finds singular after it passed the
+        Cholesky test. The run must not end in a raw LinAlgError."""
+        ss = lr.two_cluster_semisynthetic(16, lr.LabelDrawSeed(seed))
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=True))
+        try:
+            harness.active_learning_run(ss, trainer, 20, seed, strategy="estimated_regret",
+                                        batch=1)
+        except errors.LabelRegretError:
+            pass
+
     def test_higher_score_goes_first(self, ss40, trainer, monkeypatch):
         pools = []
 

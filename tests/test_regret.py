@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,20 +104,22 @@ class TestEstimateRegret:
         assert report.n_fallback_refits > 0
         assert np.all(report.regret <= 0.25 * 200 / 199)
 
-    def test_fallback_exhausted_without_ridge_support(self, small_dataset):
+    def test_refit_divergence_propagates_without_ridge_support(self, small_dataset):
+        """Only LogisticTrainer has a ridge ladder: another trainer's
+        FitDiverged reaches the caller as it is."""
         class BrittleTrainer(lr.TrainerHandle):
             name = "brittle"
 
             def __init__(self):
                 self.calls = 0
 
-            def fit(self, data):
+            def fit(self, data, start=None):
                 self.calls += 1
                 if self.calls == 1:
                     return lambda X: np.full(np.atleast_2d(X).shape[0], 0.5)
                 raise errors.FitDiverged("refits always diverge")
 
-        with pytest.raises(errors.RefitFallbackExhausted):
+        with pytest.raises(errors.FitDiverged):
             lr.estimate_regret(small_dataset, BrittleTrainer(), 5, seed=0)
 
 
@@ -166,7 +170,7 @@ class TestBootstrapRegret:
                 super().__init__(0.5)
                 self.rows = []
 
-            def fit(self, data):
+            def fit(self, data, start=None):
                 self.rows.append(data.features[:, 0].astype(np.int64))
                 return super().fit(data)
 
@@ -179,6 +183,44 @@ class TestBootstrapRegret:
         for k, rows in enumerate(trainer.rows[1:], start=1):
             expected = rng.substream(seed, rng.BOOTSTRAP_ROWS, k).integers(0, n, size=n)
             np.testing.assert_array_equal(rows, expected)
+
+    @staticmethod
+    def reference_replicate_fit(data, opts, theta0):
+        """The reference fit from theta0, then cold reference fits up
+        FALLBACK_RIDGES; returns (model, whether a rung was needed)."""
+        for rung, extra in enumerate((0.0, *FALLBACK_RIDGES)):
+            try:
+                return reference.fit_logistic(data, replace(opts, ridge=opts.ridge + extra),
+                                              theta0=None if rung else theta0), rung > 0
+            except (errors.FitDiverged, errors.SingularHessian):
+                continue
+        raise AssertionError("no rung fits the replicate")
+
+    @pytest.mark.parametrize("features, labels, include_intercept", [
+        ([[-1.5], [-0.7], [-0.2], [0.4], [0.9], [1.8]], [-1, 1, -1, 1, -1, 1], False),
+        (np.random.default_rng(9).standard_normal((9, 2)), [1, -1, 1, 1, -1, -1, 1, -1, -1],
+         True)])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_fallbacks_match_a_per_replicate_reference_ladder(self, features, labels,
+                                                               include_intercept, seed):
+        """Ridge-0 replicates of a small set are often separable: each goes
+        down the ladder as the reference loop takes it, warm from the base fit
+        and then cold on each FALLBACK_RIDGES rung, and each is counted."""
+        data = lr.Dataset(features, labels)
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=include_intercept))
+        K = 120
+        report = lr.bootstrap_regret(data, trainer, K, seed, keep_samples=True)
+        base = trainer.fit(data)
+        expected, n_fallbacks = np.empty((K, data.n_points)), 0
+        for k in range(1, K + 1):
+            rows = rng.substream(seed, rng.BOOTSTRAP_ROWS, k).integers(0, data.n_points,
+                                                                      size=data.n_points)
+            replicate = lr.Dataset(data.features[rows], data.labels[rows])
+            model, used = self.reference_replicate_fit(replicate, trainer.opts, base.theta)
+            expected[k - 1] = lr.predict_proba(model, data.features)
+            n_fallbacks += used
+        assert report.n_fallback_refits == n_fallbacks > 0
+        np.testing.assert_allclose(report.samples, expected, rtol=0, atol=1e-12)
 
     def test_deterministic(self, small_dataset, flat_trainer):
         a = lr.bootstrap_regret(small_dataset, flat_trainer, 30, seed=8, keep_samples=True)
