@@ -13,18 +13,15 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import errors, rng
+from . import errors
 from ._io import dump_json, write_table
 from .config import ExperimentConfig
 from .dataset import (LabelDrawSeed, load_csv, load_semisynthetic,
-                      make_semisynthetic, save_semisynthetic,
-                      semisynthetic_from_model, standardize_features)
+                      make_semisynthetic, save_semisynthetic, standardize_features)
 from .glm import (LogisticTrainer, auc, fit_logistic, load_model, log_loss,
                   model_to_dict, predict_proba)
-from .harness import (active_learning_run, base_population, oracle_error_scores,
-                      run_trials, save_trials_result, selective_prediction_curve)
+from .harness import (active_runs, population_draw, run_trials, save_trials_result,
+                      selective_run)
 from .regret import (bootstrap_regret, estimate_regret,
                      exact_regret_enumeration, regret_report_metadata,
                      regret_report_table, true_regret)
@@ -55,6 +52,28 @@ def _add_resample(parser):
                         help="number of resamples")
 
 
+def _add_data(parser, required=True, group=None, gt_ridge=False):
+    """--data (added to group when given), --label-column and, for commands
+    that fit a ground truth on the data, --gt-ridge."""
+    (group or parser).add_argument("--data", required=required)
+    parser.add_argument("--label-column", default=None, dest="label_column")
+    if gt_ridge:
+        parser.add_argument("--gt-ridge", type=float, default=None,
+                            dest="ground_truth_ridge")
+
+
+def _add_population(parser, kinds=("two_cluster", "gaussian")):
+    parser.add_argument("--dataset", choices=kinds, default=None)
+    parser.add_argument("--n-points", type=int, default=None, dest="n_points")
+    parser.add_argument("--p-high", type=float, default=None, dest="p_high")
+
+
+def _add_acquisition(parser):
+    parser.add_argument("--initial-fraction", type=float, default=None)
+    parser.add_argument("--batch", type=int, default=None, dest="batch_size")
+    parser.add_argument("--n-batches", type=int, default=None, dest="n_batches")
+
+
 def _resolve_config(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """base overlaid with the --config file, then the flags; validated once, merged."""
     cfg = base if base is not None else ExperimentConfig()
@@ -83,6 +102,15 @@ def _write_meta(out_dir, command: str, cfg: ExperimentConfig, extra: dict,
     return path
 
 
+def _write_report(out, command: str, name: str, cfg: ExperimentConfig, table,
+                  metadata: dict):
+    """Write table to out/name and a meta.json holding metadata as its report;
+    returns both paths."""
+    path = os.path.join(out, name)
+    write_table(path, *table)
+    return path, _write_meta(out, command, cfg, {"report": metadata}, [path])
+
+
 def _load_semisynth_dir(path):
     return load_semisynthetic(os.path.join(path, "semisynth.csv"),
                               os.path.join(path, "semisynth.json"))
@@ -90,12 +118,7 @@ def _load_semisynth_dir(path):
 
 def _semisynth_input(args, cfg):
     """A SemiSyntheticDataset from --semisynth DIR, or built from the config."""
-    if getattr(args, "semisynth", None):
-        return _load_semisynth_dir(args.semisynth)
-    features, ground_truth, gt_ridge = base_population(cfg)
-    return semisynthetic_from_model(features, ground_truth,
-                                    LabelDrawSeed(cfg.master_seed, 0),
-                                    gt_ridge=gt_ridge)
+    return _load_semisynth_dir(args.semisynth) if args.semisynth else population_draw(cfg, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +160,9 @@ def _regret_command(args, kind: str):
         fn = estimate_regret if kind == "regret" else bootstrap_regret
         report = fn(data, trainer, cfg.k_resamples, cfg.master_seed)
         n = data.n_points
-    csv_path = os.path.join(args.out, "regret.csv")
-    write_table(csv_path, *regret_report_table(report))
-    meta = _write_meta(args.out, kind, cfg, {"report": regret_report_metadata(report)},
-                       [csv_path])
+    csv_path, meta = _write_report(args.out, kind, "regret.csv", cfg,
+                                   regret_report_table(report),
+                                   regret_report_metadata(report))
     print(f"{kind}: n={n} K={report.n_resamples} "
           f"max_regret={report.regret.max():.6g} -> {csv_path}, {meta}")
     return 0
@@ -152,16 +174,13 @@ def _cmd_enumerate(args):
     if args.semisynth:
         ss = _load_semisynth_dir(args.semisynth)
         features, probs = ss.base.features, ss.true_probs
-        names = ss.base.feature_names
     else:
         data = load_csv(args.data, cfg.label_column)
-        probs = np.asarray(trainer.fit(data)(data.features), dtype=float)
-        features, names = data.features, data.feature_names
-    report = exact_regret_enumeration(features, probs, trainer, feature_names=names)
-    csv_path = os.path.join(args.out, "enumeration.csv")
-    write_table(csv_path, *regret_report_table(report))
-    meta = _write_meta(args.out, "enumerate", cfg,
-                       {"report": regret_report_metadata(report)}, [csv_path])
+        features, probs = data.features, trainer.fit(data)(data.features)
+    report = exact_regret_enumeration(features, probs, trainer)
+    csv_path, meta = _write_report(args.out, "enumerate", "enumeration.csv", cfg,
+                                   regret_report_table(report),
+                                   regret_report_metadata(report))
     print(f"enumerate: n={features.shape[0]} assignments={report.n_resamples} "
           f"max_regret={report.regret.max():.6g} -> {csv_path}, {meta}")
     return 0
@@ -181,10 +200,9 @@ def _cmd_theory(args):
     else:
         model = fit_logistic(data, cfg.fit_options())
     report = theory_report(model, data.features, constant=args.constant)
-    csv_path = os.path.join(args.out, "theory.csv")
-    write_table(csv_path, *theory_report_table(report))
-    meta = _write_meta(args.out, "theory", cfg,
-                       {"report": theory_report_metadata(report)}, [csv_path])
+    csv_path, meta = _write_report(args.out, "theory", "theory.csv", cfg,
+                                   theory_report_table(report),
+                                   theory_report_metadata(report))
     print(f"theory: n={data.n_points} epsilon={report.epsilon:.6g} "
           f"bound_applies={report.bound_applies} -> {csv_path}, {meta}")
     return 0
@@ -211,17 +229,8 @@ def _cmd_semisynth(args):
 def _cmd_selective(args):
     cfg = _resolve_config(args)
     ss = _semisynth_input(args, cfg)
-    trainer = LogisticTrainer(cfg.fit_options())
-    model = fit_logistic(ss.base, cfg.fit_options())
-    estimated = estimate_regret(ss.base, trainer, cfg.k_resamples, cfg.master_seed)
-    true_rep = true_regret(ss, trainer, cfg.k_resamples,
-                           rng.derive_master(cfg.master_seed, rng.REFERENCE, 0))
-    grid = cfg.cutoff_grid
     outputs = []
-    for ranking, scores in (("estimated_regret", estimated.regret),
-                            ("true_regret", true_rep.regret),
-                            ("oracle_error", oracle_error_scores(ss, model))):
-        curve = selective_prediction_curve(ss, model, scores, grid, ranking=ranking)
+    for ranking, curve in selective_run(ss, cfg).items():
         path = os.path.join(args.out, f"selective_{ranking}.csv")
         write_table(path, ["cutoff", "coverage", "mean_kl", "n_kept"],
                     [curve.cutoffs, curve.coverages, curve.mean_kls, curve.n_kept])
@@ -235,15 +244,10 @@ def _cmd_selective(args):
 def _cmd_active(args):
     cfg = _resolve_config(args)
     ss = _semisynth_input(args, cfg)
-    trainer = LogisticTrainer(cfg.fit_options())
+    traces = active_runs(ss, LogisticTrainer(cfg.fit_options()), cfg, cfg.master_seed)
     outputs = []
     finals = {}
-    for strategy in ("estimated_regret", "true_regret", "uniform"):
-        trace = active_learning_run(ss, trainer, cfg.k_resamples, cfg.master_seed,
-                                    strategy=strategy,
-                                    initial_fraction=cfg.initial_fraction,
-                                    batch=cfg.batch_size,
-                                    n_batches=cfg.n_batches)
+    for strategy, trace in traces.items():
         path = os.path.join(args.out, f"active_{strategy}.csv")
         write_table(path, ["n_labeled", "mean_kl"], [trace.n_labeled, trace.mean_kl])
         outputs.append(path)
@@ -257,10 +261,7 @@ def _cmd_active(args):
 def _cmd_trials(args):
     base = ExperimentConfig.profile(args.profile) if args.profile else None
     cfg = _resolve_config(args, base)
-    result = run_trials(cfg, args.experiment)
-    save_trials_result(result, args.out)
-    outputs = [os.path.join(args.out, f"trials_{name}.csv") for name in result.series]
-    outputs.append(os.path.join(args.out, "summary.json"))
+    outputs = save_trials_result(run_trials(cfg, args.experiment), args.out)
     meta = _write_meta(args.out, "trials", cfg, {"experiment": args.experiment},
                        outputs)
     print(f"trials: experiment={args.experiment} n_trials={cfg.n_trials} "
@@ -280,16 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a logistic model on a CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None, dest="label_column")
+    _add_data(p)
     p.add_argument("--standardize", action="store_true")
     _add_trainer(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("regret", help="Monte Carlo regret on a CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None, dest="label_column")
+    _add_data(p)
     _add_resample(p)
     _add_trainer(p)
     _add_common(p)
@@ -305,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=lambda a: _regret_command(a, "true-regret"))
 
     p = sub.add_parser("bootstrap", help="row-bootstrap regret baseline")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None, dest="label_column")
+    _add_data(p)
     _add_resample(p)
     _add_trainer(p)
     _add_common(p)
@@ -315,16 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate",
                        help="exact regret over all label assignments (small n)")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--data")
+    _add_data(p, required=False, group=group)
     group.add_argument("--semisynth")
-    p.add_argument("--label-column", default=None, dest="label_column")
     _add_trainer(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("theory", help="closed-form variance and error bound")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None, dest="label_column")
+    _add_data(p)
     p.add_argument("--model", help="model JSON; fitted from the data when omitted")
     p.add_argument("--constant", type=float, default=DEFAULT_CONSTANT)
     _add_trainer(p)
@@ -333,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semisynth",
                        help="fit a ridge ground truth and redraw the labels")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None, dest="label_column")
-    p.add_argument("--gt-ridge", type=float, default=None, dest="ground_truth_ridge")
+    _add_data(p, gt_ridge=True)
     p.add_argument("--gt-intercept", action=argparse.BooleanOptionalAction,
                    default=None, dest="ground_truth_intercept")
     p.add_argument("--stream", type=int, default=0,
@@ -348,14 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--semisynth",
                        help="directory with semisynth.csv/json; built-in "
                             "population from the config when omitted")
-        p.add_argument("--dataset", choices=("two_cluster", "gaussian"),
-                       default=None)
-        p.add_argument("--n-points", type=int, default=None, dest="n_points")
-        p.add_argument("--p-high", type=float, default=None, dest="p_high")
+        _add_population(p)
         if name == "active":
-            p.add_argument("--initial-fraction", type=float, default=None)
-            p.add_argument("--batch", type=int, default=None, dest="batch_size")
-            p.add_argument("--n-batches", type=int, default=None, dest="n_batches")
+            _add_acquisition(p)
         _add_resample(p)
         _add_trainer(p)
         _add_common(p)
@@ -366,17 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("theory_vs_actual", "selective", "active"))
     p.add_argument("--profile", choices=("desk", "paper"), default=None)
     p.add_argument("--n-trials", type=int, default=None, dest="n_trials")
-    p.add_argument("--dataset", choices=("two_cluster", "gaussian", "csv"),
-                   default=None)
-    p.add_argument("--data")
-    p.add_argument("--label-column", default=None, dest="label_column")
-    p.add_argument("--gt-ridge", type=float, default=None, dest="ground_truth_ridge")
-    p.add_argument("--n-points", type=int, default=None, dest="n_points")
+    _add_population(p, ("two_cluster", "gaussian", "csv"))
     p.add_argument("--n-features", type=int, default=None, dest="n_features")
-    p.add_argument("--p-high", type=float, default=None, dest="p_high")
-    p.add_argument("--initial-fraction", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None, dest="batch_size")
-    p.add_argument("--n-batches", type=int, default=None, dest="n_batches")
+    _add_data(p, required=False, gt_ridge=True)
+    _add_acquisition(p)
     _add_resample(p)
     _add_trainer(p)
     _add_common(p)
@@ -394,10 +376,7 @@ def dispatch(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except errors.LabelRegretError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (errors.LabelRegretError, OSError, OverflowError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

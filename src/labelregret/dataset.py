@@ -13,7 +13,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -25,7 +25,7 @@ from .regret import _initial_fit, _prediction_samples, estimate_regret, true_reg
 from .theory import q_values
 
 RANKINGS = ("true_regret", "estimated_regret", "oracle_error")
-STRATEGIES = ("true_regret", "estimated_regret", "uniform")
+STRATEGIES = ("estimated_regret", "true_regret", "uniform")
 EXPERIMENTS = ("theory_vs_actual", "selective", "active")
 DEFAULT_GRID_POINTS = 21
 # Ranking scores are compared after rounding to multiples of TIE_TOLERANCE
@@ -54,7 +54,6 @@ class SelectiveCurve:
     coverages: np.ndarray
     mean_kls: np.ndarray
     n_kept: np.ndarray
-    ranking: str
 
     def __post_init__(self):
         for name in ("cutoffs", "coverages", "mean_kls"):
@@ -72,7 +71,6 @@ class SelectiveCurve:
 
 def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
                                ranking_scores, grid=None, *,
-                               ranking: str = "estimated_regret",
                                dedupe: bool = True) -> SelectiveCurve:
     """Error versus coverage when predictions with score above a cutoff abstain.
 
@@ -83,11 +81,9 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
     Cutoffs keeping no point are dropped (an all-empty grid is an error); the
     grid must reach max(score) so the last entry always covers the whole
     dataset. The default grid is the 21 evenly spaced quantiles of the rounded
-    scores. With ranking="oracle_error" pass the per-point KL itself as the
-    score; that curve is the best achievable.
+    scores. Ranking by the per-point KL itself (oracle_error_scores) gives the
+    best achievable curve.
     """
-    if ranking not in RANKINGS:
-        raise ValueError(f"ranking must be one of {RANKINGS}")
     scores = np.asarray(ranking_scores, dtype=float)
     n = ss.base.n_points
     if scores.shape != (n,):
@@ -104,8 +100,7 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
     if cutoff_keys[-1] < key.max():
         raise ValueError("the cutoff grid must include a value >= max(score)")
 
-    pred = predict_proba(model, ss.base.features)
-    kl = bernoulli_kl(ss.true_probs, pred)
+    kl = oracle_error_scores(ss, model)
 
     rows = []
     for c, c_key in zip(cutoffs, cutoff_keys):
@@ -126,12 +121,35 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
         rows = deduped
     cut, cov, kls, kept = zip(*rows)
     return SelectiveCurve(np.array(cut), np.array(cov), np.array(kls),
-                          np.array(kept), ranking)
+                          np.array(kept))
 
 
 def oracle_error_scores(ss: SemiSyntheticDataset, model: LogisticModel) -> np.ndarray:
     """Per-point KL of the model's predictions; the score the oracle curve ranks by."""
     return bernoulli_kl(ss.true_probs, predict_proba(model, ss.base.features))
+
+
+def selective_curves(ss: SemiSyntheticDataset, model: LogisticModel, estimated, true,
+                     grid=None, *, dedupe: bool = True) -> Dict[str, SelectiveCurve]:
+    """One selective_prediction_curve per name in RANKINGS: ranked by the
+    estimated regret, the true regret and the oracle per-point KL."""
+    scores = {"true_regret": true, "estimated_regret": estimated,
+              "oracle_error": oracle_error_scores(ss, model)}
+    return {name: selective_prediction_curve(ss, model, scores[name], grid, dedupe=dedupe)
+            for name in RANKINGS}
+
+
+def selective_run(ss: SemiSyntheticDataset,
+                  config: ExperimentConfig) -> Dict[str, SelectiveCurve]:
+    """The single-shot selective experiment on ss: the base fit's curves for
+    the regret estimated at the master seed and the true regret at the
+    REFERENCE stream of the master seed."""
+    trainer = LogisticTrainer(config.fit_options())
+    estimated = estimate_regret(ss.base, trainer, config.k_resamples, config.master_seed)
+    true = true_regret(ss, trainer, config.k_resamples,
+                       rng.derive_master(config.master_seed, rng.REFERENCE, 0))
+    return selective_curves(ss, fit_logistic(ss.base, config.fit_options()),
+                            estimated.regret, true.regret, config.cutoff_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +162,6 @@ class ActiveLearningTrace:
 
     n_labeled: np.ndarray
     mean_kl: np.ndarray
-    strategy: str
-    seed: int
 
     def __post_init__(self):
         n_labeled = np.array(self.n_labeled, dtype=np.int64)
@@ -231,13 +247,26 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
         pool = np.setdiff1d(pool, chosen, assume_unique=True)
         # No ridge ladder here: the labeled set only grows from one that
         # fitted cleanly, and a superset of non-separable, full-rank rows is
-        # neither separable nor rank deficient.
+        # neither separable nor rank deficient. The exception is a clean fit
+        # under quasi-complete separation, which the engine accepts as
+        # converged; its warm refits can raise NoConvergence (ROADMAP 3a).
         predictor = trainer.fit(labeled_data(), predictor)
         trace_n.append(int(labeled.size))
         trace_kl.append(mean_kl(ss.true_probs, predictor(features)))
         step += 1
 
-    return ActiveLearningTrace(np.array(trace_n), np.array(trace_kl), strategy, int(seed))
+    return ActiveLearningTrace(np.array(trace_n), np.array(trace_kl))
+
+
+def active_runs(ss: SemiSyntheticDataset, trainer: TrainerHandle,
+                config: ExperimentConfig, seed: int) -> Dict[str, ActiveLearningTrace]:
+    """One active_learning_run per strategy, in STRATEGIES order, with the
+    config's resample count and acquisition schedule."""
+    return {strategy: active_learning_run(
+                ss, trainer, config.k_resamples, seed, strategy=strategy,
+                initial_fraction=config.initial_fraction, batch=config.batch_size,
+                n_batches=config.n_batches)
+            for strategy in STRATEGIES}
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +342,44 @@ def base_population(config: ExperimentConfig):
     return data.features, model, config.ground_truth_ridge
 
 
-def _trial_dataset(features, ground_truth, gt_ridge, config, stream_index):
+def population_draw(config: ExperimentConfig, stream_index: int,
+                    population=None) -> SemiSyntheticDataset:
+    """Labels drawn from stream stream_index of the master seed over the
+    population, which is base_population(config) when not given."""
+    features, ground_truth, gt_ridge = (base_population(config) if population is None
+                                        else population)
     return semisynthetic_from_model(features, ground_truth,
                                     LabelDrawSeed(config.master_seed, stream_index),
                                     gt_ridge=gt_ridge)
 
 
-def _reference_true_regret(features, ground_truth, gt_ridge, config,
-                           trainer) -> np.ndarray:
+def _reference_true_regret(population, config, trainer) -> np.ndarray:
     """One true-regret vector shared by all trials (it has no trial dependence)."""
     ref_master = rng.derive_master(config.master_seed, rng.REFERENCE, 0)
-    ss = semisynthetic_from_model(features, ground_truth, LabelDrawSeed(ref_master, 0),
-                                  gt_ridge=gt_ridge)
-    report = true_regret(ss, trainer, config.k_resamples,
-                         rng.derive_master(ref_master, rng.TRIAL, 0))
-    return report.regret
+    ss = population_draw(config.replace(master_seed=ref_master), 0, population)
+    return true_regret(ss, trainer, config.k_resamples,
+                       rng.derive_master(ref_master, rng.TRIAL, 0)).regret
+
+
+def _trial_series(experiment, ss, trainer, config, trial_seed, reference):
+    """(positions, series by name) of one trial of the experiment."""
+    if experiment == "active":
+        traces = active_runs(ss, trainer, config, trial_seed)
+        return (traces["uniform"].n_labeled.astype(float),
+                {name: trace.mean_kl for name, trace in traces.items()})
+    estimated = estimate_regret(ss.base, trainer, config.k_resamples, trial_seed).regret
+    model = fit_logistic(ss.base, config.fit_options())
+    if experiment == "theory_vs_actual":
+        return (np.arange(ss.base.n_points, dtype=float),
+                {"estimated_regret": estimated, "q": q_values(model, ss.base.features)})
+    curves = selective_curves(ss, model, estimated, reference, config.cutoff_grid,
+                              dedupe=False)
+    if any(curve.mean_kls.size != DEFAULT_GRID_POINTS for curve in curves.values()):
+        raise ValueError("custom cutoff grids must keep every cutoff "
+                         "non-empty for cross-trial aggregation")
+    series = {f"{name.split('_')[0]}_kl": curve.mean_kls for name, curve in curves.items()}
+    series["estimated_coverage"] = curves["estimated_regret"].coverages
+    return np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS), series
 
 
 def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
@@ -345,76 +397,20 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
             and len(config.cutoff_grid) != DEFAULT_GRID_POINTS):
         raise ValueError(f"trials aggregate selective curves over {DEFAULT_GRID_POINTS} "
                          f"cutoffs; the cutoff_grid has {len(config.cutoff_grid)}")
-    features, ground_truth, gt_ridge = base_population(config)
+    population = base_population(config)
     trainer = LogisticTrainer(config.fit_options())
-    n = features.shape[0]
+    reference = (None if experiment == "active"
+                 else _reference_true_regret(population, config, trainer))
+    trials = []
+    for t in range(config.n_trials):
+        ss = population_draw(config, t, population)
+        trial_seed = rng.derive_master(config.master_seed, rng.TRIAL, t)
+        trials.append(_trial_series(experiment, ss, trainer, config, trial_seed, reference))
 
-    series: Dict[str, list] = {}
-    extras: Dict[str, np.ndarray] = {}
-
-    if experiment == "theory_vs_actual":
-        positions = np.arange(n, dtype=float)
-        extras["true_regret"] = _reference_true_regret(
-            features, ground_truth, gt_ridge, config, trainer)
-        series = {"estimated_regret": [], "q": []}
-        for t in range(config.n_trials):
-            ss = _trial_dataset(features, ground_truth, gt_ridge, config, t)
-            trial_seed = rng.derive_master(config.master_seed, rng.TRIAL, t)
-            report = estimate_regret(ss.base, trainer, config.k_resamples,
-                                     trial_seed)
-            model = fit_logistic(ss.base, config.fit_options())
-            series["estimated_regret"].append(report.regret)
-            series["q"].append(q_values(model, features))
-
-    elif experiment == "selective":
-        positions = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-        extras["true_regret"] = _reference_true_regret(
-            features, ground_truth, gt_ridge, config, trainer)
-        series = {"estimated_kl": [], "true_kl": [], "oracle_kl": [],
-                  "estimated_coverage": []}
-        for t in range(config.n_trials):
-            ss = _trial_dataset(features, ground_truth, gt_ridge, config, t)
-            trial_seed = rng.derive_master(config.master_seed, rng.TRIAL, t)
-            model = fit_logistic(ss.base, config.fit_options())
-            report = estimate_regret(ss.base, trainer, config.k_resamples,
-                                     trial_seed)
-            grid = config.cutoff_grid
-            curves = {
-                "estimated_kl": selective_prediction_curve(
-                    ss, model, report.regret, grid, ranking="estimated_regret",
-                    dedupe=False),
-                "true_kl": selective_prediction_curve(
-                    ss, model, extras["true_regret"], grid, ranking="true_regret",
-                    dedupe=False),
-                "oracle_kl": selective_prediction_curve(
-                    ss, model, oracle_error_scores(ss, model), grid,
-                    ranking="oracle_error", dedupe=False),
-            }
-            for name, curve in curves.items():
-                if curve.mean_kls.size != positions.size:
-                    raise ValueError("custom cutoff grids must keep every cutoff "
-                                     "non-empty for cross-trial aggregation")
-                series[name].append(curve.mean_kls)
-            series["estimated_coverage"].append(curves["estimated_kl"].coverages)
-
-    else:  # active
-        first_trace = None
-        series = {strategy: [] for strategy in STRATEGIES}
-        for t in range(config.n_trials):
-            ss = _trial_dataset(features, ground_truth, gt_ridge, config, t)
-            trial_seed = rng.derive_master(config.master_seed, rng.TRIAL, t)
-            for strategy in STRATEGIES:
-                trace = active_learning_run(
-                    ss, trainer, config.k_resamples, trial_seed,
-                    strategy=strategy, initial_fraction=config.initial_fraction,
-                    batch=config.batch_size, n_batches=config.n_batches)
-                series[strategy].append(trace.mean_kl)
-                if first_trace is None:
-                    first_trace = trace
-        positions = first_trace.n_labeled.astype(float)
-        extras["n_labeled"] = first_trace.n_labeled.astype(float)
-
-    series_arrays = {name: np.vstack(rows) for name, rows in series.items()}
+    positions = trials[0][0]
+    extras = {"n_labeled": positions} if reference is None else {"true_regret": reference}
+    series_arrays = {name: np.vstack([series[name] for _, series in trials])
+                     for name in trials[0][1]}
     summaries = {name: summarize_trials(mat) for name, mat in series_arrays.items()}
     return TrialsResult(experiment=experiment, positions=positions,
                         series=series_arrays, summaries=summaries,
@@ -425,12 +421,14 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
 # serialization
 
 
-def save_trials_result(result: TrialsResult, out_dir) -> None:
-    """One CSV per series (rows = trials) plus a JSON of summaries."""
+def save_trials_result(result: TrialsResult, out_dir) -> list:
+    """One CSV per series (rows = trials) plus a JSON of summaries; returns
+    the paths written."""
     header = ["trial", *map(format_float, result.positions)]
+    paths = []
     for name, matrix in result.series.items():
-        write_table(os.path.join(out_dir, f"trials_{name}.csv"), header,
-                    [np.arange(matrix.shape[0]), *matrix.T])
+        paths.append(os.path.join(out_dir, f"trials_{name}.csv"))
+        write_table(paths[-1], header, [np.arange(matrix.shape[0]), *matrix.T])
     payload = {
         "experiment": result.experiment,
         "positions": result.positions,
@@ -438,4 +436,6 @@ def save_trials_result(result: TrialsResult, out_dir) -> None:
         "summaries": {name: asdict(s) for name, s in result.summaries.items()},
         "config": result.config.to_dict(),
     }
-    dump_json(os.path.join(out_dir, "summary.json"), payload)
+    paths.append(os.path.join(out_dir, "summary.json"))
+    dump_json(paths[-1], payload)
+    return paths

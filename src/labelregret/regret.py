@@ -215,8 +215,7 @@ def bootstrap_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *
                             trainer.name, n_fallbacks, keep_samples)
 
 
-def exact_regret_enumeration(features, probs, trainer: TrainerHandle, *,
-                             feature_names=None) -> RegretReport:
+def exact_regret_enumeration(features, probs, trainer: TrainerHandle) -> RegretReport:
     """Exact regret by weighting refits over all 2**n label assignments.
 
     Assignment weights are the product of per-point Bernoulli probabilities;
@@ -248,8 +247,7 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle, *,
     tiny = weights < SKIP_WEIGHT
     skip = tiny if weights[tiny].sum() < SKIP_MASS else np.zeros_like(tiny)
 
-    names = tuple(feature_names) if feature_names else ()
-    template = Dataset(X, -np.ones(n, dtype=np.int64), names)
+    template = Dataset(X, -np.ones(n, dtype=np.int64))
     m1 = np.zeros(n)
     m2 = np.zeros(n)
     n_fallbacks = 0

@@ -161,6 +161,15 @@ BAD_INPUTS = {
     "active with a separable initial split": (
         _flags, ["active", "--seed", "7", "--n-points", "12", "--batch", "1", "--k", "50"],
         "InitialFitFailed"),
+    # The regret estimate fits the base model first, so a separable base ends
+    # as a failed initial fit, as it does in `regret` and `active`.
+    "selective with a separable base": (
+        _flags, ["selective", "--seed", "2", "--n-points", "6", "--k", "10"],
+        "InitialFitFailed"),
+    # The label streams list K stream indices, and a K past the C ssize_t range
+    # overflows there. (A K at or below 2**63 - 1 would try to allocate K rows.)
+    "regret --k past the index range": (
+        _flags, ["regret", "--data", "DATA", "--k", str(10 ** 20)], "OverflowError"),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import labelregret as lr
-from labelregret import errors, glm, harness
+from labelregret import cli, errors, glm, harness, rng
 from labelregret.config import ExperimentConfig
 
 
@@ -229,3 +229,124 @@ class TestRunTrials:
         assert set(summary) == {"experiment", "positions", "extras", "summaries", "config"}
         assert set(summary["summaries"]) == self.SERIES[experiment]
         assert summary["experiment"] == experiment
+
+
+class TestSeedContract:
+    """Every experiment output equals the same public calls at its documented
+    seeds: trial t draws its labels from stream t of the master seed and
+    resamples at derive_master(seed, TRIAL, t); the true regret shared by all
+    trials is the one at derive_master(seed, REFERENCE, 0); the single-shot
+    commands use stream 0 and the master seed itself."""
+
+    SEED = 5
+    ACTIVE = dict(initial_fraction=0.5, batch_size=2, n_batches=2)
+
+    @staticmethod
+    def _draw(cfg, master, stream):
+        features, ground_truth, gt_ridge = harness.base_population(cfg)
+        return lr.semisynthetic_from_model(features, ground_truth,
+                                           lr.LabelDrawSeed(master, stream),
+                                           gt_ridge=gt_ridge)
+
+    def _trials(self, cfg):
+        """(ss, trial seed) of each trial of cfg."""
+        return [(self._draw(cfg, cfg.master_seed, t),
+                 rng.derive_master(cfg.master_seed, rng.TRIAL, t))
+                for t in range(cfg.n_trials)]
+
+    def _reference(self, cfg, trainer):
+        master = rng.derive_master(cfg.master_seed, rng.REFERENCE, 0)
+        return lr.true_regret(self._draw(cfg, master, 0), trainer, cfg.k_resamples,
+                              rng.derive_master(master, rng.TRIAL, 0)).regret
+
+    @staticmethod
+    def _curves(ss, model, estimated, true, **kwargs):
+        scores = {"estimated_regret": estimated, "true_regret": true,
+                  "oracle_error": harness.oracle_error_scores(ss, model)}
+        return {name: harness.selective_prediction_curve(ss, model, s, **kwargs)
+                for name, s in scores.items()}
+
+    @pytest.mark.parametrize("dataset", ["two_cluster", "gaussian"])
+    def test_theory_vs_actual_trials(self, dataset):
+        cfg = ExperimentConfig(master_seed=self.SEED, dataset=dataset, n_trials=2,
+                               n_points=20, k_resamples=10, ridge=0.01)
+        trainer = lr.LogisticTrainer(cfg.fit_options())
+        result = harness.run_trials(cfg, "theory_vs_actual")
+        np.testing.assert_array_equal(result.extras["true_regret"],
+                                      self._reference(cfg, trainer))
+        for t, (ss, seed) in enumerate(self._trials(cfg)):
+            report = lr.estimate_regret(ss.base, trainer, cfg.k_resamples, seed)
+            model = lr.fit_logistic(ss.base, cfg.fit_options())
+            np.testing.assert_array_equal(result.series["estimated_regret"][t], report.regret)
+            np.testing.assert_array_equal(result.series["q"][t],
+                                          lr.q_values(model, ss.base.features))
+
+    def test_selective_trials(self):
+        cfg = ExperimentConfig(master_seed=self.SEED, n_trials=2, n_points=40,
+                               k_resamples=10, ridge=0.01)
+        trainer = lr.LogisticTrainer(cfg.fit_options())
+        result = harness.run_trials(cfg, "selective")
+        reference = self._reference(cfg, trainer)
+        np.testing.assert_array_equal(result.extras["true_regret"], reference)
+        for t, (ss, seed) in enumerate(self._trials(cfg)):
+            estimated = lr.estimate_regret(ss.base, trainer, cfg.k_resamples, seed).regret
+            model = lr.fit_logistic(ss.base, cfg.fit_options())
+            curves = self._curves(ss, model, estimated, reference, dedupe=False)
+            for name, series in (("estimated_regret", "estimated_kl"),
+                                 ("true_regret", "true_kl"), ("oracle_error", "oracle_kl")):
+                np.testing.assert_array_equal(result.series[series][t],
+                                              curves[name].mean_kls)
+            np.testing.assert_array_equal(result.series["estimated_coverage"][t],
+                                          curves["estimated_regret"].coverages)
+
+    def test_active_trials(self):
+        cfg = ExperimentConfig(master_seed=self.SEED, n_trials=2, n_points=20,
+                               k_resamples=10, ridge=0.01, **self.ACTIVE)
+        trainer = lr.LogisticTrainer(cfg.fit_options())
+        result = harness.run_trials(cfg, "active")
+        for t, (ss, seed) in enumerate(self._trials(cfg)):
+            for strategy in harness.STRATEGIES:
+                trace = harness.active_learning_run(
+                    ss, trainer, cfg.k_resamples, seed, strategy=strategy,
+                    initial_fraction=cfg.initial_fraction, batch=cfg.batch_size,
+                    n_batches=cfg.n_batches)
+                np.testing.assert_array_equal(result.series[strategy][t], trace.mean_kl)
+                np.testing.assert_array_equal(result.positions, trace.n_labeled)
+
+    @staticmethod
+    def _table(path):
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+    def test_cli_selective(self, tmp_path):
+        cfg = ExperimentConfig(master_seed=self.SEED, n_points=40, k_resamples=10,
+                               ridge=0.01)
+        assert cli.dispatch(["selective", "--seed", str(self.SEED), "--n-points", "40",
+                             "--k", "10", "--ridge", "0.01",
+                             "--out", str(tmp_path)]) == 0
+        trainer = lr.LogisticTrainer(cfg.fit_options())
+        ss = self._draw(cfg, self.SEED, 0)
+        estimated = lr.estimate_regret(ss.base, trainer, 10, self.SEED).regret
+        true = lr.true_regret(ss, trainer, 10,
+                              rng.derive_master(self.SEED, rng.REFERENCE, 0)).regret
+        curves = self._curves(ss, lr.fit_logistic(ss.base, cfg.fit_options()),
+                              estimated, true)
+        for name, curve in curves.items():
+            table = self._table(tmp_path / f"selective_{name}.csv")
+            for column, expected in zip(table, (curve.cutoffs, curve.coverages,
+                                                curve.mean_kls, curve.n_kept)):
+                np.testing.assert_array_equal(column, expected)
+
+    def test_cli_active(self, tmp_path):
+        cfg = ExperimentConfig(master_seed=self.SEED, n_points=20, k_resamples=10,
+                               ridge=0.01, **self.ACTIVE)
+        assert cli.dispatch(["active", "--seed", str(self.SEED), "--n-points", "20",
+                             "--k", "10", "--ridge", "0.01", "--batch", "2",
+                             "--n-batches", "2", "--out", str(tmp_path)]) == 0
+        trainer = lr.LogisticTrainer(cfg.fit_options())
+        ss = self._draw(cfg, self.SEED, 0)
+        for strategy in harness.STRATEGIES:
+            trace = harness.active_learning_run(ss, trainer, 10, self.SEED,
+                                                strategy=strategy, batch=2, n_batches=2)
+            n_labeled, mean_kl = self._table(tmp_path / f"active_{strategy}.csv")
+            np.testing.assert_array_equal(n_labeled, trace.n_labeled)
+            np.testing.assert_array_equal(mean_kl, trace.mean_kl)

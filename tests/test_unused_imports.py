@@ -1,0 +1,75 @@
+"""No module of the package imports a name it never uses.
+
+The toolchain has no linter, so this reads each module's syntax tree. Only
+top-level imports are checked. __init__ is exempt, because its imports are
+the public re-exports, and so is `from __future__`. A name counts as used
+when it appears anywhere else in the module, string annotations included.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "labelregret"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+# regret imports FALLBACK_RIDGES from glm without using it: the mc_separable
+# benchmark oracle (perfbench/workloads.py) imports it from labelregret.regret.
+ALLOWED = {"regret": {"FALLBACK_RIDGES"}}
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def unused_imports(source: str) -> set:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return {name for name in _imported_names(tree) if name not in used}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_top_level_import(module):
+    unused = unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert unused == ALLOWED.get(module, set())
+
+
+def test_the_check_sees_annotations_and_ignores_nested_imports():
+    source = '''
+from __future__ import annotations
+import os
+import os.path
+import numpy as np
+from typing import Dict, Optional, Sequence
+from .dataset import Dataset as DS
+
+def f(x: "Optional[DS]", y: Dict) -> "np.ndarray":
+    import json
+    return os.path.join("a", "b")
+'''
+    assert unused_imports(source) == {"Sequence"}
