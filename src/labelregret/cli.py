@@ -4,7 +4,10 @@ Every subcommand writes its artifacts into the --out directory plus a
 meta.json embedding the fully resolved configuration, then prints a one-line
 summary with the output paths. stdout never carries data, only summaries.
 Exit codes: 0 success, 1 operation error, 2 usage error. All writes go
-through a temp-file-plus-rename, so output files are never partial.
+through a temp-file-plus-rename, so output files are never partial. The
+parser is built for the invoked command only: every command is registered
+by name and help text, and only the one named on the command line gets its
+arguments.
 """
 
 from __future__ import annotations
@@ -39,17 +42,16 @@ def _add_common(parser):
     parser.add_argument("--out", required=True, help="output directory")
 
 
-def _add_trainer(parser):
+def _add_trainer(parser, resample=False):
+    """The fit flags, after --k for commands that refit resamples."""
+    if resample:
+        parser.add_argument("--k", type=int, default=None, dest="k_resamples",
+                            help="number of resamples")
     parser.add_argument("--ridge", type=float, default=None)
     parser.add_argument("--intercept", action=argparse.BooleanOptionalAction,
                         default=None, dest="include_intercept")
     parser.add_argument("--grad-tol", type=float, default=None, dest="grad_tol")
     parser.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-
-
-def _add_resample(parser):
-    parser.add_argument("--k", type=int, default=None, dest="k_resamples",
-                        help="number of resamples")
 
 
 def _add_data(parser, required=True, group=None, gt_ridge=False):
@@ -93,12 +95,8 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> ExperimentCon
 def _write_meta(out_dir, command: str, cfg: ExperimentConfig, extra: dict,
                 outputs: list) -> str:
     path = os.path.join(out_dir, "meta.json")
-    dump_json(path, {
-        "command": command,
-        "config": cfg.to_dict(),
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        **extra,
-    })
+    dump_json(path, {"command": command, "config": cfg.to_dict(),
+                     "outputs": sorted(os.path.basename(p) for p in outputs), **extra})
     return path
 
 
@@ -133,8 +131,7 @@ def _cmd_fit(args):
         data, extra["standardization"] = standardize_features(data)
     model = fit_logistic(data, cfg.fit_options())
     preds = predict_proba(model, data.features)
-    out = args.out
-    model_path = os.path.join(out, "model.json")
+    model_path = os.path.join(args.out, "model.json")
     dump_json(model_path, model_to_dict(model, data.feature_names,
                                         extra.get("standardization")))
     extra["log_loss"] = log_loss(preds, data.labels)
@@ -142,13 +139,15 @@ def _cmd_fit(args):
         extra["auc"] = auc(preds, data.labels)
     except errors.SingleClass:
         extra["auc"] = None
-    meta = _write_meta(out, "fit", cfg, extra, [model_path])
+    meta = _write_meta(args.out, "fit", cfg, extra, [model_path])
     print(f"fit: n={data.n_points} d={data.n_features} "
           f"log_loss={extra['log_loss']:.4f} -> {model_path}, {meta}")
     return 0
 
 
-def _regret_command(args, kind: str):
+def _regret_command(args):
+    """regret, true-regret or bootstrap, as args.command names."""
+    kind = args.command
     cfg = _resolve_config(args)
     trainer = LogisticTrainer(cfg.fit_options())
     if kind == "true-regret":
@@ -245,8 +244,7 @@ def _cmd_active(args):
     cfg = _resolve_config(args)
     ss = _semisynth_input(args, cfg)
     traces = active_runs(ss, LogisticTrainer(cfg.fit_options()), cfg, cfg.master_seed)
-    outputs = []
-    finals = {}
+    outputs, finals = [], {}
     for strategy, trace in traces.items():
         path = os.path.join(args.out, f"active_{strategy}.csv")
         write_table(path, ["n_labeled", "mean_kl"], [trace.n_labeled, trace.mean_kl])
@@ -270,87 +268,57 @@ def _cmd_trials(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one function per command adds its arguments, before the common ones
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="labelregret",
-        description="Per-point arbitrariness of probabilistic classifiers "
-                    "via label resampling.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit a logistic model on a CSV dataset")
+def _fit_arguments(p):
     _add_data(p)
     p.add_argument("--standardize", action="store_true")
     _add_trainer(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("regret", help="Monte Carlo regret on a CSV dataset")
-    _add_data(p)
-    _add_resample(p)
-    _add_trainer(p)
-    _add_common(p)
-    p.set_defaults(handler=lambda a: _regret_command(a, "regret"))
 
-    p = sub.add_parser("true-regret",
-                       help="regret under the recorded ground truth")
-    p.add_argument("--semisynth", required=True,
-                   help="directory containing semisynth.csv + semisynth.json")
-    _add_resample(p)
-    _add_trainer(p)
-    _add_common(p)
-    p.set_defaults(handler=lambda a: _regret_command(a, "true-regret"))
+def _regret_arguments(p, semisynth=False):
+    if semisynth:
+        p.add_argument("--semisynth", required=True,
+                       help="directory containing semisynth.csv + semisynth.json")
+    else:
+        _add_data(p)
+    _add_trainer(p, resample=True)
 
-    p = sub.add_parser("bootstrap", help="row-bootstrap regret baseline")
-    _add_data(p)
-    _add_resample(p)
-    _add_trainer(p)
-    _add_common(p)
-    p.set_defaults(handler=lambda a: _regret_command(a, "bootstrap"))
 
-    p = sub.add_parser("enumerate",
-                       help="exact regret over all label assignments (small n)")
+def _enumerate_arguments(p):
     group = p.add_mutually_exclusive_group(required=True)
     _add_data(p, required=False, group=group)
     group.add_argument("--semisynth")
     _add_trainer(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("theory", help="closed-form variance and error bound")
+
+def _theory_arguments(p):
     _add_data(p)
     p.add_argument("--model", help="model JSON; fitted from the data when omitted")
     p.add_argument("--constant", type=float, default=DEFAULT_CONSTANT)
     _add_trainer(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_theory)
 
-    p = sub.add_parser("semisynth",
-                       help="fit a ridge ground truth and redraw the labels")
+
+def _semisynth_arguments(p):
     _add_data(p, gt_ridge=True)
     p.add_argument("--gt-intercept", action=argparse.BooleanOptionalAction,
                    default=None, dest="ground_truth_intercept")
     p.add_argument("--stream", type=int, default=0,
                    help="label draw stream index (trial number)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_semisynth)
 
-    for name, handler in (("selective", _cmd_selective), ("active", _cmd_active)):
-        p = sub.add_parser(name, help=f"single-shot {name} experiment")
-        p.add_argument("--semisynth",
-                       help="directory with semisynth.csv/json; built-in "
-                            "population from the config when omitted")
-        _add_population(p)
-        if name == "active":
-            _add_acquisition(p)
-        _add_resample(p)
-        _add_trainer(p)
-        _add_common(p)
-        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("trials", help="multi-trial experiment with aggregation")
+def _experiment_arguments(p, acquisition=False):
+    p.add_argument("--semisynth",
+                   help="directory with semisynth.csv/json; built-in "
+                        "population from the config when omitted")
+    _add_population(p)
+    if acquisition:
+        _add_acquisition(p)
+    _add_trainer(p, resample=True)
+
+
+def _trials_arguments(p):
     p.add_argument("--experiment", required=True,
                    choices=("theory_vs_actual", "selective", "active"))
     p.add_argument("--profile", choices=("desk", "paper"), default=None)
@@ -359,19 +327,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-features", type=int, default=None, dest="n_features")
     _add_data(p, required=False, gt_ridge=True)
     _add_acquisition(p)
-    _add_resample(p)
-    _add_trainer(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_trials)
+    _add_trainer(p, resample=True)
 
+
+# name -> (help, function adding its arguments, handler), in the order of -h
+COMMANDS = {
+    "fit": ("fit a logistic model on a CSV dataset", _fit_arguments, _cmd_fit),
+    "regret": ("Monte Carlo regret on a CSV dataset", _regret_arguments, _regret_command),
+    "true-regret": ("regret under the recorded ground truth",
+                    lambda p: _regret_arguments(p, semisynth=True), _regret_command),
+    "bootstrap": ("row-bootstrap regret baseline", _regret_arguments, _regret_command),
+    "enumerate": ("exact regret over all label assignments (small n)",
+                  _enumerate_arguments, _cmd_enumerate),
+    "theory": ("closed-form variance and error bound", _theory_arguments, _cmd_theory),
+    "semisynth": ("fit a ridge ground truth and redraw the labels", _semisynth_arguments,
+                  _cmd_semisynth),
+    "selective": ("single-shot selective experiment", _experiment_arguments, _cmd_selective),
+    "active": ("single-shot active experiment",
+               lambda p: _experiment_arguments(p, acquisition=True), _cmd_active),
+    "trials": ("multi-trial experiment with aggregation", _trials_arguments, _cmd_trials),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every command by name and help; only command gets its arguments and handler."""
+    parser = argparse.ArgumentParser(prog="labelregret", description="Per-point arbitrariness "
+                                     "of probabilistic classifiers via label resampling.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        # a command that parses nothing needs no -h of its own
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
+        if name == command:
+            add_arguments(p)
+            _add_common(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def dispatch(argv) -> int:
     """Parse and run one command line; returns the process exit code."""
-    parser = build_parser()
+    argv = list(argv)
+    # The top-level parser has no option that takes a value, so argparse can enter only
+    # the subparser named by the first argument that is not an option: build that one.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -327,11 +327,12 @@ def base_population(config: ExperimentConfig):
         features, model = two_cluster_population(config.n_points, p_high=config.p_high)
         return features, model, None
     if config.dataset == "gaussian":
-        theta = config.true_theta
-        if theta is None:
-            theta = [0.6 if i % 2 == 0 else -0.6 for i in range(config.n_features)]
+        # drawn first: numpy rejects an impossible shape before allocating anything
         features = gaussian_features(config.n_points, config.n_features,
                                      config.master_seed)
+        theta = config.true_theta
+        if theta is None:
+            theta = np.where(np.arange(config.n_features) % 2 == 0, 0.6, -0.6)
         model = LogisticModel(np.asarray(theta, dtype=float), includes_intercept=False)
         return features, model, None
     # csv: ground truth is a ridge fit on the raw labels

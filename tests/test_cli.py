@@ -170,6 +170,11 @@ BAD_INPUTS = {
     # overflows there. (A K at or below 2**63 - 1 would try to allocate K rows.)
     "regret --k past the index range": (
         _flags, ["regret", "--data", "DATA", "--k", str(10 ** 20)], "OverflowError"),
+    # numpy rejects a feature matrix of this shape before allocating it, and the
+    # default ground truth is built only after the features.
+    "trials --n-features past the dimension limit": (
+        _flags, ["trials", "--experiment", "theory_vs_actual", "--dataset", "gaussian",
+                 "--n-features", str(10 ** 20)], "ValueError"),
 }
 
 
