@@ -25,7 +25,7 @@ from .glm import (LogisticTrainer, auc, fit_logistic, load_model, log_loss,
                   model_to_dict, predict_proba)
 from .harness import (active_runs, population_draw, run_trials, save_trials_result,
                       selective_run)
-from .regret import (bootstrap_regret, estimate_regret,
+from .regret import (_initial_fit, bootstrap_regret, estimate_regret,
                      exact_regret_enumeration, regret_report_metadata,
                      regret_report_table, true_regret)
 from .theory import (DEFAULT_CONSTANT, theory_report, theory_report_metadata,
@@ -175,7 +175,7 @@ def _cmd_enumerate(args):
         features, probs = ss.base.features, ss.true_probs
     else:
         data = load_csv(args.data, cfg.label_column)
-        features, probs = data.features, trainer.fit(data)(data.features)
+        features, probs = data.features, _initial_fit(trainer, data)(data.features)
     report = exact_regret_enumeration(features, probs, trainer)
     csv_path, meta = _write_report(args.out, "enumerate", "enumeration.csv", cfg,
                                    regret_report_table(report),

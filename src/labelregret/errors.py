@@ -105,7 +105,8 @@ class RefitFallbackExhausted(LabelRegretError):
 
 
 class TooLarge(LabelRegretError):
-    """Exhaustive enumeration rejected the input (2**n refits would be needed)."""
+    """Exhaustive enumeration rejected the input (2**n assignments, in 2**(n-1)
+    complementary pairs, would be needed)."""
 
 
 class ZeroNormPoint(LabelRegretError):

@@ -468,9 +468,16 @@ class TrainerHandle:
     point for many refits on one feature matrix. Only LogisticTrainer has a
     ridge-fallback ladder for resamples that turn out separable; any other
     trainer's fit errors propagate.
+
+    mirrors_label_flips declares a symmetry that exact enumeration uses to
+    refit only one assignment of each complementary pair: when True, a cold
+    fit_many (start None) on the negated label rows gives 1 minus the
+    predictions of a cold fit_many on the rows, up to rounding, and the same
+    fallback count.
     """
 
     name = "trainer"
+    mirrors_label_flips = False
 
     def fit(self, data: "Dataset", start=None) -> Predictor:
         raise NotImplementedError
@@ -492,7 +499,14 @@ class TrainerHandle:
 class LogisticTrainer(TrainerHandle):
     """Logistic regression trainer around fit_logistic, whose predictors are the
     fitted LogisticModels. fit starts Newton's method at start.theta; fit_many
-    has the package's only ridge fallback, the FALLBACK_RIDGES ladder."""
+    has the package's only ridge fallback, the FALLBACK_RIDGES ladder.
+
+    The penalized loss is even under (y, theta) -> (-y, -theta), so from the
+    cold start theta = 0 the fit of -y is the fit of y negated, at any ridge
+    and with or without an intercept; a separable row and its mirror take the
+    same rung of the ladder."""
+
+    mirrors_label_flips = True
 
     def __init__(self, opts: FitOptions = FitOptions()):
         self.opts = opts
@@ -542,10 +556,11 @@ class EchoTrainer(TrainerHandle):
 
     The induced resampling variance is exactly p(1-p) per point, which makes
     this a closed-form oracle for the estimators. It can only predict at its
-    own training points.
+    own training points. Flipping the labels gives exactly 1 - p.
     """
 
     name = "echo"
+    mirrors_label_flips = True
 
     def fit(self, data: "Dataset", start=None) -> Predictor:
         labels01 = (np.asarray(data.labels, dtype=float) + 1.0) / 2.0

@@ -4,7 +4,9 @@ The central procedure: fit a base model, redraw every label from its
 predicted (or true) probability, refit, and record how much each point's
 predicted probability moves across refits. The exhaustive enumerator computes
 the same expectation exactly by weighting all 2**n label assignments and is
-the test oracle for the Monte Carlo path.
+the test oracle for the Monte Carlo path. It walks the 2**(n-1) pairs of
+complementary assignments {y, -y}; a trainer that mirrors label flips refits
+only one member of each pair.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_r
 from .glm import FALLBACK_RIDGES, TrainerHandle
 
 ENUMERATION_LIMIT = 22
-# Assignments refit together by one fit_many call during enumeration.
+# Pair members (one assignment of each complementary pair) refit together by
+# one fit_many call during enumeration.
 ENUMERATION_BLOCK = 4096
 SKIP_WEIGHT = 1e-15
 SKIP_MASS = 1e-12
@@ -220,10 +223,15 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle) -> RegretR
 
     Assignment weights are the product of per-point Bernoulli probabilities;
     regret[i] is the exact population variance sum(w p~**2) - (sum(w p~))**2.
-    Assignments are refit in blocks of ENUMERATION_BLOCK through one
-    trainer.fit_many call each, every refit starting from theta = 0 (the
-    trainer's cold start). Assignments of weight below
-    1e-15 are skipped only when their total mass is below 1e-12.
+    The assignments come in complementary pairs {y, -y}, and the enumeration
+    walks the member of each pair whose last point is labelled -1, in blocks
+    of ENUMERATION_BLOCK members through one trainer.fit_many call each, every
+    refit starting from theta = 0 (the trainer's cold start). When the
+    trainer mirrors label flips, the partner's predictions are 1 minus the
+    member's; otherwise the partners are refit too. A pair is skipped only
+    when both of its assignments weigh below 1e-15 and all such assignments
+    together weigh below 1e-12. n_resamples and n_fallback_refits count
+    both members of every pair.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -231,7 +239,8 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle) -> RegretR
     n = X.shape[0]
     if n > ENUMERATION_LIMIT:
         raise errors.TooLarge(
-            f"enumeration over {n} points needs 2**{n} refits; limit is {ENUMERATION_LIMIT}")
+            f"enumeration over {n} points needs 2**{n} assignments in 2**{n - 1} "
+            f"complementary pairs; limit is {ENUMERATION_LIMIT}")
     p = np.asarray(probs, dtype=float)
     if p.shape != (n,):
         raise errors.LengthMismatch(f"{n} points but {p.size} probabilities")
@@ -246,21 +255,28 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle) -> RegretR
         raise ArithmeticError(f"assignment weights sum to {total!r}, expected 1")
     tiny = weights < SKIP_WEIGHT
     skip = tiny if weights[tiny].sum() < SKIP_MASS else np.zeros_like(tiny)
+    # Member c (bit n-1 clear) and its partner 2**n - 1 - c, the bits flipped.
+    half = weights.size // 2
+    flipped_weights = weights[::-1][:half]
+    kept = np.flatnonzero(~(skip[:half] & skip[::-1][:half]))
 
     template = Dataset(X, -np.ones(n, dtype=np.int64))
     m1 = np.zeros(n)
     m2 = np.zeros(n)
     n_fallbacks = 0
-    kept = np.flatnonzero(~skip)
     bits = np.arange(n)
     for start in range(0, kept.size, ENUMERATION_BLOCK):
         codes = kept[start:start + ENUMERATION_BLOCK]
         labels = np.where((codes[:, None] >> bits) & 1, 1, -1)
         values, block_fallbacks = trainer.fit_many(template, labels, X, None)
-        n_fallbacks += block_fallbacks
-        w = weights[codes]
-        m1 += w @ values
-        m2 += w @ values ** 2
+        if trainer.mirrors_label_flips:
+            flipped, flipped_fallbacks = 1.0 - values, block_fallbacks
+        else:
+            flipped, flipped_fallbacks = trainer.fit_many(template, -labels, X, None)
+        n_fallbacks += block_fallbacks + flipped_fallbacks
+        w, w_flipped = weights[codes], flipped_weights[codes]
+        m1 += w @ values + w_flipped @ flipped
+        m2 += w @ values ** 2 + w_flipped @ flipped ** 2
     regret = np.maximum(m2 - m1 ** 2, 0.0)
     return RegretReport(
         regret=regret,

@@ -111,6 +111,12 @@ def _bad_data(tmp_path, data_csv, semisynth_dir, text):
     return ["fit", "--data", str(path)]
 
 
+def _enumerate_data(tmp_path, data_csv, semisynth_dir, text):
+    path = tmp_path / "enum.csv"
+    path.write_text(text, encoding="utf-8")
+    return ["enumerate", "--data", str(path), "--ridge", "0"]
+
+
 def _flags(tmp_path, data_csv, semisynth_dir, argv):
     return [str(data_csv) if arg == "DATA" else arg for arg in argv]
 
@@ -166,6 +172,10 @@ BAD_INPUTS = {
     "selective with a separable base": (
         _flags, ["selective", "--seed", "2", "--n-points", "6", "--k", "10"],
         "InitialFitFailed"),
+    # enumerate fits its base model as regret does, so separable observed
+    # labels end as a failed initial fit too.
+    "enumerate with separable labels": (
+        _enumerate_data, "x,label\n-1.0,0\n-0.5,0\n0.7,1\n1.2,1\n", "InitialFitFailed"),
     # The label streams list K stream indices, and a K past the C ssize_t range
     # overflows there. (A K at or below 2**63 - 1 would try to allocate K rows.)
     "regret --k past the index range": (

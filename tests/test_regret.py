@@ -271,6 +271,149 @@ class TestEnumeration:
         assert np.all(np.abs(mc.regret - exact.regret) <= 3.0 * se)
 
 
+def unpaired_enumeration(X, probs, trainer):
+    """The enumeration refitting every one of the 2**n assignments through
+    fit_many, in blocks of ENUMERATION_BLOCK, with the same weights and skip
+    rule; returns (regret, mean_pred, fallback count)."""
+    n = len(probs)
+    weights = np.ones(1)
+    for pi in probs:
+        weights = np.concatenate([weights * (1.0 - pi), weights * pi])
+    tiny = weights < lr.regret.SKIP_WEIGHT
+    skip = tiny if weights[tiny].sum() < lr.regret.SKIP_MASS else np.zeros_like(tiny)
+    kept = np.flatnonzero(~skip)
+    template = lr.Dataset(X, -np.ones(n, dtype=np.int64))
+    m1, m2, n_fallbacks = np.zeros(n), np.zeros(n), 0
+    for start in range(0, kept.size, lr.regret.ENUMERATION_BLOCK):
+        codes = kept[start:start + lr.regret.ENUMERATION_BLOCK]
+        labels = np.where((codes[:, None] >> np.arange(n)) & 1, 1, -1)
+        values, fallbacks = trainer.fit_many(template, labels, X, None)
+        n_fallbacks += fallbacks
+        m1 += weights[codes] @ values
+        m2 += weights[codes] @ values ** 2
+    return np.maximum(m2 - m1 ** 2, 0.0), np.clip(m1, 0.0, 1.0), n_fallbacks
+
+
+class RowRecordingTrainer(lr.LogisticTrainer):
+    """A LogisticTrainer that keeps every label row passed to fit_many."""
+
+    def __init__(self, opts):
+        super().__init__(opts)
+        self.rows = []
+
+    def fit_many(self, data, label_rows, eval_features, start=None):
+        self.rows.append(np.array(label_rows))
+        return super().fit_many(data, label_rows, eval_features, start)
+
+
+def all_assignments(n):
+    """Every {-1, +1} label row of n points, bit i of the row index giving label i."""
+    return np.where((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1, 1, -1)
+
+
+class TestPairedEnumeration:
+    @pytest.mark.parametrize("n", [6, 9, 13])
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    @pytest.mark.parametrize("include_intercept", [False, True])
+    def test_equals_the_unpaired_loop(self, n, ridge, include_intercept):
+        """Refitting one assignment of each complementary pair gives the
+        unpaired loop's regret, mean prediction and fallback count; n = 13
+        has 8,192 assignments, two blocks of the unpaired loop."""
+        gen = np.random.default_rng(100 + n)
+        X = gen.standard_normal((n, 2))
+        probs = gen.uniform(0.1, 0.9, size=n)
+        opts = lr.FitOptions(ridge=ridge, include_intercept=include_intercept)
+        trainer = RowRecordingTrainer(opts)
+        report = lr.exact_regret_enumeration(X, probs, trainer)
+        regret, mean_pred, n_fallbacks = unpaired_enumeration(X, probs,
+                                                              lr.LogisticTrainer(opts))
+        np.testing.assert_allclose(report.regret, regret, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.mean_pred, mean_pred, rtol=0, atol=1e-12)
+        assert report.n_fallback_refits == n_fallbacks
+        assert (n_fallbacks > 0) == (ridge == 0.0)
+        assert report.n_resamples == 2 ** n
+        rows = np.concatenate(trainer.rows)
+        assert rows.shape == (2 ** (n - 1), n)
+        assert np.all(rows[:, -1] == -1)
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+
+    def test_pairs_are_kept_or_skipped_together(self):
+        """Near-certain labels make most assignments negligible: a pair is
+        refit when either of its assignments is kept, and the skipped mass
+        stays below the rule's 1e-12."""
+        probs = np.array([1e-6, 1 - 1e-6, 2e-6, 0.3, 1 - 3e-6, 1e-6, 0.6, 1e-6, 2e-6, 1e-6])
+        X = np.random.default_rng(3).standard_normal((probs.size, 2))
+        opts = lr.FitOptions(ridge=0.1)
+        trainer = RowRecordingTrainer(opts)
+        report = lr.exact_regret_enumeration(X, probs, trainer)
+        regret, mean_pred, _ = unpaired_enumeration(X, probs, lr.LogisticTrainer(opts))
+        np.testing.assert_allclose(report.regret, regret, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.mean_pred, mean_pred, rtol=0, atol=1e-12)
+        n_pairs = sum(len(rows) for rows in trainer.rows)
+        assert 0 < n_pairs < 2 ** (probs.size - 1)
+        weights = np.prod(np.where(all_assignments(probs.size) > 0, probs, 1 - probs), axis=1)
+        tiny = weights < lr.regret.SKIP_WEIGHT
+        half = weights.size // 2
+        assert n_pairs == np.count_nonzero(~(tiny[:half] & tiny[::-1][:half]))
+
+    def test_echo_trainer_mirrors_exactly(self):
+        gen = np.random.default_rng(4)
+        rows = all_assignments(7)
+        data = lr.Dataset(gen.standard_normal((7, 2)), rows[0])
+        trainer = lr.EchoTrainer()
+        assert trainer.mirrors_label_flips
+        values, _ = trainer.fit_many(data, rows, data.features)
+        flipped, _ = trainer.fit_many(data, -rows, data.features)
+        np.testing.assert_array_equal(flipped, 1.0 - values)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    @pytest.mark.parametrize("include_intercept", [False, True])
+    def test_logistic_trainer_mirrors_label_flips(self, ridge, include_intercept):
+        """A cold fit_many on -rows is 1 minus the fit on rows, separable rows
+        (which take the ridge ladder) included, with the same fallback count."""
+        X = np.random.default_rng(5).standard_normal((8, 2))
+        rows = all_assignments(8)
+        trainer = lr.LogisticTrainer(lr.FitOptions(ridge=ridge,
+                                                   include_intercept=include_intercept))
+        assert trainer.mirrors_label_flips
+        data = lr.Dataset(X, rows[0])
+        values, fallbacks = trainer.fit_many(data, rows, X)
+        flipped, flipped_fallbacks = trainer.fit_many(data, -rows, X)
+        np.testing.assert_allclose(flipped, 1.0 - values, rtol=0, atol=1e-12)
+        assert flipped_fallbacks == fallbacks
+        assert (fallbacks > 0) == (ridge == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_constant_trainer_refits_every_assignment(self, n):
+        """A trainer that does not mirror has its flipped rows refit: the
+        constant prediction comes back as mean_pred, with regret 0. Only the
+        summation's rounding, which the unpaired loop also has at
+        n = 9, keeps these from being exact."""
+        calls = []
+
+        class Recording(lr.ConstantTrainer):
+            def fit(self, data, start=None):
+                calls.append(tuple(data.labels))
+                return super().fit(data, start)
+
+        trainer = Recording(0.3)
+        assert not trainer.mirrors_label_flips
+        report = lr.exact_regret_enumeration(np.ones((n, 1)), np.full(n, 0.5), trainer)
+        np.testing.assert_allclose(report.regret, np.zeros(n), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(report.mean_pred, np.full(n, 0.3), rtol=0, atol=1e-14)
+        assert sorted(calls) == sorted(map(tuple, all_assignments(n)))
+
+    def test_one_point(self):
+        report = lr.exact_regret_enumeration([[1.0]], [0.3], lr.EchoTrainer())
+        assert report.n_resamples == 2
+        np.testing.assert_allclose(report.regret, [0.21], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(report.mean_pred, [0.3], rtol=0, atol=1e-15)
+
+    def test_no_points(self):
+        with pytest.raises(errors.EmptyDataset):
+            lr.exact_regret_enumeration(np.ones((0, 1)), [], lr.EchoTrainer())
+
+
 class TestReportValidation:
     def test_estimator_tag_checked(self):
         with pytest.raises(ValueError):
