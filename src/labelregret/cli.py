@@ -6,8 +6,8 @@ summary with the output paths. stdout never carries data, only summaries.
 Exit codes: 0 success, 1 operation error, 2 usage error. All writes go
 through a temp-file-plus-rename, so output files are never partial. The
 parser is built for the invoked command only: every command is registered
-by name and help text, and only the one named on the command line gets its
-arguments.
+by name and help text, and only the one named on the command line gets a
+parser of its own, with its arguments; the others share one placeholder.
 """
 
 from __future__ import annotations
@@ -350,12 +350,18 @@ COMMANDS = {
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every command by name and help; only command gets its arguments and handler."""
+    """Every command by name and help; only command gets a parser of its own,
+    with its arguments and handler, and the others share one that parses nothing."""
     parser = argparse.ArgumentParser(prog="labelregret", description="Per-point arbitrariness "
                                      "of probabilistic classifiers via label resampling.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    placeholder = argparse.ArgumentParser(add_help=False)
+
+    def make_parser(add_help, **kwargs):
+        return argparse.ArgumentParser(**kwargs) if add_help else placeholder
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
     for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        # a command that parses nothing needs no -h of its own
+        # a command that parses nothing needs no -h, nor a parser of its own
         p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
             add_arguments(p)

@@ -10,7 +10,11 @@ for bit. Without ridge, an iterate that gives every point a positive margin
 proves the labels separable, so that there is no finite optimum; this proof
 is checked on every pass, the warm start included, and such a row stops
 there. The rows of a block advance together, so a block runs as many passes
-as its slowest row still iterating. Labels are in {-1, +1} throughout.
+as its slowest row still iterating. LogisticTrainer.fit_many, the estimators'
+refit entry point, sends each distinct label row to the engine once, copies
+its predictions to the rows that repeat it and counts the ridge fallbacks of
+every row, copies included; as no row depends on another, this changes no
+output. Labels are in {-1, +1} throughout.
 """
 
 from __future__ import annotations
@@ -520,35 +524,57 @@ class LogisticTrainer(TrainerHandle):
         return fit_logistic(data, replace(self.opts, ridge=self.opts.ridge + extra_ridge))
 
     def fit_many(self, data: "Dataset", label_rows, eval_features, start=None):
-        """All refits in one fit_logistic_batch call from start.theta (zeros
-        without a start), then one call per ladder rung.
+        """One fit_logistic_batch call from start.theta (zeros without a start)
+        on the distinct label rows, then one call per ladder rung.
 
-        The rows the first call marks separable go down FALLBACK_RIDGES
-        together: each rung refits the rows still pending from a cold start,
-        as fit_with_extra_ridge does, and passes on only those still separable.
-        The count returned is the number of rows that needed a rung. Row k of
-        the samples is the same whatever other rows share the call or a rung:
-        no engine row depends on another, nor does a row's prediction.
+        Each distinct row is refit once, in order of first appearance, and its
+        predictions are copied to every row that repeats it; when no row
+        repeats, label_rows itself goes to the engine. The rows the first call
+        marks separable go down FALLBACK_RIDGES together: each rung refits the
+        distinct rows still pending from a cold start, as fit_with_extra_ridge
+        does, and passes on only those still separable. The count returned is
+        the number of rows that needed a rung, each counted with its copies.
+        Row k of the samples is the same whatever other rows share the call or
+        a rung: no engine row depends on another, nor does a row's prediction.
         """
         include = self.opts.include_intercept
         X = design_matrix(data.features, include)
         label_rows = np.asarray(label_rows)
+        first, copies = _first_appearances(label_rows)
+        rows = label_rows if copies is None else label_rows[first]
         thetas, separable = fit_logistic_batch(
-            X, label_rows, self.opts, theta0=None if start is None else start.theta)
+            X, rows, self.opts, theta0=None if start is None else start.theta)
         pending = np.flatnonzero(separable)
-        n_fallbacks = pending.size
+        n_fallbacks = pending.size if copies is None else int(separable[copies].sum())
         for extra in FALLBACK_RIDGES:
             if pending.size == 0:
                 break
             opts = replace(self.opts, ridge=self.opts.ridge + extra)
-            thetas[pending], separable = fit_logistic_batch(X, label_rows[pending], opts)
+            thetas[pending], separable = fit_logistic_batch(X, rows[pending], opts)
             pending = pending[separable]
         if pending.size:
             top = f"up to {FALLBACK_RIDGES[-1]:g}" if FALLBACK_RIDGES else "(the ladder is empty)"
             raise errors.RefitFallbackExhausted(
                 f"resample could not be fit even with extra ridge {top}")
         samples = sigmoid(_row_products(thetas, design_matrix(eval_features, include).T))
-        return samples, n_fallbacks
+        return (samples if copies is None else samples[copies]), n_fallbacks
+
+
+def _first_appearances(label_rows):
+    """(first, copies) for a K x n matrix of {-1,+1} label rows: the indices of
+    the distinct rows in order of first appearance, and for each row the
+    position of its distinct row in first; (None, None) when no row repeats or
+    label_rows is not a non-empty matrix, whose shape the engine reports. Rows
+    are keyed by their packed sign bits, one string of ceil(n/8) bytes per row."""
+    if label_rows.ndim != 2 or label_rows.shape[1] == 0:
+        return None, None
+    bits = np.packbits(label_rows > 0, axis=1)
+    keys = bits.view(np.dtype((np.void, bits.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == len(label_rows):
+        return None, None
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 class EchoTrainer(TrainerHandle):

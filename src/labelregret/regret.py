@@ -134,7 +134,8 @@ def _prediction_samples(train: Dataset, resample_probs, eval_features,
 
     Resample k draws its labels from stream k of the master seed and every
     refit starts from the predictor start, so row k-1 is the same refit
-    whatever K is.
+    whatever K is. A LogisticTrainer refits each distinct label row once and
+    counts a fallback once per resample that drew it.
     """
     labels = draw_label_rows(resample_probs, master_seed, K)
     return trainer.fit_many(train, labels, eval_features, start)

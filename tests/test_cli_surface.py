@@ -116,6 +116,29 @@ def test_dispatch_builds_only_the_invoked_command(monkeypatch, tmp_path, capsys)
     assert sorted(o for o in built if o not in HELP) == sorted(own)
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["regret", "--data", "DATA", "--k", "5", "--out", "OUT"], 0), (["enumerate", "-h"], 0),
+    (["-h"], 0), (["bogus"], 2), (["regret"], 2)],
+    ids=["regret", "enumerate -h", "-h", "bogus", "regret without flags"])
+def test_dispatch_constructs_at_most_three_parsers(argv, exit_code, monkeypatch, tmp_path,
+                                                   capsys):
+    """The top-level parser, the invoked command's and one placeholder shared by
+    every other command: a count, not a timing."""
+    data = tmp_path / "d.csv"
+    write_lines(data, ["a,label", "0.5,1", "-1.0,0", "1.5,0", "-0.2,1"])
+    argv = [{"DATA": str(data), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(argv, capsys)[0] == exit_code
+    assert len(constructed) <= 3
+
+
 @pytest.mark.parametrize("argv", [["fit", "-h"], ["regret", "--data", "DATA", "--k", "5",
                                                   "--ridge", "0.1", "--out", "OUT"]],
                          ids=["fit -h", "regret"])

@@ -268,8 +268,9 @@ class TestSingleFitIsABatchRow:
 
     def test_lone_ladder_row_equals_its_rung_at_twice_k(self):
         """One separable row is alone on its fallback rung; with every row
-        doubled, the rung refits it together with its copy. fit_many on one
-        row alone, laddered or not, gives that row the same again."""
+        doubled, each row and its copy are refit once and the laddered row is
+        counted twice. fit_many on one row alone, laddered or not, gives that
+        row the same again."""
         features = np.random.default_rng(9).standard_normal((9, 2))
         trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=True))
         assignments = all_assignments(9)
@@ -699,6 +700,101 @@ class TestBatchedRidgeLadder:
         label_rows = np.array([[1, -1, -1], [1, 1, -1]])  # the second is separable
         with pytest.raises(errors.RefitFallbackExhausted):
             trainer.fit_many(lr.Dataset(features, label_rows[0]), label_rows, features, None)
+
+
+class TestDistinctRowsRefitOnce:
+    """LogisticTrainer.fit_many sends each distinct label row to the engine
+    once, in order of first appearance, copies its predictions to every row
+    that repeats it, and counts a laddered row once per copy."""
+
+    @staticmethod
+    def setting(n, ridge, warm):
+        """A trainer, a Dataset of n points, a start (or None) and distinct label
+        rows, one of them separable, in an order np.unique would not give."""
+        gen = np.random.default_rng(n)
+        features = gen.standard_normal((n, 2))
+        trainer = lr.LogisticTrainer(lr.FitOptions(ridge=ridge, include_intercept=False))
+        random_rows = np.where(gen.random((5, n)) < 0.6, 1, -1)
+        separable = np.where(features @ np.array([1.0, -0.5]) > 0, 1, -1)
+        distinct = np.unique(np.vstack([random_rows, separable]), axis=0)[::-1]
+        start = lr.LogisticModel(gen.normal(0.0, 0.3, 2)) if warm else None
+        return trainer, lr.Dataset(features, distinct[0]), start, distinct
+
+    @pytest.mark.parametrize("n", [1, 6, 9, 64, 65, 200])
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_repeated_rows_equal_their_rows_fit_alone(self, n, ridge, warm):
+        trainer, data, start, distinct = self.setting(n, ridge, warm)
+        copies = np.random.default_rng(n + 1).integers(0, len(distinct), 40)
+        eval_features = data.features[: min(n, 7)]
+        samples, n_fallbacks = trainer.fit_many(data, distinct[copies], eval_features, start)
+        alone = [trainer.fit_many(data, row[None], eval_features, start) for row in distinct]
+        np.testing.assert_array_equal(samples, np.vstack([s for s, _ in alone])[copies])
+        assert n_fallbacks == sum(alone[j][1] for j in copies)
+        if ridge == 0.0:
+            assert n_fallbacks > 0
+
+    def test_fallback_count_includes_the_copies(self):
+        features = np.array([[-1.5], [-0.7], [-0.2], [0.4], [0.9], [1.8]])
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=False))
+        row = np.where(features[:, 0] > 0, 1, -1)  # separable: takes the ladder
+        samples, n_fallbacks = trainer.fit_many(lr.Dataset(features, row),
+                                                np.tile(row, (5, 1)), features, None)
+        assert n_fallbacks == 5
+        np.testing.assert_array_equal(samples, np.tile(samples[0], (5, 1)))
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the label rows and ridge of every fit_logistic_batch call."""
+        calls = []
+        batch = glm.fit_logistic_batch
+
+        def recording(X, label_rows, opts=lr.FitOptions(), *, theta0=None):
+            calls.append((label_rows, opts.ridge))
+            return batch(X, label_rows, opts, theta0=theta0)
+
+        monkeypatch.setattr(glm, "fit_logistic_batch", recording)
+        return calls
+
+    def test_only_distinct_rows_reach_the_engine_in_first_appearance_order(self, monkeypatch):
+        trainer, data, _, distinct = self.setting(9, 0.0, False)
+        assert len(distinct) == 6
+        copies = np.array([3, 3, 0, 5, 0, 1, 3, 4, 2, 5, 5, 1])
+        calls = self.spy(monkeypatch)
+        trainer.fit_many(data, distinct[copies], data.features)
+        first_call, *rungs = calls
+        np.testing.assert_array_equal(first_call[0], distinct[[3, 0, 5, 1, 4, 2]])
+        assert first_call[1] == 0.0 and len(rungs) > 0
+        for rows, ridge in rungs:  # each pending distinct row once
+            assert ridge > 0.0 and len(np.unique(rows, axis=0)) == len(rows)
+
+    def test_all_distinct_rows_reach_the_engine_as_the_callers_array(self, monkeypatch):
+        trainer, data, start, distinct = self.setting(200, 0.1, True)
+        calls = self.spy(monkeypatch)
+        trainer.fit_many(data, distinct, data.features, start)
+        assert len(calls) == 1 and calls[0][0] is distinct
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 0), (3, 7), (3, 6, 1)])
+    def test_misshapen_label_rows_reach_the_engines_shape_check(self, shape):
+        features = np.random.default_rng(2).standard_normal((6, 1))
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=False))
+        with pytest.raises(errors.DimensionMismatch):
+            trainer.fit_many(lr.Dataset(features, [1, -1] * 3), np.ones(shape, dtype=int),
+                             features)
+
+    def test_estimate_regret_counts_every_laddered_resample(self):
+        """On a 6-point set most of K=400 resamples repeat; the report's
+        fallback count is the sum over one-row fit_many calls."""
+        features = np.array([[-1.5], [-0.7], [-0.2], [0.4], [0.9], [1.8]])
+        data = lr.Dataset(features, np.array([-1, 1, -1, 1, -1, 1]))
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=False))
+        report = lr.estimate_regret(data, trainer, 400, 21, keep_samples=True)
+        start = trainer.fit(data)
+        label_rows = draw_label_rows(start(features), 21, 400)
+        assert len(np.unique(label_rows, axis=0)) < 100
+        alone = [trainer.fit_many(data, row[None], features, start) for row in label_rows]
+        np.testing.assert_array_equal(report.samples, np.vstack([s for s, _ in alone]))
+        assert report.n_fallback_refits == sum(count for _, count in alone) > 0
 
 
 class TestHessianHelper:
