@@ -122,7 +122,10 @@ def draw_label_rows(probs, master_seed: int, n_rows: int) -> np.ndarray:
     """
     p = _checked_probs(probs)
     u = rng.stream_prefixes(master_seed, rng.LABELS, range(1, n_rows + 1), p.size)
-    return np.where(u < p, 1, -1).astype(np.int64, copy=False)
+    labels = np.less(u, p, out=np.empty(u.shape, dtype=np.int64))  # 1 where u < p, else 0
+    labels *= 2
+    labels -= 1
+    return labels
 
 
 def _checked_probs(probs) -> np.ndarray:

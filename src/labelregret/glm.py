@@ -10,9 +10,13 @@ for bit. Without ridge, an iterate that gives every point a positive margin
 proves the labels separable, so that there is no finite optimum; this proof
 is checked on every pass, the warm start included, and such a row stops
 there. The rows of a block advance together, so a block runs as many passes
-as its slowest row still iterating. LogisticTrainer.fit_many, the estimators'
-refit entry point, sends each distinct label row to the engine once, copies
-its predictions to the rows that repeat it and counts the ridge fallbacks of
+as its slowest row still iterating. Each fit_logistic_batch call allocates
+one workspace of ten min(block, K) x n floats, and a Newton pass writes its
+labels, margins, exp(-|margin|), loss terms, probabilities, residuals and
+weights into it in place: allocating them on every pass cost page faults
+(see _newton_rows). LogisticTrainer.fit_many, the estimators' refit entry
+point, sends each distinct label row to the engine once, copies its
+predictions to the rows that repeat it and counts the ridge fallbacks of
 every row, copies included; as no row depends on another, this changes no
 output. Labels are in {-1, +1} throughout.
 """
@@ -38,7 +42,9 @@ PROB_CLIP = 1e-12
 DIVERGENCE_GUARD = 1e6
 MAX_HALVINGS = 30
 # fit_logistic_batch advances at most this many label entries (rows times
-# points) at once, which bounds its working arrays whatever the row count.
+# points; one row when n is larger) at once, which bounds its workspace of ten
+# such arrays whatever the row count. A smaller block does not remove the page
+# faults that the workspace removes (see _newton_rows), and 4096 runs slower.
 BATCH_ENTRIES = 1 << 14
 # Largest n * d^2 for which fit_logistic_batch builds its n x d^2 table of
 # outer products (2 MiB); see there for the rule and its reasons.
@@ -63,9 +69,14 @@ def sigmoid(z):
     return out
 
 
-def _logistic(z, e):
-    """sigmoid(z) given e = exp(-|z|)."""
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _logistic(z, e, out=None, spare=None):
+    """sigmoid(z) given e = exp(-|z|), written to out and with 1 + e written to
+    spare when they are given; out may be z. The numerator max(e, sign(z)) is
+    where(z >= 0, 1, e) bit for bit, as e <= 1 where sign(z) is 1, e >= 0
+    where it is -1, e = 1 at z = +-0 and e is NaN at NaN; on an 81 x 200
+    block it takes about a quarter of where's time and casts no booleans."""
+    numerator = np.maximum(e, np.sign(z, out=out), out=out)
+    return np.divide(numerator, np.add(1.0, e, out=spare), out=out)
 
 
 @dataclass(frozen=True)
@@ -205,44 +216,69 @@ def _fit_rows(X, label_rows, opts: FitOptions, theta0, trace):
     XX = (X[:, :, None] * X[:, None, :]).reshape(n, d * d) \
         if n * d * d <= HESSIAN_TABLE_ENTRIES else None
     block = max(1, BATCH_ENTRIES // n)
+    # The call's one workspace: every block's rows x n arrays are written into it.
+    work = list(np.empty((10, min(block, K), n)))
     for first in range(0, K, block):
         rows = slice(first, first + block)
         thetas[rows], separable[rows] = _newton_rows(X, XX, label_rows[rows], opts, start,
-                                                     trace)
+                                                     trace, work)
     return thetas, separable
 
 
-def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
+def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
     """_fit_rows on one block of rows, after the rank check (XX None: no table).
 
     The loop holds only the rows still iterating: their block indices, thetas,
-    labels (as -y and as 0/1), margins z, exp(-|z|) and losses. A row's results
-    are written out when it leaves, and the arrays shrink only when a row does.
-    The full Newton step is tried on the whole arrays; only the rows that
-    reject it are gathered to halve it.
+    losses and five rows x n arrays (-y and the 0/1 labels as floats, margins
+    z, exp(-|z|) and probabilities P). Each is the top of one of the first
+    five arrays of work, the call's workspace, and has a twin in the last
+    five; the twins take the candidate's z and exp(-|z|), swapped in when a
+    step is accepted, and serve as scratch. Rows that leave are compacted out
+    into the twins, which then become live. So a pass allocates no rows x n
+    array: glibc gives freed arrays of that size (130 KB at n = 200) back to
+    the system, and a pass that allocated its fifteen or so afresh faulted
+    them in again. A row's results are written out when it leaves. The full
+    Newton step is tried on all the rows; only the rows that reject it are
+    gathered to halve it.
     """
     d = X.shape[1]
     XT = X.T
     ridge = opts.ridge
     ridge_eye = ridge * np.eye(d)
     pure_floor = 16.0 * np.finfo(float).eps
-    thetas = np.full((len(label_rows), d), np.nan)
-    separable = np.zeros(len(label_rows), dtype=bool)
+    r = len(label_rows)
+    thetas = np.full((r, d), np.nan)
+    separable = np.zeros(r, dtype=bool)
+    live, twin = [a[:r] for a in work[:5]], [a[:r] for a in work[5:]]
 
-    def evaluate(T, negY):
-        """Margins, exp(-|margin|) and penalized losses (with no overflow) at thetas T."""
-        Z = _row_products(T, XT)
-        E = np.exp(-np.abs(Z))
-        loss = (np.log1p(E) + np.maximum(negY * Z, 0.0)).sum(axis=1)  # log(1 + exp(-y z))
+    def compact(keep, count):
+        """Move the kept rows of the first count live arrays to the top of their
+        twins, which become live; cut every array to the kept rows."""
+        kept = np.flatnonzero(keep)
+        for i in range(len(live)):
+            if i < count:
+                np.take(live[i], kept, axis=0, out=twin[i][:kept.size], mode="clip")
+                live[i], twin[i] = twin[i], live[i]
+            live[i], twin[i] = live[i][:kept.size], twin[i][:kept.size]
+        return live
+
+    def evaluate(T, negY, Z, E, terms, hinge):
+        """Penalized losses (with no overflow) at thetas T; the margins go to Z,
+        exp(-|margin|) to E, and terms and hinge are scratch."""
+        _row_products(T, XT, out=Z)
+        np.exp(np.negative(np.abs(Z, out=E), out=E), out=E)
+        np.maximum(np.multiply(negY, Z, out=hinge), 0.0, out=hinge)
+        loss = np.add(np.log1p(E, out=terms), hinge, out=terms).sum(axis=1)  # log(1 + exp(-y z))
         if ridge:
             loss += 0.5 * ridge * (T * T).sum(axis=1)
-        return Z, E, loss
+        return loss
 
-    rows = np.arange(len(label_rows))
-    T = np.tile(theta0, (rows.size, 1))
-    Y = np.asarray(label_rows, dtype=float)
-    negY, y01 = -Y, (Y > 0.0)
-    Z, E, loss = evaluate(T, negY)  # at each row's current theta
+    rows = np.arange(r)
+    T = np.tile(theta0, (r, 1))
+    negY, y01, Z, E, P = live
+    np.negative(label_rows, out=negY, dtype=float)
+    np.less(negY, 0.0, out=y01)
+    loss = evaluate(T, negY, Z, E, twin[0], twin[1])  # at each row's current theta
     if trace is not None:
         trace.append(loss.copy())
     stalled = False  # some row's step halving found no decrease
@@ -253,17 +289,17 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
             # gradient of such a row can even sink below any tolerance by
             # sheer underflow. Before the last pass, a parameter norm past
             # DIVERGENCE_GUARD declares a row separable too.
-            leaving = (negY * Z).max(axis=1) < 0.0
+            leaving = np.multiply(negY, Z, out=twin[0]).max(axis=1) < 0.0
             if iteration < opts.max_iters:
                 leaving |= np.sqrt((T * T).sum(axis=1)) > DIVERGENCE_GUARD
             if leaving.any():
                 separable[rows[leaving]] = True
                 if leaving.all():
                     break
-                rows, T, negY, y01, Z, E, loss = (
-                    a[~leaving] for a in (rows, T, negY, y01, Z, E, loss))
-        P = _logistic(Z, E)
-        grad = _row_products(P - y01, X)  # penalized gradients
+                rows, T, loss = (a[~leaving] for a in (rows, T, loss))
+                negY, y01, Z, E, P = compact(~leaving, 4)
+        P = _logistic(Z, E, P, twin[0])
+        grad = _row_products(np.subtract(P, y01, out=twin[0]), X)  # penalized gradients
         if ridge:
             grad += ridge * T
         going = np.max(np.abs(grad), axis=1) > opts.grad_tol
@@ -271,13 +307,14 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
             thetas[rows[~going]] = T[~going]
             if not going.any():
                 break
-            rows, T, negY, y01, Z, E, loss, P, grad = (
-                a[going] for a in (rows, T, negY, y01, Z, E, loss, P, grad))
+            rows, T, loss, grad = (a[going] for a in (rows, T, loss, grad))
+            negY, y01, Z, E, P = compact(going, 5)
         if iteration == opts.max_iters or stalled:
             raise errors.NoConvergence(
                 f"gradient norm {np.max(np.abs(grad)):.3e} above tolerance {opts.grad_tol:g} "
                 f"after {opts.max_iters} iterations")
-        W = P * (1.0 - P)  # each row's penalized Hessian is X' diag(w) X + ridge I
+        # each row's penalized Hessian is X' diag(w) X + ridge I
+        W = np.multiply(P, np.subtract(1.0, P, out=twin[0]), out=twin[0])
         if XX is None:
             H = np.matmul(XT, W[:, :, None] * X)
         else:
@@ -292,8 +329,8 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
             separable[rows[~solvable]] = True
             if not solvable.any():
                 break
-            rows, T, negY, y01, Z, E, loss, grad, step = (
-                a[solvable] for a in (rows, T, negY, y01, Z, E, loss, grad, step))
+            rows, T, loss, grad, step = (a[solvable] for a in (rows, T, loss, grad, step))
+            negY, y01, Z, E, P = compact(solvable, 4)
         # grad' H^-1 grad / 2 is the decrease the full step achieves up to
         # higher-order terms. Once it sinks below the float resolution of the
         # loss value, a loss-based line search only sees rounding noise; such a
@@ -302,17 +339,24 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
         predicted = -0.5 * (grad * step).sum(axis=1)
         pure = predicted <= pure_floor * np.maximum(1.0, np.abs(loss))
         candidate = T + step
-        cZ, cE, c_loss = evaluate(candidate, negY)
+        cZ, cE = twin[2], twin[3]
+        c_loss = evaluate(candidate, negY, cZ, cE, twin[0], twin[1])
         better = pure | (c_loss <= loss)
         if better.all():
-            T, Z, E, loss = candidate, cZ, cE, np.minimum(c_loss, loss)
+            T, loss = candidate, np.minimum(c_loss, loss)
+            live[2:4], twin[2:4] = twin[2:4], live[2:4]
+            Z, E = cZ, cE
             stalled = False
         else:
             search, scale = np.arange(rows.size), 1.0  # rows halving their step
             for halving in range(MAX_HALVINGS + 1):
                 if halving:
+                    s = search.size
                     candidate = T[search] + scale * step[search]
-                    cZ, cE, c_loss = evaluate(candidate, negY[search])
+                    cZ, cE = twin[2][:s], twin[3][:s]
+                    c_loss = evaluate(
+                        candidate, np.take(negY, search, axis=0, out=twin[4][:s], mode="clip"),
+                        cZ, cE, twin[0][:s], twin[1][:s])
                     better = pure[search] | (c_loss <= loss[search])
                 took = search[better]
                 T[took], Z[took], E[took] = candidate[better], cZ[better], cE[better]
@@ -330,9 +374,10 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace):
     return thetas, separable
 
 
-def _row_products(A, B):
-    """The rows A[k] @ B, each a vector-matrix product of its own."""
-    return np.matmul(A[:, None, :], B)[:, 0, :]
+def _row_products(A, B, out=None):
+    """The rows A[k] @ B, each a vector-matrix product of its own, written to
+    out when it is given."""
+    return np.matmul(A[:, None, :], B, out=None if out is None else out[:, None, :])[:, 0, :]
 
 
 def _newton_steps(H, grad):
@@ -556,7 +601,10 @@ class LogisticTrainer(TrainerHandle):
             top = f"up to {FALLBACK_RIDGES[-1]:g}" if FALLBACK_RIDGES else "(the ladder is empty)"
             raise errors.RefitFallbackExhausted(
                 f"resample could not be fit even with extra ridge {top}")
-        samples = sigmoid(_row_products(thetas, design_matrix(eval_features, include).T))
+        Z = _row_products(thetas, design_matrix(eval_features, include).T)
+        E = np.abs(Z)
+        np.exp(np.negative(E, out=E), out=E)
+        samples = _logistic(Z, E, Z, E)  # sigmoid(Z) in place, with no K x m temporary
         return (samples if copies is None else samples[copies]), n_fallbacks
 
 

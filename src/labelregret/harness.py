@@ -145,11 +145,12 @@ def selective_run(ss: SemiSyntheticDataset,
     the regret estimated at the master seed and the true regret at the
     REFERENCE stream of the master seed."""
     trainer = LogisticTrainer(config.fit_options())
-    estimated = estimate_regret(ss.base, trainer, config.k_resamples, config.master_seed)
+    model = _initial_fit(trainer, ss.base)
+    estimated = estimate_regret(ss.base, trainer, config.k_resamples, config.master_seed,
+                                base=model)
     true = true_regret(ss, trainer, config.k_resamples,
                        rng.derive_master(config.master_seed, rng.REFERENCE, 0))
-    return selective_curves(ss, fit_logistic(ss.base, config.fit_options()),
-                            estimated.regret, true.regret, config.cutoff_grid)
+    return selective_curves(ss, model, estimated.regret, true.regret, config.cutoff_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +369,9 @@ def _trial_series(experiment, ss, trainer, config, trial_seed, reference):
         traces = active_runs(ss, trainer, config, trial_seed)
         return (traces["uniform"].n_labeled.astype(float),
                 {name: trace.mean_kl for name, trace in traces.items()})
-    estimated = estimate_regret(ss.base, trainer, config.k_resamples, trial_seed).regret
-    model = fit_logistic(ss.base, config.fit_options())
+    model = _initial_fit(trainer, ss.base)
+    estimated = estimate_regret(ss.base, trainer, config.k_resamples, trial_seed,
+                                base=model).regret
     if experiment == "theory_vs_actual":
         return (np.arange(ss.base.n_points, dtype=float),
                 {"estimated_regret": estimated, "q": q_values(model, ss.base.features)})

@@ -163,16 +163,18 @@ def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
 
 
 def estimate_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *,
-                    keep_samples: bool = False) -> RegretReport:
+                    keep_samples: bool = False, base=None) -> RegretReport:
     """Monte Carlo regret: resample labels from the base model's own predictions.
 
     Fits the base model, then for k = 1..K redraws every label from the base
     predicted probabilities (stream k), refits, and records the predictions at
     the original points. regret[i] is the K-1 sample variance of those values.
+    base, when given, is the trainer's fit on data that the caller already
+    made (see _initial_fit), and it is used instead of fitting again.
     """
     if K < 2:
         raise errors.TooFewResamples(f"K must be at least 2, got {K}")
-    predictor = _initial_fit(trainer, data)
+    predictor = _initial_fit(trainer, data) if base is None else base
     base_pred = np.asarray(predictor(data.features), dtype=float)
     samples, n_fallbacks = _prediction_samples(
         data, base_pred, data.features, trainer, K, seed, predictor)

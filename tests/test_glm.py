@@ -49,6 +49,18 @@ class TestSigmoid:
     def test_nan_propagates(self):
         assert math.isnan(lr.sigmoid(float("nan")))
 
+    def test_numerator_is_the_where_form_bit_for_bit(self):
+        """The numerator max(e, z >= 0) gives the bits of where(z >= 0, 1, e)."""
+        edges = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0,
+                 math.inf, -math.inf, math.nan]
+        z = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 40.0, 5000)])
+        e = np.exp(-np.abs(z))
+        expected = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        np.testing.assert_array_equal(lr.sigmoid(z).view(np.int64), expected.view(np.int64))
+        for value, want in zip(edges, expected):
+            got = lr.sigmoid(value)
+            assert np.float64(got).view(np.int64) == want.view(np.int64)
+
 
 class TestPredictProba:
     def test_zero_model_is_half(self):
@@ -288,6 +300,43 @@ class TestSingleFitIsABatchRow:
         for k in (0, 7):
             alone, _ = trainer.fit_many(data, label_rows[k:k + 1], features, None)
             np.testing.assert_array_equal(alone[0], once[k])
+
+
+class TestEngineAcrossBlocks:
+    """K = 300 rows at n = 200 run as three blocks of 81 rows and a last block
+    of 57 through one workspace per call. Every row equals its one-row fit bit
+    for bit, and the call gives the same bits again after calls of other
+    shapes. Three rows are separable; the far warm start makes rows halve
+    their steps."""
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_rows_equal_single_fits(self, ridge):
+        n, K = 200, 300
+        assert glm.BATCH_ENTRIES // n == 81
+        gen = np.random.default_rng(15)
+        features = gen.standard_normal((n, 2))
+        w = np.array([1.5, -1.0])
+        label_rows = np.where(gen.random((K, n)) < lr.sigmoid(features @ w + 0.1), 1, -1)
+        label_rows[[40, 150, 299]] = np.where(features @ w > 0, 1, -1)
+        opts = lr.FitOptions(ridge=ridge, include_intercept=True)
+        X = design_matrix(features, True)
+        for theta0 in (None, np.array([-2.0, 3.0, 1.5])):
+            thetas, separable = fit_logistic_batch(X, label_rows, opts, theta0=theta0)
+            assert separable.sum() == (3 if ridge == 0.0 else 0)
+            for k, labels in enumerate(label_rows):
+                data = lr.Dataset(features, labels)
+                if separable[k]:
+                    with pytest.raises(errors.FitDiverged):
+                        lr.fit_logistic(data, opts, theta0=theta0)
+                else:
+                    model = lr.fit_logistic(data, opts, theta0=theta0)
+                    np.testing.assert_array_equal(model.theta, thetas[k])
+            fit_logistic_batch(X[:60], label_rows[:7, :60], opts)
+            fit_logistic_batch(X, label_rows[:5], opts, theta0=theta0)
+            fit_logistic_batch(X[:9], all_assignments(9), opts)
+            again, again_separable = fit_logistic_batch(X, label_rows, opts, theta0=theta0)
+            np.testing.assert_array_equal(again_separable, separable)
+            np.testing.assert_array_equal(again, thetas)
 
 
 class TestSeparableRowsLeave:
