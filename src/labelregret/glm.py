@@ -2,28 +2,30 @@
 
 The optimizer minimizes the sum-form loss sum_i log(1 + exp(-y_i x_i'theta))
 (optionally plus ridge/2 * ||theta||^2) with full Newton steps and step
-halving: a Cholesky factorization checks that the Hessian is positive
-definite, and np.linalg.solve takes the step. There is one implementation,
-fit_logistic_batch, which fits many label vectors on one feature matrix at
-once; fit_logistic is its one-row case and equals the matching batch row bit
-for bit. Without ridge, an iterate that gives every point a positive margin
-proves the labels separable, so that there is no finite optimum; this proof
-is checked on every pass, the warm start included, and such a row stops
-there. The rows of a block advance together, so a block runs as many passes
-as its slowest row still iterating. Each fit_logistic_batch call allocates
-one workspace of ten min(block, K) x n floats, and a Newton pass writes its
-labels, margins, exp(-|margin|), loss terms, probabilities, residuals and
-weights into it in place: allocating them on every pass cost page faults
-(see _newton_rows). LogisticTrainer.fit_many, the estimators' refit entry
-point, sends each distinct label row to the engine once, copies its
-predictions to the rows that repeat it and counts the ridge fallbacks of
-every row, copies included; as no row depends on another, this changes no
-output. Labels are in {-1, +1} throughout.
+halving. At d <= 2 a Hessian far from singular is tested for positive
+definiteness and solved in closed form; any other Hessian passes a Cholesky
+test before np.linalg.solve takes the step (see _newton_steps). There is one
+implementation, fit_logistic_batch, which fits many label vectors on one
+feature matrix at once; fit_logistic is its one-row case and equals the
+matching batch row bit for bit. Without ridge, an iterate that gives every
+point a positive margin proves the labels separable, so that there is no
+finite optimum; this proof is checked on every pass, the warm start included,
+and such a row stops there. The rows of a block advance together, so a block
+runs as many passes as its slowest row still iterating. Each
+fit_logistic_batch call allocates one workspace of ten min(block, K) x n
+floats, and a Newton pass writes its labels, margins, exp(-|margin|), loss
+terms, probabilities, residuals and weights into it in place: allocating them
+on every pass cost page faults (see _newton_rows). LogisticTrainer.fit_many,
+the estimators' refit entry point, sends each distinct label row to the
+engine once, copies its predictions to the rows that repeat it and counts the
+ridge fallbacks of every row, copies included; as no row depends on another,
+this changes no output. Labels are in {-1, +1} throughout.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -49,6 +51,15 @@ BATCH_ENTRIES = 1 << 14
 # Largest n * d^2 for which fit_logistic_batch builds its n x d^2 table of
 # outer products (2 MiB); see there for the rule and its reasons.
 HESSIAN_TABLE_ENTRIES = 1 << 18
+# _newton_steps solves a 2 x 2 Hessian [[a, b], [b, e]] by Cramer's rule only
+# when det = ae - b^2 exceeds this share of ae: when the correlation of its
+# columns is below about 1 - 5e-5, a condition number below about 4e4 once its
+# diagonal is scaled to 1. Then rounding cannot make the sign test of det
+# disagree with the Cholesky test, and the step differs from the LU solve's by
+# rounding alone. Closer to singular, that difference can decide whether a
+# barely convergent fit converges (a share of 1e-6 changed the outcome of one
+# in 3,000 random fits), so such rows are factored as before.
+CRAMER_DET_SHARE = 1e-4
 # Ridge escalation ladder applied when an unregularized refit hits a
 # separable resample. Counts of such refits are reported, never hidden.
 FALLBACK_RIDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
@@ -188,8 +199,8 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     separable data, shown by an iterate that classifies every point strictly
     correctly (a proof checked on every pass, theta0 included), a parameter
     norm past DIVERGENCE_GUARD before the last pass, or a Hessian that is not
-    positive definite or that np.linalg.solve finds singular. Raises
-    NoConvergence when another row is still above opts.grad_tol after
+    positive definite or whose solve finds it singular (see _newton_steps).
+    Raises NoConvergence when another row is still above opts.grad_tol after
     opts.max_iters steps, or when its step halving finds no decrease.
     """
     return _fit_rows(X, label_rows, opts, theta0, None)
@@ -381,9 +392,49 @@ def _row_products(A, B, out=None):
 
 
 def _newton_steps(H, grad):
-    """Newton steps -H[k]^-1 grad[k] of a stack, and whether each exists: H[k]
-    must pass the Cholesky test, and rounding can still make the solve find it
-    singular. Solving one H[k] alone gives the same bits as solving the stack."""
+    """Newton steps -H[k]^-1 grad[k] of a stack of symmetric Hessians, and
+    whether each exists: H[k] must pass the Cholesky test, and rounding can
+    still make the solve find it singular.
+
+    At d <= 2 a row is solved in closed form where the closed-form test is
+    exact or far from its boundary: h > 0 at d = 1, whose step is -g/h; at
+    d = 2, where H[k] = [[a, b], [c, e]], a > 0 and a normal det = ae - bc
+    above CRAMER_DET_SHARE * ae (so every entry is finite), whose step is
+    Cramer's rule. There the test agrees with the Cholesky test, and the step
+    is the LU solve's up to rounding. Every other row, and every row at d > 2,
+    goes through _factored_steps on a stack of its own. Each row's result
+    depends on that row alone, so a one-row stack gives the same bits.
+    """
+    r, d = grad.shape
+    if d > 2:
+        return _factored_steps(H, grad)
+    # The values of rows that overflow, divide by zero or hold NaN are replaced
+    # below, so their floating-point warnings mean nothing.
+    with np.errstate(all="ignore"):
+        if d == 1:
+            closed = H[:, 0, 0] > 0.0
+            step = np.negative(grad) / H[:, 0]
+        else:
+            a, b, c, e = H.reshape(r, 4).T
+            g0, g1 = grad.T
+            ae = a * e
+            det = ae - b * c
+            # det must also be a normal float: a subnormal one has lost the
+            # relative precision that the share test relies on.
+            closed = (a > 0.0) & (det > np.maximum(CRAMER_DET_SHARE * ae, sys.float_info.min))
+            step = np.empty_like(grad)  # -H^-1 g = (b g1 - e g0, c g0 - a g1) / det
+            np.subtract(b * g1, e * g0, out=step[:, 0])
+            np.subtract(c * g0, a * g1, out=step[:, 1])
+            step /= det[:, None]
+    if not closed.all():
+        rest = np.flatnonzero(~closed)
+        step[rest], closed[rest] = _factored_steps(H[rest], grad[rest])
+    return step, closed
+
+
+def _factored_steps(H, grad):
+    """_newton_steps by a Cholesky test and an LU solve of each H[k]. Solving
+    one H[k] alone gives the same bits as solving the stack."""
     try:
         np.linalg.cholesky(H)
         return np.linalg.solve(H, -grad[:, :, None])[:, :, 0], np.ones(len(H), dtype=bool)

@@ -410,6 +410,145 @@ class TestSeparableRowsLeave:
             lr.fit_logistic(data, lr.FitOptions(max_iters=2, include_intercept=False))
 
 
+def lapack_step(h, g):
+    """The factored Newton step of one Hessian: (whether it passed the
+    Cholesky test, the LU solve's step or None where none was taken)."""
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False, None
+    try:
+        return True, np.linalg.solve(h, -g)
+    except np.linalg.LinAlgError:
+        return True, None
+
+
+def fuzz_hessians(gen):
+    """A table of d = 1 and d = 2 Hessian stacks with their gradients:
+    positive definite at scales from 1e-150 to 1e150 and badly scaled,
+    indefinite, negative definite, singular, nearly collinear on both sides of
+    CRAMER_DET_SHARE, zero and subnormal pivots, and NaN and inf entries."""
+    positive = [1.0, 0.25, 3e-5, 7e5, 1e-300, 1e300, 2.3e-308]
+    d1 = [*positive, -1.0, -1e-300, 0.0, -0.0, 5e-324, 1e-310, -1e-310,
+          math.nan, math.inf, -math.inf, *gen.lognormal(0.0, 3.0, 20)]
+    d2 = []
+    for scale in 10.0 ** np.array([-150, -20, -3, 0, 4, 60, 150]):
+        A = gen.standard_normal((2, 2))
+        d2.append(scale * (A @ A.T + 0.1 * np.eye(2)))
+        D = np.diag(10.0 ** gen.uniform(-8, 8, 2))
+        d2.append(scale * D @ (A @ A.T + 0.1 * np.eye(2)) @ D)
+    for _ in range(20):
+        Q, _ = np.linalg.qr(gen.standard_normal((2, 2)))
+        lam = gen.lognormal(0.0, 2.0, 2)
+        d2 += [Q @ np.diag([lam[0], -lam[1]]) @ Q.T, -(Q @ np.diag(lam) @ Q.T),
+               Q @ np.diag(lam) @ Q.T]
+    v = gen.standard_normal(2)
+    d2 += [np.outer(v, v), np.zeros((2, 2))]
+    for k in range(1, 17):  # det / ae = 10^-k
+        rho = math.sqrt(1.0 - 10.0 ** -k)
+        for s in (rho, -rho):
+            d2.append(np.array([[4.0, 6.0 * s], [6.0 * s, 9.0]]))
+    for a, b, e in [(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (-0.0, 0.0, 2.0),
+                    (1e-310, 0.0, 1.0), (5e-324, 0.0, 1.0), (1e-310, 0.0, 1e10),
+                    (1.0, 0.0, 1e-310), (1e-160, 1e-161, 1e-160), (1e200, 1e199, 1e200),
+                    (math.nan, 0.5, 1.0), (1.0, math.nan, 1.0), (1.0, 0.5, math.nan),
+                    (math.inf, 0.5, 1.0), (1.0, math.inf, 1.0), (1.0, 0.5, math.inf),
+                    (-math.inf, 0.5, 1.0), (math.inf, math.inf, math.inf)]:
+        d2.append(np.array([[a, b], [b, e]]))
+    stacks = [np.array(d1)[:, None, None], np.array(d2)]
+    return [(H, gen.standard_normal((len(H), H.shape[1]))) for H in stacks]
+
+
+class TestClosedFormNewtonSteps:
+    """At d <= 2 the Newton step is taken in closed form wherever the Hessian
+    is finite and far from singular, and by the Cholesky test and LU solve
+    elsewhere. The closed form must decide like the Cholesky test and step
+    like the solve; each row's result depends on that row alone."""
+
+    # Cramer's rule and the LU solve each have a forward error of a few
+    # kappa * eps in the infinity norm, kappa the 2-norm condition number.
+    KAPPA_EPS_FACTOR = 8.0
+
+    def test_rejects_the_cholesky_rejections_and_steps_like_the_solve(self, monkeypatch):
+        eps = sys.float_info.epsilon
+        factored = []
+        factored_steps = glm._factored_steps
+
+        def counting(H, grad):
+            factored[-1] += len(H)
+            return factored_steps(H, grad)
+
+        monkeypatch.setattr(glm, "_factored_steps", counting)
+        for H, grad in fuzz_hessians(np.random.default_rng(23136)):
+            factored.append(0)
+            step, ok = glm._newton_steps(H, grad)
+            assert 0 < factored[-1] < len(H)  # both paths are taken
+            for k in range(len(H)):
+                passed, expected = lapack_step(H[k], grad[k])
+                assert ok[k] == passed and passed == (expected is not None), H[k]
+                if not passed:
+                    continue
+                if not np.isfinite(H[k]).all():  # factored as before: the same bits
+                    np.testing.assert_array_equal(step[k], expected)
+                    continue
+                kappa = float(np.linalg.cond(H[k]))
+                assert np.array_equal(np.isfinite(step[k]), np.isfinite(expected)), H[k]
+                finite = np.isfinite(expected)
+                np.testing.assert_array_equal(step[k][~finite], expected[~finite])
+                error = float(np.max(np.abs(step[k][finite] - expected[finite]), initial=0.0))
+                scale = float(np.max(np.abs(expected[finite]), initial=0.0))
+                assert error == 0.0 or error <= self.KAPPA_EPS_FACTOR * kappa * eps * scale, H[k]
+
+    def test_mixed_stack_rows_equal_their_one_row_calls(self):
+        """Nearly collinear Hessians, which are factored, interleaved with well
+        conditioned ones, which are not: every row's step and flag are the
+        same bits in the stack and alone."""
+        gen = np.random.default_rng(7)
+        x = gen.standard_normal(40)
+        collinear = np.column_stack([x, x + 1e-5 * gen.standard_normal(40)])
+        plain = gen.standard_normal((40, 2))
+        stack = []
+        for _ in range(12):
+            w = gen.uniform(0.0, 0.25, 40)
+            stack += [collinear.T @ (w[:, None] * collinear), plain.T @ (w[:, None] * plain)]
+        H, grad = np.array(stack), gen.standard_normal((len(stack), 2))
+        step, ok = glm._newton_steps(H, grad)
+        assert ok.all()
+        for k in range(len(H)):
+            alone, alone_ok = glm._newton_steps(H[k:k + 1], grad[k:k + 1])
+            assert alone_ok[0]
+            np.testing.assert_array_equal(alone[0], step[k])
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-5])
+    def test_collinear_fit_rows_equal_single_fits(self, ridge, monkeypatch):
+        """All 64 assignments of a nearly collinear 6-point design: some
+        Newton stacks hold both factored and closed-form rows, and each
+        batch row equals its one-row fit bit for bit."""
+        x = np.array([0.12, -1.41, 0.91, 0.23, 1.7, -0.6])
+        features = np.column_stack([x, x + 1e-2 * np.array([1.0, 1.0, 2.0, -3.0, 0.5, 1.0])])
+        opts = lr.FitOptions(ridge=ridge, include_intercept=False)
+        shares = []
+        newton_steps = glm._newton_steps
+
+        def recording(H, grad):
+            a, b, c, e = H.reshape(len(H), 4).T
+            shares.append((a * e - b * c) / (a * e))
+            return newton_steps(H, grad)
+
+        monkeypatch.setattr(glm, "_newton_steps", recording)
+        label_rows = all_assignments(6)
+        thetas, separable = fit_logistic_batch(features, label_rows, opts)
+        assert any((s > glm.CRAMER_DET_SHARE).any() and (s <= glm.CRAMER_DET_SHARE).any()
+                   for s in shares)
+        for k, labels in enumerate(label_rows):
+            data = lr.Dataset(features, labels)
+            if separable[k]:
+                with pytest.raises(errors.FitDiverged):
+                    lr.fit_logistic(data, opts)
+            else:
+                np.testing.assert_array_equal(lr.fit_logistic(data, opts).theta, thetas[k])
+
+
 def test_failed_step_halving_stops_on_the_next_pass(small_dataset, monkeypatch):
     """With no halvings allowed, the full step from this warm start raises the
     loss: the row keeps its theta, and the next pass raises NoConvergence

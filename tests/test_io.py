@@ -1,11 +1,13 @@
 """The artifact I/O helpers: atomic writes, the table writer and the JSON files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from labelregret import errors
+import labelregret as lr
+from labelregret import _io, cli, errors
 from labelregret._io import NUMBER, atomic_write_text, dump_json, read_json, write_table
 
 
@@ -105,3 +107,83 @@ class TestJson:
         message = str(info.value)
         assert message.startswith(str(path))
         assert key is None or key in message
+
+
+def reference_json(payload) -> str:
+    """The text dump_json must write: the json module's indent encoder."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=_io._plain) + "\n"
+
+
+JSON_PAYLOADS = {
+    "non-finite and extreme floats": {
+        "scalars": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 5e-324],
+        "array": np.array([1.5, math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300]),
+        "finite array": np.array([-0.0, 1e-300, 1e300, 0.1, 2.0 / 3.0]),
+    },
+    "array shapes and dtypes": {
+        "empty": np.array([]), "zero-d": np.array(2.5), "two-d": np.arange(6.0).reshape(2, 3),
+        "empty two-d": np.zeros((2, 0)), "int": np.arange(4), "bool": np.array([True, False]),
+        "float32": np.array([0.1, 2.0], dtype=np.float32), "nan zero-d": np.array(math.nan),
+    },
+    "numpy scalars": {
+        "float64": np.float64(0.1), "nan float64": np.float64(math.nan), "int64": np.int64(-7),
+        "bool": np.bool_(True), "float32": np.float32(0.1), "uint8": np.uint8(200),
+    },
+    "containers and strings": {
+        "tuple": (1, 2.0, "x", None, True, False), "nested": {"b": {"a": [{}, [], ()]}, "a": 1},
+        "non-ascii": "héllo ☃ \U0001f600 \"q\" \\ \n\t\x00", "é key": None,
+        "arrays in lists": [np.array([1.0, 2.0]), [np.array([]), np.array([math.nan])]],
+    },
+    "non-string keys": {"int": {2: "two", 1: [1.0]}, "float": {1.5: 2, -0.5: 3}, "bool": {True: 1}},
+    "bare values": [[], {}, 1.0, "x", None, True, 7, -0.0, math.nan, (), np.array([0.25])],
+}
+
+
+class TestJsonWriter:
+    """dump_json writes the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("name", list(JSON_PAYLOADS))
+    def test_same_bytes_as_json_dumps(self, name, tmp_path):
+        payload = JSON_PAYLOADS[name]
+        for value in [payload, *(payload.values() if isinstance(payload, dict) else payload)]:
+            dump_json(tmp_path / "a.json", value)
+            assert (tmp_path / "a.json").read_text(encoding="utf-8") == reference_json(value)
+
+    def test_unsortable_keys_raise_like_json_dumps(self, tmp_path):
+        payload = {"a": {1: 2, "b": 3}}
+        with pytest.raises(TypeError):
+            reference_json(payload)
+        with pytest.raises(TypeError):
+            dump_json(tmp_path / "a.json", payload)
+
+    def test_every_cli_artifact_matches_json_dumps(self, tmp_path, monkeypatch, capsys):
+        """Each JSON file that these seed-5 command lines write, checked
+        against json.dumps of the payload it was written from."""
+        written = []
+        render = _io._render
+
+        def recording(value, pad):
+            text = render(value, pad)
+            if pad == "":
+                written.append((value, text))
+            return text
+
+        monkeypatch.setattr(_io, "_render", recording)
+        ss = lr.gaussian_semisynthetic(10, 1, [1.2], 5)
+        data = tmp_path / "data.csv"
+        write_table(data, ["a", "label"], [ss.base.features[:, 0], (ss.base.labels + 1) // 2])
+        seed = ["--seed", "5"]
+        command_lines = [
+            *(["trials", "--experiment", experiment, "--profile", "desk", "--n-trials", "1",
+               *seed] for experiment in ("theory_vs_actual", "selective", "active")),
+            ["fit", "--data", str(data), *seed],
+            ["theory", "--data", str(data), *seed],
+            ["regret", "--data", str(data), "--k", "30", *seed],
+            ["enumerate", "--data", str(data), *seed],
+        ]
+        for k, argv in enumerate(command_lines):
+            count = len(written)
+            assert cli.dispatch([*argv, "--out", str(tmp_path / str(k))]) == 0
+            assert len(written) > count, argv
+        for value, text in written:
+            assert text + "\n" == reference_json(value)
