@@ -403,11 +403,14 @@ def _newton_steps(H, grad):
     Cramer's rule. There the test agrees with the Cholesky test, and the step
     is the LU solve's up to rounding. Every other row, and every row at d > 2,
     goes through _factored_steps on a stack of its own. Each row's result
-    depends on that row alone, so a one-row stack gives the same bits.
+    depends on that row alone, so a one-row stack gives the same bits; at
+    d <= 2 it takes the same steps in _one_newton_step.
     """
     r, d = grad.shape
     if d > 2:
         return _factored_steps(H, grad)
+    if r == 1:
+        return _one_newton_step(H, grad)
     # The values of rows that overflow, divide by zero or hold NaN are replaced
     # below, so their floating-point warnings mean nothing.
     with np.errstate(all="ignore"):
@@ -430,6 +433,26 @@ def _newton_steps(H, grad):
         rest = np.flatnonzero(~closed)
         step[rest], closed[rest] = _factored_steps(H[rest], grad[rest])
     return step, closed
+
+
+def _one_newton_step(H, grad):
+    """_newton_steps of a one-row stack at d <= 2, in Python floats. Each
+    operation is the stack's own, and both round it correctly, so the bits are
+    the same; numpy's fixed cost per call would make up most of the time of
+    one row (the warm single fits and the last row left in a block)."""
+    if len(H[0]) == 1:
+        h, g = H.item(), grad.item()
+        if h > 0.0:
+            return np.array([[-g / h]]), np.ones(1, dtype=bool)
+    else:
+        (a, b), (c, e) = H[0].tolist()
+        g0, g1 = grad[0].tolist()
+        ae = a * e
+        det = ae - b * c
+        if a > 0.0 and det > CRAMER_DET_SHARE * ae and det > sys.float_info.min:
+            step = [[(b * g1 - e * g0) / det, (c * g0 - a * g1) / det]]
+            return np.array(step), np.ones(1, dtype=bool)
+    return _factored_steps(H, grad)
 
 
 def _factored_steps(H, grad):

@@ -499,6 +499,17 @@ class TestClosedFormNewtonSteps:
                 scale = float(np.max(np.abs(expected[finite]), initial=0.0))
                 assert error == 0.0 or error <= self.KAPPA_EPS_FACTOR * kappa * eps * scale, H[k]
 
+    def test_fuzz_rows_equal_their_one_row_calls(self):
+        """A one-row stack is stepped in Python floats: on every fuzz row,
+        closed form or factored, it gives the stack's flag and step bits."""
+        for H, grad in fuzz_hessians(np.random.default_rng(23136)):
+            step, ok = glm._newton_steps(H, grad)
+            for k in range(len(H)):
+                alone, alone_ok = glm._newton_steps(H[k:k + 1], grad[k:k + 1])
+                assert alone.shape == (1, H.shape[1]) and alone.dtype == step.dtype
+                assert alone_ok[0] == ok[k], H[k]
+                assert alone[0].tobytes() == step[k].tobytes(), H[k]
+
     def test_mixed_stack_rows_equal_their_one_row_calls(self):
         """Nearly collinear Hessians, which are factored, interleaved with well
         conditioned ones, which are not: every row's step and flag are the
