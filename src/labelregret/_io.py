@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -23,11 +22,22 @@ from . import errors
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file and rename; never leaves partial files."""
+    """Write text to path via a temp file and rename; never leaves partial files.
+
+    The file gets the mode that open(path, "w") gives a new file, 0o666 less
+    the umask, as the temp file is created with it; tempfile.mkstemp would
+    create it owner-only, and the rename keeps the temp file's mode.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

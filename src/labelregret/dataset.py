@@ -273,9 +273,10 @@ _NO_FIELD_LIMIT = 2**31 - 1
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a headered CSV with one label column; all other columns numeric.
 
-    Accepted input is UTF-8 text, one header record naming the columns, and
-    then one record per line (ended by \\n, \\r\\n or a lone \\r), each with
-    as many cells as the header. Blank lines are rejected. A cell may be
+    Accepted input is UTF-8 text, one header record naming the columns, the
+    label column exactly once (MissingLabelColumn otherwise), and then one
+    record per line (ended by \\n, \\r\\n or a lone \\r), each with as
+    many cells as the header. Blank lines are rejected. A cell may be
     double-quoted and padded with whitespace; it must hold a number that
     numpy's float parser reads, and every value must be finite. Label values
     must be -1, 0 or 1: 0 is mapped to -1, and -1 and +1 pass through.
@@ -300,6 +301,10 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     if label_column not in header:
         raise errors.MissingLabelColumn(
             f"column {label_column!r} not found in header {header}")
+    copies = header.count(label_column)
+    if copies > 1:  # a later copy would be read as a feature
+        raise errors.MissingLabelColumn(
+            f"column {label_column!r} appears {copies} times in header {header}")
     label_pos = header.index(label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_pos)
     if not feature_names:

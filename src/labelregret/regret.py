@@ -141,13 +141,27 @@ def _prediction_samples(train: Dataset, resample_probs, eval_features,
     return trainer.fit_many(train, labels, eval_features, start)
 
 
+def _mean_and_variance(samples: np.ndarray, keep_samples: bool):
+    """samples.mean(axis=0) and samples.var(axis=0, ddof=1), bit for bit, by
+    numpy's own sums and divisions but with no K x m temporary: the deviations
+    from the mean are squared in the samples themselves, or in one K x m
+    buffer when the samples are kept. The variance, a sum of squares, is
+    never negative."""
+    K = len(samples)
+    mean = np.add.reduce(samples, axis=0) / K
+    deviations = np.subtract(samples, mean, out=None if keep_samples else samples)
+    np.square(deviations, out=deviations)
+    return mean, np.add.reduce(deviations, axis=0) / (K - 1)
+
+
 def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
                      seed: int, trainer_name: str, n_fallbacks: int,
                      keep_samples: bool) -> RegretReport:
-    regret = np.maximum(samples.var(axis=0, ddof=1), 0.0)
+    """The report of K x m samples, which are overwritten unless kept."""
+    mean_pred, regret = _mean_and_variance(samples, keep_samples)
     return RegretReport(
         regret=regret,
-        mean_pred=samples.mean(axis=0),
+        mean_pred=mean_pred,
         base_pred=base_pred,
         n_resamples=samples.shape[0],
         estimator=estimator,

@@ -149,6 +149,8 @@ BAD_INPUTS = {
         _bad_data, f"{BIG_CELL},b,label\n1,2,1\n3,4,0\n", "UnreadableCsvRecord"),
     "cell over the field limit in a rejected row": (
         _bad_data, f"a,b,label\n1,2,1\n3,{BIG_CELL},0\n", "NonNumericCell"),
+    "label column named twice": (_bad_data, "x,label,label\n1,1,0\n2,0,1\n",
+                                 "MissingLabelColumn"),
     # A NaN or infinite setting would otherwise pass every comparison-based check
     # and end in zero regret, a theta = 0 model or NaN tokens in meta.json.
     "regret --grad-tol inf": (_flags, ["regret", "--data", "DATA", "--grad-tol", "inf"],

@@ -73,6 +73,14 @@ class TestLoadCsv:
         with pytest.raises(errors.MissingLabelColumn):
             lr.load_csv(p)
 
+    @pytest.mark.parametrize("header, copies", [("x,label,label", 2), ("label,x,label,label", 3)])
+    def test_repeated_label_column(self, tmp_path, header, copies):
+        """A second column named like the label is rejected, not read as a feature."""
+        p = tmp_path / "d.csv"
+        write_lines(p, [header, ",".join(["1"] * header.count(",")) + ",0"])
+        with pytest.raises(errors.MissingLabelColumn, match=f"'label' appears {copies} times"):
+            lr.load_csv(p)
+
     def test_non_numeric_cell_reports_position(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["a,b,label", "1,2,0", "1,oops,1"])

@@ -303,16 +303,16 @@ class TestSingleFitIsABatchRow:
 
 
 class TestEngineAcrossBlocks:
-    """K = 300 rows at n = 200 run as three blocks of 81 rows and a last block
-    of 57 through one workspace per call. Every row equals its one-row fit bit
-    for bit, and the call gives the same bits again after calls of other
-    shapes. Three rows are separable; the far warm start makes rows halve
-    their steps."""
+    """With blocks of 81 * 200 label entries, K = 300 rows at n = 200 run as
+    three blocks of 81 rows and a last block of 57 through one workspace per
+    call. Every row equals its one-row fit bit for bit, and the call gives the
+    same bits again after calls of other shapes. Three rows are separable; the
+    far warm start makes rows halve their steps."""
 
     @pytest.mark.parametrize("ridge", [0.0, 0.1])
-    def test_rows_equal_single_fits(self, ridge):
+    def test_rows_equal_single_fits(self, ridge, monkeypatch):
         n, K = 200, 300
-        assert glm.BATCH_ENTRIES // n == 81
+        monkeypatch.setattr(glm, "BATCH_ENTRIES", 81 * n)
         gen = np.random.default_rng(15)
         features = gen.standard_normal((n, 2))
         w = np.array([1.5, -1.0])
@@ -337,6 +337,23 @@ class TestEngineAcrossBlocks:
             again, again_separable = fit_logistic_batch(X, label_rows, opts, theta0=theta0)
             np.testing.assert_array_equal(again_separable, separable)
             np.testing.assert_array_equal(again, thetas)
+
+
+def test_desk_size_batch_runs_as_one_block(monkeypatch):
+    """A K = 300, n = 200 batch, the size of a desk Monte Carlo refit, runs
+    through the engine in one block."""
+    calls = []
+    newton_rows = glm._newton_rows
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return newton_rows(*args)
+
+    monkeypatch.setattr(glm, "_newton_rows", counted)
+    gen = np.random.default_rng(18)
+    X = design_matrix(gen.standard_normal((200, 2)), True)
+    fit_logistic_batch(X, np.where(gen.random((300, 200)) < 0.5, 1, -1), lr.FitOptions())
+    assert calls == [300]
 
 
 class TestSeparableRowsLeave:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -24,6 +26,26 @@ class TestAtomicWrite:
         with pytest.raises(UnicodeEncodeError):
             atomic_write_text(tmp_path / "new.txt", "\ud800")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_file_mode_is_that_of_a_plain_open(self, tmp_path, umask, mode):
+        """The written file, new or replacing one of another mode, has the
+        mode that open(path, "w") gives a new file under the umask."""
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+                fh.write("a\n")
+            atomic_write_text(tmp_path / "new.txt", "a\n")
+            old = tmp_path / "old.txt"
+            old.write_text("old\n", encoding="utf-8")
+            old.chmod(0o400)
+            atomic_write_text(old, "a\n")
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {"plain.txt": mode, "new.txt": mode, "old.txt": mode}
+        assert old.read_text(encoding="utf-8") == "a\n"
 
 
 def read_columns(path):

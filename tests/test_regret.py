@@ -5,7 +5,7 @@ import pytest
 
 import labelregret as lr
 from labelregret import errors, rng
-from labelregret.regret import FALLBACK_RIDGES, save_regret_report
+from labelregret.regret import FALLBACK_RIDGES, _sampling_report, save_regret_report
 
 import glm_reference as reference
 
@@ -31,6 +31,42 @@ class TestPointDeviations:
     def test_length_mismatch(self):
         with pytest.raises(errors.LengthMismatch):
             lr.point_deviations([0.1], [0.1, 0.2])
+
+
+class TestSampleMoments:
+    """A report's mean_pred and regret have the bits of samples.mean(axis=0) and
+    np.maximum(samples.var(axis=0, ddof=1), 0); kept samples are unchanged."""
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("m", [1, 200])
+    @pytest.mark.parametrize("K", [2, 3, 300, 1000])
+    def test_bits_of_numpy(self, K, m, keep):
+        gen = np.random.default_rng(K + m)
+        # predictions spread over [0, 1], or packed near 0 or near 1
+        samples = gen.uniform(size=(K, m)) ** gen.integers(1, 30, size=m)
+        samples[:, m // 2:] = 1.0 - samples[:, m // 2:]
+        self.check(samples, keep)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("m", [1, 200])
+    def test_constant_column(self, m, keep):
+        samples = np.random.default_rng(m).uniform(size=(300, m))
+        samples[:, 0] = 0.1
+        self.check(samples, keep)
+
+    @staticmethod
+    def check(samples, keep):
+        original = samples.copy()
+        mean, variance = samples.mean(axis=0), np.maximum(samples.var(axis=0, ddof=1), 0.0)
+        report = _sampling_report(samples, np.zeros(samples.shape[1]), "monte_carlo", 0,
+                                  "test", 0, keep)
+        assert report.mean_pred.tobytes() == mean.tobytes()
+        assert report.regret.tobytes() == variance.tobytes()
+        if keep:
+            assert samples.tobytes() == original.tobytes()
+            assert report.samples.tobytes() == original.tobytes()
+        else:
+            assert report.samples is None
 
 
 class TestEstimateRegret:
