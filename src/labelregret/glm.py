@@ -13,14 +13,15 @@ finite optimum; this proof is checked on every pass, the warm start included,
 and such a row stops there. The rows of a block advance together, so a block
 runs as many passes as its slowest row still iterating; a batch of up to
 BATCH_ENTRIES labels runs as one block. Each fit_logistic_batch call
-allocates one workspace of ten min(block, K) x n floats (at most 5 MiB), and
-a Newton pass writes its labels, margins, exp(-|margin|), loss terms,
-probabilities, residuals and weights into it in place: allocating them on
-every pass cost page faults (see _newton_rows). LogisticTrainer.fit_many,
-the estimators' refit entry point, sends each distinct label row to the
-engine once, copies its predictions to the rows that repeat it and counts the
-ridge fallbacks of every row, copies included; as no row depends on another,
-this changes no output. Labels are in {-1, +1} throughout.
+allocates one workspace of ten min(block, K) x n floats (5 MiB at most while
+n <= BATCH_ENTRIES), and a Newton pass writes its labels, margins,
+exp(-|margin|), loss terms, probabilities, residuals and weights into it in
+place: allocating them on every pass cost page faults (see _newton_rows).
+LogisticTrainer.fit_many, the estimators' refit entry point, sends each
+distinct label row to the engine once, copies its predictions to the rows
+that repeat it and counts the ridge fallbacks of every row, copies included;
+as no row depends on another, this changes no output. Labels are in
+{-1, +1} throughout.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ DIVERGENCE_GUARD = 1e6
 MAX_HALVINGS = 30
 # fit_logistic_batch advances at most this many label entries (rows times
 # points; one row when n is larger) at once, which bounds its workspace of ten
-# such arrays (5 MiB) whatever the row count. A Newton pass costs a block about
-# 75 numpy calls whatever its size, so every desk-size batch (K * n up to 2**16,
-# such as K = 300 at n = 200) runs as one block: at 2**14 a 300 x 200 call ran
-# four blocks and took 8.2-9.1 ms, against 6.9-7.1 ms in one, for 3.8 MiB more
+# such arrays (5 MiB up to n = 2**16) whatever the row count. A Newton pass
+# costs a block about 75 numpy calls whatever its size, so every desk-size
+# batch (K * n up to 2**16, such as K = 300 at n = 200) runs as one block. At
+# 2**14 a warm 300 x 200 call ran four blocks and took 10.1-11.1 ms, against
+# 8.0-8.4 ms in one (2-vCPU x86-64, one BLAS thread); 2**16 costs 3.8 MiB more
 # of workspace.
 BATCH_ENTRIES = 1 << 16
 # Largest n * d^2 for which fit_logistic_batch builds its n x d^2 table of
@@ -252,9 +254,9 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
     into the twins, which then become live. So a pass allocates no rows x n
     array: glibc gives freed arrays of that size (480 KB at K = 300,
     n = 200) back to the system, and a pass that allocated its fifteen or so
-    afresh faulted them in again. A row's results are written out when it leaves. The full
-    Newton step is tried on all the rows; only the rows that reject it are
-    gathered to halve it.
+    afresh faulted them in again. A row's results are written out when it
+    leaves. The full Newton step is tried on all the rows; only the rows that
+    reject it are gathered to halve it.
     """
     d = X.shape[1]
     XT = X.T
