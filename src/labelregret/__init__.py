@@ -25,9 +25,8 @@ from .glm import (ConstantTrainer, EchoTrainer, FitOptions, LogisticModel,
 from .harness import (ActiveLearningTrace, SelectiveCurve, TrialsResult,
                       TrialSummary, active_learning_run, oracle_error_scores,
                       run_trials, selective_prediction_curve, summarize_trials)
-from .regret import (DeviationReport, RegretReport, bootstrap_regret,
-                     estimate_regret, exact_regret_enumeration,
-                     point_deviations, save_regret_report, true_regret,
+from .regret import (RegretReport, bootstrap_regret, estimate_regret,
+                     exact_regret_enumeration, save_regret_report, true_regret,
                      variance_standard_error)
 from .theory import (TheoryReport, compute_hessian, epsilon_bound, q_values,
                      save_theory_report, theory_report)
@@ -35,7 +34,7 @@ from .theory import (TheoryReport, compute_hessian, epsilon_bound, q_values,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveLearningTrace", "ConstantTrainer", "Dataset", "DeviationReport",
+    "ActiveLearningTrace", "ConstantTrainer", "Dataset",
     "EchoTrainer", "ExperimentConfig", "FitOptions", "LabelDrawSeed",
     "LabelRegretError", "LogisticModel", "LogisticTrainer", "RegretReport",
     "SelectiveCurve", "SemiSyntheticDataset", "TheoryReport", "TrainerHandle",
@@ -45,7 +44,7 @@ __all__ = [
     "exact_regret_enumeration", "fit_logistic", "gaussian_features",
     "gaussian_semisynthetic", "load_csv", "load_model", "load_semisynthetic",
     "log_loss", "make_semisynthetic", "mean_kl", "oracle_error_scores",
-    "point_deviations", "predict_proba", "q_values", "run_trials",
+    "predict_proba", "q_values", "run_trials",
     "save_regret_report", "save_semisynthetic",
     "save_theory_report", "selective_prediction_curve",
     "semisynthetic_from_model", "sigmoid", "standardize_features",

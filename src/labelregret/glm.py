@@ -169,13 +169,17 @@ def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
     trace = [] if return_trace else None
     thetas, separable = _fit_rows(X, np.asarray(data.labels)[None, :], opts, theta0, trace)
     if separable[0]:
-        d = X.shape[1]
-        if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
-            raise errors.SingularHessian(
-                f"feature matrix has rank below {d} and no ridge is applied")
-        raise errors.FitDiverged("data looks separable; no finite optimum")
+        raise _flagged_fit_error(X, opts)
     model = LogisticModel(thetas[0], opts.include_intercept)
     return (model, np.concatenate(trace).tolist()) if return_trace else model
+
+
+def _flagged_fit_error(X, opts: FitOptions) -> errors.LabelRegretError:
+    """The error that fit_logistic raises on a row that the engine flags."""
+    d = X.shape[1]
+    if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
+        return errors.SingularHessian(f"feature matrix has rank below {d} and no ridge is applied")
+    return errors.FitDiverged("data looks separable; no finite optimum")
 
 
 def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0=None):
@@ -246,19 +250,28 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
     """_fit_rows on one block of rows, after the rank check (XX None: no table).
 
     The loop holds only the rows still iterating: their block indices, thetas,
-    losses and five rows x n arrays (-y and the 0/1 labels as floats, margins
-    z, exp(-|z|) and probabilities P). Each is the top of one of the first
-    five arrays of work, the call's workspace, and has a twin in the last
-    five; the twins take the candidate's z and exp(-|z|), swapped in when a
-    step is accepted, and serve as scratch. Rows that leave are compacted out
-    into the twins, which then become live. So a pass allocates no rows x n
-    array: glibc gives freed arrays of that size (480 KB at K = 300,
-    n = 200) back to the system, and a pass that allocated its fifteen or so
-    afresh faulted them in again. A row's results are written out when it
-    leaves. The full Newton step is tried on all the rows; only the rows that
-    reject it are gathered to halve it.
+    losses, largest margin products and five rows x n arrays (-y and the 0/1
+    labels as floats, margins z, exp(-|z|) and probabilities P). Each is the
+    top of one of the first five arrays of work, the call's workspace, and
+    has a twin in the last five; the twins take the candidate's z and
+    exp(-|z|), swapped in when a step is accepted, and serve as scratch. Rows
+    that leave are compacted out into the twins, which then become live. So a
+    pass allocates no rows x n array: glibc gives freed arrays of that size
+    (480 KB at K = 300, n = 200) back to the system, and a pass that
+    allocated its fifteen or so afresh faulted them in again. A row's results
+    are written out when it leaves. The full Newton step is tried on all the
+    rows; only the rows that reject it are gathered to halve it.
+
+    Every row starts at theta0, so the start's margins, exp(-|z|), log1p
+    terms, probabilities, weights and Hessian are formed once, as one row
+    that every row shares (a one-row _row_products gives any row's bits), and
+    the start pass forms only the hinges, loss sums, gradients and steps per
+    row. The separability proof of a pass reads each row's largest margin
+    product -y z, which the loss sweep that made the margins took before
+    clipping it to the hinge.
     """
     d = X.shape[1]
+    n = X.shape[0]
     XT = X.T
     ridge = opts.ridge
     ridge_eye = ridge * np.eye(d)
@@ -280,22 +293,47 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         return live
 
     def evaluate(T, negY, Z, E, terms, hinge):
-        """Penalized losses (with no overflow) at thetas T; the margins go to Z,
-        exp(-|margin|) to E, and terms and hinge are scratch."""
+        """Penalized losses (with no overflow) at thetas T and, without ridge,
+        each row's largest margin product -y z (None with ridge). The margins
+        go to Z, exp(-|margin|) to E, and terms and hinge are scratch; T, Z, E
+        and terms may hold one row that every row of negY shares."""
         _row_products(T, XT, out=Z)
         np.exp(np.negative(np.abs(Z, out=E), out=E), out=E)
-        np.maximum(np.multiply(negY, Z, out=hinge), 0.0, out=hinge)
-        loss = np.add(np.log1p(E, out=terms), hinge, out=terms).sum(axis=1)  # log(1 + exp(-y z))
+        np.multiply(negY, Z, out=hinge)
+        top = None if ridge else hinge.max(axis=1)
+        np.maximum(hinge, 0.0, out=hinge)
+        loss = np.add(np.log1p(E, out=terms), hinge, out=hinge).sum(axis=1)  # log(1 + exp(-y z))
         if ridge:
             loss += 0.5 * ridge * (T * T).sum(axis=1)
-        return loss
+        return loss, top
+
+    def hessian(P, W):
+        """Each row's penalized Hessian X' diag(w) X + ridge I, with the weights
+        w = P(1 - P) written to W."""
+        np.multiply(P, np.subtract(1.0, P, out=W), out=W)
+        if XX is None:
+            H = np.matmul(XT, W[:, :, None] * X)
+        else:
+            H = _row_products(W, XX).reshape(-1, d, d)
+        if ridge:
+            H += ridge_eye
+        return H
 
     rows = np.arange(r)
     T = np.tile(theta0, (r, 1))
     negY, y01, Z, E, P = live
     np.negative(label_rows, out=negY, dtype=float)
     np.less(negY, 0.0, out=y01)
-    loss = evaluate(T, negY, Z, E, twin[0], twin[1])  # at each row's current theta
+    # The start, shared by every row until its step is taken (a lone row
+    # shares it with none): margins z, exp(-|z|), probabilities p, Hessian H.
+    shared = r > 1
+    if shared:
+        z, e = np.empty((2, 1, n))
+        loss, top = evaluate(T[:1], negY, z, e, twin[0][:1], twin[1])
+        p = _logistic(z, e)
+        H = hessian(p, twin[0][:1])
+    else:
+        loss, top = evaluate(T, negY, Z, E, twin[0], twin[1])
     if trace is not None:
         trace.append(loss.copy())
     stalled = False  # some row's step halving found no decrease
@@ -306,17 +344,18 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
             # gradient of such a row can even sink below any tolerance by
             # sheer underflow. Before the last pass, a parameter norm past
             # DIVERGENCE_GUARD declares a row separable too.
-            leaving = np.multiply(negY, Z, out=twin[0]).max(axis=1) < 0.0
+            leaving = top < 0.0
             if iteration < opts.max_iters:
                 leaving |= np.sqrt((T * T).sum(axis=1)) > DIVERGENCE_GUARD
             if leaving.any():
                 separable[rows[leaving]] = True
                 if leaving.all():
                     break
-                rows, T, loss = (a[~leaving] for a in (rows, T, loss))
+                rows, T, loss, top = (a[~leaving] for a in (rows, T, loss, top))
                 negY, y01, Z, E, P = compact(~leaving, 4)
-        P = _logistic(Z, E, P, twin[0])
-        grad = _row_products(np.subtract(P, y01, out=twin[0]), X)  # penalized gradients
+        if not shared:
+            p = P = _logistic(Z, E, P, twin[0])
+        grad = _row_products(np.subtract(p, y01, out=twin[0]), X)  # penalized gradients
         if ridge:
             grad += ridge * T
         going = np.max(np.abs(grad), axis=1) > opts.grad_tol
@@ -325,19 +364,14 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
             if not going.any():
                 break
             rows, T, loss, grad = (a[going] for a in (rows, T, loss, grad))
+            top = top if ridge else top[going]
             negY, y01, Z, E, P = compact(going, 5)
         if iteration == opts.max_iters or stalled:
             raise errors.NoConvergence(
                 f"gradient norm {np.max(np.abs(grad)):.3e} above tolerance {opts.grad_tol:g} "
                 f"after {opts.max_iters} iterations")
-        # each row's penalized Hessian is X' diag(w) X + ridge I
-        W = np.multiply(P, np.subtract(1.0, P, out=twin[0]), out=twin[0])
-        if XX is None:
-            H = np.matmul(XT, W[:, :, None] * X)
-        else:
-            H = _row_products(W, XX).reshape(-1, d, d)
-        if ridge:
-            H += ridge_eye
+        if not shared:
+            H = hessian(P, twin[0])
         # Rank was verified above, so a Hessian with no step (not PD, or
         # singular in floating point) means the Newton weights collapsed on
         # the way to an infinite optimum.
@@ -347,6 +381,7 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
             if not solvable.any():
                 break
             rows, T, loss, grad, step = (a[solvable] for a in (rows, T, loss, grad, step))
+            top = top if ridge else top[solvable]
             negY, y01, Z, E, P = compact(solvable, 4)
         # grad' H^-1 grad / 2 is the decrease the full step achieves up to
         # higher-order terms. Once it sinks below the float resolution of the
@@ -357,27 +392,31 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         pure = predicted <= pure_floor * np.maximum(1.0, np.abs(loss))
         candidate = T + step
         cZ, cE = twin[2], twin[3]
-        c_loss = evaluate(candidate, negY, cZ, cE, twin[0], twin[1])
+        c_loss, c_top = evaluate(candidate, negY, cZ, cE, twin[0], twin[1])
         better = pure | (c_loss <= loss)
         if better.all():
-            T, loss = candidate, np.minimum(c_loss, loss)
+            T, loss, top = candidate, np.minimum(c_loss, loss), c_top
             live[2:4], twin[2:4] = twin[2:4], live[2:4]
             Z, E = cZ, cE
             stalled = False
         else:
+            if shared:  # each row that keeps the start keeps its margins
+                Z[...], E[...] = z, e
             search, scale = np.arange(rows.size), 1.0  # rows halving their step
             for halving in range(MAX_HALVINGS + 1):
                 if halving:
                     s = search.size
                     candidate = T[search] + scale * step[search]
                     cZ, cE = twin[2][:s], twin[3][:s]
-                    c_loss = evaluate(
+                    c_loss, c_top = evaluate(
                         candidate, np.take(negY, search, axis=0, out=twin[4][:s], mode="clip"),
                         cZ, cE, twin[0][:s], twin[1][:s])
                     better = pure[search] | (c_loss <= loss[search])
                 took = search[better]
                 T[took], Z[took], E[took] = candidate[better], cZ[better], cE[better]
                 loss[took] = np.minimum(c_loss[better], loss[took])  # never increases
+                if not ridge:
+                    top[took] = c_top[better]
                 search, scale = search[~better], 0.5 * scale
                 if search.size == 0:
                     break
@@ -385,6 +424,7 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
             # none. It keeps its theta, where the gradient is above grad_tol,
             # so the next pass raises NoConvergence.
             stalled = search.size > 0
+        shared = False
         if trace is not None:
             trace.append(loss.copy())
     thetas[separable] = np.nan
@@ -400,7 +440,8 @@ def _row_products(A, B, out=None):
 def _newton_steps(H, grad):
     """Newton steps -H[k]^-1 grad[k] of a stack of symmetric Hessians, and
     whether each exists: H[k] must pass the Cholesky test, and rounding can
-    still make the solve find it singular.
+    still make the solve find it singular. A stack of one Hessian serves
+    every row of grad.
 
     At d <= 2 a row is solved in closed form where the closed-form test is
     exact or far from its boundary: h > 0 at d = 1, whose step is -g/h; at
@@ -414,7 +455,7 @@ def _newton_steps(H, grad):
     """
     r, d = grad.shape
     if d > 2:
-        return _factored_steps(H, grad)
+        return _factored_steps(H if len(H) == r else np.broadcast_to(H, (r, d, d)), grad)
     if r == 1:
         return _one_newton_step(H, grad)
     # The values of rows that overflow, divide by zero or hold NaN are replaced
@@ -424,7 +465,7 @@ def _newton_steps(H, grad):
             closed = H[:, 0, 0] > 0.0
             step = np.negative(grad) / H[:, 0]
         else:
-            a, b, c, e = H.reshape(r, 4).T
+            a, b, c, e = H.reshape(-1, 4).T
             g0, g1 = grad.T
             ae = a * e
             det = ae - b * c
@@ -435,6 +476,10 @@ def _newton_steps(H, grad):
             np.subtract(b * g1, e * g0, out=step[:, 0])
             np.subtract(c * g0, a * g1, out=step[:, 1])
             step /= det[:, None]
+    if len(closed) < r:  # one Hessian for every row
+        if closed[0]:
+            return step, np.ones(r, dtype=bool)
+        return _factored_steps(np.broadcast_to(H, (r, d, d)), grad)
     if not closed.all():
         rest = np.flatnonzero(~closed)
         step[rest], closed[rest] = _factored_steps(H[rest], grad[rest])
@@ -611,6 +656,19 @@ class TrainerHandle:
     def fit(self, data: "Dataset", start=None) -> Predictor:
         raise NotImplementedError
 
+    def fit_each(self, data: "Dataset", label_rows) -> list:
+        """Cold fits on data's features, one per row of label_rows: entry k is
+        fit(data.with_labels(label_rows[k])), or the LabelRegretError that this
+        fit raises, so that a caller can raise it where it would have made the
+        fit. Subclasses may fit the rows together, as LogisticTrainer does."""
+        fits = []
+        for labels in label_rows:
+            try:
+                fits.append(self.fit(data.with_labels(labels)))
+            except errors.LabelRegretError as exc:
+                fits.append(exc)
+        return fits
+
     def fit_many(self, data: "Dataset", label_rows, eval_features, start=None):
         """Refit on data's features once per row of label_rows, each from start.
 
@@ -643,6 +701,21 @@ class LogisticTrainer(TrainerHandle):
 
     def fit(self, data: "Dataset", start: "LogisticModel | None" = None) -> LogisticModel:
         return fit_logistic(data, self.opts, theta0=None if start is None else start.theta)
+
+    def fit_each(self, data: "Dataset", label_rows) -> list:
+        """TrainerHandle.fit_each by one fit_logistic_batch call from theta = 0,
+        whose rows are fit_logistic's models bit for bit; a flagged row gets the
+        error that fit_logistic raises on it. When the call raises (a row that
+        does not converge), each row is fitted alone, so that every row still
+        gets its own outcome."""
+        X = design_matrix(data.features, self.opts.include_intercept)
+        try:
+            thetas, separable = fit_logistic_batch(X, label_rows, self.opts)
+        except errors.LabelRegretError:
+            return super().fit_each(data, label_rows)
+        return [_flagged_fit_error(X, self.opts) if flagged
+                else LogisticModel(theta, self.opts.include_intercept)
+                for theta, flagged in zip(thetas, separable)]
 
     def fit_with_extra_ridge(self, data: "Dataset", extra_ridge: float) -> LogisticModel:
         """A cold fit with extra_ridge added to the trainer's ridge."""

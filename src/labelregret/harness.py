@@ -150,7 +150,7 @@ def selective_run(ss: SemiSyntheticDataset,
     estimated = estimate_regret(ss.base, trainer, config.k_resamples, config.master_seed,
                                 base=model)
     true = true_regret(ss, trainer, config.k_resamples,
-                       rng.derive_master(config.master_seed, rng.REFERENCE, 0))
+                       rng.derive_master(config.master_seed, rng.REFERENCE, 0), base=model)
     return selective_curves(ss, model, estimated.regret, true.regret, config.cutoff_grid)
 
 
@@ -356,21 +356,14 @@ def population_draw(config: ExperimentConfig, stream_index: int,
                                     gt_ridge=gt_ridge)
 
 
-def _reference_true_regret(population, config, trainer) -> np.ndarray:
-    """One true-regret vector shared by all trials (it has no trial dependence)."""
-    ref_master = rng.derive_master(config.master_seed, rng.REFERENCE, 0)
-    ss = population_draw(config.replace(master_seed=ref_master), 0, population)
-    return true_regret(ss, trainer, config.k_resamples,
-                       rng.derive_master(ref_master, rng.TRIAL, 0)).regret
-
-
-def _trial_series(experiment, ss, trainer, config, trial_seed, reference):
-    """(positions, series by name) of one trial of the experiment."""
+def _trial_series(experiment, ss, trainer, config, trial_seed, reference, fitted):
+    """(positions, series by name) of one trial of the experiment; fitted is
+    the trial's base fit, made in run_trials (None for active)."""
     if experiment == "active":
         traces = active_runs(ss, trainer, config, trial_seed)
         return (traces["uniform"].n_labeled.astype(float),
                 {name: trace.mean_kl for name, trace in traces.items()})
-    model = _initial_fit(trainer, ss.base)
+    model = _initial_fit(trainer, ss.base, fitted)
     estimated = estimate_regret(ss.base, trainer, config.k_resamples, trial_seed,
                                 base=model).regret
     if experiment == "theory_vs_actual":
@@ -393,6 +386,12 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
     the features and ground truth stay fixed, so trials differ only in which
     labels were originally observed. Everything derives from the master seed;
     permuting trial execution order cannot change any per-trial artifact.
+
+    theory_vs_actual and selective share one true regret, that of the
+    REFERENCE draw of the master seed. Its base model and every trial's are
+    cold fits on the population's features, so they are made together by one
+    trainer.fit_each call, each equal to its own fit; a base fit that fails
+    raises InitialFitFailed where its draw's turn comes, the reference first.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}")
@@ -403,13 +402,21 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
                          f"cutoffs; the cutoff_grid has {len(config.cutoff_grid)}")
     population = base_population(config)
     trainer = LogisticTrainer(config.fit_options())
-    reference = (None if experiment == "active"
-                 else _reference_true_regret(population, config, trainer))
+    draws = [population_draw(config, t, population) for t in range(config.n_trials)]
+    reference, fits = None, [None] * config.n_trials
+    if experiment != "active":
+        ref_master = rng.derive_master(config.master_seed, rng.REFERENCE, 0)
+        ref = population_draw(config.replace(master_seed=ref_master), 0, population)
+        ref_fit, *fits = trainer.fit_each(
+            ref.base, np.stack([ss.base.labels for ss in (ref, *draws)]))
+        reference = true_regret(ref, trainer, config.k_resamples,
+                                rng.derive_master(ref_master, rng.TRIAL, 0),
+                                base=_initial_fit(trainer, ref.base, ref_fit)).regret
     trials = []
-    for t in range(config.n_trials):
-        ss = population_draw(config, t, population)
+    for t, (ss, fitted) in enumerate(zip(draws, fits)):
         trial_seed = rng.derive_master(config.master_seed, rng.TRIAL, t)
-        trials.append(_trial_series(experiment, ss, trainer, config, trial_seed, reference))
+        trials.append(_trial_series(experiment, ss, trainer, config, trial_seed, reference,
+                                    fitted))
 
     positions = trials[0][0]
     extras = {"n_labeled": positions} if reference is None else {"true_regret": reference}

@@ -37,7 +37,9 @@ class RegretReport:
     regret[i] is the variance of point i's predicted probability across
     resampled refits: the K-1 denominator for the sampling estimators, the
     exact population variance for enumeration. samples (K x n) is retained
-    only on request.
+    only on request. The report holds read-only copies of the arrays it is
+    given; an estimator hands over its own samples instead (see
+    _sampling_report).
     """
 
     regret: np.ndarray
@@ -83,46 +85,20 @@ class RegretReport:
         return self.regret.size
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """Absolute (e) and squared (s = e**2) per-point prediction differences."""
-
-    e: np.ndarray
-    s: np.ndarray
-
-    def __post_init__(self):
-        e = np.array(self.e, dtype=float)
-        s = np.array(self.s, dtype=float)
-        if e.shape != s.shape:
-            raise errors.LengthMismatch("e and s must share one length")
-        e.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "s", s)
-
-
-def point_deviations(preds_a, preds_b) -> DeviationReport:
-    """Per-point absolute and squared differences between two prediction vectors."""
-    a = np.asarray(preds_a, dtype=float)
-    b = np.asarray(preds_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise errors.LengthMismatch(
-            f"prediction vectors must be 1-D and equally long, got {a.shape} and {b.shape}")
-    for name, arr in (("preds_a", a), ("preds_b", b)):
-        if arr.size and (arr.min() < 0 or arr.max() > 1):
-            raise ValueError(f"{name} must lie in [0, 1]")
-    e = np.abs(a - b)
-    return DeviationReport(e, e ** 2)
-
-
 # ---------------------------------------------------------------------------
 # refitting machinery
 
 
-def _initial_fit(trainer: TrainerHandle, data: Dataset):
-    """The trainer's fit on data: the base predictor and every refit's start."""
+def _initial_fit(trainer: TrainerHandle, data: Dataset, fitted=None):
+    """The trainer's fit on data: the base predictor and every refit's start.
+    fitted, when given, is that fit made earlier, as an entry of
+    TrainerHandle.fit_each: the predictor, or the error that the fit raised."""
     try:
-        return trainer.fit(data)
+        if fitted is None:
+            return trainer.fit(data)
+        if isinstance(fitted, errors.LabelRegretError):
+            raise fitted
+        return fitted
     except errors.LabelRegretError as exc:
         raise errors.InitialFitFailed(f"initial fit failed: {exc}") from exc
 
@@ -157,9 +133,11 @@ def _mean_and_variance(samples: np.ndarray, keep_samples: bool):
 def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
                      seed: int, trainer_name: str, n_fallbacks: int,
                      keep_samples: bool) -> RegretReport:
-    """The report of K x m samples, which are overwritten unless kept."""
+    """The report of K x m samples, which are overwritten unless kept. Kept
+    samples, an array that no caller holds, become the report's own, read-only
+    and not copied."""
     mean_pred, regret = _mean_and_variance(samples, keep_samples)
-    return RegretReport(
+    report = RegretReport(
         regret=regret,
         mean_pred=mean_pred,
         base_pred=base_pred,
@@ -168,8 +146,11 @@ def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
         seed=int(seed),
         trainer_name=trainer_name,
         n_fallback_refits=int(n_fallbacks),
-        samples=samples if keep_samples else None,
     )
+    if keep_samples:
+        samples.setflags(write=False)
+        object.__setattr__(report, "samples", samples)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +178,18 @@ def estimate_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *,
 
 
 def true_regret(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int, seed: int, *,
-                keep_samples: bool = False) -> RegretReport:
-    """Regret under the ground truth: labels resampled from the true probabilities."""
+                keep_samples: bool = False, base=None) -> RegretReport:
+    """Regret under the ground truth: labels resampled from the true probabilities.
+
+    Fits the base model on the observed labels, then for k = 1..K redraws
+    every label from the true probabilities (stream k) and refits from the
+    base model. base, when given, is the trainer's fit on ss.base that the
+    caller already made (see _initial_fit), and it is used instead of fitting
+    again.
+    """
     if K < 2:
         raise errors.TooFewResamples(f"K must be at least 2, got {K}")
-    predictor = _initial_fit(trainer, ss.base)
+    predictor = _initial_fit(trainer, ss.base) if base is None else base
     base_pred = np.asarray(predictor(ss.base.features), dtype=float)
     samples, n_fallbacks = _prediction_samples(
         ss.base, ss.true_probs, ss.base.features, trainer, K, seed, predictor)

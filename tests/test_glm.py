@@ -547,6 +547,21 @@ class TestClosedFormNewtonSteps:
             assert alone_ok[0]
             np.testing.assert_array_equal(alone[0], step[k])
 
+    def test_one_hessian_serves_every_row(self):
+        """A stack of one Hessian, as the shared start pass makes, steps every
+        gradient as a stack of its copies does: on each fuzz Hessian, closed
+        form or factored, and at d = 3."""
+        gen = np.random.default_rng(2507)
+        A = gen.standard_normal((3, 3))
+        d3 = np.array([A @ A.T + 0.1 * np.eye(3), -(A @ A.T), np.outer(A[0], A[0])])
+        for H in [H for H, _ in fuzz_hessians(gen)] + [d3]:
+            for k in range(len(H)):
+                grad = gen.standard_normal((5, H.shape[1]))
+                step, ok = glm._newton_steps(H[k:k + 1], grad)
+                copies, copies_ok = glm._newton_steps(np.repeat(H[k:k + 1], 5, axis=0), grad)
+                assert ok.tolist() == copies_ok.tolist(), H[k]
+                assert step.tobytes() == copies.tobytes(), H[k]
+
     @pytest.mark.parametrize("ridge", [0.0, 1e-5])
     def test_collinear_fit_rows_equal_single_fits(self, ridge, monkeypatch):
         """All 64 assignments of a nearly collinear 6-point design: some
@@ -632,6 +647,145 @@ def test_engine_matches_the_reference_on_random_fits():
             np.testing.assert_allclose(trace, expected_trace, rtol=1e-9)
         outcomes.append(outcome)
     assert {"fit", "FitDiverged", "SingularHessian"} <= set(outcomes)
+
+
+def one_row_outcome(X, labels, opts, theta0, halvings=glm.MAX_HALVINGS):
+    """(outcome, theta, loss trace) of one row alone, at MAX_HALVINGS =
+    halvings: "fit" or "separable" with the theta, or "NoConvergence"."""
+    saved, glm.MAX_HALVINGS = glm.MAX_HALVINGS, halvings
+    trace = []
+    try:
+        thetas, separable = glm._fit_rows(X, labels[None, :], opts, theta0, trace)
+        return ("separable" if separable[0] else "fit"), thetas[0], np.concatenate(trace)
+    except errors.NoConvergence:
+        return "NoConvergence", None, np.concatenate(trace)
+    finally:
+        glm.MAX_HALVINGS = saved
+
+
+class TestSharedStartPass:
+    """Every row of a block starts at theta0, so the engine forms the start's
+    margins, probabilities and Hessian once, for all rows, and each pass's
+    separability proof reads the margin maxima of the loss sweep. Blocks at
+    d = 1, 2 and 3 must still give every row the bits of its one-row fit,
+    and the reference's separable masks and loss traces.
+
+    The warm blocks at ridge 0 hold a row of each kind that the shared start
+    and the carried margin maxima could get wrong, each checked by its own
+    one-row run: a row the margin proof flags at theta0; a row that halves
+    its first step (with no halving allowed it stalls there); on the plain
+    d = 2 and 3 designs, a row proved separable on the pass right after a
+    halved step (with no halving allowed it stalls on that step; separable
+    data in one feature never rejects a step); and at d = 3 and on a nearly
+    collinear d = 2 design, Hessians that go through _factored_steps, the
+    shared one included."""
+
+    CASES = {"d1": (1, False), "d2": (2, False), "d2_collinear": (2, True), "d3": (3, False)}
+
+    def _block(self, case):
+        """(X, warm start, label rows, rows of each kind) of a case."""
+        d, collinear = self.CASES[case]
+        gen = np.random.default_rng(2307 + d + 10 * collinear)
+        X = gen.standard_normal((14, d))
+        if collinear:
+            X[:, 1] = X[:, 0] + 1e-3 * gen.standard_normal(14)
+        warm = gen.standard_normal(d)
+        warm *= 3.0 / np.linalg.norm(warm)
+        opts = lr.FitOptions(include_intercept=False)
+        rows = [np.where(gen.random((24, 14)) < lr.sigmoid(X @ gen.standard_normal(d)), 1, -1),
+                np.where(X @ warm > 0, 1, -1)[None, :]]
+        kinds = {"flagged at theta0": [24]}
+
+        def first(kind, draw, holds):
+            for _ in range(400):
+                labels = draw()
+                if holds(labels):
+                    kinds[kind] = [sum(len(r) for r in rows)]
+                    rows.append(labels[None, :])
+                    return
+
+        def halves_first_step(labels):
+            outcome, _, trace = one_row_outcome(X, labels, opts, warm, 0)
+            return outcome == "NoConvergence" and len(trace) == 2
+
+        def separable_after_halving(labels):
+            outcome, _, trace = one_row_outcome(X, labels, opts, warm)
+            stalled, _, stalled_trace = one_row_outcome(X, labels, opts, warm, 0)
+            return (outcome == "separable" and len(trace) > 1
+                    and stalled == "NoConvergence" and len(stalled_trace) == len(trace))
+
+        first("halves its first step", lambda: np.where(gen.random(14) < 0.5, 1, -1),
+              halves_first_step)
+        if d >= 2 and not collinear:
+            first("separable after halving",
+                  lambda: np.where(X @ gen.standard_normal(d) > 0, 1, -1),
+                  separable_after_halving)
+        return X, warm, np.concatenate(rows), kinds
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_block_has_each_kind_of_row(self, case, monkeypatch):
+        d, collinear = self.CASES[case]
+        X, warm, label_rows, kinds = self._block(case)
+        expected = {"flagged at theta0", "halves its first step"}
+        if d >= 2 and not collinear:
+            expected.add("separable after halving")
+        assert set(kinds) == expected
+        opts = lr.FitOptions(include_intercept=False)
+        outcome, _, trace = one_row_outcome(X, label_rows[24], opts, warm)
+        assert outcome == "separable" and len(trace) == 1
+        factored = []
+        factored_steps = glm._factored_steps
+
+        def counting(H, grad):
+            factored.append(len(H))
+            return factored_steps(H, grad)
+
+        monkeypatch.setattr(glm, "_factored_steps", counting)
+        fit_logistic_batch(X, label_rows, opts, theta0=warm)
+        assert (len(factored) > 0) == (d == 3 or collinear)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_stalled_on_the_start_raise_as_alone(self, case, monkeypatch):
+        """With no halving allowed, rows that would halve their first step keep
+        the start, and the next pass raises NoConvergence with the start's
+        largest gradient, as the steepest row does alone."""
+        X, warm, label_rows, _ = self._block(case)
+        opts = lr.FitOptions(include_intercept=False)
+        outcomes = [one_row_outcome(X, labels, opts, warm, 0) for labels in label_rows]
+        stalled = [labels for labels, (outcome, _, trace) in zip(label_rows, outcomes)
+                   if outcome == "NoConvergence" and len(trace) == 2]
+        assert len(stalled) >= 2
+        monkeypatch.setattr(glm, "MAX_HALVINGS", 0)
+        messages = []
+        for rows in [stalled, *([labels] for labels in stalled)]:
+            with pytest.raises(errors.NoConvergence) as raised:
+                fit_logistic_batch(X, np.array(rows), opts, theta0=warm)
+            messages.append(str(raised.value))
+        norms = [float(m.split()[2]) for m in messages[1:]]
+        assert messages[0] == messages[1 + int(np.argmax(norms))]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_rows_equal_one_row_fits_and_the_reference(self, case, ridge):
+        X, warm, label_rows, _ = self._block(case)
+        opts = lr.FitOptions(ridge=ridge, include_intercept=False)
+        for theta0 in (None, warm):
+            thetas, separable = fit_logistic_batch(X, label_rows, opts, theta0=theta0)
+            expected, raised = per_row_fits(X, label_rows, opts, theta0)
+            np.testing.assert_array_equal(separable, raised)
+            np.testing.assert_allclose(thetas, expected, rtol=1e-9, atol=1e-9)
+            for k, labels in enumerate(label_rows):
+                outcome, theta, trace = one_row_outcome(X, labels, opts, theta0)
+                assert outcome == ("separable" if separable[k] else "fit")
+                assert theta.tobytes() == thetas[k].tobytes()
+                # On the nearly collinear design the outer-product Hessians round
+                # unlike the reference's X'(w X), and one row stops a step of no
+                # loss change later than the reference does, as a one-row fit did
+                # before the start was shared.
+                if not separable[k] and case != "d2_collinear":
+                    _, expected_trace = reference.fit_logistic(
+                        lr.Dataset(X, labels), opts, theta0=theta0, return_trace=True)
+                    np.testing.assert_allclose(trace, expected_trace, rtol=1e-9)
 
 
 class TestLogLoss:
@@ -820,6 +974,61 @@ class TestTrainers:
         assert n_fallbacks == 0
         np.testing.assert_array_equal(samples, np.full((3, 3), 0.3))
         assert trainer.calls == [(row.tolist(), start) for row in label_rows]
+
+    def test_default_fit_each_fits_each_row_cold(self, small_dataset):
+        """The generic fit_each calls fit once per label row with no start, and
+        keeps the error a fit raises in that row's entry."""
+        class Picky(lr.ConstantTrainer):
+            def __init__(self):
+                super().__init__(0.3)
+                self.calls = []
+
+            def fit(self, data, start=None):
+                self.calls.append((data.labels.tolist(), start))
+                if data.labels[0] == -1:
+                    raise errors.SingleClass("no positive label")
+                return super().fit(data)
+
+        trainer = Picky()
+        label_rows = np.array([[1] * 8, [-1] * 8, [1, -1] * 4])
+        fits = trainer.fit_each(small_dataset, label_rows)
+        assert trainer.calls == [(row.tolist(), None) for row in label_rows]
+        assert isinstance(fits[1], errors.SingleClass) and str(fits[1]) == "no positive label"
+        for k in (0, 2):
+            np.testing.assert_array_equal(fits[k](small_dataset.features), np.full(8, 0.3))
+
+    @pytest.mark.parametrize("opts", [
+        lr.FitOptions(include_intercept=False), lr.FitOptions(ridge=0.1),
+        lr.FitOptions(max_iters=2, include_intercept=False)])
+    def test_logistic_fit_each_is_one_fit_per_row(self, small_dataset, opts):
+        """LogisticTrainer.fit_each gives each row its fit's theta bit for bit, or
+        an error of the class and message its fit raises: separable and
+        one-class rows, a rank-deficient design, and at max_iters=2 rows that
+        do not converge next to one that is separable: there the batch call
+        raises, and every row is fitted alone."""
+        trainer = lr.LogisticTrainer(opts)
+        features = small_dataset.features
+        label_rows = np.stack([small_dataset.labels, -small_dataset.labels,
+                               np.where(features[:, 0] > 0, 1, -1), np.ones(8, dtype=int)])
+        outcomes = set()
+        for data in (small_dataset, lr.Dataset(np.column_stack([features, features[:, 0]]),
+                                               small_dataset.labels)):
+            for labels, fitted in zip(label_rows, trainer.fit_each(data, label_rows)):
+                try:
+                    expected = trainer.fit(data.with_labels(labels))
+                except errors.LabelRegretError as exc:
+                    assert type(fitted) is type(exc) and str(fitted) == str(exc)
+                    outcomes.add(type(exc).__name__)
+                else:
+                    assert fitted.theta.tobytes() == expected.theta.tobytes()
+                    assert fitted.includes_intercept == expected.includes_intercept
+                    outcomes.add("fit")
+        if opts.ridge:
+            assert outcomes == {"fit"}
+        elif opts.max_iters == 2:
+            assert outcomes == {"NoConvergence", "FitDiverged", "SingularHessian"}
+        else:
+            assert outcomes == {"fit", "FitDiverged", "SingularHessian"}
 
     def test_model_is_its_own_predictor(self, cluster_ss):
         model = lr.fit_logistic(cluster_ss.base, lr.FitOptions(include_intercept=True))

@@ -5,6 +5,7 @@ import pytest
 
 import labelregret as lr
 from labelregret import cli, errors, glm, harness, rng
+from labelregret.regret import _initial_fit
 from labelregret.config import ExperimentConfig
 
 
@@ -229,6 +230,71 @@ class TestRunTrials:
         assert set(summary) == {"experiment", "positions", "extras", "summaries", "config"}
         assert set(summary["summaries"]) == self.SERIES[experiment]
         assert summary["experiment"] == experiment
+
+
+class TestBaseFitBlock:
+    """run_trials makes the reference's and every trial's base fit in one
+    trainer.fit_each call; each must be the fit that the trial would make
+    alone, and a fit that fails must fail where its turn comes."""
+
+    @staticmethod
+    def _record(monkeypatch, calls):
+        """Record (name, first argument, seed, base) of each regret estimate."""
+        for name in ("estimate_regret", "true_regret"):
+            def recording(*args, original=getattr(harness, name), name=name, **kwargs):
+                calls.append((name, args[0], args[3], kwargs["base"]))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, recording)
+
+    @pytest.mark.parametrize("experiment", ["theory_vs_actual", "selective"])
+    def test_base_models_are_the_single_fits(self, experiment, monkeypatch):
+        cfg = ExperimentConfig(master_seed=5, n_trials=3, n_points=40, k_resamples=10)
+        calls, single_fits = [], []
+        self._record(monkeypatch, calls)
+        fit_logistic = glm.fit_logistic
+        monkeypatch.setattr(glm, "fit_logistic",
+                            lambda *a, **kw: single_fits.append(a) or fit_logistic(*a, **kw))
+        harness.run_trials(cfg, experiment)
+        monkeypatch.undo()
+        assert single_fits == []
+        assert [name for name, *_ in calls] == ["true_regret"] + ["estimate_regret"] * 3
+        trainer = lr.LogisticTrainer(cfg.fit_options())
+        for name, data, _, base in calls:
+            expected = _initial_fit(trainer, data.base if name == "true_regret" else data)
+            assert base.theta.tobytes() == expected.theta.tobytes()
+
+    @pytest.mark.parametrize("experiment", ["theory_vs_actual", "selective"])
+    @pytest.mark.parametrize("seed, failing", [(16, 1), (2, None)])
+    def test_a_failing_base_fit_raises_at_its_turn(self, experiment, seed, failing,
+                                                   monkeypatch):
+        """Eight Gaussian points at ridge 0: at master seed 16 the observed
+        labels of trial 1 are separable, at seed 2 those of the reference
+        draw (failing None). run_trials raises that fit's InitialFitFailed
+        after the estimates of the trials before it, and before any other."""
+        cfg = ExperimentConfig(master_seed=seed, dataset="gaussian", n_trials=3, n_points=8,
+                               k_resamples=10)
+        population = harness.base_population(cfg)
+        ref_master = rng.derive_master(seed, rng.REFERENCE, 0)
+        draws = [harness.population_draw(cfg.replace(master_seed=ref_master), 0, population),
+                 *(harness.population_draw(cfg, t, population) for t in range(3))]
+        trainer = lr.LogisticTrainer(cfg.fit_options())
+        failures = []
+        for k, ss in enumerate(draws):
+            try:
+                _initial_fit(trainer, ss.base)
+            except errors.InitialFitFailed as exc:
+                failures.append((k, str(exc)))
+        assert [k for k, _ in failures] == [0 if failing is None else failing + 1]
+        calls = []
+        self._record(monkeypatch, calls)
+        with pytest.raises(errors.InitialFitFailed) as raised:
+            harness.run_trials(cfg, experiment)
+        assert str(raised.value) == failures[0][1]
+        trial_seeds = [rng.derive_master(seed, rng.TRIAL, t) for t in range(failing or 0)]
+        expected = [] if failing is None else [rng.derive_master(ref_master, rng.TRIAL, 0),
+                                               *trial_seeds]
+        assert [seed for _, _, seed, _ in calls] == expected
 
 
 class TestSeedContract:

@@ -10,29 +10,6 @@ from labelregret.regret import FALLBACK_RIDGES, _sampling_report, save_regret_re
 import glm_reference as reference
 
 
-class TestPointDeviations:
-    def test_identical_sequences(self):
-        report = lr.point_deviations([0.2, 0.7], [0.2, 0.7])
-        np.testing.assert_array_equal(report.e, [0.0, 0.0])
-        np.testing.assert_array_equal(report.s, [0.0, 0.0])
-
-    def test_arithmetic(self):
-        report = lr.point_deviations([0.3], [0.5])
-        np.testing.assert_allclose(report.e, [0.2])
-        np.testing.assert_allclose(report.s, [0.04])
-
-    def test_symmetry(self):
-        gen = np.random.default_rng(0)
-        a, b = gen.uniform(size=20), gen.uniform(size=20)
-        ab, ba = lr.point_deviations(a, b), lr.point_deviations(b, a)
-        np.testing.assert_array_equal(ab.e, ba.e)
-        np.testing.assert_array_equal(ab.s, ba.s)
-
-    def test_length_mismatch(self):
-        with pytest.raises(errors.LengthMismatch):
-            lr.point_deviations([0.1], [0.1, 0.2])
-
-
 class TestSampleMoments:
     """A report's mean_pred and regret have the bits of samples.mean(axis=0) and
     np.maximum(samples.var(axis=0, ddof=1), 0); kept samples are unchanged."""
@@ -67,6 +44,37 @@ class TestSampleMoments:
             assert report.samples.tobytes() == original.tobytes()
         else:
             assert report.samples is None
+
+
+class TestKeptSamples:
+    """An estimator's kept samples become its report's, read-only and not
+    copied; samples that a caller passes to RegretReport are copied."""
+
+    def test_estimators_hand_over_their_samples(self):
+        class Recording(lr.EchoTrainer):
+            def fit_many(self, data, label_rows, eval_features, start=None):
+                self.returned, n_fallbacks = super().fit_many(data, label_rows,
+                                                              eval_features, start)
+                return self.returned, n_fallbacks
+
+        trainer = Recording()
+        ss = lr.two_cluster_semisynthetic(20, lr.LabelDrawSeed(3))
+        for estimate in (lambda: lr.estimate_regret(ss.base, trainer, 30, 1,
+                                                    keep_samples=True),
+                         lambda: lr.true_regret(ss, trainer, 30, 1, keep_samples=True)):
+            report = estimate()
+            assert report.samples is trainer.returned
+            assert not report.samples.flags.writeable
+
+    def test_a_callers_samples_are_copied(self):
+        samples = np.random.default_rng(3).uniform(size=(5, 2))
+        report = lr.RegretReport(regret=samples.var(axis=0, ddof=1),
+                                 mean_pred=samples.mean(axis=0), base_pred=[0.5, 0.5],
+                                 n_resamples=5, estimator="monte_carlo", seed=0,
+                                 trainer_name="test", samples=samples)
+        assert not np.shares_memory(report.samples, samples)
+        assert samples.flags.writeable and not report.samples.flags.writeable
+        np.testing.assert_array_equal(report.samples, samples)
 
 
 class TestEstimateRegret:
