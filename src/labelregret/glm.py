@@ -10,13 +10,17 @@ feature matrix at once; fit_logistic is its one-row case and equals the
 matching batch row bit for bit. Without ridge, an iterate that gives every
 point a positive margin proves the labels separable, so that there is no
 finite optimum; this proof is checked on every pass, the warm start included,
-and such a row stops there. The rows of a block advance together, so a block
-runs as many passes as its slowest row still iterating; a batch of up to
-BATCH_ENTRIES labels runs as one block. Each fit_logistic_batch call
-allocates one workspace of ten min(block, K) x n floats (5 MiB at most while
-n <= BATCH_ENTRIES), and a Newton pass writes its labels, margins,
-exp(-|margin|), loss terms, probabilities, residuals and weights into it in
-place: allocating them on every pass cost page faults (see _newton_rows).
+and such a row stops there. It reads each row's largest margin product, which
+the loss sweep takes on its way. The rows of a block advance together, so a
+block runs as many passes as its slowest row still iterating; a batch of up
+to BATCH_ENTRIES labels runs as one block. As every row of a block starts at
+the same theta, the start's margins, probabilities, weights and Hessian are
+formed once per block, and only the label-dependent parts per row (see
+_newton_rows). Each fit_logistic_batch call allocates one workspace of ten
+min(block, K) x n floats (5 MiB at most while n <= BATCH_ENTRIES), and a
+Newton pass writes its labels, margins, exp(-|margin|), loss terms,
+probabilities, residuals and weights into it in place: allocating them on
+every pass cost page faults (see _newton_rows).
 LogisticTrainer.fit_many, the estimators' refit entry point, sends each
 distinct label row to the engine once, copies its predictions to the rows
 that repeat it and counts the ridge fallbacks of every row, copies included;
@@ -264,14 +268,14 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
 
     Every row starts at theta0, so the start's margins, exp(-|z|), log1p
     terms, probabilities, weights and Hessian are formed once, as one row
-    that every row shares (a one-row _row_products gives any row's bits), and
-    the start pass forms only the hinges, loss sums, gradients and steps per
-    row. The separability proof of a pass reads each row's largest margin
-    product -y z, which the loss sweep that made the margins took before
-    clipping it to the hinge.
+    that every row shares (a one-row _row_products gives any row's bits).
+    The start pass forms only the hinges, loss sums, gradients and steps per
+    row, and copies the start's margins to every row only when some row
+    halves its step. The separability proof of a pass reads each row's
+    largest margin product -y z, which the loss sweep that made the margins
+    took before clipping it to the hinge.
     """
-    d = X.shape[1]
-    n = X.shape[0]
+    n, d = X.shape
     XT = X.T
     ridge = opts.ridge
     ridge_eye = ridge * np.eye(d)
@@ -324,16 +328,13 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
     negY, y01, Z, E, P = live
     np.negative(label_rows, out=negY, dtype=float)
     np.less(negY, 0.0, out=y01)
-    # The start, shared by every row until its step is taken (a lone row
-    # shares it with none): margins z, exp(-|z|), probabilities p, Hessian H.
-    shared = r > 1
-    if shared:
-        z, e = np.empty((2, 1, n))
-        loss, top = evaluate(T[:1], negY, z, e, twin[0][:1], twin[1])
-        p = _logistic(z, e)
-        H = hessian(p, twin[0][:1])
-    else:
-        loss, top = evaluate(T, negY, Z, E, twin[0], twin[1])
+    # The start, shared by every row until its step is taken: margins z,
+    # exp(-|z|), probabilities p and Hessian H.
+    shared = True
+    z, e = np.empty((2, 1, n))
+    loss, top = evaluate(T[:1], negY, z, e, twin[0][:1], twin[1])
+    p = _logistic(z, e)
+    H = hessian(p, twin[0][:1])
     if trace is not None:
         trace.append(loss.copy())
     stalled = False  # some row's step halving found no decrease
@@ -400,7 +401,7 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
             Z, E = cZ, cE
             stalled = False
         else:
-            if shared:  # each row that keeps the start keeps its margins
+            if shared:  # halving writes each row's own margins
                 Z[...], E[...] = z, e
             search, scale = np.arange(rows.size), 1.0  # rows halving their step
             for halving in range(MAX_HALVINGS + 1):
@@ -639,7 +640,8 @@ class TrainerHandle:
     returned; a trainer may start its optimizer there (the estimators pass the
     base fit, so that every refit starts from the base optimum), and a trainer
     with nothing to warm-start ignores it. fit_many is the estimators' entry
-    point for many refits on one feature matrix. Only LogisticTrainer has a
+    point for many refits on one feature matrix, and fit_each makes many cold
+    fits on one (the base fits of a trials run). Only LogisticTrainer has a
     ridge-fallback ladder for resamples that turn out separable; any other
     trainer's fit errors propagate.
 
@@ -675,7 +677,9 @@ class TrainerHandle:
         Returns the K x m predictions at eval_features and the number of
         refits that needed a ridge fallback: always 0 here, where each row is
         one fit call. Subclasses may override this with a batched
-        implementation that gives the same rows, as LogisticTrainer does.
+        implementation that gives the same rows, as LogisticTrainer does. The
+        predictions are the caller's: an estimator overwrites them, or keeps
+        them read-only in its report.
         """
         samples = np.empty((len(label_rows), np.asarray(eval_features).shape[0]))
         for k, labels in enumerate(label_rows):
