@@ -13,10 +13,10 @@ finite optimum; this proof is checked on every pass, the warm start included,
 and such a row stops there. It reads each row's largest margin product, which
 the loss sweep takes on its way. The rows of a block advance together, so a
 block runs as many passes as its slowest row still iterating; a batch of up
-to BATCH_ENTRIES labels runs as one block. As every row of a block starts at
+to BATCH_ENTRIES labels runs as one block. When every row of a block starts at
 the same theta, the start's margins, probabilities, weights and Hessian are
 formed once per block, and only the label-dependent parts per row (see
-_newton_rows). Each fit_logistic_batch call allocates one workspace of ten
+_newton_rows); a call may also give each row a start of its own. Each fit_logistic_batch call allocates one workspace of ten
 min(block, K) x n floats (5 MiB at most while n <= BATCH_ENTRIES), and a
 Newton pass writes its labels, margins, exp(-|margin|), loss terms,
 probabilities, residuals and weights into it in place: allocating them on
@@ -24,8 +24,10 @@ every pass cost page faults (see _newton_rows).
 LogisticTrainer.fit_many, the estimators' refit entry point, sends each
 distinct label row to the engine once, copies its predictions to the rows
 that repeat it and counts the ridge fallbacks of every row, copies included;
-as no row depends on another, this changes no output. Labels are in
-{-1, +1} throughout.
+as no row depends on another, this changes no output. On a one-column design
+its ridge-fallback rungs start each row at the optimum along the row's first
+Newton step from 0, which there is the fit itself (see _rung_starts). Labels
+are in {-1, +1} throughout.
 """
 
 from __future__ import annotations
@@ -190,15 +192,17 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     """Fit one logistic model per row of label_rows, all sharing the design X.
 
     X is the n x d design matrix (intercept column already appended, see
-    design_matrix) and label_rows a K x n matrix of {-1,+1} labels. Each row
-    is fitted from theta0 (zeros when None) until the infinity norm of its
-    penalized gradient is at most opts.grad_tol. The rows still iterating
+    design_matrix) and label_rows a K x n matrix of {-1,+1} labels. theta0 is
+    one start (d entries) for every row, or a K x d matrix of one start per
+    row; None means zeros. Each row is fitted from its start until the
+    infinity norm of its penalized gradient is at most opts.grad_tol. The rows still iterating
     advance together, so a block of rows runs as many passes as its slowest
     row still iterating; the step halving and stopping rules act per row, and
     a row leaves the block on the pass that finds it converged or separable.
 
     No row's arithmetic depends on the other rows or on K, so each row equals
-    fit_logistic on its labels bit for bit. Every product with X is a
+    fit_logistic on its labels and start bit for bit, and a K x d theta0
+    whose rows are all one start gives the bits of that start given once. Every product with X is a
     vector-matrix product of its own, since one matrix product lets BLAS pick
     its kernel, and so its rounding, by the row count. The Hessians
     X' diag(w) X come from an n x d^2 table of outer products when n * d^2 is
@@ -211,7 +215,7 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     K-vector, True (with NaN thetas) where a row has no finite unique optimum.
     That needs ridge 0 and either a rank-deficient design or linearly
     separable data, shown by an iterate that classifies every point strictly
-    correctly (a proof checked on every pass, theta0 included), a parameter
+    correctly (a proof checked on every pass, the start included), a parameter
     norm past DIVERGENCE_GUARD before the last pass, or a Hessian that is not
     positive definite or whose solve finds it singular (see _newton_steps).
     Raises NoConvergence when another row is still above opts.grad_tol after
@@ -231,8 +235,9 @@ def _fit_rows(X, label_rows, opts: FitOptions, theta0, trace):
             f"label rows have shape {label_rows.shape}, expected (K, {n})")
     K = label_rows.shape[0]
     start = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float)
-    if start.shape != (d,):
-        raise errors.DimensionMismatch(f"warm start has shape {start.shape}, expected ({d},)")
+    if start.shape != (d,) and start.shape != (K, d):
+        raise errors.DimensionMismatch(
+            f"warm start has shape {start.shape}, expected ({d},) or ({K}, {d})")
     thetas = np.full((K, d), np.nan)
     separable = np.ones(K, dtype=bool)
     if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
@@ -245,8 +250,8 @@ def _fit_rows(X, label_rows, opts: FitOptions, theta0, trace):
     work = list(np.empty((10, min(block, K), n)))
     for first in range(0, K, block):
         rows = slice(first, first + block)
-        thetas[rows], separable[rows] = _newton_rows(X, XX, label_rows[rows], opts, start,
-                                                     trace, work)
+        thetas[rows], separable[rows] = _newton_rows(
+            X, XX, label_rows[rows], opts, start if start.ndim == 1 else start[rows], trace, work)
     return thetas, separable
 
 
@@ -266,12 +271,13 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
     are written out when it leaves. The full Newton step is tried on all the
     rows; only the rows that reject it are gathered to halve it.
 
-    Every row starts at theta0, so the start's margins, exp(-|z|), log1p
-    terms, probabilities, weights and Hessian are formed once, as one row
-    that every row shares (a one-row _row_products gives any row's bits).
+    A 1-D theta0 is every row's start, so the start's margins, exp(-|z|),
+    log1p terms, probabilities, weights and Hessian are formed once, as one
+    row that every row shares (a one-row _row_products gives any row's bits).
     The start pass forms only the hinges, loss sums, gradients and steps per
     row, and copies the start's margins to every row only when some row
-    halves its step. The separability proof of a pass reads each row's
+    halves its step. A 2-D theta0 holds each row's own start, and the start
+    pass is then formed per row, as every later pass is. The separability proof of a pass reads each row's
     largest margin product -y z, which the loss sweep that made the margins
     took before clipping it to the hinge.
     """
@@ -324,17 +330,21 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         return H
 
     rows = np.arange(r)
-    T = np.tile(theta0, (r, 1))
     negY, y01, Z, E, P = live
     np.negative(label_rows, out=negY, dtype=float)
     np.less(negY, 0.0, out=y01)
-    # The start, shared by every row until its step is taken: margins z,
-    # exp(-|z|), probabilities p and Hessian H.
-    shared = True
-    z, e = np.empty((2, 1, n))
-    loss, top = evaluate(T[:1], negY, z, e, twin[0][:1], twin[1])
-    p = _logistic(z, e)
-    H = hessian(p, twin[0][:1])
+    shared = theta0.ndim == 1
+    if shared:
+        # The start, shared by every row until its step is taken: margins z,
+        # exp(-|z|), probabilities p and Hessian H.
+        T = np.tile(theta0, (r, 1))
+        z, e = np.empty((2, 1, n))
+        loss, top = evaluate(T[:1], negY, z, e, twin[0][:1], twin[1])
+        p = _logistic(z, e)
+        H = hessian(p, twin[0][:1])
+    else:
+        T = theta0.copy()
+        loss, top = evaluate(T, negY, Z, E, twin[0], twin[1])
     if trace is not None:
         trace.append(loss.copy())
     stalled = False  # some row's step halving found no decrease
@@ -695,7 +705,8 @@ class LogisticTrainer(TrainerHandle):
     The penalized loss is even under (y, theta) -> (-y, -theta), so from the
     cold start theta = 0 the fit of -y is the fit of y negated, at any ridge
     and with or without an intercept; a separable row and its mirror take the
-    same rung of the ladder."""
+    same rung of the ladder. A rung's start for -y is exactly its start for y
+    negated (see _rung_starts), so this holds on the ladder too."""
 
     mirrors_label_flips = True
 
@@ -733,11 +744,16 @@ class LogisticTrainer(TrainerHandle):
         predictions are copied to every row that repeats it; when no row
         repeats, label_rows itself goes to the engine. The rows the first call
         marks separable go down FALLBACK_RIDGES together: each rung refits the
-        distinct rows still pending from a cold start, as fit_with_extra_ridge
-        does, and passes on only those still separable. The count returned is
-        the number of rows that needed a rung, each counted with its copies.
-        Row k of the samples is the same whatever other rows share the call or
-        a rung: no engine row depends on another, nor does a row's prediction.
+        distinct rows still pending, each from its _rung_starts start, and
+        passes on only those still separable. On a one-column design that
+        start is the line optimum along the row's first Newton step, where the
+        row takes no Newton step, and it ends within the grad_tol band of the
+        cold fit that fit_with_extra_ridge makes, not at its bits; otherwise
+        the rung starts from theta = 0, as fit_with_extra_ridge does. The
+        count returned is the number of rows that needed a rung, each counted
+        with its copies. Row k of the samples is the same whatever other rows
+        share the call or a rung: no engine row depends on another, nor does a
+        row's rung start or prediction.
         """
         include = self.opts.include_intercept
         X = design_matrix(data.features, include)
@@ -752,7 +768,9 @@ class LogisticTrainer(TrainerHandle):
             if pending.size == 0:
                 break
             opts = replace(self.opts, ridge=self.opts.ridge + extra)
-            thetas[pending], separable = fit_logistic_batch(X, rows[pending], opts)
+            rung = rows[pending]
+            thetas[pending], separable = fit_logistic_batch(
+                X, rung, opts, theta0=_rung_starts(X, rung, opts))
             pending = pending[separable]
         if pending.size:
             top = f"up to {FALLBACK_RIDGES[-1]:g}" if FALLBACK_RIDGES else "(the ladder is empty)"
@@ -763,6 +781,71 @@ class LogisticTrainer(TrainerHandle):
         np.exp(np.negative(E, out=E), out=E)
         samples = _logistic(Z, E, Z, E)  # sigmoid(Z) in place, with no K x m temporary
         return (samples if copies is None else samples[copies]), n_fallbacks
+
+
+def _rung_starts(X, label_rows, opts: FitOptions):
+    """The K x 1 starts of a ladder rung's rows fitted under opts on a
+    one-column design, or None, where every row starts at theta = 0: at
+    ridge 0, and when X has more than one column.
+
+    Row k starts at s* u: u = X'(y01 - 1/2) / (X'X/4 + ridge) is its first
+    Newton step from 0, and s* minimizes the penalized loss along u, which at
+    d = 1 is the fit itself, so the engine takes no step from it. A separable
+    row's optimum lies at about log(1/ridge) over its smallest margin, and
+    Newton's method from 0 gains about one margin unit per pass on the way
+    (15 passes at ridge 1e-6). On more columns the line optimum along u is
+    not the fit: on the 9-point, 2-column sets of the enum_gray benchmark its
+    rows then took 2-13 passes, so a block of 9 still took 12, whose first
+    steps often halved, and the block took longer than from 0.
+
+    Along u the loss is sum log(1 + exp(-s a)) + c s^2 / 2, with margins
+    a = y x u and c = ridge u^2. Its slope is c s + M(s) - P(s), where P sums
+    a sigmoid(-s a) over the positive margins and M sums |a| sigmoid(-s a)
+    over the negative ones; at s = 0 it is -u X'(y01 - 1/2) < 0, so s* > 0.
+    s* is the root of phi(s) = log P(s) - log(c s + M(s)), which decreases,
+    and which is nearly linear where exp(-s a) terms make up P: the flat
+    stretch where Newton's method on the slope gains one margin unit a step.
+    Newton's method on phi starts at s = 1, the step from 0, and a step that
+    leaves the bracket of s* shown by the signs of phi so far halves it
+    instead. A row stops after a step below sqrt(eps) times s, past which
+    quadratic convergence leaves rounding alone; one that does not stop
+    within opts.max_iters steps, or whose slope at 0 is not negative, starts
+    at 0. Every operation is a row's own, so a row's start does not depend on
+    the other rows, and the negated labels give the negated start exactly.
+    """
+    if opts.ridge == 0.0 or X.shape[1] > 1:
+        return None
+    U = _row_products(0.5 * label_rows, X) / (0.25 * (X.T @ X) + opts.ridge)
+    A = label_rows * (X[:, 0] * U)
+    B = np.abs(A)
+    split = np.stack([np.maximum(A, 0.0), B - np.maximum(A, 0.0)])  # a > 0, |a| for a < 0
+    square = split * split
+    above = (A <= 0.0).astype(float)  # sigmoid(-s a) = max(e, above) / (1 + e)
+    c = opts.ridge * U[:, 0] * U[:, 0]
+    r = len(label_rows)
+    s, lo, hi = np.ones(r), np.zeros(r), np.full(r, np.inf)
+    going = A.sum(axis=1) > 0.0
+    found = going.copy()
+    settle = sys.float_info.epsilon ** 0.5
+    with np.errstate(all="ignore"):  # P(s) can underflow to 0; that row halves
+        for _ in range(opts.max_iters):
+            E = np.exp(B * np.negative(s)[:, None])  # exp(-s |a|)
+            D = np.add(E, 1.0)
+            Q = np.maximum(E, above) / D  # sigmoid(-s a)
+            (P, M), (P_bend, M_bend) = (split * Q).sum(axis=2), (square * (E / (D * D))).sum(axis=2)
+            load = c * s + M
+            right = P <= load  # phi(s) <= 0
+            lo, hi = np.where(right, lo, s), np.where(right, s, hi)
+            step = np.log(P / load) / (P_bend / P + (c + M_bend) / load)
+            settled = np.abs(step) <= settle * s
+            new = s + step
+            new = np.where(settled | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
+            s = np.where(going, new, s)
+            going &= ~settled
+            if not going.any():
+                break
+    found &= ~going & np.isfinite(s)
+    return np.where(found[:, None], s[:, None] * U, 0.0)
 
 
 def _first_appearances(label_rows):

@@ -33,3 +33,35 @@ def cluster_ss():
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.fixture
+def ladder_run(monkeypatch):
+    """run(trainer, data, label_rows, cold=False) -> (samples, n_fallbacks,
+    rungs): LogisticTrainer.fit_many on distinct label rows, predicting at
+    data's features, and for each row the fit_logistic_batch call in which
+    its fit succeeded: 0 for the first, i for the rung FALLBACK_RIDGES[i - 1].
+    cold=True starts every rung at theta = 0, the ladder before rung starts."""
+    from labelregret import glm
+
+    def run(trainer, data, label_rows, cold=False):
+        succeeded = {}
+        batch = glm.fit_logistic_batch
+
+        def recording(X, rows, opts=glm.FitOptions(), *, theta0=None):
+            thetas, separable = batch(X, rows, opts, theta0=theta0)
+            for labels, flagged in zip(rows, separable):
+                if not flagged:
+                    succeeded[labels.tobytes()] = recording.calls
+            recording.calls += 1
+            return thetas, separable
+
+        recording.calls = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(glm, "fit_logistic_batch", recording)
+            if cold:
+                patch.setattr(glm, "_rung_starts", lambda X, label_rows, opts: None)
+            samples, n_fallbacks = trainer.fit_many(data, label_rows, data.features)
+        return samples, n_fallbacks, [succeeded[labels.tobytes()] for labels in label_rows]
+
+    return run

@@ -10,6 +10,12 @@ trainer.fit_with_extra_ridge(data, extra)(X) along regret.FALLBACK_RIDGES. A
 rename that drops any of them, or a change to what these calls return, breaks
 the benchmark without failing any other test. The files are read, never
 imported.
+
+The oracle's ladder is cold: every rung starts at theta = 0. The CLI's
+LogisticTrainer.fit_many starts a one-column rung's rows at their line
+optimum instead, so the two agree only within the band that grad_tol
+leaves. The oracle stands for the CLI's ladder while both put every row on
+the same rung and their predictions agree within 1e-7, as a test here checks.
 """
 
 from dataclasses import replace
@@ -112,3 +118,29 @@ def test_failed_step_halving_raises_like_the_reference(small_dataset, monkeypatc
             fit(small_dataset, opts, theta0=np.array([3.0, 3.0]), return_trace=True)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
+
+
+def test_fit_many_agrees_with_the_oracle_cold_ladder(ladder_run):
+    """All 64 assignments of a 6-point, one-column set: fit_many and the
+    oracle's cold fit_with_extra_ridge ladder put the same rows on the same
+    rungs, and their predictions agree within 1e-7."""
+    from labelregret.regret import FALLBACK_RIDGES
+
+    X = np.array([[-1.5], [-0.7], [-0.2], [0.4], [0.9], [1.8]])
+    trainer = lr.LogisticTrainer(lr.FitOptions(ridge=0.0, include_intercept=False))
+    label_rows = np.where((np.arange(64)[:, None] >> np.arange(6)) & 1, 1, -1)
+    samples, n_fallbacks, rungs = ladder_run(trainer, lr.Dataset(X, label_rows[0]), label_rows)
+    expected, expected_rungs = [], []
+    for labels in label_rows:
+        data = lr.Dataset(X, labels)
+        for rung, extra in enumerate((0.0, *FALLBACK_RIDGES)):
+            try:
+                predictor = trainer.fit_with_extra_ridge(data, extra)
+                break
+            except (errors.FitDiverged, errors.SingularHessian):
+                continue
+        expected.append(predictor(X))
+        expected_rungs.append(rung)
+    assert rungs == expected_rungs
+    assert n_fallbacks == sum(rung > 0 for rung in rungs) > 0
+    np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-7)

@@ -788,6 +788,49 @@ class TestSharedStartPass:
                     np.testing.assert_allclose(trace, expected_trace, rtol=1e-9)
 
 
+
+class TestStartPerRow:
+    """fit_logistic_batch with a K x d theta0: each row starts at its own
+    theta, and its start pass is formed per row. On TestSharedStartPass's
+    blocks (rows flagged at a start, rows that halve their first step), each
+    row must give the bits of its one-row call from its own start, and a
+    start tiled to K x d the bits of the shared start pass."""
+
+    @pytest.mark.parametrize("case", sorted(TestSharedStartPass.CASES))
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_rows_equal_their_one_row_calls(self, case, ridge):
+        X, warm, label_rows, _ = TestSharedStartPass()._block(case)
+        opts = lr.FitOptions(ridge=ridge, include_intercept=False)
+        gen = np.random.default_rng(len(label_rows))
+        starts = np.outer(np.arange(len(label_rows)) % 3 - 1.0, warm)  # -warm, 0, warm
+        starts[::4] += 0.3 * gen.standard_normal((len(starts[::4]), X.shape[1]))
+        thetas, separable = fit_logistic_batch(X, label_rows, opts, theta0=starts)
+        for k, labels in enumerate(label_rows):
+            outcome, theta, _ = one_row_outcome(X, labels, opts, starts[k])
+            assert outcome == ("separable" if separable[k] else "fit")
+            assert theta.tobytes() == thetas[k].tobytes()
+        assert 0 < separable.sum() < len(label_rows) or ridge > 0
+
+    @pytest.mark.parametrize("case", sorted(TestSharedStartPass.CASES))
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_tiled_start_gives_the_shared_start_bits(self, case, ridge):
+        X, warm, label_rows, _ = TestSharedStartPass()._block(case)
+        opts = lr.FitOptions(ridge=ridge, include_intercept=False)
+        for theta0 in (np.zeros(X.shape[1]), warm):
+            shared = fit_logistic_batch(X, label_rows, opts, theta0=theta0)
+            tiled = fit_logistic_batch(X, label_rows, opts,
+                                       theta0=np.tile(theta0, (len(label_rows), 1)))
+            for a, b in zip(shared, tiled):
+                assert a.tobytes() == b.tobytes()
+
+    def test_start_matrix_of_another_shape_raises(self):
+        X = np.array([[1.0, 0.5], [-0.3, 1.0], [0.2, -1.0]])
+        label_rows = np.array([[1, -1, 1], [-1, -1, 1]])
+        for shape in [(3, 2), (2, 3), (1, 2)]:
+            with pytest.raises(errors.DimensionMismatch):
+                fit_logistic_batch(X, label_rows, theta0=np.zeros(shape))
+
+
 class TestLogLoss:
     def test_perfect_prediction(self):
         assert lr.log_loss([1.0], [1]) <= 1e-11
@@ -1074,14 +1117,19 @@ def all_assignments(n):
 
 
 def reference_ladder_fit(data, opts):
-    """The reference fit, then one reference fit per FALLBACK_RIDGES rung until
-    one succeeds, as the mc_separable benchmark oracle refits a resample.
+    """The cold reference fit, then one reference fit per FALLBACK_RIDGES rung
+    until one succeeds, each from the package's start for that rung
+    (glm._rung_starts), as LogisticTrainer.fit_many refits a resample.
 
     Returns (model, whether a rung was needed).
     """
+    X = design_matrix(data.features, opts.include_intercept)
     for rung, extra in enumerate((0.0, *glm.FALLBACK_RIDGES)):
+        rung_opts = replace(opts, ridge=opts.ridge + extra)
+        starts = glm._rung_starts(X, data.labels[None, :], rung_opts) if rung else None
         try:
-            return reference.fit_logistic(data, replace(opts, ridge=opts.ridge + extra)), rung > 0
+            return reference.fit_logistic(data, rung_opts,
+                                          theta0=None if starts is None else starts[0]), rung > 0
         except (errors.FitDiverged, errors.SingularHessian):
             continue
     raise errors.RefitFallbackExhausted("no rung fits the resample")
@@ -1125,6 +1173,93 @@ class TestBatchedRidgeLadder:
         label_rows = np.array([[1, -1, -1], [1, 1, -1]])  # the second is separable
         with pytest.raises(errors.RefitFallbackExhausted):
             trainer.fit_many(lr.Dataset(features, label_rows[0]), label_rows, features, None)
+
+
+
+class TestRungStarts:
+    """On a one-column design, LogisticTrainer.fit_many starts a ladder rung's
+    rows at glm._rung_starts: s* u, u being the row's first Newton step from
+    theta = 0 under the rung's ridge and s* the minimizer of the penalized
+    loss along it, which at d = 1 is the fit. The rungs then agree with the
+    cold ladder, which starts them at 0, within the grad_tol band."""
+
+    @staticmethod
+    def one_column(n):
+        return np.random.default_rng(n).standard_normal((n, 1))
+
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("ridge", [1e-6, 1e-4, 1e-2])
+    def test_start_is_the_line_optimum_of_the_first_newton_step(self, n, ridge):
+        """Every assignment, separable or not: the start is s u with s > 0,
+        u computed here from its definition, and the slope of the loss along
+        it, start . gradient, is zero to within the rounding of the gradient's
+        terms."""
+        X = self.one_column(n)
+        label_rows = all_assignments(n)
+        starts = glm._rung_starts(X, label_rows, lr.FitOptions(ridge=ridge))
+        eps = np.finfo(float).eps
+        for labels, start in zip(label_rows, starts):
+            u = np.linalg.solve(0.25 * X.T @ X + ridge * np.eye(1), X.T @ (0.5 * labels))
+            s = start[0] / u[0]
+            assert np.isfinite(s) and s > 0.0
+            np.testing.assert_allclose(start, s * u, rtol=4 * eps, atol=0)
+            slope = start @ loss_gradient(start, X, labels, ridge)
+            assert abs(slope) <= 16 * eps * (np.abs(X @ start).sum() + ridge * start @ start)
+
+    def test_rows_are_independent_and_mirrored(self):
+        opts = lr.FitOptions(ridge=1e-6)
+        for n in (6, 10):
+            X, label_rows = self.one_column(n), all_assignments(n)
+            starts = glm._rung_starts(X, label_rows, opts)
+            assert (-starts).tobytes() == glm._rung_starts(X, -label_rows, opts).tobytes()
+            for k, labels in enumerate(label_rows):
+                assert glm._rung_starts(X, labels[None, :], opts).tobytes() == starts[k].tobytes()
+
+    def test_no_start_at_ridge_0_or_on_more_columns(self):
+        label_rows = all_assignments(4)
+        assert glm._rung_starts(np.ones((4, 1)), label_rows, lr.FitOptions()) is None
+        X = np.random.default_rng(4).standard_normal((4, 2))
+        assert glm._rung_starts(X, label_rows, lr.FitOptions(ridge=1e-6)) is None
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_one_column_rung_rows_take_no_newton_step(self, n, monkeypatch):
+        """fit_many makes exactly the Newton steps of its first call: the
+        rung's rows meet grad_tol at their starts."""
+        X, label_rows = self.one_column(n), all_assignments(n)
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=False))
+        steps = []
+        newton_steps = glm._newton_steps
+
+        def counting(H, grad):
+            steps.append(len(grad))
+            return newton_steps(H, grad)
+
+        monkeypatch.setattr(glm, "_newton_steps", counting)
+        _, separable = fit_logistic_batch(X, label_rows, trainer.opts)
+        first_call = list(steps)
+        _, n_fallbacks = trainer.fit_many(lr.Dataset(X, label_rows[0]), label_rows, X)
+        assert n_fallbacks == separable.sum() > 0
+        assert steps[len(first_call):] == first_call
+
+    @pytest.mark.parametrize("n, n_features, include_intercept", [(6, 1, False), (9, 2, True)])
+    def test_ladder_agrees_with_the_cold_ladder(self, n, n_features, include_intercept,
+                                                ladder_run):
+        """Every assignment: the same rows take the same rungs, the rows the
+        first call fits keep their bits, and the laddered rows are within 1e-7
+        of the cold ladder's. At d = 1 they start elsewhere than at 0, and so
+        differ from the cold rows' bits; on more columns they equal them."""
+        features = np.random.default_rng(n).standard_normal((n, n_features))
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=include_intercept))
+        label_rows = all_assignments(n)
+        data = lr.Dataset(features, label_rows[0])
+        samples, n_fallbacks, rungs = ladder_run(trainer, data, label_rows)
+        cold, cold_fallbacks, cold_rungs = ladder_run(trainer, data, label_rows, cold=True)
+        assert rungs == cold_rungs and n_fallbacks == cold_fallbacks > 0
+        laddered = np.array(rungs) > 0
+        assert samples[~laddered].tobytes() == cold[~laddered].tobytes()
+        np.testing.assert_allclose(samples[laddered], cold[laddered], rtol=0, atol=1e-7)
+        one_column = design_matrix(features, include_intercept).shape[1] == 1
+        assert np.all(np.any(samples[laddered] != cold[laddered], axis=1)) == one_column
 
 
 class TestDistinctRowsRefitOnce:

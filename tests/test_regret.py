@@ -230,12 +230,17 @@ class TestBootstrapRegret:
 
     @staticmethod
     def reference_replicate_fit(data, opts, theta0):
-        """The reference fit from theta0, then cold reference fits up
-        FALLBACK_RIDGES; returns (model, whether a rung was needed)."""
+        """The reference fit from theta0, then reference fits up
+        FALLBACK_RIDGES, each from the package's start for that rung
+        (glm._rung_starts); returns (model, whether a rung was needed)."""
+        X = lr.design_matrix(data.features, opts.include_intercept)
         for rung, extra in enumerate((0.0, *FALLBACK_RIDGES)):
+            rung_opts = replace(opts, ridge=opts.ridge + extra)
+            if rung:
+                starts = lr.glm._rung_starts(X, data.labels[None, :], rung_opts)
+                theta0 = None if starts is None else starts[0]
             try:
-                return reference.fit_logistic(data, replace(opts, ridge=opts.ridge + extra),
-                                              theta0=None if rung else theta0), rung > 0
+                return reference.fit_logistic(data, rung_opts, theta0=theta0), rung > 0
             except (errors.FitDiverged, errors.SingularHessian):
                 continue
         raise AssertionError("no rung fits the replicate")
