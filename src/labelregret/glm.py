@@ -12,15 +12,15 @@ point a positive margin proves the labels separable, so that there is no
 finite optimum; this proof is checked on every pass, the warm start included,
 and such a row stops there. It reads each row's largest margin product, which
 the loss sweep takes on its way. The rows of a block advance together, so a
-block runs as many passes as its slowest row still iterating; a batch of up
-to BATCH_ENTRIES labels runs as one block. When every row of a block starts at
-the same theta, the start's margins, probabilities, weights and Hessian are
-formed once per block, and only the label-dependent parts per row (see
-_newton_rows); a call may also give each row a start of its own. Each fit_logistic_batch call allocates one workspace of ten
-min(block, K) x n floats (5 MiB at most while n <= BATCH_ENTRIES), and a
-Newton pass writes its labels, margins, exp(-|margin|), loss terms,
-probabilities, residuals and weights into it in place: allocating them on
-every pass cost page faults (see _newton_rows).
+block runs as many passes as its slowest row still iterating; a batch of up to
+BATCH_ENTRIES labels runs as one block. When every row of a block starts at the
+same theta, the start's margins, probabilities, weights and Hessian are formed
+once per block, and only the label-dependent parts per row (see _newton_rows);
+a call may also give each row a start of its own. Each fit_logistic_batch call
+allocates one workspace of ten min(block, K) x n floats (5 MiB at most while n
+<= BATCH_ENTRIES), and a Newton pass writes its labels, margins,
+exp(-|margin|), loss terms, probabilities, residuals and weights into it in
+place: allocating them on every pass cost page faults (see _newton_rows).
 LogisticTrainer.fit_many, the estimators' refit entry point, sends each
 distinct label row to the engine once, copies its predictions to the rows
 that repeat it and counts the ridge fallbacks of every row, copies included;
@@ -194,21 +194,22 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     X is the n x d design matrix (intercept column already appended, see
     design_matrix) and label_rows a K x n matrix of {-1,+1} labels. theta0 is
     one start (d entries) for every row, or a K x d matrix of one start per
-    row; None means zeros. Each row is fitted from its start until the
-    infinity norm of its penalized gradient is at most opts.grad_tol. The rows still iterating
-    advance together, so a block of rows runs as many passes as its slowest
-    row still iterating; the step halving and stopping rules act per row, and
-    a row leaves the block on the pass that finds it converged or separable.
+    row; None means zeros. Each row is fitted from its start until the infinity
+    norm of its penalized gradient is at most opts.grad_tol. The rows still
+    iterating advance together, so a block of rows runs as many passes as its
+    slowest row still iterating; the step halving and stopping rules act per
+    row, and a row leaves the block on the pass that finds it converged or
+    separable.
 
     No row's arithmetic depends on the other rows or on K, so each row equals
-    fit_logistic on its labels and start bit for bit, and a K x d theta0
-    whose rows are all one start gives the bits of that start given once. Every product with X is a
-    vector-matrix product of its own, since one matrix product lets BLAS pick
-    its kernel, and so its rounding, by the row count. The Hessians
-    X' diag(w) X come from an n x d^2 table of outer products when n * d^2 is
-    at most HESSIAN_TABLE_ENTRIES, and as X'(w X) otherwise. The table is
-    fast for many rows on a small design, but theory_large's 10000 x 21
-    design would need 35 MB for it; and as the rule reads the design alone,
+    fit_logistic on its labels and start bit for bit, and a K x d theta0 whose
+    rows are all one start gives the bits of that start given once. Every
+    product with X is a vector-matrix product of its own, since one matrix
+    product lets BLAS pick its kernel, and so its rounding, by the row count.
+    The Hessians X' diag(w) X come from an n x d^2 table of outer products when
+    n * d^2 is at most HESSIAN_TABLE_ENTRIES, and as X'(w X) otherwise. The
+    table is fast for many rows on a small design, but theory_large's 10000 x
+    21 design would need 35 MB for it; and as the rule reads the design alone,
     never K, a row's Hessian is formed the same way in every batch.
 
     Returns (thetas, separable): the K x d fitted parameters and a boolean
@@ -271,15 +272,15 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
     are written out when it leaves. The full Newton step is tried on all the
     rows; only the rows that reject it are gathered to halve it.
 
-    A 1-D theta0 is every row's start, so the start's margins, exp(-|z|),
-    log1p terms, probabilities, weights and Hessian are formed once, as one
-    row that every row shares (a one-row _row_products gives any row's bits).
-    The start pass forms only the hinges, loss sums, gradients and steps per
-    row, and copies the start's margins to every row only when some row
-    halves its step. A 2-D theta0 holds each row's own start, and the start
-    pass is then formed per row, as every later pass is. The separability proof of a pass reads each row's
-    largest margin product -y z, which the loss sweep that made the margins
-    took before clipping it to the hinge.
+    A 1-D theta0 is every row's start, so the start's margins, exp(-|z|), log1p
+    terms, probabilities, weights and Hessian are formed once, as one row that
+    every row shares (a one-row _row_products gives any row's bits). The start
+    pass forms only the hinges, loss sums, gradients and steps per row, and
+    copies the start's margins to every row only when some row halves its step.
+    A 2-D theta0 holds each row's own start, and the start pass is then formed
+    per row, as every later pass is. The separability proof of a pass reads
+    each row's largest margin product -y z, which the loss sweep that made the
+    margins took before clipping it to the hinge.
     """
     n, d = X.shape
     XT = X.T
@@ -832,7 +833,8 @@ def _rung_starts(X, label_rows, opts: FitOptions):
             E = np.exp(B * np.negative(s)[:, None])  # exp(-s |a|)
             D = np.add(E, 1.0)
             Q = np.maximum(E, above) / D  # sigmoid(-s a)
-            (P, M), (P_bend, M_bend) = (split * Q).sum(axis=2), (square * (E / (D * D))).sum(axis=2)
+            P, M = (split * Q).sum(axis=2)
+            P_bend, M_bend = (square * (E / (D * D))).sum(axis=2)  # -P'(s), M'(s)
             load = c * s + M
             right = P <= load  # phi(s) <= 0
             lo, hi = np.where(right, lo, s), np.where(right, s, hi)
