@@ -795,9 +795,9 @@ def _rung_starts(X, label_rows, opts: FitOptions):
     row's optimum lies at about log(1/ridge) over its smallest margin, and
     Newton's method from 0 gains about one margin unit per pass on the way
     (15 passes at ridge 1e-6). On more columns the line optimum along u is
-    not the fit: on the 9-point, 2-column sets of the enum_gray benchmark its
-    rows then took 2-13 passes, so a block of 9 still took 12, whose first
-    steps often halved, and the block took longer than from 0.
+    not the fit, and on the 2-column sets of the enum_gray benchmark a rung
+    block took longer from it than from 0: its slowest rows still took 12
+    passes, and first steps from it often halved.
 
     Along u the loss is sum log(1 + exp(-s a)) + c s^2 / 2, with margins
     a = y x u and c = ridge u^2. Its slope is c s + M(s) - P(s), where P sums

@@ -42,7 +42,7 @@ def ladder_run(monkeypatch):
     data's features, and for each row the fit_logistic_batch call in which
     its fit succeeded: 0 for the first, i for the rung FALLBACK_RIDGES[i - 1].
     cold=True starts every rung at theta = 0, the ladder before rung starts."""
-    from labelregret import glm
+    glm = lr.glm
 
     def run(trainer, data, label_rows, cold=False):
         succeeded = {}

@@ -788,7 +788,6 @@ class TestSharedStartPass:
                     np.testing.assert_allclose(trace, expected_trace, rtol=1e-9)
 
 
-
 class TestStartPerRow:
     """fit_logistic_batch with a K x d theta0: each row starts at its own
     theta, and its start pass is formed per row. On TestSharedStartPass's
@@ -1173,7 +1172,6 @@ class TestBatchedRidgeLadder:
         label_rows = np.array([[1, -1, -1], [1, 1, -1]])  # the second is separable
         with pytest.raises(errors.RefitFallbackExhausted):
             trainer.fit_many(lr.Dataset(features, label_rows[0]), label_rows, features, None)
-
 
 
 class TestRungStarts:
