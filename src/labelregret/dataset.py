@@ -118,8 +118,11 @@ def draw_label_rows(probs, master_seed: int, n_rows: int) -> np.ndarray:
     """n_rows x n matrix of {-1,+1} labels, one row per resample.
 
     Row k-1 is bit-identical to draw_labels(probs, LabelDrawSeed(master_seed,
-    k)); the probabilities are validated once for all rows.
+    k)); the probabilities are validated once for all rows. A negative n_rows
+    raises ValueError.
     """
+    if n_rows < 0:
+        raise ValueError(f"row count must be non-negative, got {n_rows}")
     p = _checked_probs(probs)
     u = rng.stream_prefixes(master_seed, rng.LABELS, range(1, n_rows + 1), p.size)
     labels = np.less(u, p, out=np.empty(u.shape, dtype=np.int64))  # 1 where u < p, else 0

@@ -11,14 +11,24 @@ substreams are drawn together.
 
 substream builds one stream the numpy way, with a new SeedSequence and
 Philox. keyed_generators and stream_prefixes reproduce the same streams for
-many indices at once: they compute every Philox key in one vectorised pass
+many indices at once. Both compute every Philox key in one vectorised pass
 of the SeedSequence hash (O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number Generation",
-2014), then re-key a single Philox per stream. The reproduction relies on
-numpy's stream-compatibility policy (NEP 19), under which SeedSequence and
-the bit generators' streams stay fixed across releases. If numpy ever
-changes them, tests/test_rng.py, which compares the two paths bit for bit,
-fails.
+2014). From the keys a stream is reproduced in one of two ways:
+- re-keying a single numpy Philox per stream (keyed_generators, and
+  stream_prefixes for most calls);
+- for a batch of many short streams, running the Philox4x64-10 rounds
+  themselves on the counters of every stream at once (stream_prefixes).
+  Philox is counter-based, so each block of four 64-bit outputs is a pure
+  function of (key, counter) (Salmon, Moraes, Dror & Shaw, "Parallel random
+  numbers: as easy as 1, 2, 3", SC 2011). The round multipliers and key
+  increments are those of Random123's philox.h, which numpy's Philox uses.
+
+The reproduction relies on numpy's stream-compatibility policy (NEP 19),
+under which SeedSequence, the bit generators' streams and Generator.random's
+conversion to doubles stay fixed across releases. If numpy ever changes
+them, tests/test_rng.py, which compares every path with substream bit for
+bit, fails.
 """
 
 from __future__ import annotations
@@ -46,6 +56,22 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Philox4x64-10 (Random123, philox.h): the multipliers of counter words 0 and
+# 2, and the Weyl increments added to the key words before each later round.
+_PHILOX_ROUNDS = 10
+_PHILOX_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_MULT_LO = _PHILOX_MULT & np.uint64(_MASK32)
+_PHILOX_MULT_HI = _PHILOX_MULT >> np.uint64(32)
+_PHILOX_ROUND_BUMPS = np.array(
+    [[[r * 0x9E3779B97F4A7C15 & _U64_MAX], [r * 0xBB67AE8584CAA73B & _U64_MAX]]
+     for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)  # (rounds, 2, 1)
+# stream_prefixes runs those rounds itself on calls of at least this many
+# streams of at most this many draws (4 Philox blocks). Below the count, the
+# kernel's fixed cost of about 180 numpy calls loses to re-keying one Philox
+# per stream; on longer streams the per-stream loop wins again.
+_VECTOR_MIN_STREAMS = 256
+_VECTOR_MAX_DRAWS = 16
 
 
 def _check_seed(master_seed: int) -> int:
@@ -90,13 +116,60 @@ def stream_prefixes(master_seed: int, purpose: int, stream_indices, n: int) -> n
     bit for bit, and so point_uniforms(master_seed, purpose,
     stream_indices[j], range(n)); a request for fewer or reordered streams
     returns exactly the rows the full request would. The keys of all rows
-    come from one vectorised SeedSequence hash (see keyed_generators).
+    come from one vectorised SeedSequence hash (see keyed_generators). A call
+    of at least _VECTOR_MIN_STREAMS streams of at most _VECTOR_MAX_DRAWS draws
+    computes the Philox blocks of every row at once (_philox_uniforms); any
+    other call re-keys one Philox per row. The rule reads only the call's
+    shape, and both ways give the same bits. A negative n raises ValueError.
     """
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"draw count must be non-negative, got {n}")
     stream_indices = list(stream_indices)
+    if len(stream_indices) >= _VECTOR_MIN_STREAMS and n <= _VECTOR_MAX_DRAWS:
+        keys = _philox_keys(_check_seed(master_seed), int(purpose), stream_indices)
+        return _philox_uniforms(keys, n)
     out = np.empty((len(stream_indices), n))
     for row, gen in zip(out, keyed_generators(master_seed, purpose, stream_indices)):
         gen.random(out=row)
     return out
+
+
+def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
+    """Row j: the first n Generator.random draws of the Philox keyed keys[j].
+
+    numpy's Philox raises its counter before it makes a block, so block b
+    (b = 1, 2, ...) of a fresh stream is Philox4x64-10 of counter (b, 0, 0, 0)
+    and holds draws 4(b-1) to 4b-1. Counter words 0 and 2 of every block of
+    every stream form one (2, streams * blocks) uint64 array, words 1 and 3
+    another, so each round is a few numpy calls over all of them; uint64
+    arithmetic wraps without a warning, as Philox's does. A draw is
+    (x >> 11) * 2**-53 of its 64-bit output x, as in Generator.random.
+    """
+    blocks = -(-n // 4)
+    size = len(keys) * blocks
+    round_keys = np.repeat(keys.T[None] + _PHILOX_ROUND_BUMPS, blocks, axis=2)
+    even = np.zeros((2, size), dtype=np.uint64)  # counter words 0 and 2
+    even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
+    odd = np.zeros((2, size), dtype=np.uint64)  # counter words 1 and 3
+    for key in round_keys:
+        hi = _mulhi(even)
+        lo = even * _PHILOX_MULT
+        # (w0, w1, w2, w3) -> (hi(M1 w2) ^ w1 ^ k0, lo(M1 w2), hi(M0 w0) ^ w3 ^ k1, lo(M0 w0))
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=1).reshape(len(keys), 4 * blocks)
+    return np.multiply(words[:, :n] >> np.uint64(11), 2.0 ** -53)
+
+
+def _mulhi(x: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products _PHILOX_MULT * x, row by row.
+
+    The schoolbook product of 32-bit halves: no partial sum passes 2**64.
+    """
+    x_lo, x_hi = x & np.uint64(_MASK32), x >> np.uint64(32)
+    cross = _PHILOX_MULT_HI * x_lo + (_PHILOX_MULT_LO * x_lo >> np.uint64(32))
+    carry = _PHILOX_MULT_LO * x_hi + (cross & np.uint64(_MASK32))
+    return _PHILOX_MULT_HI * x_hi + (cross >> np.uint64(32)) + (carry >> np.uint64(32))
 
 
 def keyed_generators(master_seed: int, purpose: int, stream_indices):

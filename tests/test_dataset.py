@@ -333,17 +333,21 @@ class TestDrawLabels:
 
     def test_label_rows_match_single_draws(self):
         """Row k-1 of the resample matrix is the draw of stream k, bit for bit."""
-        probs = np.random.default_rng(4).uniform(size=30)
-        rows = draw_label_rows(probs, 77, 25)
-        assert rows.shape == (25, 30)
-        for k in range(1, 26):
-            np.testing.assert_array_equal(rows[k - 1],
-                                          lr.draw_labels(probs, lr.LabelDrawSeed(77, k)))
+        # 25 long rows re-key a Philox per row; 400 rows of 6 run the vectorised Philox.
+        for n, n_rows in [(30, 25), (6, 400)]:
+            probs = np.random.default_rng(4).uniform(size=n)
+            rows = draw_label_rows(probs, 77, n_rows)
+            assert rows.shape == (n_rows, n)
+            for k in range(1, n_rows + 1):
+                np.testing.assert_array_equal(rows[k - 1],
+                                              lr.draw_labels(probs, lr.LabelDrawSeed(77, k)))
         with pytest.raises(errors.ProbOutOfRange) as info:
             draw_label_rows([0.5, -0.1], 77, 3)
         assert info.value.index == 1
         with pytest.raises(ValueError):
             draw_label_rows(probs, -1, 3)
+        with pytest.raises(ValueError):
+            draw_label_rows([0.5, 0.2], 7, -3)
 
     def test_streams_differ(self):
         probs = np.full(200, 0.5)

@@ -63,15 +63,47 @@ def assert_same_bits(got, expected):
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+# Draw counts of 0 to 5 Philox blocks, on both sides of the vectorised path's
+# limit of 16 draws, and a desk-size stream.
+DRAW_COUNTS = (0, 1, 3, 4, 6, 9, 15, 16, 17, 200)
+
+
 class TestStreamPrefixesMatchNumpy:
-    """stream_prefixes keys all streams in one vectorised hash; numpy is the oracle."""
+    """stream_prefixes keys all streams in one vectorised hash, then re-keys one
+    Philox per stream or, for many short streams, runs Philox4x64-10 on all of
+    them at once; numpy is the oracle of both paths."""
 
     @pytest.mark.parametrize("purpose", ORACLE_PURPOSES)
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_first_300_streams(self, seed, purpose):
-        for n in (0, 1, 3, 4, 6, 9, 200):
+        """Vectorised up to 16 draws, re-keyed per stream beyond."""
+        for n in DRAW_COUNTS:
             assert_same_bits(rng.stream_prefixes(seed, purpose, range(300), n),
                              per_stream_prefixes(seed, purpose, range(300), n))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_one_stream_below_the_count_threshold(self, seed):
+        """255 streams are re-keyed per stream, and give the first rows of a vectorised call."""
+        count = rng._VECTOR_MIN_STREAMS - 1
+        for purpose in ORACLE_PURPOSES:
+            for n in DRAW_COUNTS:
+                got = rng.stream_prefixes(seed, purpose, range(count), n)
+                assert_same_bits(got, per_stream_prefixes(seed, purpose, range(count), n))
+                assert_same_bits(got, rng.stream_prefixes(seed, purpose, range(300), n)[:count])
+
+    def test_the_call_shape_selects_the_path(self, monkeypatch):
+        """At least 256 streams of at most 16 draws run the kernel; every other call loops."""
+        calls = []
+        kernel = rng._philox_uniforms
+
+        def counted(keys, n):
+            calls.append((len(keys), n))
+            return kernel(keys, n)
+
+        monkeypatch.setattr(rng, "_philox_uniforms", counted)
+        for count, n in [(256, 16), (256, 0), (1000, 1), (255, 16), (256, 17), (300, 200), (3, 4)]:
+            assert rng.stream_prefixes(5, rng.LABELS, range(count), n).shape == (count, n)
+        assert calls == [(256, 16), (256, 0), (1000, 1)]
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_reordered_indices_of_several_words(self, seed):
@@ -83,9 +115,29 @@ class TestStreamPrefixesMatchNumpy:
                                                  [MIXED_INDICES[j] for j in subset], 9),
                              got[subset])
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_reordered_indices_of_several_words_vectorised(self, seed):
+        """MIXED_INDICES and a descending run across 2**32, so 311 streams: the kernel's
+        rows match numpy, and so do those of a reordered subset on either path."""
+        indices = MIXED_INDICES + list(range(2**32 + 150, 2**32 - 150, -1))
+        large = [j for j in reversed(range(len(indices))) if j % 17]  # 292 streams
+        for purpose in ORACLE_PURPOSES:
+            for n in (1, 6, 16):
+                got = rng.stream_prefixes(seed, purpose, indices, n)
+                assert_same_bits(got, per_stream_prefixes(seed, purpose, indices, n))
+                for subset in (large, [2, 8, 5]):
+                    assert_same_bits(rng.stream_prefixes(seed, purpose,
+                                                         [indices[j] for j in subset], n),
+                                     got[subset])
+
     def test_no_streams(self):
         assert rng.stream_prefixes(5, rng.LABELS, [], 4).shape == (0, 4)
         assert rng.stream_prefixes(5, rng.LABELS, range(3), 0).shape == (3, 0)
+
+    @pytest.mark.parametrize("count", [3, 300])
+    def test_negative_draw_count_raises(self, count):
+        with pytest.raises(ValueError):
+            rng.stream_prefixes(5, rng.LABELS, range(count), -2)
 
     def test_bad_index_or_seed_raises(self):
         with pytest.raises(ValueError):
