@@ -60,9 +60,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Philox4x64-10 (Random123, philox.h): the multipliers of counter words 0 and
 # 2, and the Weyl increments added to the key words before each later round.
 _PHILOX_ROUNDS = 10
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 _PHILOX_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_MULT_LO = _PHILOX_MULT & np.uint64(_MASK32)
-_PHILOX_MULT_HI = _PHILOX_MULT >> np.uint64(32)
+_PHILOX_MULT_HALVES = (_PHILOX_MULT, _PHILOX_MULT & _LOW32, _PHILOX_MULT >> _SHIFT32)
 _PHILOX_ROUND_BUMPS = np.array(
     [[[r * 0x9E3779B97F4A7C15 & _U64_MAX], [r * 0xBB67AE8584CAA73B & _U64_MAX]]
      for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)  # (rounds, 2, 1)
@@ -118,19 +118,20 @@ def stream_prefixes(master_seed: int, purpose: int, stream_indices, n: int) -> n
     returns exactly the rows the full request would. The keys of all rows
     come from one vectorised SeedSequence hash (see keyed_generators). A call
     of at least _VECTOR_MIN_STREAMS streams of at most _VECTOR_MAX_DRAWS draws
-    computes the Philox blocks of every row at once (_philox_uniforms); any
-    other call re-keys one Philox per row. The rule reads only the call's
-    shape, and both ways give the same bits. A negative n raises ValueError.
+    computes the Philox blocks of all rows at once (_philox_uniforms), in
+    parts of 256 to 511 rows that keep its working memory small; any other
+    call re-keys one Philox per row. The rule reads only the call's shape,
+    and both ways give the same bits. A negative n raises ValueError.
     """
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"draw count must be non-negative, got {n}")
-    stream_indices = list(stream_indices)
-    if len(stream_indices) >= _VECTOR_MIN_STREAMS and n <= _VECTOR_MAX_DRAWS:
-        keys = _philox_keys(_check_seed(master_seed), int(purpose), stream_indices)
-        return _philox_uniforms(keys, n)
-    out = np.empty((len(stream_indices), n))
-    for row, gen in zip(out, keyed_generators(master_seed, purpose, stream_indices)):
+    keys = _philox_keys(_check_seed(master_seed), int(purpose), list(stream_indices))
+    if len(keys) >= _VECTOR_MIN_STREAMS and n <= _VECTOR_MAX_DRAWS:
+        parts = np.array_split(keys, len(keys) // _VECTOR_MIN_STREAMS)
+        return np.concatenate([_philox_uniforms(part, n) for part in parts])
+    out = np.empty((len(keys), n))
+    for row, gen in zip(out, _rekeyed(keys.tolist())):
         gen.random(out=row)
     return out
 
@@ -149,27 +150,21 @@ def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
     blocks = -(-n // 4)
     size = len(keys) * blocks
     round_keys = np.repeat(keys.T[None] + _PHILOX_ROUND_BUMPS, blocks, axis=2)
+    # Full-size multipliers: a broadcast operand slows every product.
+    mult, mult_lo, mult_hi = (np.repeat(m, size, axis=1) for m in _PHILOX_MULT_HALVES)
     even = np.zeros((2, size), dtype=np.uint64)  # counter words 0 and 2
     even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
     odd = np.zeros((2, size), dtype=np.uint64)  # counter words 1 and 3
     for key in round_keys:
-        hi = _mulhi(even)
-        lo = even * _PHILOX_MULT
+        # High 64 bits of mult * even, from the 32-bit halves: no partial sum passes 2**64.
+        low, high = even & _LOW32, even >> _SHIFT32
+        cross = mult_hi * low + (mult_lo * low >> _SHIFT32)
+        carry = mult_lo * high + (cross & _LOW32)
+        hi = mult_hi * high + (cross >> _SHIFT32) + (carry >> _SHIFT32)
         # (w0, w1, w2, w3) -> (hi(M1 w2) ^ w1 ^ k0, lo(M1 w2), hi(M0 w0) ^ w3 ^ k1, lo(M0 w0))
-        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+        even, odd = hi[::-1] ^ odd ^ key, (even * mult)[::-1]
     words = np.stack((even[0], odd[0], even[1], odd[1]), axis=1).reshape(len(keys), 4 * blocks)
     return np.multiply(words[:, :n] >> np.uint64(11), 2.0 ** -53)
-
-
-def _mulhi(x: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products _PHILOX_MULT * x, row by row.
-
-    The schoolbook product of 32-bit halves: no partial sum passes 2**64.
-    """
-    x_lo, x_hi = x & np.uint64(_MASK32), x >> np.uint64(32)
-    cross = _PHILOX_MULT_HI * x_lo + (_PHILOX_MULT_LO * x_lo >> np.uint64(32))
-    carry = _PHILOX_MULT_LO * x_hi + (cross & np.uint64(_MASK32))
-    return _PHILOX_MULT_HI * x_hi + (cross >> np.uint64(32)) + (carry >> np.uint64(32))
 
 
 def keyed_generators(master_seed: int, purpose: int, stream_indices):

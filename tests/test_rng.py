@@ -92,7 +92,8 @@ class TestStreamPrefixesMatchNumpy:
                 assert_same_bits(got, rng.stream_prefixes(seed, purpose, range(300), n)[:count])
 
     def test_the_call_shape_selects_the_path(self, monkeypatch):
-        """At least 256 streams of at most 16 draws run the kernel; every other call loops."""
+        """At least 256 streams of at most 16 draws run the kernel, in parts of 256 to
+        511 streams; every other call loops."""
         calls = []
         kernel = rng._philox_uniforms
 
@@ -103,7 +104,7 @@ class TestStreamPrefixesMatchNumpy:
         monkeypatch.setattr(rng, "_philox_uniforms", counted)
         for count, n in [(256, 16), (256, 0), (1000, 1), (255, 16), (256, 17), (300, 200), (3, 4)]:
             assert rng.stream_prefixes(5, rng.LABELS, range(count), n).shape == (count, n)
-        assert calls == [(256, 16), (256, 0), (1000, 1)]
+        assert calls == [(256, 16), (256, 0), (334, 1), (333, 1), (333, 1)]
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_reordered_indices_of_several_words(self, seed):
@@ -117,10 +118,10 @@ class TestStreamPrefixesMatchNumpy:
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_reordered_indices_of_several_words_vectorised(self, seed):
-        """MIXED_INDICES and a descending run across 2**32, so 311 streams: the kernel's
-        rows match numpy, and so do those of a reordered subset on either path."""
-        indices = MIXED_INDICES + list(range(2**32 + 150, 2**32 - 150, -1))
-        large = [j for j in reversed(range(len(indices))) if j % 17]  # 292 streams
+        """MIXED_INDICES and a descending run across 2**32, so 611 streams in two kernel
+        parts: the rows match numpy, and so do those of a reordered subset on either path."""
+        indices = MIXED_INDICES + list(range(2**32 + 300, 2**32 - 300, -1))
+        large = [j for j in reversed(range(len(indices))) if j % 17]  # 575 streams
         for purpose in ORACLE_PURPOSES:
             for n in (1, 6, 16):
                 got = rng.stream_prefixes(seed, purpose, indices, n)
