@@ -126,6 +126,8 @@ def stream_prefixes(master_seed: int, purpose: int, stream_indices, n: int) -> n
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"draw count must be non-negative, got {n}")
+    # list() sizes a range first: a count past the C ssize_t range raises
+    # OverflowError there, before any memory is taken.
     keys = _philox_keys(_check_seed(master_seed), int(purpose), list(stream_indices))
     if len(keys) >= _VECTOR_MIN_STREAMS and n <= _VECTOR_MAX_DRAWS:
         parts = np.array_split(keys, len(keys) // _VECTOR_MIN_STREAMS)
