@@ -57,10 +57,13 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# Philox4x64-10 (Random123, philox.h): the multipliers of counter words 0 and
-# 2, and the Weyl increments added to the key words before each later round.
-_PHILOX_ROUNDS = 10
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+# Philox4x64-10 (Random123, philox.h): the multipliers of counter words 0 and
+# 2, whole and in 32-bit halves, and the offset of round r's key from the
+# first, r times the Weyl increments, as the key is bumped before each later
+# round.
+_PHILOX_ROUNDS = 10
 _PHILOX_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_MULT_HALVES = (_PHILOX_MULT, _PHILOX_MULT & _LOW32, _PHILOX_MULT >> _SHIFT32)
 _PHILOX_ROUND_BUMPS = np.array(
