@@ -53,12 +53,10 @@ DIVERGENCE_GUARD = 1e6
 MAX_HALVINGS = 30
 # fit_logistic_batch advances at most this many label entries (rows times
 # points; one row when n is larger) at once, which bounds its workspace of ten
-# such arrays (5 MiB up to n = 2**16) whatever the row count. A Newton pass
-# costs a block about 75 numpy calls whatever its size, so every desk-size
-# batch (K * n up to 2**16, such as K = 300 at n = 200) runs as one block. At
-# 2**14 a warm 300 x 200 call ran four blocks and took 10.1-11.1 ms, against
-# 8.0-8.4 ms in one (2-vCPU x86-64, one BLAS thread); 2**16 costs 3.8 MiB more
-# of workspace.
+# such arrays (5 MiB up to n = 2**16) whatever the row count. Every desk-size
+# batch (K * n up to 2**16, such as K = 300 at n = 200) runs as one block,
+# because a Newton pass costs a block the same numpy calls whatever its size
+# (timings in CHANGES.md).
 BATCH_ENTRIES = 1 << 16
 # Largest n * d^2 for which fit_logistic_batch builds its n x d^2 table of
 # outer products (2 MiB); see there for the rule and its reasons.
@@ -69,8 +67,7 @@ HESSIAN_TABLE_ENTRIES = 1 << 18
 # diagonal is scaled to 1. Then rounding cannot make the sign test of det
 # disagree with the Cholesky test, and the step differs from the LU solve's by
 # rounding alone. Closer to singular, that difference can decide whether a
-# barely convergent fit converges (a share of 1e-6 changed the outcome of one
-# in 3,000 random fits), so such rows are factored as before.
+# barely convergent fit converges (CHANGES.md), so such rows are factored.
 CRAMER_DET_SHARE = 1e-4
 # Ridge escalation ladder applied when an unregularized refit hits a
 # separable resample. Counts of such refits are reported, never hidden.
@@ -96,8 +93,8 @@ def _logistic(z, e, out=None, spare=None):
     """sigmoid(z) given e = exp(-|z|), written to out and with 1 + e written to
     spare when they are given; out may be z. The numerator max(e, sign(z)) is
     where(z >= 0, 1, e) bit for bit, as e <= 1 where sign(z) is 1, e >= 0
-    where it is -1, e = 1 at z = +-0 and e is NaN at NaN; on an 81 x 200
-    block it takes about a quarter of where's time and casts no booleans."""
+    where it is -1, e = 1 at z = +-0 and e is NaN at NaN. It casts no
+    booleans, and it is the faster of the two (CHANGES.md)."""
     numerator = np.maximum(e, np.sign(z, out=out), out=out)
     return np.divide(numerator, np.add(1.0, e, out=spare), out=out)
 
@@ -208,9 +205,9 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     product lets BLAS pick its kernel, and so its rounding, by the row count.
     The Hessians X' diag(w) X come from an n x d^2 table of outer products when
     n * d^2 is at most HESSIAN_TABLE_ENTRIES, and as X'(w X) otherwise. The
-    table is fast for many rows on a small design, but theory_large's 10000 x
-    21 design would need 35 MB for it; and as the rule reads the design alone,
-    never K, a row's Hessian is formed the same way in every batch.
+    table is fast for many rows on a small design and grows as n d^2; as the
+    rule reads the design alone, never K, a row's Hessian is formed the same
+    way in every batch.
 
     Returns (thetas, separable): the K x d fitted parameters and a boolean
     K-vector, True (with NaN thetas) where a row has no finite unique optimum.
@@ -795,9 +792,8 @@ def _rung_starts(X, label_rows, opts: FitOptions):
     row's optimum lies at about log(1/ridge) over its smallest margin, and
     Newton's method from 0 gains about one margin unit per pass on the way
     (15 passes at ridge 1e-6). On more columns the line optimum along u is
-    not the fit, and on the 2-column sets of the enum_gray benchmark a rung
-    block took longer from it than from 0: its slowest rows still took 12
-    passes, and first steps from it often halved.
+    not the fit, and a rung block takes longer from it than from 0, as its
+    slowest rows still take most of the cold passes (CHANGES.md).
 
     Along u the loss is sum log(1 + exp(-s a)) + c s^2 / 2, with margins
     a = y x u and c = ridge u^2. Its slope is c s + M(s) - P(s), where P sums

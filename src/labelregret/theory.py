@@ -69,7 +69,7 @@ def _design_and_probs(model: LogisticModel, features):
 def _hessian(X, p) -> np.ndarray:
     """X' diag(p (1 - p)) X, symmetrized."""
     w = p * (1.0 - p)
-    H = np.einsum("i,ij,ik->jk", w, X, X)
+    H = X.T @ (w[:, None] * X)
     return (H + H.T) / 2.0
 
 

@@ -1173,6 +1173,29 @@ class TestBatchedRidgeLadder:
         with pytest.raises(errors.RefitFallbackExhausted):
             trainer.fit_many(lr.Dataset(features, label_rows[0]), label_rows, features, None)
 
+    @staticmethod
+    def fit_scaled_collinear_design(scale):
+        """fit_many at ridge 0 on 8 points whose columns are x and 2x times
+        scale, a rank-1 design, with 20 random label rows."""
+        gen = np.random.default_rng(0)
+        x = gen.standard_normal(8)
+        features = np.column_stack([x, 2.0 * x]) * scale
+        label_rows = np.where(gen.random((20, 8)) < 0.5, -1, 1)
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=False))
+        return trainer.fit_many(lr.Dataset(features, label_rows[0]), label_rows, features, None)
+
+    def test_later_rungs_fit_a_rank_deficient_design_of_large_features(self):
+        """With features near 1e6 the rounding of X'WX is far above 1e-6, so the
+        first rung cannot make H positive definite; the later rungs do."""
+        samples, n_fallbacks = self.fit_scaled_collinear_design(1e6)
+        assert n_fallbacks == 20
+        assert np.all((samples >= 0.0) & (samples <= 1.0))
+
+    def test_first_rung_alone_leaves_that_design_unfit(self, monkeypatch):
+        monkeypatch.setattr("labelregret.glm.FALLBACK_RIDGES", (1e-6,))
+        with pytest.raises(errors.RefitFallbackExhausted):
+            self.fit_scaled_collinear_design(1e6)
+
 
 class TestRungStarts:
     """On a one-column design, LogisticTrainer.fit_many starts a ladder rung's

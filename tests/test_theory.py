@@ -47,12 +47,39 @@ class TestComputeHessian:
         np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-8)
 
     def test_agrees_with_optimizer_route(self, cluster_ss):
-        """The einsum construction and the optimizer's weighted product match."""
+        """The symmetrized X'(w X) product and the reference optimizer's own
+        weighted product match."""
         model = lr.fit_logistic(cluster_ss.base, lr.FitOptions(include_intercept=False))
         via_theory = lr.compute_hessian(model, cluster_ss.base.features)
         X = design_matrix(cluster_ss.base.features, False)
         via_glm = loss_hessian(model.theta, X, 0.0)
         np.testing.assert_allclose(via_theory, via_glm, atol=1e-10)
+
+    @pytest.mark.parametrize("include_intercept", [False, True])
+    def test_equals_the_sum_of_weighted_outer_products(self, include_intercept):
+        """H = sum_i w_i x_i x_i' summed point by point, w_i = p_i (1 - p_i).
+
+        Each route forms every entry as a sum of n rounded products w x_j x_k,
+        so each lies within (n + 2) eps of the exact sum of their magnitudes,
+        and the symmetrization adds one rounding; the tolerance is twice that,
+        set from float64's eps alone. Features span six orders of magnitude.
+        """
+        gen = np.random.default_rng(22)
+        features = gen.standard_normal((300, 4)) * np.array([1e-3, 1.0, 10.0, 1e3])
+        X = design_matrix(features, include_intercept)
+        theta = gen.standard_normal(X.shape[1]) / np.abs(X).max(axis=0)
+        H = lr.compute_hessian(lr.LogisticModel(theta, include_intercept), features)
+
+        p = lr.sigmoid(X @ theta)
+        w = p * (1.0 - p)
+        loop = np.zeros_like(H)
+        magnitude = np.zeros_like(H)
+        for w_i, x_i in zip(w, X):
+            loop += w_i * np.outer(x_i, x_i)
+            magnitude += w_i * np.outer(np.abs(x_i), np.abs(x_i))
+        n = X.shape[0]
+        tolerance = 2 * (n + 3) * np.finfo(float).eps * magnitude
+        assert np.all(np.abs(H - loop) <= tolerance)
 
 
 class TestQValues:
