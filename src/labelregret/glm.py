@@ -67,7 +67,8 @@ HESSIAN_TABLE_ENTRIES = 1 << 18
 # diagonal is scaled to 1. Then rounding cannot make the sign test of det
 # disagree with the Cholesky test, and the step differs from the LU solve's by
 # rounding alone. Closer to singular, that difference can decide whether a
-# barely convergent fit converges (CHANGES.md), so such rows are factored.
+# barely convergent fit converges (CHANGES.md), so such rows take the
+# Cholesky-plus-solve path.
 CRAMER_DET_SHARE = 1e-4
 # Ridge escalation ladder applied when an unregularized refit hits a
 # separable resample. Counts of such refits are reported, never hidden.
@@ -94,7 +95,7 @@ def _logistic(z, e, out=None, spare=None):
     spare when they are given; out may be z. The numerator max(e, sign(z)) is
     where(z >= 0, 1, e) bit for bit, as e <= 1 where sign(z) is 1, e >= 0
     where it is -1, e = 1 at z = +-0 and e is NaN at NaN. It casts no
-    booleans, and it is the faster of the two (CHANGES.md)."""
+    booleans and runs faster than where (CHANGES.md)."""
     numerator = np.maximum(e, np.sign(z, out=out), out=out)
     return np.divide(numerator, np.add(1.0, e, out=spare), out=out)
 
