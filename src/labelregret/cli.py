@@ -4,10 +4,11 @@ Every subcommand writes its artifacts into the --out directory plus a
 meta.json embedding the fully resolved configuration, then prints a one-line
 summary with the output paths. stdout never carries data, only summaries.
 Exit codes: 0 success, 1 operation error, 2 usage error. All writes go
-through a temp-file-plus-rename, so output files are never partial. The
-parser is built for the invoked command only: every command is registered
-by name and help text, and only the one named on the command line gets a
-parser of its own, with its arguments; the others share one placeholder.
+through a temp-file-plus-rename, so output files are never partial. When
+the first argument names a command, dispatch builds that command's parser
+alone; any other command line goes through the top-level parser of
+build_parser, where the other commands share one placeholder. Help, usage
+errors and exit codes are the same on both routes.
 """
 
 from __future__ import annotations
@@ -360,24 +361,49 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         return argparse.ArgumentParser(**kwargs) if add_help else placeholder
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
-    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+    for name, (help_text, _, _) in COMMANDS.items():
         # a command that parses nothing needs no -h, nor a parser of its own
         p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
-            add_arguments(p)
-            _add_common(p)
-            p.set_defaults(handler=handler)
+            _command_arguments(p, name)
     return parser
 
 
+def _command_arguments(parser, name: str):
+    """Add command name's arguments, the common ones and its defaults to parser."""
+    _, add_arguments, handler = COMMANDS[name]
+    add_arguments(parser)
+    _add_common(parser)
+    parser.set_defaults(handler=handler, command=name)
+
+
+def _parse(argv):
+    """The parsed command line; SystemExit on -h or a usage error.
+
+    When the first argument names a command, only that command's parser is
+    built, which argparse's subparser action would enter with the rest of the
+    command line; the arguments it leaves are reported by the top-level
+    parser, as that action's parser would. Any other command line goes through
+    build_parser. Its top-level parser has no option that takes a value, so
+    argparse can enter only the subparser named by the first argument that is
+    not an option, and that one is built.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"labelregret {argv[0]}")
+        _command_arguments(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if rest:
+            build_parser(None).error(f"unrecognized arguments: {' '.join(rest)}")
+        return args
+    return build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+
+
 def dispatch(argv) -> int:
-    """Parse and run one command line; returns the process exit code."""
-    argv = list(argv)
-    # The top-level parser has no option that takes a value, so argparse can enter only
-    # the subparser named by the first argument that is not an option: build that one.
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    """Parse and run one command line; returns the process exit code. A
+    command line whose first argument names a command builds one parser, that
+    command's; any other builds the top-level parser of build_parser."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -95,6 +95,37 @@ def test_unknown_flag_before_the_command_reaches_the_command(capsys):
                         "--data, --out\n")
 
 
+def full_tree():
+    """The parser tree as it was before dispatch built a command's parser alone:
+    every command a subparser of its own, with its arguments and the common ones."""
+    parser = argparse.ArgumentParser(prog="labelregret",
+                                     description=cli.build_parser(None).description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        cli._add_common(p)
+        p.set_defaults(handler=handler)
+    return parser
+
+
+@pytest.mark.parametrize("case", ["-h", "bare", "bad value", "unknown flag after",
+                                  "unknown flag before"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_dispatch_matches_the_full_parser_tree(command, case, capsys):
+    """Help, usage errors and exit codes, byte for byte, on either route of dispatch."""
+    minimal = COMMANDS[command][0]
+    argv = {"-h": [command, "-h"], "bare": [command],
+            "bad value": [command, *minimal, "--ridge", "x"],
+            "unknown flag after": [command, *minimal, "--bogus"],
+            "unknown flag before": ["--bogus", command, *minimal]}[case]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        full_tree().parse_args(argv)
+    expected = (exc.value.code, *capsys.readouterr())
+    assert run(argv, capsys) == expected
+
+
 def test_dispatch_builds_only_the_invoked_command(monkeypatch, tmp_path, capsys):
     """A count, not a timing: parsing `regret` adds no other command's option."""
     built = []
@@ -116,14 +147,16 @@ def test_dispatch_builds_only_the_invoked_command(monkeypatch, tmp_path, capsys)
     assert sorted(o for o in built if o not in HELP) == sorted(own)
 
 
-@pytest.mark.parametrize("argv, exit_code", [
-    (["regret", "--data", "DATA", "--k", "5", "--out", "OUT"], 0), (["enumerate", "-h"], 0),
-    (["-h"], 0), (["bogus"], 2), (["regret"], 2)],
+@pytest.mark.parametrize("argv, exit_code, exactly_one", [
+    (["regret", "--data", "DATA", "--k", "5", "--out", "OUT"], 0, True),
+    (["enumerate", "-h"], 0, True), (["-h"], 0, False), (["bogus"], 2, False),
+    (["regret"], 2, False)],
     ids=["regret", "enumerate -h", "-h", "bogus", "regret without flags"])
-def test_dispatch_constructs_at_most_three_parsers(argv, exit_code, monkeypatch, tmp_path,
-                                                   capsys):
-    """The top-level parser, the invoked command's and one placeholder shared by
-    every other command: a count, not a timing."""
+def test_dispatch_constructs_at_most_three_parsers(argv, exit_code, exactly_one, monkeypatch,
+                                                   tmp_path, capsys):
+    """A command line that starts with a command builds that command's parser
+    alone; any other at most the top-level parser, the invoked command's and
+    one placeholder shared by every other command: a count, not a timing."""
     data = tmp_path / "d.csv"
     write_lines(data, ["a,label", "0.5,1", "-1.0,0", "1.5,0", "-0.2,1"])
     argv = [{"DATA": str(data), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
@@ -136,7 +169,7 @@ def test_dispatch_constructs_at_most_three_parsers(argv, exit_code, monkeypatch,
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert run(argv, capsys)[0] == exit_code
-    assert len(constructed) <= 3
+    assert len(constructed) == 1 if exactly_one else len(constructed) <= 3
 
 
 @pytest.mark.parametrize("argv", [["fit", "-h"], ["regret", "--data", "DATA", "--k", "5",
