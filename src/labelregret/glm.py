@@ -73,6 +73,10 @@ CRAMER_DET_SHARE = 1e-4
 # Ridge escalation ladder applied when an unregularized refit hits a
 # separable resample. Counts of such refits are reported, never hidden.
 FALLBACK_RIDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+# The ufunc reductions that ndarray.sum, max, all and any end in, which the
+# Newton passes call directly (see _newton_rows).
+_sum, _max = np.add.reduce, np.maximum.reduce
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 
@@ -279,6 +283,11 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
     per row, as every later pass is. The separability proof of a pass reads
     each row's largest margin product -y z, which the loss sweep that made the
     margins took before clipping it to the hinge.
+
+    A pass calls the ufunc reductions and array methods that ndarray.sum, max,
+    all and any, np.max, np.take and np.flatnonzero end in, with the same
+    bits, because on a small block their Python wrappers take longer than the
+    work.
     """
     n, d = X.shape
     XT = X.T
@@ -293,10 +302,10 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
     def compact(keep, count):
         """Move the kept rows of the first count live arrays to the top of their
         twins, which become live; cut every array to the kept rows."""
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         for i in range(len(live)):
             if i < count:
-                np.take(live[i], kept, axis=0, out=twin[i][:kept.size], mode="clip")
+                live[i].take(kept, axis=0, out=twin[i][:kept.size], mode="clip")
                 live[i], twin[i] = twin[i], live[i]
             live[i], twin[i] = live[i][:kept.size], twin[i][:kept.size]
         return live
@@ -309,11 +318,11 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         _row_products(T, XT, out=Z)
         np.exp(np.negative(np.abs(Z, out=E), out=E), out=E)
         np.multiply(negY, Z, out=hinge)
-        top = None if ridge else hinge.max(axis=1)
+        top = None if ridge else _max(hinge, axis=1)
         np.maximum(hinge, 0.0, out=hinge)
-        loss = np.add(np.log1p(E, out=terms), hinge, out=hinge).sum(axis=1)  # log(1 + exp(-y z))
+        loss = _sum(np.add(np.log1p(E, out=terms), hinge, out=hinge), axis=1)  # log(1 + exp(-y z))
         if ridge:
-            loss += 0.5 * ridge * (T * T).sum(axis=1)
+            loss += 0.5 * ridge * _sum(T * T, axis=1)
         return loss, top
 
     def hessian(P, W):
@@ -356,10 +365,10 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
             # DIVERGENCE_GUARD declares a row separable too.
             leaving = top < 0.0
             if iteration < opts.max_iters:
-                leaving |= np.sqrt((T * T).sum(axis=1)) > DIVERGENCE_GUARD
-            if leaving.any():
+                leaving |= np.sqrt(_sum(T * T, axis=1)) > DIVERGENCE_GUARD
+            if _any(leaving):
                 separable[rows[leaving]] = True
-                if leaving.all():
+                if _all(leaving):
                     break
                 rows, T, loss, top = (a[~leaving] for a in (rows, T, loss, top))
                 negY, y01, Z, E, P = compact(~leaving, 4)
@@ -368,10 +377,10 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         grad = _row_products(np.subtract(p, y01, out=twin[0]), X)  # penalized gradients
         if ridge:
             grad += ridge * T
-        going = np.max(np.abs(grad), axis=1) > opts.grad_tol
-        if not going.all():
+        going = _max(np.abs(grad), axis=1) > opts.grad_tol
+        if not _all(going):
             thetas[rows[~going]] = T[~going]
-            if not going.any():
+            if not _any(going):
                 break
             rows, T, loss, grad = (a[going] for a in (rows, T, loss, grad))
             top = top if ridge else top[going]
@@ -386,9 +395,9 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         # singular in floating point) means the Newton weights collapsed on
         # the way to an infinite optimum.
         step, solvable = _newton_steps(H, grad)
-        if not solvable.all():
+        if not _all(solvable):
             separable[rows[~solvable]] = True
-            if not solvable.any():
+            if not _any(solvable):
                 break
             rows, T, loss, grad, step = (a[solvable] for a in (rows, T, loss, grad, step))
             top = top if ridge else top[solvable]
@@ -398,13 +407,13 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         # loss value, a loss-based line search only sees rounding noise; such a
         # "pure" row takes the full Newton step (quadratic-convergence phase,
         # true loss drops by under one ulp) and its recorded loss stays monotone.
-        predicted = -0.5 * (grad * step).sum(axis=1)
+        predicted = -0.5 * _sum(grad * step, axis=1)
         pure = predicted <= pure_floor * np.maximum(1.0, np.abs(loss))
         candidate = T + step
         cZ, cE = twin[2], twin[3]
         c_loss, c_top = evaluate(candidate, negY, cZ, cE, twin[0], twin[1])
         better = pure | (c_loss <= loss)
-        if better.all():
+        if _all(better):
             T, loss, top = candidate, np.minimum(c_loss, loss), c_top
             live[2:4], twin[2:4] = twin[2:4], live[2:4]
             Z, E = cZ, cE
@@ -419,7 +428,7 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
                     candidate = T[search] + scale * step[search]
                     cZ, cE = twin[2][:s], twin[3][:s]
                     c_loss, c_top = evaluate(
-                        candidate, np.take(negY, search, axis=0, out=twin[4][:s], mode="clip"),
+                        candidate, negY.take(search, axis=0, out=twin[4][:s], mode="clip"),
                         cZ, cE, twin[0][:s], twin[1][:s])
                     better = pure[search] | (c_loss <= loss[search])
                 took = search[better]
@@ -490,8 +499,8 @@ def _newton_steps(H, grad):
         if closed[0]:
             return step, np.ones(r, dtype=bool)
         return _factored_steps(np.broadcast_to(H, (r, d, d)), grad)
-    if not closed.all():
-        rest = np.flatnonzero(~closed)
+    if not _all(closed):
+        rest = (~closed).nonzero()[0]
         step[rest], closed[rest] = _factored_steps(H[rest], grad[rest])
     return step, closed
 
@@ -830,8 +839,8 @@ def _rung_starts(X, label_rows, opts: FitOptions):
             E = np.exp(B * np.negative(s)[:, None])  # exp(-s |a|)
             D = np.add(E, 1.0)
             Q = np.maximum(E, above) / D  # sigmoid(-s a)
-            P, M = (split * Q).sum(axis=2)
-            P_bend, M_bend = (square * (E / (D * D))).sum(axis=2)  # -P'(s), M'(s)
+            P, M = _sum(split * Q, axis=2)
+            P_bend, M_bend = _sum(square * (E / (D * D)), axis=2)  # -P'(s), M'(s)
             load = c * s + M
             right = P <= load  # phi(s) <= 0
             lo, hi = np.where(right, lo, s), np.where(right, s, hi)
@@ -841,7 +850,7 @@ def _rung_starts(X, label_rows, opts: FitOptions):
             new = np.where(settled | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
             s = np.where(going, new, s)
             going &= ~settled
-            if not going.any():
+            if not _any(going):
                 break
     found &= ~going & np.isfinite(s)
     return np.where(found[:, None], s[:, None] * U, 0.0)
