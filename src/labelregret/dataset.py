@@ -346,7 +346,9 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
         raise ValueError("ASCII separator character in the data rows")
     table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
                        quotechar='"')
-    n_lines = raw.count(b"\n", start) + (not raw.endswith((b"\n", b"\r")))
+    # one vectorised comparison counts the line ends faster than bytes.count
+    n_lines = (np.count_nonzero(np.frombuffer(raw, np.uint8, offset=start) == 10)
+               + (not raw.endswith((b"\n", b"\r"))))
     if raw.find(b"\r", start) >= 0:
         n_lines += raw.count(b"\r", start) - raw.count(b"\r\n", start)
     # loadtxt skips blank lines and joins quoted line breaks, so either
