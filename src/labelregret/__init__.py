@@ -11,17 +11,15 @@ active-learning use cases on semi-synthetic data.
 """
 
 from .config import ExperimentConfig
-from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset,
-                      annulus_features, draw_labels, gaussian_features,
-                      gaussian_semisynthetic, load_csv, load_semisynthetic,
-                      make_semisynthetic, save_semisynthetic,
+from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset, draw_labels,
+                      gaussian_features, gaussian_semisynthetic, load_csv,
+                      load_semisynthetic, make_semisynthetic, save_semisynthetic,
                       semisynthetic_from_model, standardize_features,
                       two_cluster_population, two_cluster_semisynthetic)
 from .errors import LabelRegretError
-from .glm import (ConstantTrainer, EchoTrainer, FitOptions, LogisticModel,
-                  LogisticTrainer, TrainerHandle, auc, bernoulli_kl,
-                  design_matrix, fit_logistic, load_model, log_loss, mean_kl,
-                  predict_proba, sigmoid)
+from .glm import (EchoTrainer, FitOptions, LogisticModel, LogisticTrainer,
+                  TrainerHandle, auc, bernoulli_kl, design_matrix, fit_logistic,
+                  load_model, log_loss, mean_kl, predict_proba, sigmoid)
 from .harness import (ActiveLearningTrace, SelectiveCurve, TrialsResult,
                       TrialSummary, active_learning_run, oracle_error_scores,
                       run_trials, selective_prediction_curve, summarize_trials)
@@ -34,11 +32,11 @@ from .theory import (TheoryReport, compute_hessian, epsilon_bound, q_values,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveLearningTrace", "ConstantTrainer", "Dataset",
+    "ActiveLearningTrace", "Dataset",
     "EchoTrainer", "ExperimentConfig", "FitOptions", "LabelDrawSeed",
     "LabelRegretError", "LogisticModel", "LogisticTrainer", "RegretReport",
     "SelectiveCurve", "SemiSyntheticDataset", "TheoryReport", "TrainerHandle",
-    "TrialsResult", "TrialSummary", "active_learning_run", "annulus_features",
+    "TrialsResult", "TrialSummary", "active_learning_run",
     "auc", "bernoulli_kl", "bootstrap_regret", "compute_hessian",
     "design_matrix", "draw_labels", "epsilon_bound", "estimate_regret",
     "exact_regret_enumeration", "fit_logistic", "gaussian_features",

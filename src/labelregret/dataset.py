@@ -239,18 +239,6 @@ def gaussian_features(n: int, d: int, master_seed: int) -> np.ndarray:
     return rng.substream(master_seed, rng.FEATURES, 0).standard_normal((n, d))
 
 
-def annulus_features(n: int, d: int, master_seed: int, *, r_min: float = 0.5,
-                     r_max: float = 2.0) -> np.ndarray:
-    """Features on an annulus: compact support bounded away from the origin."""
-    if not 0 < r_min <= r_max:
-        raise ValueError("need 0 < r_min <= r_max")
-    gen = rng.substream(master_seed, rng.FEATURES, 0)
-    directions = gen.standard_normal((n, d))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = gen.uniform(r_min, r_max, size=n)
-    return directions * radii[:, None]
-
-
 def gaussian_semisynthetic(n: int, d: int, theta, master_seed: int, *,
                            stream_index: int = 0) -> SemiSyntheticDataset:
     """Standard-normal features with labels drawn from the supplied parameters."""

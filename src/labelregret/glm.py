@@ -898,20 +898,6 @@ class EchoTrainer(TrainerHandle):
         return predict
 
 
-class ConstantTrainer(TrainerHandle):
-    """Ignores the labels and predicts a fixed probability everywhere."""
-
-    def __init__(self, value: float = 0.5):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("constant prediction must lie in [0, 1]")
-        self.value = float(value)
-        self.name = f"constant({value:g})"
-
-    def fit(self, data: "Dataset", start=None) -> Predictor:
-        value = self.value
-        return lambda X: np.full(np.atleast_2d(np.asarray(X)).shape[0], value)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -31,6 +31,20 @@ def cluster_ss():
     return lr.two_cluster_semisynthetic(200, lr.LabelDrawSeed(11))
 
 
+class ConstantTrainer(lr.TrainerHandle):
+    """Ignores the labels and predicts a fixed probability everywhere."""
+
+    def __init__(self, value: float = 0.5):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError("constant prediction must lie in [0, 1]")
+        self.value = float(value)
+        self.name = f"constant({value:g})"
+
+    def fit(self, data, start=None):
+        value = self.value
+        return lambda X: np.full(np.atleast_2d(np.asarray(X)).shape[0], value)
+
+
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -15,6 +15,7 @@ from labelregret.dataset import draw_label_rows
 from labelregret.glm import design_matrix, fit_logistic_batch, model_to_dict
 
 import glm_reference as reference
+from conftest import ConstantTrainer
 from glm_reference import loss_gradient, loss_hessian, penalized_loss
 
 
@@ -988,7 +989,7 @@ class TestTrainers:
             predictor(small_dataset.features + 1.0)
 
     def test_constant_ignores_labels(self, small_dataset):
-        predictor = lr.ConstantTrainer(0.3).fit(small_dataset)
+        predictor = ConstantTrainer(0.3).fit(small_dataset)
         np.testing.assert_array_equal(predictor(small_dataset.features),
                                       np.full(small_dataset.n_points, 0.3))
 
@@ -1000,7 +1001,7 @@ class TestTrainers:
     def test_default_fit_many_fits_each_row_from_start(self, small_dataset):
         """The generic fit_many calls fit once per label row, passing start on,
         and reports no fallbacks."""
-        class StartRecorder(lr.ConstantTrainer):
+        class StartRecorder(ConstantTrainer):
             def __init__(self):
                 super().__init__(0.3)
                 self.calls = []
@@ -1020,7 +1021,7 @@ class TestTrainers:
     def test_default_fit_each_fits_each_row_cold(self, small_dataset):
         """The generic fit_each calls fit once per label row with no start, and
         keeps the error a fit raises in that row's entry."""
-        class Picky(lr.ConstantTrainer):
+        class Picky(ConstantTrainer):
             def __init__(self):
                 super().__init__(0.3)
                 self.calls = []

@@ -8,6 +8,7 @@ from labelregret import errors, rng
 from labelregret.regret import FALLBACK_RIDGES, _sampling_report, save_regret_report
 
 import glm_reference as reference
+from conftest import ConstantTrainer
 
 
 class TestSampleMoments:
@@ -79,11 +80,11 @@ class TestKeptSamples:
 
 class TestEstimateRegret:
     def test_constant_trainer_has_zero_regret(self, small_dataset):
-        report = lr.estimate_regret(small_dataset, lr.ConstantTrainer(0.5), 10, seed=1)
+        report = lr.estimate_regret(small_dataset, ConstantTrainer(0.5), 10, seed=1)
         np.testing.assert_array_equal(report.regret, np.zeros(8))
         assert report.estimator == "monte_carlo"
         # a constant that is not exactly representable leaves only mean-rounding dust
-        report = lr.estimate_regret(small_dataset, lr.ConstantTrainer(0.4), 10, seed=1)
+        report = lr.estimate_regret(small_dataset, ConstantTrainer(0.4), 10, seed=1)
         np.testing.assert_allclose(report.regret, 0.0, atol=1e-30)
 
     def test_variance_bound(self, cluster_ss, flat_trainer):
@@ -209,7 +210,7 @@ class TestBootstrapRegret:
 
     def test_replicate_rows_are_the_bootstrap_substreams(self):
         """Replicate k refits on substream(seed, BOOTSTRAP_ROWS, k).integers(0, n, size=n)."""
-        class RowRecorder(lr.ConstantTrainer):
+        class RowRecorder(ConstantTrainer):
             def __init__(self):
                 super().__init__(0.5)
                 self.rows = []
@@ -440,7 +441,7 @@ class TestPairedEnumeration:
         n = 9, keeps these from being exact."""
         calls = []
 
-        class Recording(lr.ConstantTrainer):
+        class Recording(ConstantTrainer):
             def fit(self, data, start=None):
                 calls.append(tuple(data.labels))
                 return super().fit(data, start)

@@ -5,11 +5,23 @@ import numpy as np
 import pytest
 
 import labelregret as lr
-from labelregret import errors
+from labelregret import errors, rng
 from labelregret.glm import design_matrix
 from labelregret.theory import save_theory_report
 
 from glm_reference import loss_gradient, loss_hessian
+
+
+def annulus_features(n: int, d: int, master_seed: int, *, r_min: float = 0.5,
+                     r_max: float = 2.0) -> np.ndarray:
+    """Features on an annulus: compact support bounded away from the origin."""
+    if not 0 < r_min <= r_max:
+        raise ValueError("need 0 < r_min <= r_max")
+    gen = rng.substream(master_seed, rng.FEATURES, 0)
+    directions = gen.standard_normal((n, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = gen.uniform(r_min, r_max, size=n)
+    return directions * radii[:, None]
 
 
 class TestComputeHessian:
@@ -183,7 +195,7 @@ class TestEpsilonBound:
         epsilon * sqrt(n) / log(n) is stable across decades of n."""
         stats = []
         for n in (100, 1000, 10000):
-            X = lr.annulus_features(n, 2, 77)
+            X = annulus_features(n, 2, 77)
             ss = lr.semisynthetic_from_model(X, lr.LogisticModel([0.5, -0.3]),
                                              lr.LabelDrawSeed(77))
             model = lr.fit_logistic(ss.base, lr.FitOptions(include_intercept=False))
