@@ -378,16 +378,7 @@ def _command_arguments(parser, name: str):
 
 
 def _parse(argv):
-    """The parsed command line; SystemExit on -h or a usage error.
-
-    When the first argument names a command, only that command's parser is
-    built, which argparse's subparser action would enter with the rest of the
-    command line; the arguments it leaves are reported by the top-level
-    parser, as that action's parser would. Any other command line goes through
-    build_parser. Its top-level parser has no option that takes a value, so
-    argparse can enter only the subparser named by the first argument that is
-    not an option, and that one is built.
-    """
+    """dispatch's parse of argv; SystemExit on -h or a usage error."""
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"labelregret {argv[0]}")
         _command_arguments(parser, argv[0])
@@ -399,9 +390,16 @@ def _parse(argv):
 
 
 def dispatch(argv) -> int:
-    """Parse and run one command line; returns the process exit code. A
-    command line whose first argument names a command builds one parser, that
-    command's; any other builds the top-level parser of build_parser."""
+    """Parse and run one command line; returns the process exit code.
+
+    When the first argument names a command, only that command's parser is
+    built, which argparse's subparser action would enter with the rest of the
+    command line, and the top-level parser reports the arguments it leaves.
+    Any other command line goes through build_parser, whose top-level parser
+    has no option that takes a value: argparse can enter only the subparser
+    named by the first argument that is not an option, and only that one is
+    built.
+    """
     try:
         args = _parse(list(argv))
     except SystemExit as exc:

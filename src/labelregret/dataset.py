@@ -259,6 +259,10 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # The largest csv field size limit that a C long holds on every platform.
 _NO_FIELD_LIMIT = 2**31 - 1
+# _parse_rows counts a body's line ends in slices of this many bytes, faster
+# than bytes.count and with a comparison temporary too small to raise the
+# peak memory of a large file's load.
+_COUNT_SLICE = 1 << 16
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
@@ -334,8 +338,9 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
         raise ValueError("ASCII separator character in the data rows")
     table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
                        quotechar='"')
-    # one vectorised comparison counts the line ends faster than bytes.count
-    n_lines = (np.count_nonzero(np.frombuffer(raw, np.uint8, offset=start) == 10)
+    body = np.frombuffer(raw, np.uint8, offset=start)
+    n_lines = (sum(np.count_nonzero(body[i:i + _COUNT_SLICE] == 10)
+                   for i in range(0, body.size, _COUNT_SLICE))
                + (not raw.endswith((b"\n", b"\r"))))
     if raw.find(b"\r", start) >= 0:
         n_lines += raw.count(b"\r", start) - raw.count(b"\r\n", start)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import labelregret as lr
-from labelregret import errors
+from labelregret import dataset, errors
 from labelregret._io import write_table
 from labelregret.dataset import draw_label_rows, load_semisynthetic, save_semisynthetic
 
@@ -292,6 +292,18 @@ class TestLoaderMatchesReference:
         with pytest.raises(errors.NonNumericCell) as info:
             lr.load_csv(path)
         assert info.value.row == 2
+
+    @pytest.mark.parametrize("tail", ["2,1\n", "2,1", "\n2,1\n", "2,1\n\n", "2,1\r\n3,0\r"],
+                             ids=["lf", "no final line end", "blank line", "trailing blank line",
+                                  "crlf and lone cr"])
+    def test_body_of_several_count_slices(self, tmp_path, tail):
+        """Line ends are counted slice by slice; a body that spans slices loads
+        as the reference loads it, whatever its last slice holds."""
+        text = "a,label\n" + "1.25,0\n" * (3 * dataset._COUNT_SLICE // 7) + tail
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = load_outcome(lr.load_csv, path)
+        assert outcome == load_outcome(reference_load_csv, path)
 
     def test_large_round_trip_is_byte_identical(self, tmp_path):
         """2,000 x 20 through write_table and load_csv: same Dataset, same file."""
