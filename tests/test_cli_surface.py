@@ -101,11 +101,10 @@ def full_tree():
     parser = argparse.ArgumentParser(prog="labelregret",
                                      description=cli.build_parser(None).description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in cli.COMMANDS.items():
+    for name, (help_text, add_arguments, _) in cli.COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         cli._add_common(p)
-        p.set_defaults(handler=handler)
     return parser
 
 
