@@ -6,9 +6,8 @@ summary with the output paths. stdout never carries data, only summaries.
 Exit codes: 0 success, 1 operation error, 2 usage error. All writes go
 through a temp-file-plus-rename, so output files are never partial. When
 the first argument names a command, dispatch builds that command's parser
-alone; any other command line goes through the top-level parser of
-build_parser, where the other commands share one placeholder. Help, usage
-errors and exit codes are the same on both routes.
+alone; any other command line goes through the full parser tree of
+build_parser. Help, usage errors and exit codes are the same on both routes.
 """
 
 from __future__ import annotations
@@ -350,22 +349,13 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every command by name and help; only command gets a parser of its own,
-    with its arguments and handler, and the others share one that parses nothing."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every command a subparser of its own."""
     parser = argparse.ArgumentParser(prog="labelregret", description="Per-point arbitrariness "
                                      "of probabilistic classifiers via label resampling.")
-    placeholder = argparse.ArgumentParser(add_help=False)
-
-    def make_parser(add_help, **kwargs):
-        return argparse.ArgumentParser(**kwargs) if add_help else placeholder
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in COMMANDS.items():
-        # a command that parses nothing needs no -h, nor a parser of its own
-        p = sub.add_parser(name, help=help_text, add_help=name == command)
-        if name == command:
-            _command_arguments(p, name)
+        _command_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -384,9 +374,9 @@ def _parse(argv):
         _command_arguments(parser, argv[0])
         args, rest = parser.parse_known_args(argv[1:])
         if rest:
-            build_parser(None).error(f"unrecognized arguments: {' '.join(rest)}")
+            build_parser().error(f"unrecognized arguments: {' '.join(rest)}")
         return args
-    return build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def dispatch(argv) -> int:
@@ -395,10 +385,8 @@ def dispatch(argv) -> int:
     When the first argument names a command, only that command's parser is
     built, which argparse's subparser action would enter with the rest of the
     command line, and the top-level parser reports the arguments it leaves.
-    Any other command line goes through build_parser, whose top-level parser
-    has no option that takes a value: argparse can enter only the subparser
-    named by the first argument that is not an option, and only that one is
-    built.
+    Any other command line (no command, -h, an unknown command or a leading
+    option) goes through the full tree of build_parser.
     """
     try:
         args = _parse(list(argv))

@@ -205,13 +205,13 @@ def make_semisynthetic(features, raw_labels, ridge: float = 1.0,
 # built-in feature geometries
 
 
-def two_cluster_population(n: int, *, p_high: float = 0.8, spread: float = 1.0):
+def two_cluster_population(n: int, *, p_high: float = 0.8):
     """Two point clusters at x2 = +1 and x2 = -1 with exact cluster probabilities.
 
     The ground truth is theta = (0, logit(p_high)), so every top-cluster point
     has true probability exactly p_high and every bottom-cluster point exactly
-    1 - p_high. x1 spreads the points out to keep the feature matrix full
-    rank. Returns (features, ground_truth).
+    1 - p_high. x1 spreads each cluster's points evenly over [-1, 1] to keep
+    the feature matrix full rank. Returns (features, ground_truth).
     """
     if n < 4:
         raise ValueError("need at least 4 points (2 per cluster)")
@@ -219,18 +219,17 @@ def two_cluster_population(n: int, *, p_high: float = 0.8, spread: float = 1.0):
         raise ValueError("p_high must lie in (0.5, 1)")
     n_top = n // 2
     n_bot = n - n_top
-    x1 = np.concatenate([np.linspace(-spread, spread, n_top),
-                         np.linspace(-spread, spread, n_bot)])
+    x1 = np.concatenate([np.linspace(-1.0, 1.0, n_top), np.linspace(-1.0, 1.0, n_bot)])
     x2 = np.concatenate([np.ones(n_top), -np.ones(n_bot)])
     features = np.column_stack([x1, x2])
     logit = math.log(p_high / (1.0 - p_high))
     return features, LogisticModel(np.array([0.0, logit]), includes_intercept=False)
 
 
-def two_cluster_semisynthetic(n: int, seed: LabelDrawSeed, *, p_high: float = 0.8,
-                              spread: float = 1.0) -> SemiSyntheticDataset:
+def two_cluster_semisynthetic(n: int, seed: LabelDrawSeed, *,
+                              p_high: float = 0.8) -> SemiSyntheticDataset:
     """Labels drawn for the two-cluster population; see two_cluster_population."""
-    features, ground_truth = two_cluster_population(n, p_high=p_high, spread=spread)
+    features, ground_truth = two_cluster_population(n, p_high=p_high)
     return semisynthetic_from_model(features, ground_truth, seed)
 
 
@@ -438,10 +437,9 @@ def standardize_features(data: Dataset, transform=None):
 # semi-synthetic serialization: CSV of rows plus a JSON sidecar
 
 
-def save_semisynthetic(ss: SemiSyntheticDataset, csv_path, json_path, *,
-                       label_column: str = "label") -> None:
+def save_semisynthetic(ss: SemiSyntheticDataset, csv_path, json_path) -> None:
     names = ss.base.feature_names
-    write_table(csv_path, [*names, label_column, "true_prob"],
+    write_table(csv_path, [*names, "label", "true_prob"],
                 [*ss.base.features.T, ss.base.labels, ss.true_probs])
     sidecar = {
         "theta": ss.ground_truth.theta,
@@ -450,7 +448,7 @@ def save_semisynthetic(ss: SemiSyntheticDataset, csv_path, json_path, *,
         "seed": {"master_seed": int(ss.seed.master_seed),
                  "stream_index": int(ss.seed.stream_index)},
         "ridge": None if ss.gt_ridge is None else float(ss.gt_ridge),
-        "label_column": label_column,
+        "label_column": "label",
     }
     dump_json(json_path, sidecar)
 

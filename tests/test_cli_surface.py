@@ -99,7 +99,7 @@ def full_tree():
     """The parser tree as it was before dispatch built a command's parser alone:
     every command a subparser of its own, with its arguments and the common ones."""
     parser = argparse.ArgumentParser(prog="labelregret",
-                                     description=cli.build_parser(None).description)
+                                     description=cli.build_parser().description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in cli.COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -146,16 +146,16 @@ def test_dispatch_builds_only_the_invoked_command(monkeypatch, tmp_path, capsys)
     assert sorted(o for o in built if o not in HELP) == sorted(own)
 
 
-@pytest.mark.parametrize("argv, exit_code, exactly_one", [
-    (["regret", "--data", "DATA", "--k", "5", "--out", "OUT"], 0, True),
-    (["enumerate", "-h"], 0, True), (["-h"], 0, False), (["bogus"], 2, False),
-    (["regret"], 2, False)],
-    ids=["regret", "enumerate -h", "-h", "bogus", "regret without flags"])
-def test_dispatch_constructs_at_most_three_parsers(argv, exit_code, exactly_one, monkeypatch,
-                                                   tmp_path, capsys):
+@pytest.mark.parametrize("argv, exit_code, parsers", [
+    (["regret", "--data", "DATA", "--k", "5", "--out", "OUT"], 0, 1),
+    (["enumerate", "-h"], 0, 1), (["regret"], 2, 1),
+    (["-h"], 0, 1 + len(cli.COMMANDS)), (["bogus"], 2, 1 + len(cli.COMMANDS))],
+    ids=["regret", "enumerate -h", "regret without flags", "-h", "bogus"])
+def test_dispatch_constructs_one_parser_or_the_full_tree(argv, exit_code, parsers, monkeypatch,
+                                                         tmp_path, capsys):
     """A command line that starts with a command builds that command's parser
-    alone; any other at most the top-level parser, the invoked command's and
-    one placeholder shared by every other command: a count, not a timing."""
+    alone; any other the full tree, the top-level parser and one per command:
+    a count, not a timing."""
     data = tmp_path / "d.csv"
     write_lines(data, ["a,label", "0.5,1", "-1.0,0", "1.5,0", "-0.2,1"])
     argv = [{"DATA": str(data), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
@@ -168,7 +168,7 @@ def test_dispatch_constructs_at_most_three_parsers(argv, exit_code, exactly_one,
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert run(argv, capsys)[0] == exit_code
-    assert len(constructed) == 1 if exactly_one else len(constructed) <= 3
+    assert len(constructed) == parsers
 
 
 @pytest.mark.parametrize("argv", [["fit", "-h"], ["regret", "--data", "DATA", "--k", "5",

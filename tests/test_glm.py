@@ -518,8 +518,8 @@ class TestClosedFormNewtonSteps:
                 assert error == 0.0 or error <= self.KAPPA_EPS_FACTOR * kappa * eps * scale, H[k]
 
     def test_fuzz_rows_equal_their_one_row_calls(self):
-        """A one-row stack is stepped in Python floats: on every fuzz row,
-        closed form or factored, it gives the stack's flag and step bits."""
+        """A one-row stack gives every fuzz row, closed form or factored, the
+        stack's flag and step bits."""
         for H, grad in fuzz_hessians(np.random.default_rng(23136)):
             step, ok = glm._newton_steps(H, grad)
             for k in range(len(H)):

@@ -419,7 +419,7 @@ class TestSeedContract:
 
 
 class TestPaperClaims:
-    """The paper's findings, checked at the desk profile.
+    """The paper's findings, checked at desk scale.
 
     Each margin comes from the spread of the statistic over master seeds;
     CHANGES.md records the seeds and the spread."""
@@ -428,6 +428,10 @@ class TestPaperClaims:
     # full coverage: the mean plus three SDs of that ratio over seeds 0-29
     # (0.40 + 3 * 0.15; the largest seen was 0.69).
     ABSTENTION_RATIO = 0.85
+    # Smallest medians, over seeds 0-19, of the minority's median regret over
+    # the majority's: the mean minus three SDs of those medians over 25 blocks
+    # of 20 seeds (true 5.78 - 3 * 0.16, estimated 5.60 - 3 * 0.75).
+    GROUP_TRUE_RATIO, GROUP_ESTIMATED_RATIO = 5.3, 3.3
 
     def test_abstaining_on_high_estimated_regret_lowers_the_error(self):
         """Ranked by estimated regret, the points kept at coverage 0.2 have a
@@ -439,3 +443,23 @@ class TestPaperClaims:
         np.testing.assert_allclose(summaries["estimated_coverage"].median[fifth], 0.2)
         kl = summaries["estimated_kl"].median
         assert kl[fifth] < self.ABSTENTION_RATIO * kl[-1]
+
+    def test_a_minority_group_has_higher_regret(self):
+        """180 points at x2 = +1 and 20 at x2 = -1, labelled +1 with
+        probability 0.8 and 0.2: fitted with an intercept, the minority's true
+        and estimated regret are several times the majority's. (Without one the
+        fit mirrors the groups, and their regret is the same.)"""
+        x2 = np.repeat([1.0, -1.0], [180, 20])
+        x1 = np.concatenate([np.linspace(-1.0, 1.0, 180), np.linspace(-1.0, 1.0, 20)])
+        gt = lr.LogisticModel(np.array([0.0, np.log(4.0)]), includes_intercept=False)
+        trainer = lr.LogisticTrainer(lr.FitOptions(ridge=0.0, include_intercept=True))
+        minority = x2 < 0
+        ratios = []
+        for seed in range(20):
+            ss = lr.semisynthetic_from_model(np.column_stack([x1, x2]), gt, lr.LabelDrawSeed(seed))
+            ratios.append([np.median(report.regret[minority]) / np.median(report.regret[~minority])
+                           for report in (lr.true_regret(ss, trainer, 300, seed),
+                                          lr.estimate_regret(ss.base, trainer, 300, seed))])
+        true_ratio, estimated_ratio = np.median(ratios, axis=0)
+        assert true_ratio > self.GROUP_TRUE_RATIO
+        assert estimated_ratio > self.GROUP_ESTIMATED_RATIO
