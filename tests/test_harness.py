@@ -448,7 +448,7 @@ class TestPaperClaims:
         """180 points at x2 = +1 and 20 at x2 = -1, labelled +1 with
         probability 0.8 and 0.2: fitted with an intercept, the minority's true
         and estimated regret are several times the majority's. (Without one the
-        fit mirrors the groups, and their regret is the same.)"""
+        fit mirrors the groups, and their regret has the same profile in x1.)"""
         x2 = np.repeat([1.0, -1.0], [180, 20])
         x1 = np.concatenate([np.linspace(-1.0, 1.0, 180), np.linspace(-1.0, 1.0, 20)])
         gt = lr.LogisticModel(np.array([0.0, np.log(4.0)]), includes_intercept=False)

@@ -20,6 +20,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import shutil  # noqa: E402
@@ -63,15 +64,18 @@ def workload_lines(name: str, seed: int, run_dir: Path) -> list:
     return WORKLOADS[name](seed, str(run_dir / "inputs")).passes(str(run_dir / "out"))
 
 
+def trials_lines(experiment: str, run_dir: Path) -> list:
+    return [["trials", "--experiment", experiment, "--profile", "desk", "--seed", "5",
+             "--out", str(run_dir / "out")]]
+
+
 def runs(seeds):
     """(label, function of a run directory returning the run's command lines)."""
     for name in WORKLOADS:
         for seed in seeds:
-            yield f"{name} seed={seed}", lambda d, n=name, s=seed: workload_lines(n, s, d)
+            yield f"{name} seed={seed}", functools.partial(workload_lines, name, seed)
     for experiment in EXPERIMENTS:
-        yield (f"trials {experiment} desk seed=5",
-               lambda d, e=experiment: [["trials", "--experiment", e, "--profile", "desk",
-                                         "--seed", "5", "--out", str(d / "out")]])
+        yield f"trials {experiment} desk seed=5", functools.partial(trials_lines, experiment)
 
 
 def main(argv=None) -> int:
