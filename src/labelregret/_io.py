@@ -56,14 +56,16 @@ def format_float(x: float) -> str:
 def write_table(path, header, columns) -> None:
     """Write a headered CSV with one row per entry of the equal-length columns.
 
-    Integer columns are written with str(int), every other column with
-    format_float, so each float reads back bit for bit.
+    Integer columns are written with str(int), every other column as
+    format_float writes it, so each float reads back bit for bit.
     """
     cells = []
     for column in columns:
         values = np.asarray(column)
-        fmt = str if values.dtype.kind in "iu" else format_float
-        cells.append(list(map(fmt, values.tolist())))
+        if values.dtype.kind in "iu":
+            cells.append(list(map(str, values.tolist())))
+        else:  # format_float without a Python frame per cell
+            cells.append(list(map(float.__repr__, values.astype(float).tolist())))
     if len(header) != len(cells) or len({len(c) for c in cells}) > 1:
         raise ValueError("a table needs one header cell per column and equal-length columns")
     lines = [",".join(header)]

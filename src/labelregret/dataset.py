@@ -11,7 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -262,6 +266,9 @@ _NO_FIELD_LIMIT = 2**31 - 1
 # than bytes.count and with a comparison temporary too small to raise the
 # peak memory of a large file's load.
 _COUNT_SLICE = 1 << 16
+# A body of at least this many bytes is parsed in two processes where it can
+# be: a fork and its reaping cost about 2.6 ms, a 1 MiB body's parse 25 ms.
+_SPLIT_BYTES = 1 << 20
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
@@ -284,6 +291,16 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     A cell that float() reads but numpy does not is rejected the same way
     (InvalidLabelValue in the label column): digit-group underscores such as
     1_0, non-ASCII digits, and a quoted cell holding a line break.
+
+    A body of at least _SPLIT_BYTES bytes with no double quote is parsed in
+    two halves at once when the process can fork, may run on two or more
+    CPUs and has one thread: a forked child parses the rows from the last
+    \\n before the body's middle and sends them back down a pipe. The
+    split is skipped when the child's first line would be blank. If either
+    half fails, the body is parsed again in one process, so the result and
+    every error are those of the one-process parse. The child always ends
+    through os._exit and is always reaped, and killed first when the parent
+    fails or is interrupted.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -335,8 +352,10 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
         raise ValueError("blank first data line")
     if any(raw.find(sep, start) >= 0 for sep in _SEPARATORS):
         raise ValueError("ASCII separator character in the data rows")
-    table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
-                       quotechar='"')
+    mid = _split_point(raw, start)
+    table = None if mid is None else _parse_halves(raw, start, mid)
+    if table is None:
+        table = _loadtxt(lines)
     body = np.frombuffer(raw, np.uint8, offset=start)
     n_lines = (sum(np.count_nonzero(body[i:i + _COUNT_SLICE] == 10)
                    for i in range(0, body.size, _COUNT_SLICE))
@@ -353,6 +372,101 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
     if not ((labels == 0.0) | (np.abs(labels) == 1.0)).all():
         raise ValueError("label outside {-1, 0, 1}")
     return table
+
+
+def _loadtxt(lines) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
+                      quotechar='"')
+
+
+def _split_point(raw: bytes, start: int) -> Optional[int]:
+    """Offset of the line where a child starts parsing the body, or None to
+    parse it in one process (see load_csv)."""
+    if (len(raw) - start < _SPLIT_BYTES or not hasattr(os, "fork")
+            or _usable_cpus() < 2 or threading.active_count() != 1
+            or raw.find(b'"', start) >= 0):
+        return None
+    # a \n is never part of a multi-byte UTF-8 character, nor a quoted cell here
+    mid = raw.rfind(b"\n", start, (start + len(raw)) // 2) + 1
+    if not start < mid < len(raw) or raw[mid:mid + 1] in (b"\r", b"\n"):
+        return None  # no line end before the middle, or a blank first line
+    return mid
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parse_halves(raw: bytes, start: int, mid: int) -> Optional[np.ndarray]:
+    """_loadtxt of the body, with the rows from byte mid on parsed by a forked
+    child; None if the fork or either half fails.
+
+    The child sends its table's shape and float64 bytes down a pipe, and they
+    are read straight into the joined table.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while native threads (a BLAS pool)
+            # run; the child takes no lock that they could hold
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            _send_rows(raw[mid:], write_end)
+            status = 0
+        finally:
+            os._exit(status)  # no stdio flush, no atexit hooks
+    os.close(write_end)
+    table = None
+    try:
+        with open(read_end, "rb", buffering=0) as pipe:
+            table = _join_rows(_loadtxt(_text_lines(raw[start:mid])), pipe)
+    except ValueError:  # UnicodeDecodeError included
+        pass
+    finally:
+        if table is None:  # the child may still be parsing or writing
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    return table if status == 0 else None
+
+
+def _send_rows(body: bytes, write_end: int) -> None:
+    """In the child: parse body and write its shape and float64 bytes."""
+    table = _loadtxt(_text_lines(body))
+    with open(write_end, "wb") as out:
+        out.write(np.array(table.shape, dtype=np.int64))
+        out.write(table)
+
+
+def _join_rows(head: np.ndarray, pipe) -> Optional[np.ndarray]:
+    """head with the child's rows below it, read from pipe; None if the child
+    sent fewer bytes than its rows need."""
+    shape = np.zeros(2, dtype=np.int64)
+    if not _read_into(pipe, shape) or shape[1] != head.shape[1]:
+        return None
+    table = np.empty((head.shape[0] + int(shape[0]), head.shape[1]))
+    table[:head.shape[0]] = head
+    return table if _read_into(pipe, table[head.shape[0]:]) else None
+
+
+def _read_into(pipe, array: np.ndarray) -> bool:
+    """Fill the contiguous array from pipe; False at an early end of file."""
+    view = memoryview(array).cast("B")
+    while view:
+        n = pipe.readinto(view)
+        if not n:
+            return False
+        view = view[n:]
+    return True
 
 
 def _raise_first_bad_cell(raw: bytes, header, label_pos: int) -> None:

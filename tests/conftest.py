@@ -79,3 +79,12 @@ def ladder_run(monkeypatch):
         return samples, n_fallbacks, [succeeded[labels.tobytes()] for labels in label_rows]
 
     return run
+
+
+def write_large_csv(path, n_rows=3000, seed=29):
+    """A headered CSV of n_rows rows of 20 standard-normal features and a 0/1
+    label, written by write_table: about 390 bytes a row."""
+    gen = np.random.default_rng(seed)
+    features = gen.standard_normal((n_rows, 20))
+    lr._io.write_table(path, [*(f"x{j}" for j in range(20)), "label"],
+                       [*features.T, gen.integers(0, 2, n_rows)])

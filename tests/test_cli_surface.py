@@ -12,7 +12,7 @@ import pytest
 
 from labelregret import cli
 
-from conftest import write_lines
+from conftest import write_large_csv, write_lines
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -186,3 +186,24 @@ def test_fresh_interpreter_runs_the_cli(argv, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: labelregret fit " if argv[0] == "fit"
                                   else "regret: n=4 K=5 ")
+
+
+def test_large_csv_summary_printed_once(tmp_path):
+    """theory on a CSV large enough to be parsed in two processes, stdout a
+    file: a line still buffered when the child forks, and the summary, are
+    each written once."""
+    data = tmp_path / "large.csv"
+    write_large_csv(data)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a file is then block-buffered
+    stdout = tmp_path / "stdout.txt"
+    with open(stdout, "w", encoding="utf-8") as fh:
+        done = subprocess.run([sys.executable, "-c",
+                               "print('buffered'); from labelregret.cli import main; main()",
+                               "theory", "--data", str(data), "--out", str(tmp_path / "out")],
+                              env=env, stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = stdout.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[0] == "buffered"
+    assert lines[1].startswith("theory: n=3000 ")

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -10,7 +13,7 @@ from labelregret import dataset, errors
 from labelregret._io import write_table
 from labelregret.dataset import draw_label_rows, load_semisynthetic, save_semisynthetic
 
-from conftest import write_lines
+from conftest import write_large_csv, write_lines
 
 
 class TestDatasetValidation:
@@ -322,6 +325,198 @@ class TestLoaderMatchesReference:
         write_table(second, [*loaded.feature_names, "label"],
                     [*loaded.features.T, loaded.labels])
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.fixture
+def big_forks(monkeypatch):
+    """The pids of the children that os.fork starts; the process may run on
+    two CPUs, whatever the machine has."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+@pytest.fixture
+def forks(big_forks, monkeypatch):
+    """big_forks, with every body large enough to split."""
+    monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
+    return big_forks
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_outcome(path, label_column="label"):
+    """load_outcome, with a UnicodeDecodeError as its class."""
+    try:
+        return load_outcome(lr.load_csv, path, label_column)
+    except UnicodeDecodeError:
+        return UnicodeDecodeError
+
+
+def reference_outcome(path, label_column="label"):
+    try:
+        return load_outcome(reference_load_csv, path, label_column)
+    except UnicodeDecodeError:
+        return UnicodeDecodeError
+
+
+# 2,000 rows of 10 bytes: the body's middle falls after row 999, so a forked
+# child parses rows 1000 on; row 900 lies past the first 8,192 bytes, which
+# the header's read decodes
+ROW = b"1.5,2.5,0\n"
+PLACED = {"first half": 900, "split line": 1000, "second half": 1500}
+# each one or two rows long, so that the rows after it keep their offsets
+DEFECTS = {
+    "bad cell": b"1.5,x.5,0\n",
+    "short row": b"12.5678,0\n",
+    "blank line": b"\n" + b"1.5,2.5,0000000000\n",
+    "invalid utf-8": b"1.5,\xff.5,0\n",
+    "crlf row": b"1.5,2.,0\r\n",
+    "lone cr row": b"1.5,2.5,0\r",
+}
+
+
+def placed_body(defect: bytes, row: int) -> bytes:
+    rows = [ROW] * 2000
+    rows[row:row + len(defect) // len(ROW)] = [defect]
+    return b"a,b,label\n" + b"".join(rows)
+
+
+class TestSplitParse:
+    """A body parsed in two processes loads as the reference loads it."""
+
+    @pytest.mark.parametrize("case", LOADER_CORPUS, ids=list(LOADER_CORPUS))
+    def test_corpus(self, tmp_path, forks, case):
+        text, label_column = LOADER_CORPUS[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = load_outcome(lr.load_csv, path, label_column)
+        assert outcome == load_outcome(reference_load_csv, path, label_column)
+
+    @pytest.mark.parametrize("case", TestLoaderMatchesReference.NARROWED,
+                             ids=list(TestLoaderMatchesReference.NARROWED))
+    def test_narrowed_cells_rejected(self, tmp_path, forks, case):
+        text, error, row, column = TestLoaderMatchesReference.NARROWED[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert split_outcome(path) == (error, row, column)
+
+    @pytest.mark.parametrize("tail", ["2,1\n", "2,1", "\n2,1\n", "2,1\n\n", "2,1\r\n3,0\r"],
+                             ids=["lf", "no final line end", "blank line", "trailing blank line",
+                                  "crlf and lone cr"])
+    def test_body_of_several_count_slices(self, tmp_path, forks, tail):
+        text = "a,label\n" + "1.25,0\n" * (3 * dataset._COUNT_SLICE // 7) + tail
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert split_outcome(path) == reference_outcome(path)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("where", PLACED)
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_placed_defect(self, tmp_path, forks, defect, where):
+        """A bad row or an odd line end in either half, or on the child's
+        first line, gives the reference's result or error."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(placed_body(DEFECTS[defect], PLACED[where]))
+        assert split_outcome(path) == reference_outcome(path)
+        # a blank first line for the child keeps the parse in one process
+        assert len(forks) == (0 if (defect, where) == ("blank line", "split line") else 1)
+
+    @pytest.mark.parametrize("where", [None, "first half", "second half"],
+                             ids=["loads", "parent fails", "child fails"])
+    def test_child_is_reaped_and_no_fd_is_left(self, tmp_path, forks, where):
+        path = tmp_path / "d.csv"
+        body = placed_body(DEFECTS["bad cell"], PLACED[where]) if where else placed_body(ROW, 0)
+        path.write_bytes(body)
+        fds = open_fds()
+        assert split_outcome(path) == reference_outcome(path)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("send", [
+        lambda body, write_end: None,
+        lambda body, write_end: os.write(write_end, np.array([1000, 3], np.int64).tobytes()),
+        lambda body, write_end: os.write(write_end, np.array([1, 4], np.int64).tobytes()),
+    ], ids=["sends nothing", "sends the shape only", "sends a wrong column count"])
+    def test_failed_child_leaves_the_one_process_parse(self, tmp_path, monkeypatch, forks, send):
+        monkeypatch.setattr(dataset, "_send_rows", send)
+        path = tmp_path / "d.csv"
+        path.write_bytes(placed_body(ROW, 0))
+        assert split_outcome(path) == reference_outcome(path)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_interrupted_parent_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks):
+        def interrupted(head, pipe):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(dataset, "_send_rows", lambda body, write_end: time.sleep(30))
+        monkeypatch.setattr(dataset, "_join_rows", interrupted)
+        path = tmp_path / "d.csv"
+        path.write_bytes(placed_body(ROW, 0))
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            lr.load_csv(path)
+        assert time.monotonic() - started < 10
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("condition", ["live thread", "one cpu", "one cpu without affinity",
+                                           "no fork", "quote in the body"])
+    def test_serial_conditions(self, tmp_path, monkeypatch, forks, condition):
+        path = tmp_path / "d.csv"
+        body = placed_body(b'"1.5",2.5,0\n' if condition == "quote in the body" else ROW, 5)
+        path.write_bytes(body)
+        if condition == "one cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if condition == "one cpu without affinity":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        if condition == "no fork":
+            monkeypatch.delattr(os, "fork")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if condition == "live thread":
+            thread.start()
+        try:
+            outcome = split_outcome(path)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join()
+        assert outcome == reference_outcome(path)
+        assert forks == []
+
+    def test_file_above_the_size_floor(self, tmp_path, monkeypatch, big_forks):
+        """A file of more than _SPLIT_BYTES loads bit for bit as in one process."""
+        path = tmp_path / "large.csv"
+        write_large_csv(path)
+        assert path.stat().st_size > dataset._SPLIT_BYTES
+        split = load_outcome(lr.load_csv, path)
+        assert len(big_forks) == 1
+        monkeypatch.setattr(dataset, "_SPLIT_BYTES", path.stat().st_size + 1)
+        assert split == load_outcome(lr.load_csv, path)
+        assert len(big_forks) == 1
+        assert_no_child_left()
 
 
 class TestDrawLabels:

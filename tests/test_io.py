@@ -10,7 +10,8 @@ import pytest
 
 import labelregret as lr
 from labelregret import _io, cli, errors
-from labelregret._io import NUMBER, atomic_write_text, dump_json, read_json, write_table
+from labelregret._io import (NUMBER, atomic_write_text, dump_json, format_float, read_json,
+                             write_table)
 
 
 class TestAtomicWrite:
@@ -74,6 +75,22 @@ class TestWriteTable:
         _, (i, u) = read_columns(path)
         assert [int(cell) for cell in i] == ints.tolist()
         assert list(u) == ["0", "1", "2", "3", "4", "5"]  # str(int), never "0.0"
+
+    def test_cells_are_format_float_text(self, tmp_path):
+        """Every column that is not integer is written as format_float writes its
+        entries, whatever its dtype; integer columns with str."""
+        gen = np.random.default_rng(4)
+        f64 = np.concatenate([[-0.0, 5e-324, 1e308, 0.1],
+                              gen.standard_normal(12) * 10.0 ** gen.integers(-30, 30, 12)])
+        f32 = (gen.standard_normal(16) * 10.0 ** gen.integers(-30, 30, 16)).astype(np.float32)
+        columns = [f64, f32, gen.random(16) < 0.5,
+                   gen.integers(-9, 9, 16), gen.integers(0, 9, 16).astype(np.uint8)]
+        path = tmp_path / "t.csv"
+        write_table(path, ["f64", "f32", "bool", "int", "uint"], columns)
+        expected = ["f64,f32,bool,int,uint"]
+        expected.extend(",".join([*map(format_float, row[:3]), *map(str, row[3:])])
+                        for row in zip(*(c.tolist() for c in columns)))
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_layout(self, tmp_path):
         path = tmp_path / "t.csv"
