@@ -65,7 +65,7 @@ def write_table(path, header, columns) -> None:
         if values.dtype.kind in "iu":
             cells.append(list(map(str, values.tolist())))
         else:  # format_float without a Python frame per cell
-            cells.append(list(map(float.__repr__, values.astype(float).tolist())))
+            cells.append(list(map(float.__repr__, values.astype(float, copy=False).tolist())))
     if len(header) != len(cells) or len({len(c) for c in cells}) > 1:
         raise ValueError("a table needs one header cell per column and equal-length columns")
     lines = [",".join(header)]

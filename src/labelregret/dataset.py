@@ -292,7 +292,7 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     (InvalidLabelValue in the label column): digit-group underscores such as
     1_0, non-ASCII digits, and a quoted cell holding a line break.
 
-    A body of at least _SPLIT_BYTES bytes with no double quote is parsed in
+    A body of at least _SPLIT_BYTES (1 MiB) with no double quote is parsed in
     two halves at once when the process can fork, may run on two or more
     CPUs and has one thread: a forked child parses the rows from the last
     \\n before the body's middle and sends them back down a pipe. The
