@@ -375,6 +375,7 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
 
 
 def _loadtxt(lines) -> np.ndarray:
+    """The rows of lines, a text stream of data rows, as one float array."""
     return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
                       quotechar='"')
 
@@ -418,13 +419,13 @@ def _parse_halves(raw: bytes, start: int, mid: int) -> Optional[np.ndarray]:
         os.close(write_end)
         return None
     if pid == 0:
-        status = 1
+        code = 1
         try:
             os.close(read_end)
             _send_rows(raw[mid:], write_end)
-            status = 0
+            code = 0
         finally:
-            os._exit(status)  # no stdio flush, no atexit hooks
+            os._exit(code)  # no stdio flush, no atexit hooks
     os.close(write_end)
     table = None
     try:
@@ -449,7 +450,7 @@ def _send_rows(body: bytes, write_end: int) -> None:
 
 def _join_rows(head: np.ndarray, pipe) -> Optional[np.ndarray]:
     """head with the child's rows below it, read from pipe; None if the child
-    sent fewer bytes than its rows need."""
+    sent another column count or fewer bytes than its rows need."""
     shape = np.zeros(2, dtype=np.int64)
     if not _read_into(pipe, shape) or shape[1] != head.shape[1]:
         return None
