@@ -436,7 +436,10 @@ def _parse_halves(raw: bytes, start: int, mid: int) -> Optional[np.ndarray]:
     finally:
         if table is None:  # the child may still be parsing or writing
             os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # SIGCHLD is ignored, so the child was reaped at exit
+            status = 0
     return table if status == 0 else None
 
 

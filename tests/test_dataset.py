@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import signal
 import threading
 import time
 import warnings
@@ -472,6 +473,20 @@ class TestSplitParse:
         with pytest.raises(KeyboardInterrupt):
             lr.load_csv(path)
         assert time.monotonic() - started < 10
+        assert len(split_pids) == 1
+        assert_no_child_left()
+
+    def test_ignored_sigchld(self, tmp_path, split_pids):
+        """With SIGCHLD ignored the child reaps itself at exit, and waitpid
+        finds no child to wait for."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(placed_body(ROW, 0))
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            loaded = outcome(lr.load_csv, path)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert loaded == outcome(reference_load_csv, path)
         assert len(split_pids) == 1
         assert_no_child_left()
 
