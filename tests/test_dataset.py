@@ -453,7 +453,8 @@ class TestSplitParse:
         lambda body, write_end: os.write(write_end, np.array([1000, 3], np.int64).tobytes()),
         lambda body, write_end: os.write(write_end, np.array([1, 4], np.int64).tobytes()),
     ], ids=["sends nothing", "sends the shape only", "sends a wrong column count"])
-    def test_failed_child_leaves_the_one_process_parse(self, tmp_path, monkeypatch, split_pids, send):
+    def test_failed_child_leaves_the_one_process_parse(self, tmp_path, monkeypatch, split_pids,
+                                                        send):
         monkeypatch.setattr(dataset, "_send_rows", send)
         path = tmp_path / "d.csv"
         path.write_bytes(placed_body(ROW, 0))
