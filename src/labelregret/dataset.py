@@ -11,11 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import re
-import signal
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -262,13 +259,23 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # The largest csv field size limit that a C long holds on every platform.
 _NO_FIELD_LIMIT = 2**31 - 1
-# _parse_rows counts a body's line ends in slices of this many bytes, faster
-# than bytes.count and with a comparison temporary too small to raise the
-# peak memory of a large file's load.
+# Line feeds are counted in slices of this many bytes, faster than
+# bytes.count and with a comparison temporary too small to raise the peak
+# memory of a large file's load.
 _COUNT_SLICE = 1 << 16
-# A body of at least this many bytes is parsed in two processes where it can
-# be. On a shared 2-vCPU x86-64 machine a fork and its reaping took 2.5-4 ms
-# in a 40 MiB process, and the parse of a 1 MiB body about 28 ms.
+# The only bytes of a plain body's cells (see _plain_rows).
+_PLAIN_CELL_BYTES = b"0123456789.eE+-"
+# _parse_piece reads the bits of x87's 80-bit long double, stored little-endian
+# in 16 bytes; with any other long double a body goes to np.loadtxt.
+_X87_LONG_DOUBLE = (np.finfo(np.longdouble).nmant == 63
+                    and np.dtype(np.longdouble).itemsize == 16 and np.little_endian)
+# The biased x87 exponent of the smallest normal double, 2**-1022.
+_MIN_NORMAL_EXPONENT = 16383 - 1022
+# A plain body is parsed in pieces of whole lines, each the shortest run of
+# at least this many bytes, which bounds the parse's temporaries.
+_PIECE_BYTES = 1 << 18
+# A body of at least this many bytes goes to _plain_rows, whose pieces are
+# shared between the calling thread and one helper thread.
 _SPLIT_BYTES = 1 << 20
 
 
@@ -293,15 +300,11 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     (InvalidLabelValue in the label column): digit-group underscores such as
     1_0, non-ASCII digits, and a quoted cell holding a line break.
 
-    A body of at least _SPLIT_BYTES (1 MiB) with no double quote is parsed in
-    two halves at once when the process can fork, may run on two or more
-    CPUs and has one thread: a forked child parses the rows from the last
-    \\n before the body's middle and sends them back down a pipe. The
-    split is skipped when the child's first line would be blank. If either
-    half fails, the body is parsed again in one process, so the result and
-    every error are those of the one-process parse. The child always ends
-    through os._exit and is always reaped, and killed first when the parent
-    fails or is interrupted.
+    A body of at least _SPLIT_BYTES (1 MiB) whose cells hold only digits,
+    '.', 'e', 'E', '+' and '-', with every line ended by \\n, is parsed
+    instead through np.longdouble, in two threads, to the same doubles
+    (_plain_rows). Where that parse declines, for an unreadable cell, say,
+    np.loadtxt parses the body, so every error is the one above.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -353,20 +356,17 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
         raise ValueError("blank first data line")
     if any(raw.find(sep, start) >= 0 for sep in _SEPARATORS):
         raise ValueError("ASCII separator character in the data rows")
-    mid = _split_point(raw, start)
-    table = None if mid is None else _parse_halves(raw, start, mid)
+    table = _plain_rows(raw, start, n_columns)
     if table is None:
-        table = _loadtxt(lines)
-    body = np.frombuffer(raw, np.uint8, offset=start)
-    n_lines = (sum(np.count_nonzero(body[i:i + _COUNT_SLICE] == 10)
-                   for i in range(0, body.size, _COUNT_SLICE))
-               + (not raw.endswith((b"\n", b"\r"))))
-    if raw.find(b"\r", start) >= 0:
-        n_lines += raw.count(b"\r", start) - raw.count(b"\r\n", start)
-    # loadtxt skips blank lines and joins quoted line breaks, so either
-    # leaves fewer rows than lines
-    if table.shape != (n_lines, n_columns):
-        raise ValueError("blank line, quoted line break or wrong row length")
+        table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
+                           quotechar='"')
+        n_lines = _line_feeds(raw, start, len(raw)) + (not raw.endswith((b"\n", b"\r")))
+        if raw.find(b"\r", start) >= 0:
+            n_lines += raw.count(b"\r", start) - raw.count(b"\r\n", start)
+        # loadtxt skips blank lines and joins quoted line breaks, so either
+        # leaves fewer rows than lines
+        if table.shape != (n_lines, n_columns):
+            raise ValueError("blank line, quoted line break or wrong row length")
     if not np.isfinite(table).all():
         raise ValueError("non-finite value")
     labels = table[:, label_pos]
@@ -375,103 +375,94 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
     return table
 
 
-def _loadtxt(lines) -> np.ndarray:
-    """The rows of lines, a text stream of data rows, as one float array."""
-    return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
-                      quotechar='"')
+def _line_feeds(raw: bytes, start: int, end: int) -> int:
+    """The number of \\n bytes in raw[start:end]."""
+    text = np.frombuffer(raw, np.uint8, end - start, start)
+    return sum(np.count_nonzero(text[i:i + _COUNT_SLICE] == 10)
+               for i in range(0, text.size, _COUNT_SLICE))
 
 
-def _split_point(raw: bytes, start: int) -> Optional[int]:
-    """Offset of the line where a child starts parsing the body, or None to
-    parse it in one process (see load_csv)."""
-    if (len(raw) - start < _SPLIT_BYTES or not hasattr(os, "fork")
-            or _usable_cpus() < 2 or threading.active_count() != 1
-            or raw.find(b'"', start) >= 0):
-        return None
-    # a \n is never part of a multi-byte UTF-8 character, nor a quoted cell here
-    mid = raw.rfind(b"\n", start, (start + len(raw)) // 2) + 1
-    if not start < mid < len(raw) or raw[mid:mid + 1] in (b"\r", b"\n"):
-        return None  # no line end before the middle, or a blank first line
-    return mid
+def _plain_rows(raw: bytes, start: int, n_columns: int) -> Optional[np.ndarray]:
+    """The body from byte start as n_columns doubles a line, or None for a
+    body shorter than _SPLIT_BYTES or one that the parse declines.
 
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _parse_halves(raw: bytes, start: int, mid: int) -> Optional[np.ndarray]:
-    """_loadtxt of the body, with the rows from byte mid on parsed by a forked
-    child; None if the fork or either half fails.
-
-    The child sends its table's shape and float64 bytes down a pipe, and they
-    are read straight into the joined table.
+    A helper thread parses the second half of the body's pieces while this
+    one parses the first; numpy releases the GIL while it parses. A
+    ValueError in either thread declines; any other exception is raised
+    here, once the helper has ended.
     """
-    read_end, write_end = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork while native threads (a BLAS pool)
-            # run; the child takes no lock that they could hold
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
+    if not _X87_LONG_DOUBLE or len(raw) - start < _SPLIT_BYTES:
         return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            _send_rows(raw[mid:], write_end)
-            code = 0
-        finally:
-            os._exit(code)  # no stdio flush, no atexit hooks
-    os.close(write_end)
-    table = None
+    bounds = [start]
+    while bounds[-1] < len(raw):
+        bounds.append(raw.find(b"\n", bounds[-1] + _PIECE_BYTES - 1) + 1 or len(raw))
+    cells = n_columns * np.cumsum([0, *(_line_feeds(raw, a, b)
+                                        for a, b in zip(bounds, bounds[1:]))])
+    table = np.empty((cells[-1] // n_columns, n_columns))
+    pieces = list(zip(bounds, bounds[1:], cells, cells[1:]))
+    half = (len(pieces) + 1) // 2
+    failures = []
+    helper = threading.Thread(target=_parse_pieces, args=(raw, pieces[half:], table, failures))
     try:
-        with open(read_end, "rb", buffering=0) as pipe:
-            table = _join_rows(_loadtxt(_text_lines(raw[start:mid])), pipe)
-    except ValueError:  # UnicodeDecodeError included
-        pass
-    finally:
-        if table is None:  # the child may still be parsing or writing
-            os.kill(pid, signal.SIGKILL)
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # SIGCHLD is ignored, so the child was reaped at exit
-            status = 0
-    return table if status == 0 else None
+        helper.start()
+    except RuntimeError:  # no thread can be started: this one parses every piece
+        helper, half = None, len(pieces)
+    _parse_pieces(raw, pieces[:half], table, failures)
+    if helper is not None:
+        helper.join()
+    for exc in failures:
+        if not isinstance(exc, ValueError):
+            raise exc
+    return None if failures else table
 
 
-def _send_rows(body: bytes, write_end: int) -> None:
-    """In the child: parse body and write its shape and float64 bytes."""
-    table = _loadtxt(_text_lines(body))
-    with open(write_end, "wb") as out:
-        out.write(np.array(table.shape, dtype=np.int64))
-        out.write(table)
+def _parse_pieces(raw: bytes, pieces, table: np.ndarray, failures: list) -> None:
+    """_parse_piece on each (start, end, first cell, end cell) piece of raw;
+    ValueError for a piece that is not plain, that is, whose bytes other
+    than _PLAIN_CELL_BYTES are not the commas and \\n of its lines. The
+    first exception, in this thread or the other, ends the loop; this
+    thread's goes to failures, not to threading.excepthook."""
+    try:
+        n_columns = table.shape[1]
+        line = b"," * (n_columns - 1) + b"\n"
+        cells = table.reshape(-1)
+        for start, end, first, stop in pieces:
+            if failures:  # the other thread's half has failed
+                return
+            piece = raw[start:end]
+            if piece.translate(None, _PLAIN_CELL_BYTES) != line * ((stop - first) // n_columns):
+                raise ValueError("not a plain piece")
+            _parse_piece(piece, cells[first:stop])
+    except BaseException as exc:
+        failures.append(exc)
 
 
-def _join_rows(head: np.ndarray, pipe) -> Optional[np.ndarray]:
-    """head with the child's rows below it, read from pipe; None if the child
-    sent another column count or fewer bytes than its rows need."""
-    shape = np.zeros(2, dtype=np.int64)
-    if not _read_into(pipe, shape) or shape[1] != head.shape[1]:
-        return None
-    table = np.empty((head.shape[0] + int(shape[0]), head.shape[1]))
-    table[:head.shape[0]] = head
-    return table if _read_into(pipe, table[head.shape[0]:]) else None
+def _parse_piece(piece: bytes, out: np.ndarray) -> None:
+    """Fill out with the cells of piece, plain lines, each the double that
+    float() reads; ValueError if a cell is unreadable.
 
-
-def _read_into(pipe, array: np.ndarray) -> bool:
-    """Fill the contiguous array from pipe; False at an early end of file."""
-    view = memoryview(array).cast("B")
-    while view:
-        n = pipe.readinto(view)
-        if not n:
-            return False
-        view = view[n:]
-    return True
+    strtold rounds a cell to the nearest 64-bit significand, and the cast
+    rounds that to 53 bits. Every midpoint between two doubles, and the
+    overflow threshold above the largest, has a 64-bit significand, and
+    rounding is monotone, so the cast gives the double that float() gives
+    unless strtold landed on a midpoint (low 11 bits 0x400) or below the
+    normal doubles, where a double has fewer bits. Those cells are read
+    again with float().
+    """
+    text = piece.replace(b"\n", b",")
+    values = np.fromstring(text, dtype=np.longdouble, sep=",")
+    if values.size != out.size:  # older numpy stops at an unreadable cell, with a warning
+        raise ValueError("cell count")
+    with np.errstate(over="ignore"):  # a cell beyond the doubles casts to inf, as float() reads it
+        out[...] = values
+    words = values.view(np.uint64).reshape(-1, 2)  # significand, then sign and exponent
+    significand, exponent = words[:, 0], words[:, 1] & 0x7FFF
+    again = ((significand & 0x7FF) == 0x400) | ((exponent < _MIN_NORMAL_EXPONENT)
+                                                & (significand != 0))
+    if again.any():
+        ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
+        for k in np.flatnonzero(again):
+            out[k] = float(text[ends[k - 1] + 1 if k else 0:ends[k]])
 
 
 def _raise_first_bad_cell(raw: bytes, header, label_pos: int) -> None:

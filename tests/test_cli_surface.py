@@ -189,9 +189,9 @@ def test_fresh_interpreter_runs_the_cli(argv, tmp_path):
 
 
 def test_large_csv_summary_printed_once(tmp_path):
-    """theory on a CSV large enough to be parsed in two processes, stdout a
-    file: a line still buffered when the child forks, and the summary, are
-    each written once."""
+    """theory on a CSV large enough for the two-thread parse, stdout a file:
+    a line still buffered when the parse starts, and the summary, are each
+    written once."""
     data = tmp_path / "large.csv"
     write_large_csv(data)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

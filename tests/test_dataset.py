@@ -1,9 +1,10 @@
 import csv
+import decimal
+import io
 import math
 import os
-import signal
+import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -329,30 +330,30 @@ class TestLoaderMatchesReference:
 
 
 @pytest.fixture
-def fork_pids(monkeypatch):
-    """The pids of the children that os.fork starts; the process may run on
-    two CPUs, whatever the machine has."""
-    if not hasattr(os, "fork"):
-        pytest.skip("the platform has no os.fork")
-    pids = []
-    fork = os.fork
+def plain_tables(monkeypatch):
+    """For each _plain_rows call, whether it returned a table rather than
+    declining; the size floor and the piece size are the module's."""
+    if not dataset._X87_LONG_DOUBLE:
+        pytest.skip("long double is not x87's 80-bit format, so np.loadtxt parses every body")
+    tables = []
+    plain_rows = dataset._plain_rows
 
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    def recording(*args):
+        table = plain_rows(*args)
+        tables.append(table is not None)
+        return table
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return pids
+    monkeypatch.setattr(dataset, "_plain_rows", recording)
+    return tables
 
 
 @pytest.fixture
-def split_pids(fork_pids, monkeypatch):
-    """fork_pids, with every body large enough to split."""
+def split_tables(plain_tables, monkeypatch):
+    """plain_tables, with every body taken by _plain_rows and cut one line a
+    piece, so that the helper thread parses the second half of the lines."""
     monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
-    return fork_pids
+    monkeypatch.setattr(dataset, "_PIECE_BYTES", 1)
+    return plain_tables
 
 
 def open_fds():
@@ -372,8 +373,8 @@ def outcome(loader, path):
         return UnicodeDecodeError
 
 
-# 2,000 rows of 10 bytes: the body's middle falls after row 999, so a forked
-# child parses rows 1000 on; row 900 lies past the first 8,192 bytes, which
+# 2,000 rows of 10 bytes: in pieces of one row or of 100 rows, the helper
+# thread parses rows 1000 on; row 900 lies past the first 8,192 bytes, which
 # the header's read decodes
 ROW = b"1.5,2.5,0\n"
 PLACED = {"first half": 900, "split line": 1000, "second half": 1500}
@@ -385,20 +386,24 @@ DEFECTS = {
     "invalid utf-8": b"1.5,\xff.5,0\n",
     "crlf row": b"1.5,2.,0\r\n",
     "lone cr row": b"1.5,2.5,0\r",
+    "unreadable plain cell": b"1.5,2-5,0\n",
+    "empty plain cell": b",1.5000,0\n",
+    "label 2": b"1.5,2.5,2\n",
 }
 
 
-def placed_body(defect: bytes, row: int) -> bytes:
-    rows = [ROW] * 2000
+def placed_body(defect: bytes, row: int, n_rows: int = 2000) -> bytes:
+    rows = [ROW] * n_rows
     rows[row:row + len(defect) // len(ROW)] = [defect]
     return b"a,b,label\n" + b"".join(rows)
 
 
 class TestSplitParse:
-    """A body parsed in two processes loads as the reference loads it."""
+    """A body parsed by _plain_rows, in two threads, loads as the reference
+    loads it."""
 
     @pytest.mark.parametrize("case", LOADER_CORPUS, ids=list(LOADER_CORPUS))
-    def test_corpus(self, tmp_path, split_pids, case):
+    def test_corpus(self, tmp_path, split_tables, case):
         text, label_column = LOADER_CORPUS[case]
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -409,7 +414,7 @@ class TestSplitParse:
 
     @pytest.mark.parametrize("case", TestLoaderMatchesReference.NARROWED,
                              ids=list(TestLoaderMatchesReference.NARROWED))
-    def test_narrowed_cells_rejected(self, tmp_path, split_pids, case):
+    def test_narrowed_cells_rejected(self, tmp_path, split_tables, case):
         text, error, row, column = TestLoaderMatchesReference.NARROWED[case]
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -418,116 +423,227 @@ class TestSplitParse:
     @pytest.mark.parametrize("tail", ["2,1\n", "2,1", "\n2,1\n", "2,1\n\n", "2,1\r\n3,0\r"],
                              ids=["lf", "no final line end", "blank line", "trailing blank line",
                                   "crlf and lone cr"])
-    def test_body_of_several_count_slices(self, tmp_path, split_pids, tail):
+    def test_body_of_several_count_slices(self, tmp_path, monkeypatch, split_tables, tail):
+        """Pieces of two count slices or more: a body that ends in \\n
+        parses plain, and any other loads as the reference loads it."""
+        monkeypatch.setattr(dataset, "_PIECE_BYTES", 2 * dataset._COUNT_SLICE)
         text = "a,label\n" + "1.25,0\n" * (3 * dataset._COUNT_SLICE // 7) + tail
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
-        assert len(split_pids) == 1
+        assert split_tables == [tail == "2,1\n"]
 
     @pytest.mark.parametrize("where", PLACED)
     @pytest.mark.parametrize("defect", DEFECTS)
-    def test_placed_defect(self, tmp_path, split_pids, defect, where):
-        """A bad row or an odd line end in either half, or on the child's
-        first line, gives the reference's result or error."""
+    def test_placed_defect(self, tmp_path, monkeypatch, split_tables, defect, where):
+        """A bad row or an odd line end in either thread's half, or on the
+        helper's first line, gives the reference's result or error; the
+        plain parse declines all but the label."""
+        monkeypatch.setattr(dataset, "_PIECE_BYTES", 100 * len(ROW))
         path = tmp_path / "d.csv"
         path.write_bytes(placed_body(DEFECTS[defect], PLACED[where]))
         assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
-        # a blank first line for the child keeps the parse in one process
-        assert len(split_pids) == (0 if (defect, where) == ("blank line", "split line") else 1)
+        assert split_tables == [defect == "label 2"]
+
+    @pytest.mark.parametrize("defect", ["unreadable plain cell", "blank line"])
+    def test_defect_on_a_piece_boundary(self, tmp_path, plain_tables, monkeypatch, defect):
+        """A defect on the first line of the second piece, at the module's
+        piece size, gives the reference's error."""
+        monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
+        parse_pieces, starts = dataset._parse_pieces, []
+
+        def recording(raw, pieces, table, failures):
+            starts.extend(piece[0] for piece in pieces)
+            parse_pieces(raw, pieces, table, failures)
+
+        monkeypatch.setattr(dataset, "_parse_pieces", recording)
+        first = -(-dataset._PIECE_BYTES // len(ROW))  # the second piece's first row
+        path = tmp_path / "d.csv"
+        path.write_bytes(placed_body(DEFECTS[defect], first, n_rows=first + 100))
+        loaded = outcome(lr.load_csv, path)
+        assert loaded == outcome(reference_load_csv, path)
+        assert loaded[0] is errors.NonNumericCell and plain_tables == [False]
+        header = len(b"a,b,label\n")
+        assert sorted(starts) == [header, header + first * len(ROW)]
 
     @pytest.mark.parametrize("where", [None, "first half", "second half"],
-                             ids=["loads", "parent fails", "child fails"])
-    def test_child_is_reaped_and_no_fd_is_left(self, tmp_path, split_pids, where):
+                             ids=["loads", "caller fails", "helper fails"])
+    def test_no_thread_process_or_fd_is_left(self, tmp_path, split_tables, where):
+        """A load, or a failure in either half, starts no process and leaves
+        no thread and no open file."""
         path = tmp_path / "d.csv"
-        body = placed_body(DEFECTS["bad cell"], PLACED[where]) if where else placed_body(ROW, 0)
-        path.write_bytes(body)
-        fds = open_fds()
+        path.write_bytes(placed_body(DEFECTS["bad cell"], PLACED[where]) if where
+                         else placed_body(ROW, 0))
+        threads, fds = threading.active_count(), open_fds()
         assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
-        assert len(split_pids) == 1
-        assert_no_child_left()
+        assert split_tables == [where is None]
+        assert threading.active_count() == threads
         assert open_fds() == fds
-
-    @pytest.mark.parametrize("send", [
-        lambda body, write_end: None,
-        lambda body, write_end: os.write(write_end, np.array([1000, 3], np.int64).tobytes()),
-        lambda body, write_end: os.write(write_end, np.array([1, 4], np.int64).tobytes()),
-    ], ids=["sends nothing", "sends the shape only", "sends a wrong column count"])
-    def test_failed_child_leaves_the_one_process_parse(self, tmp_path, monkeypatch, split_pids,
-                                                        send):
-        monkeypatch.setattr(dataset, "_send_rows", send)
-        path = tmp_path / "d.csv"
-        path.write_bytes(placed_body(ROW, 0))
-        assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
-        assert len(split_pids) == 1
         assert_no_child_left()
 
-    def test_interrupted_parent_kills_and_reaps_the_child(self, tmp_path, monkeypatch, split_pids):
-        def interrupted(head, pipe):
-            raise KeyboardInterrupt
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("in_helper", [True, False], ids=["helper", "caller"])
+    def test_piece_exception(self, tmp_path, monkeypatch, capfd, split_tables, error, in_helper):
+        """A ValueError in either thread's parse leaves the np.loadtxt parse;
+        any other exception is raised in the caller. Nothing reaches
+        stderr, and no thread is left."""
+        parse_piece = dataset._parse_piece
 
-        monkeypatch.setattr(dataset, "_send_rows", lambda body, write_end: time.sleep(30))
-        monkeypatch.setattr(dataset, "_join_rows", interrupted)
-        path = tmp_path / "d.csv"
-        path.write_bytes(placed_body(ROW, 0))
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            lr.load_csv(path)
-        assert time.monotonic() - started < 10
-        assert len(split_pids) == 1
-        assert_no_child_left()
+        def failing(piece, out):
+            if (threading.current_thread() is threading.main_thread()) != in_helper:
+                raise error("piece")
+            parse_piece(piece, out)
 
-    def test_ignored_sigchld(self, tmp_path, split_pids):
-        """With SIGCHLD ignored the child reaps itself at exit, and waitpid
-        finds no child to wait for."""
+        monkeypatch.setattr(dataset, "_parse_piece", failing)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
         path = tmp_path / "d.csv"
-        path.write_bytes(placed_body(ROW, 0))
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        path.write_bytes(placed_body(ROW, 0, n_rows=20))
+        threads = threading.active_count()
+        if error is ValueError:
+            assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
+            assert split_tables == [False]
+        else:
+            with pytest.raises(error, match="piece"):
+                lr.load_csv(path)
+        assert threading.active_count() == threads
+        assert hooked == [] and capfd.readouterr() == ("", "")
+
+    def test_concurrent_loads_with_a_short_switch_interval(self, tmp_path, split_tables):
+        """Four loads at once, each with its helper, under frequent thread
+        switches: each gives the reference's result."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(placed_body(ROW, 0, n_rows=200))
+        expected = outcome(reference_load_csv, path)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(outcome(lr.load_csv, path)))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            loaded = outcome(lr.load_csv, path)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert loaded == outcome(reference_load_csv, path)
-        assert len(split_pids) == 1
-        assert_no_child_left()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4 and split_tables == [True] * 4
 
-    @pytest.mark.parametrize("condition", ["live thread", "one cpu", "one cpu without affinity",
-                                           "no fork", "quote in the body"])
-    def test_serial_conditions(self, tmp_path, monkeypatch, split_pids, condition):
+    def test_no_thread_can_be_started(self, tmp_path, monkeypatch, split_tables):
+        """Where the helper cannot start, the calling thread parses every piece."""
+        def refused(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        path = tmp_path / "d.csv"
+        path.write_bytes(placed_body(ROW, 0, n_rows=20))
+        assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
+        assert split_tables == [True]
+
+    def test_a_failed_half_stops_the_other(self, monkeypatch):
+        """Once either thread has failed, the other parses no further piece."""
+        parsed = []
+        monkeypatch.setattr(dataset, "_parse_piece", lambda piece, out: parsed.append(piece))
+        raw = b"h\n" + ROW * 4
+        pieces = [(2 + i * len(ROW), 2 + (i + 1) * len(ROW), 3 * i, 3 * i + 3) for i in range(4)]
+        dataset._parse_pieces(raw, pieces, np.zeros((4, 3)), [ValueError("other half")])
+        assert parsed == []
+        dataset._parse_pieces(raw, pieces, np.zeros((4, 3)), [])
+        assert parsed == [ROW] * 4
+
+    @pytest.mark.parametrize("condition", ["quote in the body", "no 80-bit long double",
+                                           "below the size floor"])
+    def test_serial_conditions(self, tmp_path, monkeypatch, split_tables, condition):
+        """Bodies that np.loadtxt parses alone: the same outcomes."""
         path = tmp_path / "d.csv"
         body = placed_body(b'"1.5",2.5,0\n' if condition == "quote in the body" else ROW, 5)
         path.write_bytes(body)
-        if condition == "one cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        if condition == "one cpu without affinity":
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        if condition == "no fork":
-            monkeypatch.delattr(os, "fork")
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        if condition == "live thread":
-            thread.start()
-        try:
-            loaded = outcome(lr.load_csv, path)
-        finally:
-            stop.set()
-            if thread.is_alive():
-                thread.join(timeout=10)
-        assert loaded == outcome(reference_load_csv, path)
-        assert split_pids == []
+        if condition == "no 80-bit long double":
+            monkeypatch.setattr(dataset, "_X87_LONG_DOUBLE", False)
+        if condition == "below the size floor":
+            monkeypatch.setattr(dataset, "_SPLIT_BYTES", len(body))
+        assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
+        assert split_tables == [False]
 
-    def test_file_above_the_size_floor(self, tmp_path, monkeypatch, fork_pids):
-        """A file of more than _SPLIT_BYTES loads bit for bit as in one process."""
+    def test_file_above_the_size_floor(self, tmp_path, monkeypatch, plain_tables):
+        """A file of more than _SPLIT_BYTES parses plain, bit for bit as
+        np.loadtxt parses it."""
         path = tmp_path / "large.csv"
         write_large_csv(path)
         assert path.stat().st_size > dataset._SPLIT_BYTES
-        split = load_outcome(lr.load_csv, path)
-        assert len(fork_pids) == 1
+        plain = load_outcome(lr.load_csv, path)
+        assert plain_tables == [True]
         monkeypatch.setattr(dataset, "_SPLIT_BYTES", path.stat().st_size + 1)
-        assert split == load_outcome(lr.load_csv, path)
-        assert len(fork_pids) == 1
-        assert_no_child_left()
+        assert plain == load_outcome(lr.load_csv, path)
+        assert plain_tables == [True, False]
+
+
+# cells that every fuzz case holds, beside its own
+SPECIAL_CELLS = ["-0", "+0", ".5", "5.", "+1", "00012", "1E5", "1e400", "1e-400",
+                 "1.7976931348623157e308", "1.7976931348623158e308", "5e-324",
+                 "2.2250738585072014e-308", "2.2250738585072011e-308"]
+
+
+def repr_cells(gen, n):
+    """repr of doubles with decimal exponents -320 to 308."""
+    with np.errstate(over="ignore"):
+        values = gen.choice([-1.0, 1.0], n) * gen.uniform(1.0, 10.0, n) * 10.0 ** gen.integers(-320, 309, n)
+    return [repr(v) for v in values[np.isfinite(values)].tolist()]
+
+
+def midpoint_cells(gen, n):
+    """Decimals within a relative 1e-60 of a midpoint between two doubles,
+    on either side or on it, exact to 80 significant digits."""
+    context = decimal.Context(prec=1100)
+    values = gen.uniform(1.0, 10.0, n) * 10.0 ** gen.integers(-310, 308, n)
+    cells = []
+    for v, side in zip(values.tolist(), gen.integers(-1, 2, n).tolist()):
+        low, high = decimal.Decimal(v), decimal.Decimal(math.nextafter(v, math.inf))
+        mid = context.divide(context.add(low, high), 2)
+        cell = context.add(mid, context.multiply(mid, decimal.Decimal(side).scaleb(-60)))
+        cells.append(format(cell, ".79e"))
+    return cells
+
+
+def long_digit_cells(gen, n):
+    """Decimals of 18 to 22 significant digits."""
+    digits = gen.integers(18, 23, n)
+    lead = gen.integers(10**8, 10**9, n)
+    rest = (gen.random(n) * 10.0 ** (digits - 9)).astype(np.int64)
+    exponents = gen.integers(-300, 280, n)
+    signs = gen.choice(["", "-"], size=n)
+    return [f"{s}{a}{b:0{d - 9}d}e{e}" for s, a, b, d, e in
+            zip(signs.tolist(), lead.tolist(), rest.tolist(), digits.tolist(), exponents.tolist())]
+
+
+# case -> (cell maker, cell count)
+FUZZ = {"repr": (repr_cells, 30_000), "near midpoints": (midpoint_cells, 5_000),
+        "long digits": (long_digit_cells, 30_000)}
+
+
+@pytest.mark.skipif(not dataset._X87_LONG_DOUBLE, reason="needs x87 80-bit long double")
+@pytest.mark.parametrize("case", FUZZ)
+def test_plain_parse_matches_loadtxt_bit_for_bit(monkeypatch, case):
+    """_plain_rows gives np.loadtxt's doubles, signed zeros and infinities
+    included, where the long-double cast alone does not."""
+    gen = np.random.default_rng(list(FUZZ).index(case) + 1)
+    make, n = FUZZ[case]
+    cells = make(gen, n) + SPECIAL_CELLS
+    n_rows = -(-len(cells) // 20)
+    cells += gen.choice(SPECIAL_CELLS, size=20 * n_rows - len(cells)).tolist()
+    grid = np.array(cells, dtype=object)[gen.permutation(len(cells))].reshape(n_rows, 20)
+    labels = gen.choice(["0", "1", "-1"], size=n_rows)
+    body = "".join(",".join(row) + f",{label}\n" for row, label in zip(grid.tolist(), labels))
+    monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(dataset, "_PIECE_BYTES", 1 << 16)
+    expected = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    table = dataset._plain_rows(b"header\n" + body.encode(), len(b"header\n"), 21)
+    assert table is not None and table.tobytes() == expected.tobytes()
+    with np.errstate(over="ignore"):
+        cast = np.fromstring(body.replace("\n", ",").encode(), dtype=np.longdouble,
+                             sep=",").astype(float)
+    assert cast.tobytes() != expected.tobytes()  # the case needs the re-read
 
 
 class TestDrawLabels:
