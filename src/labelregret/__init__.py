@@ -23,9 +23,8 @@ from .glm import (EchoTrainer, FitOptions, LogisticModel, LogisticTrainer,
 from .harness import (ActiveLearningTrace, SelectiveCurve, TrialsResult,
                       TrialSummary, active_learning_run, oracle_error_scores,
                       run_trials, selective_prediction_curve, summarize_trials)
-from .regret import (RegretReport, bootstrap_regret, estimate_regret,
-                     exact_regret_enumeration, save_regret_report, true_regret,
-                     variance_standard_error)
+from .regret import (RegretReport, estimate_regret, exact_regret_enumeration,
+                     save_regret_report, true_regret, variance_standard_error)
 from .theory import (TheoryReport, compute_hessian, epsilon_bound, q_values,
                      save_theory_report, theory_report)
 
@@ -37,7 +36,7 @@ __all__ = [
     "LabelRegretError", "LogisticModel", "LogisticTrainer", "RegretReport",
     "SelectiveCurve", "SemiSyntheticDataset", "TheoryReport", "TrainerHandle",
     "TrialsResult", "TrialSummary", "active_learning_run",
-    "auc", "bernoulli_kl", "bootstrap_regret", "compute_hessian",
+    "auc", "bernoulli_kl", "compute_hessian",
     "design_matrix", "draw_labels", "epsilon_bound", "estimate_regret",
     "exact_regret_enumeration", "fit_logistic", "gaussian_features",
     "gaussian_semisynthetic", "load_csv", "load_model", "load_semisynthetic",

@@ -25,9 +25,8 @@ from .glm import (LogisticTrainer, auc, fit_logistic, load_model, log_loss,
                   model_to_dict, predict_proba)
 from .harness import (active_runs, population_draw, run_trials, save_trials_result,
                       selective_run)
-from .regret import (_initial_fit, bootstrap_regret, estimate_regret,
-                     exact_regret_enumeration, regret_report_metadata,
-                     regret_report_table, true_regret)
+from .regret import (_initial_fit, estimate_regret, exact_regret_enumeration,
+                     regret_report_metadata, regret_report_table, true_regret)
 from .theory import (DEFAULT_CONSTANT, theory_report, theory_report_metadata,
                      theory_report_table)
 
@@ -146,23 +145,20 @@ def _cmd_fit(args):
 
 
 def _regret_command(args):
-    """regret, true-regret or bootstrap, as args.command names."""
+    """regret or true-regret, as args.command names."""
     kind = args.command
     cfg = _resolve_config(args)
     trainer = LogisticTrainer(cfg.fit_options())
     if kind == "true-regret":
         ss = _load_semisynth_dir(args.semisynth)
         report = true_regret(ss, trainer, cfg.k_resamples, cfg.master_seed)
-        n = ss.base.n_points
     else:
         data = load_csv(args.data, cfg.label_column)
-        fn = estimate_regret if kind == "regret" else bootstrap_regret
-        report = fn(data, trainer, cfg.k_resamples, cfg.master_seed)
-        n = data.n_points
+        report = estimate_regret(data, trainer, cfg.k_resamples, cfg.master_seed)
     csv_path, meta = _write_report(args.out, kind, "regret.csv", cfg,
                                    regret_report_table(report),
                                    regret_report_metadata(report))
-    print(f"{kind}: n={n} K={report.n_resamples} "
+    print(f"{kind}: n={report.n_points} K={report.n_resamples} "
           f"max_regret={report.regret.max():.6g} -> {csv_path}, {meta}")
     return 0
 
@@ -336,7 +332,6 @@ COMMANDS = {
     "regret": ("Monte Carlo regret on a CSV dataset", _regret_arguments, _regret_command),
     "true-regret": ("regret under the recorded ground truth",
                     lambda p: _regret_arguments(p, semisynth=True), _regret_command),
-    "bootstrap": ("row-bootstrap regret baseline", _regret_arguments, _regret_command),
     "enumerate": ("exact regret over all label assignments (small n)",
                   _enumerate_arguments, _cmd_enumerate),
     "theory": ("closed-form variance and error bound", _theory_arguments, _cmd_theory),

@@ -101,7 +101,7 @@ class TooFewResamples(LabelRegretError):
 
 
 class RefitFallbackExhausted(LabelRegretError):
-    """A resample could not be fit even after the ridge escalation ladder."""
+    """A refit that the engine still flags at the fallback rung's extra ridge."""
 
 
 class TooLarge(LabelRegretError):

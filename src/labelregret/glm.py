@@ -24,10 +24,10 @@ place: allocating them on every pass cost page faults (see _newton_rows).
 LogisticTrainer.fit_many, the estimators' refit entry point, sends each
 distinct label row to the engine once, copies its predictions to the rows
 that repeat it and counts the ridge fallbacks of every row, copies included;
-as no row depends on another, this changes no output. On a one-column design
-its ridge-fallback rungs start each row at the optimum along the row's first
-Newton step from 0, which there is the fit itself (see _rung_starts). Labels
-are in {-1, +1} throughout.
+as no row depends on another, this changes no output. A row flagged as
+separable is refit at the ridge of the one FALLBACK_RIDGES rung, on a
+one-column design from the optimum along its first Newton step from 0, which
+there is the fit itself (see _rung_starts). Labels are in {-1, +1} throughout.
 """
 
 from __future__ import annotations
@@ -70,9 +70,11 @@ HESSIAN_TABLE_ENTRIES = 1 << 18
 # barely convergent fit converges (CHANGES.md), so such rows take the
 # Cholesky-plus-solve path.
 CRAMER_DET_SHARE = 1e-4
-# Ridge escalation ladder applied when an unregularized refit hits a
-# separable resample. Counts of such refits are reported, never hidden.
-FALLBACK_RIDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+# The extra ridge of LogisticTrainer.fit_many's fallback rung. It fits the
+# separable rows of full-rank designs whose columns share a scale, up to 1e8;
+# features of 1e8 beside an intercept can leave a row flagged (CHANGES.md).
+# Counts of such refits are reported, never hidden.
+FALLBACK_RIDGES = (1e-6,)
 # The ufunc reductions that ndarray.sum, max, all and any end in, which the
 # Newton passes call directly (see _newton_rows).
 _sum, _max = np.add.reduce, np.maximum.reduce
@@ -635,7 +637,7 @@ class TrainerHandle:
     with nothing to warm-start ignores it. fit_many is the estimators' entry
     point for many refits on one feature matrix, and fit_each makes many cold
     fits on one (the base fits of a trials run). Only LogisticTrainer has a
-    ridge-fallback ladder for resamples that turn out separable; any other
+    ridge fallback for resamples that turn out separable; any other
     trainer's fit errors propagate.
 
     mirrors_label_flips declares a symmetry that exact enumeration uses to
@@ -683,13 +685,13 @@ class TrainerHandle:
 class LogisticTrainer(TrainerHandle):
     """Logistic regression trainer around fit_logistic, whose predictors are the
     fitted LogisticModels. fit starts Newton's method at start.theta; fit_many
-    has the package's only ridge fallback, the FALLBACK_RIDGES ladder.
+    has the package's only ridge fallback, the FALLBACK_RIDGES rung.
 
     The penalized loss is even under (y, theta) -> (-y, -theta), so from the
     cold start theta = 0 the fit of -y is the fit of y negated, at any ridge
-    and with or without an intercept; a separable row and its mirror take the
-    same rung of the ladder. A rung's start for -y is exactly its start for y
-    negated (see _rung_starts), so this holds on the ladder too."""
+    and with or without an intercept; a separable row and its mirror both
+    take the rung. The rung's start for -y is exactly its start for y negated
+    (see _rung_starts), so this holds on the rung too."""
 
     mirrors_label_flips = True
 
@@ -721,22 +723,23 @@ class LogisticTrainer(TrainerHandle):
 
     def fit_many(self, data: "Dataset", label_rows, eval_features, start=None):
         """One fit_logistic_batch call from start.theta (zeros without a start)
-        on the distinct label rows, then one call per ladder rung.
+        on the distinct label rows, then one at the fallback rung if needed.
 
         Each distinct row is refit once, in order of first appearance, and its
         predictions are copied to every row that repeats it; when no row
-        repeats, label_rows itself goes to the engine. The rows the first call
-        marks separable go down FALLBACK_RIDGES together: each rung refits the
-        distinct rows still pending, each from its _rung_starts start, and
-        passes on only those still separable. On a one-column design that
-        start is the line optimum along the row's first Newton step, where the
-        row takes no Newton step, and it ends within the grad_tol band of the
-        cold fit that fit_with_extra_ridge makes, not at its bits; otherwise
-        the rung starts from theta = 0, as fit_with_extra_ridge does. The
-        count returned is the number of rows that needed a rung, each counted
-        with its copies. Row k of the samples is the same whatever other rows
-        share the call or a rung: no engine row depends on another, nor does a
-        row's rung start or prediction.
+        repeats, label_rows itself goes to the engine. At ridge 0 a
+        rank-deficient design raises SingularHessian, as fit_logistic does;
+        the rank is read only when the first call flags every row, as it does
+        on such a design. The rows that call flags as separable are refit
+        together at the trainer's ridge plus the FALLBACK_RIDGES ridge, from
+        theta = 0, or on a one-column design from _rung_starts' line optimum
+        along the first Newton step, where a row takes no Newton step and ends
+        within the grad_tol band of the cold fit, not at its bits; a row still
+        flagged raises RefitFallbackExhausted. The count returned is the
+        number of rows that needed the rung, each with its copies. Row k of
+        the samples is the same whatever other rows share the call or the
+        rung: no engine row depends on another, nor does a row's rung start
+        or prediction.
         """
         include = self.opts.include_intercept
         X = design_matrix(data.features, include)
@@ -746,19 +749,20 @@ class LogisticTrainer(TrainerHandle):
         thetas, separable = fit_logistic_batch(
             X, rows, self.opts, theta0=None if start is None else start.theta)
         pending = np.flatnonzero(separable)
+        if pending.size == len(rows) > 0:
+            error = _flagged_fit_error(X, self.opts)
+            if isinstance(error, errors.SingularHessian):
+                raise error
         n_fallbacks = pending.size if copies is None else int(separable[copies].sum())
-        for extra in FALLBACK_RIDGES:
-            if pending.size == 0:
-                break
+        if pending.size:
+            (extra,) = FALLBACK_RIDGES
             opts = replace(self.opts, ridge=self.opts.ridge + extra)
             rung = rows[pending]
             thetas[pending], separable = fit_logistic_batch(
                 X, rung, opts, theta0=_rung_starts(X, rung, opts))
-            pending = pending[separable]
-        if pending.size:
-            top = f"up to {FALLBACK_RIDGES[-1]:g}" if FALLBACK_RIDGES else "(the ladder is empty)"
-            raise errors.RefitFallbackExhausted(
-                f"resample could not be fit even with extra ridge {top}")
+            if separable.any():
+                raise errors.RefitFallbackExhausted(
+                    f"resample could not be fit even with extra ridge {extra:g}")
         Z = _row_products(thetas, design_matrix(eval_features, include).T)
         E = np.abs(Z)
         np.exp(np.negative(E, out=E), out=E)
@@ -767,7 +771,7 @@ class LogisticTrainer(TrainerHandle):
 
 
 def _rung_starts(X, label_rows, opts: FitOptions):
-    """The K x 1 starts of a ladder rung's rows fitted under opts on a
+    """The K x 1 starts of the fallback rung's rows fitted under opts on a
     one-column design, or None, where every row starts at theta = 0: at
     ridge 0, and when X has more than one column.
 

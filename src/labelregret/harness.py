@@ -247,7 +247,7 @@ def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int
         chosen = pool[order[:take]]
         labeled = np.sort(np.concatenate([labeled, chosen]))
         pool = np.setdiff1d(pool, chosen, assume_unique=True)
-        # No ridge ladder here: the labeled set only grows from one that
+        # No ridge fallback here: the labeled set only grows from one that
         # fitted cleanly, and a superset of non-separable, full-rank rows is
         # neither separable nor rank deficient. The exception is a clean fit
         # under quasi-complete separation, which the engine accepts as

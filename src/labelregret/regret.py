@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import errors, rng
+from . import errors
 from ._io import dump_json, write_table
 from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_rows
 # The mc_separable benchmark oracle imports FALLBACK_RIDGES from this module.
@@ -53,7 +53,7 @@ class RegretReport:
     samples: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.estimator not in {"monte_carlo", "true_resample", "bootstrap", "enumeration"}:
+        if self.estimator not in {"monte_carlo", "true_resample", "enumeration"}:
             raise ValueError(f"unknown estimator tag {self.estimator!r}")
         if self.n_resamples < 2:
             raise errors.TooFewResamples("variance needs at least 2 resamples")
@@ -194,32 +194,6 @@ def true_regret(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int, seed: 
     samples, n_fallbacks = _prediction_samples(
         ss.base, ss.true_probs, ss.base.features, trainer, K, seed, predictor)
     return _sampling_report(samples, base_pred, "true_resample", seed,
-                            trainer.name, n_fallbacks, keep_samples)
-
-
-def bootstrap_regret(data: Dataset, trainer: TrainerHandle, K: int, seed: int, *,
-                     keep_samples: bool = False) -> RegretReport:
-    """Row-resampling baseline: refit on K bootstrap replicates of the rows.
-
-    Unlike the label-resampling estimators this keeps every observed label
-    attached to its point; it never flips a label, only reweights rows. Each
-    replicate is one one-row fit_many call started from the base fit.
-    """
-    if K < 2:
-        raise errors.TooFewResamples(f"K must be at least 2, got {K}")
-    predictor = _initial_fit(trainer, data)
-    base_pred = np.asarray(predictor(data.features), dtype=float)
-    n = data.n_points
-    samples = np.empty((K, n))
-    n_fallbacks = 0
-    streams = rng.keyed_generators(seed, rng.BOOTSTRAP_ROWS, range(1, K + 1))
-    for k, gen in enumerate(streams):
-        rows = gen.integers(0, n, size=n)
-        replicate = Dataset(data.features[rows], data.labels[rows], data.feature_names)
-        samples[k:k + 1], used_fallback = trainer.fit_many(
-            replicate, replicate.labels[None], data.features, predictor)
-        n_fallbacks += used_fallback
-    return _sampling_report(samples, base_pred, "bootstrap", seed,
                             trainer.name, n_fallbacks, keep_samples)
 
 

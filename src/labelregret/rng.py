@@ -10,13 +10,12 @@ substream, so outcomes never depend on evaluation order or on how many
 substreams are drawn together.
 
 substream builds one stream the numpy way, with a new SeedSequence and
-Philox. keyed_generators and stream_prefixes reproduce the same streams for
-many indices at once. Both compute every Philox key in one vectorised pass
-of the SeedSequence hash (O'Neill, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms for Random Number Generation",
-2014). From the keys a stream is reproduced in one of two ways:
-- re-keying a single numpy Philox per stream (keyed_generators, and
-  stream_prefixes for most calls);
+Philox. stream_prefixes reproduces the same streams for many indices at once.
+It computes every Philox key in one vectorised pass of the SeedSequence hash
+(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", 2014). From the keys a stream is
+reproduced in one of two ways:
+- re-keying a single numpy Philox per stream (most calls);
 - for a batch of many short streams, running the Philox4x64-10 rounds
   themselves on the counters of every stream at once (stream_prefixes).
   Philox is counter-based, so each block of four 64-bit outputs is a pure
@@ -40,6 +39,7 @@ import numpy as np
 # Purpose tags. Distinct tags keep unrelated substreams of the same master
 # seed disjoint.
 LABELS = 0
+# Reserved: nothing draws from BOOTSTRAP_ROWS, kept so no later tag's streams move.
 BOOTSTRAP_ROWS = 1
 POOL_SPLIT = 2
 UNIFORM_ACQUISITION = 3
@@ -119,7 +119,7 @@ def stream_prefixes(master_seed: int, purpose: int, stream_indices, n: int) -> n
     bit for bit, and so point_uniforms(master_seed, purpose,
     stream_indices[j], range(n)); a request for fewer or reordered streams
     returns exactly the rows the full request would. The keys of all rows
-    come from one vectorised SeedSequence hash (see keyed_generators). A call
+    come from one vectorised SeedSequence hash (see _philox_keys). A call
     of at least _VECTOR_MIN_STREAMS streams of at most _VECTOR_MAX_DRAWS draws
     computes the Philox blocks of all rows at once (_philox_uniforms), in
     parts of 256 to 511 rows that keep its working memory small; any other
@@ -170,19 +170,6 @@ def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
         even, odd = hi[::-1] ^ odd ^ key, (even * mult)[::-1]
     words = np.stack((even[0], odd[0], even[1], odd[1]), axis=1).reshape(len(keys), 4 * blocks)
     return np.multiply(words[:, :n] >> np.uint64(11), 2.0 ** -53)
-
-
-def keyed_generators(master_seed: int, purpose: int, stream_indices):
-    """Iterator over generators, one at the start of each substream in stream_indices.
-
-    The generator for index k draws exactly what substream(master_seed,
-    purpose, k) draws. It is one Generator whose Philox is re-keyed in place
-    (counter 0, empty buffer) as the iterator advances, so take the draws of
-    one stream before asking for the next. All keys are computed in this
-    call, so a bad seed or a negative index raises ValueError at once.
-    """
-    keys = _philox_keys(_check_seed(master_seed), int(purpose), stream_indices)
-    return _rekeyed(keys.tolist())
 
 
 def _rekeyed(keys: list):

@@ -54,8 +54,8 @@ def ladder_run(monkeypatch):
     """run(trainer, data, label_rows, cold=False) -> (samples, n_fallbacks,
     rungs): LogisticTrainer.fit_many on distinct label rows, predicting at
     data's features, and for each row the fit_logistic_batch call in which
-    its fit succeeded: 0 for the first, i for the rung FALLBACK_RIDGES[i - 1].
-    cold=True starts every rung at theta = 0, the ladder before rung starts."""
+    its fit succeeded: 0 for the first, 1 for the FALLBACK_RIDGES rung.
+    cold=True starts the rung at theta = 0, as the cold oracle does."""
     glm = lr.glm
 
     def run(trainer, data, label_rows, cold=False):

@@ -117,6 +117,18 @@ def _enumerate_data(tmp_path, data_csv, semisynth_dir, text):
     return ["enumerate", "--data", str(path), "--ridge", "0"]
 
 
+def _rank_deficient_semisynth(tmp_path, data_csv, semisynth_dir, scale):
+    """enumerate --semisynth at ridge 0 on 8 points whose columns are x and 2x
+    times scale. No base fit runs, so the refits meet the design first."""
+    x = np.random.default_rng(0).standard_normal(8)
+    ss = lr.semisynthetic_from_model(np.column_stack([x, 2.0 * x]) * scale,
+                                     lr.LogisticModel([0.4, -0.1]), lr.LabelDrawSeed(3))
+    directory = tmp_path / "rank1"
+    directory.mkdir()
+    save_semisynthetic(ss, directory / "semisynth.csv", directory / "semisynth.json")
+    return ["enumerate", "--semisynth", str(directory), "--ridge", "0"]
+
+
 def _flags(tmp_path, data_csv, semisynth_dir, argv):
     return [str(data_csv) if arg == "DATA" else arg for arg in argv]
 
@@ -178,6 +190,9 @@ BAD_INPUTS = {
     # labels end as a failed initial fit too.
     "enumerate with separable labels": (
         _enumerate_data, "x,label\n-1.0,0\n-0.5,0\n0.7,1\n1.2,1\n", "InitialFitFailed"),
+    # A rank-deficient design has no unique fit at ridge 0, whatever its labels.
+    "enumerate --semisynth on a rank-deficient design": (
+        _rank_deficient_semisynth, 1.0, "SingularHessian"),
     # The label streams list K stream indices, and a K past the C ssize_t range
     # overflows there. (A K at or below 2**63 - 1 would try to allocate K rows.)
     "regret --k past the index range": (
@@ -221,8 +236,6 @@ MISSING_FLAG = [
     ["regret", "--data", "d.csv"],
     ["true-regret", "--out", "o"],
     ["true-regret", "--semisynth", "s"],
-    ["bootstrap", "--out", "o"],
-    ["bootstrap", "--data", "d.csv"],
     ["enumerate", "--out", "o"],
     ["enumerate", "--data", "d.csv"],
     ["theory", "--out", "o"],

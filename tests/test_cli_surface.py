@@ -28,7 +28,6 @@ COMMANDS = {
     "fit": (["--data", "d.csv", "--out", "o"], [*DATA, "--standardize", *TRAINER]),
     "regret": (["--data", "d.csv", "--out", "o"], [*DATA, "--k", *TRAINER]),
     "true-regret": (["--semisynth", "s", "--out", "o"], ["--semisynth", "--k", *TRAINER]),
-    "bootstrap": (["--data", "d.csv", "--out", "o"], [*DATA, "--k", *TRAINER]),
     "enumerate": (["--data", "d.csv", "--out", "o"], [*DATA, "--semisynth", *TRAINER]),
     "theory": (["--data", "d.csv", "--out", "o"], [*DATA, "--model", "--constant", *TRAINER]),
     "semisynth": (["--data", "d.csv", "--out", "o"],
@@ -85,6 +84,17 @@ def test_unknown_command_names_every_choice(capsys):
     choices = ", ".join(f"'{name}'" for name in COMMANDS)
     assert err.endswith(f"labelregret: error: argument command: invalid choice: 'bogus' "
                         f"(choose from {choices})\n")
+
+
+def test_bootstrap_is_not_a_command(capsys):
+    """The row bootstrap resamples rows, not labels, and the CLI has no command
+    for it: its command line is a usage error that lists the commands."""
+    code, out, err = run(["bootstrap", "--data", "d.csv", "--out", "o"], capsys)
+    assert (code, out) == (2, "")
+    choices = ", ".join(f"'{name}'" for name in COMMANDS)
+    assert err.endswith(f"labelregret: error: argument command: invalid choice: "
+                        f"'bootstrap' (choose from {choices})\n")
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_before_the_command_reaches_the_command(capsys):

@@ -1136,8 +1136,8 @@ def reference_ladder_fit(data, opts):
 
 
 class TestBatchedRidgeLadder:
-    """LogisticTrainer.fit_many, whose separable rows go down FALLBACK_RIDGES
-    one rung per batch, against the reference ladder run row by row."""
+    """LogisticTrainer.fit_many, whose separable rows take the FALLBACK_RIDGES
+    rung in one batch, against the reference ladder run row by row."""
 
     @staticmethod
     def assert_matches_per_row_ladder(n, n_features, include_intercept):
@@ -1160,42 +1160,81 @@ class TestBatchedRidgeLadder:
     def test_matches_per_row_ladder_on_every_assignment(self, n, n_features, include_intercept):
         self.assert_matches_per_row_ladder(n, n_features, include_intercept)
 
-    def test_rows_still_separable_move_to_the_next_rung(self, monkeypatch):
-        """A zero rung leaves every separable row separable, so all of them
-        must be refit on the rung after it."""
-        monkeypatch.setattr("labelregret.glm.FALLBACK_RIDGES", (0.0, 1e-6))
-        self.assert_matches_per_row_ladder(9, 2, True)
-
     def test_exhausted_ladder_raises(self, monkeypatch):
-        monkeypatch.setattr("labelregret.glm.FALLBACK_RIDGES", ())
+        """A rung of total ridge 0 leaves a separable row flagged."""
+        monkeypatch.setattr("labelregret.glm.FALLBACK_RIDGES", (0.0,))
         features = np.array([[1.0], [2.0], [-1.0]])
         trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=False))
         label_rows = np.array([[1, -1, -1], [1, 1, -1]])  # the second is separable
-        with pytest.raises(errors.RefitFallbackExhausted):
+        with pytest.raises(errors.RefitFallbackExhausted, match="extra ridge 0$"):
             trainer.fit_many(lr.Dataset(features, label_rows[0]), label_rows, features, None)
 
-    @staticmethod
-    def fit_scaled_collinear_design(scale):
-        """fit_many at ridge 0 on 8 points whose columns are x and 2x times
-        scale, a rank-1 design, with 20 random label rows."""
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e7])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_rank_deficient_design_raises_singular_hessian(self, scale, warm):
+        """At ridge 0 the engine flags every row of 8 points whose columns are x
+        and 2x times scale, and fit_many raises what fit_logistic raises there.
+        At 1e6 and above the rung's ridge is below the rounding of X'WX, so the
+        rung could not fit such rows either."""
         gen = np.random.default_rng(0)
         x = gen.standard_normal(8)
         features = np.column_stack([x, 2.0 * x]) * scale
         label_rows = np.where(gen.random((20, 8)) < 0.5, -1, 1)
+        data = lr.Dataset(features, label_rows[0])
         trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=False))
-        return trainer.fit_many(lr.Dataset(features, label_rows[0]), label_rows, features, None)
+        start = lr.LogisticModel([0.1, -0.2]) if warm else None
+        with pytest.raises(errors.SingularHessian) as raised:
+            trainer.fit_many(data, label_rows, features, start)
+        with pytest.raises(errors.SingularHessian) as expected:
+            trainer.fit(data)
+        assert str(raised.value) == str(expected.value)
 
-    def test_later_rungs_fit_a_rank_deficient_design_of_large_features(self):
-        """With features near 1e6 the rounding of X'WX is far above 1e-6, so the
-        first rung cannot make H positive definite; the later rungs do."""
-        samples, n_fallbacks = self.fit_scaled_collinear_design(1e6)
-        assert n_fallbacks == 20
-        assert np.all((samples >= 0.0) & (samples <= 1.0))
 
-    def test_first_rung_alone_leaves_that_design_unfit(self, monkeypatch):
-        monkeypatch.setattr("labelregret.glm.FALLBACK_RIDGES", (1e-6,))
-        with pytest.raises(errors.RefitFallbackExhausted):
-            self.fit_scaled_collinear_design(1e6)
+def full_rank_grid():
+    """(features, include_intercept, scale) of small full-rank designs: 1-3
+    standard normal columns, plain or with the second column x + 1e-4 delta,
+    n = 5-9, with and without an intercept, times scale = 1e-3, 1 and 1e8."""
+    for n in range(5, 10):
+        gen = np.random.default_rng(n)
+        x, delta = gen.standard_normal((n, 3)), gen.standard_normal(n)
+        for d in (1, 2, 3):
+            for collinear in (False, True) if d > 1 else (False,):
+                features = x[:, :d].copy()
+                if collinear:
+                    features[:, 1] = features[:, 0] + 1e-4 * delta
+                for scale in (1e-3, 1.0, 1e8):
+                    for include_intercept in (False, True):
+                        yield features * scale, include_intercept, scale
+
+
+def test_one_rung_fits_every_separable_row_of_a_full_rank_design():
+    """Every label assignment of each full_rank_grid design, at ridge 0: the
+    rows flagged as separable are refit at FALLBACK_RIDGES' one ridge, and
+    that rung flags none of them (fit_many would raise
+    RefitFallbackExhausted). At ridge > 0 the engine can flag a row only
+    where the ridge is below the rounding of X'WX, which on these designs it
+    is not; columns whose scales differ by about 1e8, such as features of 1e8
+    beside an intercept, can bring it there. A design whose fits raise
+    NoConvergence, at ridge 0 or on the rung, is skipped: that is the
+    absolute grad_tol stalling on nearly collinear columns, a fault of the
+    stopping rule that no rung would catch. grad_tol grows with features
+    above 1, as at 1e8 the absolute 1e-8 lies below the gradient's rounding
+    and nearly every fit would raise NoConvergence."""
+    laddered = dict.fromkeys((1e-3, 1.0, 1e8), 0)
+    for features, include_intercept, scale in full_rank_grid():
+        n, d = features.shape
+        assert np.linalg.matrix_rank(design_matrix(features, include_intercept)) \
+            == d + include_intercept
+        label_rows = all_assignments(n)
+        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=include_intercept,
+                                                   grad_tol=1e-8 * max(1.0, scale)))
+        try:
+            _, n_fallbacks = trainer.fit_many(lr.Dataset(features, label_rows[0]),
+                                              label_rows, features[:1])
+        except errors.NoConvergence:
+            continue
+        laddered[scale] += n_fallbacks
+    assert min(laddered.values()) > 1000
 
 
 class TestRungStarts:
@@ -1309,6 +1348,10 @@ class TestDistinctRowsRefitOnce:
         trainer, data, start, distinct = self.setting(n, ridge, warm)
         copies = np.random.default_rng(n + 1).integers(0, len(distinct), 40)
         eval_features = data.features[: min(n, 7)]
+        if ridge == 0.0 and n == 1:  # one point, two columns: rank deficient
+            with pytest.raises(errors.SingularHessian):
+                trainer.fit_many(data, distinct[copies], eval_features, start)
+            return
         samples, n_fallbacks = trainer.fit_many(data, distinct[copies], eval_features, start)
         alone = [trainer.fit_many(data, row[None], eval_features, start) for row in distinct]
         np.testing.assert_array_equal(samples, np.vstack([s for s, _ in alone])[copies])
@@ -1344,11 +1387,10 @@ class TestDistinctRowsRefitOnce:
         copies = np.array([3, 3, 0, 5, 0, 1, 3, 4, 2, 5, 5, 1])
         calls = self.spy(monkeypatch)
         trainer.fit_many(data, distinct[copies], data.features)
-        first_call, *rungs = calls
+        first_call, (rung_rows, rung_ridge) = calls
         np.testing.assert_array_equal(first_call[0], distinct[[3, 0, 5, 1, 4, 2]])
-        assert first_call[1] == 0.0 and len(rungs) > 0
-        for rows, ridge in rungs:  # each pending distinct row once
-            assert ridge > 0.0 and len(np.unique(rows, axis=0)) == len(rows)
+        assert first_call[1] == 0.0 and rung_ridge == glm.FALLBACK_RIDGES[0]
+        assert len(np.unique(rung_rows, axis=0)) == len(rung_rows)  # each pending row once
 
     def test_all_distinct_rows_reach_the_engine_as_the_callers_array(self, monkeypatch):
         trainer, data, start, distinct = self.setting(200, 0.1, True)

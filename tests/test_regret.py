@@ -1,10 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import labelregret as lr
-from labelregret import errors, rng
+from labelregret import errors
 from labelregret.regret import FALLBACK_RIDGES, _sampling_report, save_regret_report
 
 import glm_reference as reference
@@ -190,93 +188,6 @@ class TestTrueRegret:
             true = lr.true_regret(ss, flat_trainer, 300, seed=5000 + t)
             correlations.append(np.corrcoef(est.regret, true.regret)[0, 1])
         assert np.median(correlations) >= 0.9
-
-
-class TestBootstrapRegret:
-    def test_identical_rows_give_zero(self):
-        X = np.full((6, 1), 2.0)
-        data = lr.Dataset(X, np.ones(6, dtype=int))
-        trainer = lr.LogisticTrainer(lr.FitOptions(ridge=0.1, include_intercept=False))
-        report = lr.bootstrap_regret(data, trainer, 25, seed=4)
-        np.testing.assert_allclose(report.regret, 0.0, atol=1e-30)
-        assert report.estimator == "bootstrap"
-
-    def test_differs_from_label_resampling(self, cluster_ss, flat_trainer):
-        """Row bootstrap keeps observed labels attached, so its variance
-        profile cannot coincide with the label-resampling one."""
-        boot = lr.bootstrap_regret(cluster_ss.base, flat_trainer, 80, seed=6)
-        mc = lr.estimate_regret(cluster_ss.base, flat_trainer, 80, seed=6)
-        assert np.max(np.abs(boot.regret - mc.regret)) > 0.0
-
-    def test_replicate_rows_are_the_bootstrap_substreams(self):
-        """Replicate k refits on substream(seed, BOOTSTRAP_ROWS, k).integers(0, n, size=n)."""
-        class RowRecorder(ConstantTrainer):
-            def __init__(self):
-                super().__init__(0.5)
-                self.rows = []
-
-            def fit(self, data, start=None):
-                self.rows.append(data.features[:, 0].astype(np.int64))
-                return super().fit(data)
-
-        n, K, seed = 37, 12, 2**63 + 12345
-        trainer = RowRecorder()
-        data = lr.Dataset(np.arange(n, dtype=float)[:, None], np.ones(n, dtype=int))
-        lr.bootstrap_regret(data, trainer, K, seed=seed)
-        assert len(trainer.rows) == K + 1  # the initial fit, then one refit per replicate
-        np.testing.assert_array_equal(trainer.rows[0], np.arange(n))
-        for k, rows in enumerate(trainer.rows[1:], start=1):
-            expected = rng.substream(seed, rng.BOOTSTRAP_ROWS, k).integers(0, n, size=n)
-            np.testing.assert_array_equal(rows, expected)
-
-    @staticmethod
-    def reference_replicate_fit(data, opts, theta0):
-        """The reference fit from theta0, then reference fits up
-        FALLBACK_RIDGES, each from the package's start for that rung
-        (glm._rung_starts); returns (model, whether a rung was needed)."""
-        X = lr.design_matrix(data.features, opts.include_intercept)
-        for rung, extra in enumerate((0.0, *FALLBACK_RIDGES)):
-            rung_opts = replace(opts, ridge=opts.ridge + extra)
-            if rung:
-                starts = lr.glm._rung_starts(X, data.labels[None, :], rung_opts)
-                theta0 = None if starts is None else starts[0]
-            try:
-                return reference.fit_logistic(data, rung_opts, theta0=theta0), rung > 0
-            except (errors.FitDiverged, errors.SingularHessian):
-                continue
-        raise AssertionError("no rung fits the replicate")
-
-    @pytest.mark.parametrize("features, labels, include_intercept", [
-        ([[-1.5], [-0.7], [-0.2], [0.4], [0.9], [1.8]], [-1, 1, -1, 1, -1, 1], False),
-        (np.random.default_rng(9).standard_normal((9, 2)), [1, -1, 1, 1, -1, -1, 1, -1, -1],
-         True)])
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_fallbacks_match_a_per_replicate_reference_ladder(self, features, labels,
-                                                               include_intercept, seed):
-        """Ridge-0 replicates of a small set are often separable: each goes
-        down the ladder as the reference loop takes it, warm from the base fit
-        and then cold on each FALLBACK_RIDGES rung, and each is counted."""
-        data = lr.Dataset(features, labels)
-        trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=include_intercept))
-        K = 120
-        report = lr.bootstrap_regret(data, trainer, K, seed, keep_samples=True)
-        base = trainer.fit(data)
-        expected, n_fallbacks = np.empty((K, data.n_points)), 0
-        for k in range(1, K + 1):
-            rows = rng.substream(seed, rng.BOOTSTRAP_ROWS, k).integers(0, data.n_points,
-                                                                      size=data.n_points)
-            replicate = lr.Dataset(data.features[rows], data.labels[rows])
-            model, used = self.reference_replicate_fit(replicate, trainer.opts, base.theta)
-            expected[k - 1] = lr.predict_proba(model, data.features)
-            n_fallbacks += used
-        assert report.n_fallback_refits == n_fallbacks > 0
-        np.testing.assert_allclose(report.samples, expected, rtol=0, atol=1e-12)
-
-    def test_deterministic(self, small_dataset, flat_trainer):
-        a = lr.bootstrap_regret(small_dataset, flat_trainer, 30, seed=8, keep_samples=True)
-        b = lr.bootstrap_regret(small_dataset, flat_trainer, 30, seed=8, keep_samples=True)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        np.testing.assert_array_equal(a.regret, b.regret)
 
 
 class TestEnumeration:
@@ -497,8 +408,7 @@ class TestReportValidation:
 
 
 class TestFallbackLadder:
-    def test_ladder_is_escalating_and_bounded(self):
-        assert FALLBACK_RIDGES[0] == pytest.approx(1e-6)
-        assert FALLBACK_RIDGES[-1] == pytest.approx(1e-2)
-        assert len(FALLBACK_RIDGES) == 5
-        assert all(a < b for a, b in zip(FALLBACK_RIDGES, FALLBACK_RIDGES[1:]))
+    def test_ladder_is_one_rung_of_1e_6(self):
+        """The one rung that a fit can reach (see
+        test_glm.py::test_one_rung_fits_every_separable_row_of_a_full_rank_design)."""
+        assert FALLBACK_RIDGES == (1e-6,)

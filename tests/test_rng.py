@@ -146,18 +146,19 @@ class TestStreamPrefixesMatchNumpy:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError):
                 rng.stream_prefixes(seed, rng.LABELS, [3], 4)
-            with pytest.raises(ValueError):
-                rng.keyed_generators(seed, rng.LABELS, [3])
 
 
 class TestKeyedGenerators:
+    """rng._rekeyed, the one re-keyed Generator of stream_prefixes' per-stream path."""
+
     @pytest.mark.parametrize("seed", [5, 2**64 - 1])
     def test_draws_match_substream_after_a_dirty_buffer(self, seed):
         """Each re-keyed stream starts clean, whatever the previous one left buffered."""
         draws = (lambda g: g.integers(0, 2**32, size=3),  # raw 32-bit words: no rejection
-                 lambda g: g.integers(0, 37, size=37),  # a bootstrap row draw
+                 lambda g: g.integers(0, 37, size=37),  # bounded integers, by rejection
                  lambda g: g.random(2))
-        streams = rng.keyed_generators(seed, rng.BOOTSTRAP_ROWS, MIXED_INDICES)
+        keys = rng._philox_keys(seed, rng.BOOTSTRAP_ROWS, MIXED_INDICES)
+        streams = rng._rekeyed(keys.tolist())
         for k, gen in zip(MIXED_INDICES, streams):
             expected = rng.substream(seed, rng.BOOTSTRAP_ROWS, k)
             for draw in draws:
