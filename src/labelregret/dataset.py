@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors, rng
-from ._io import NUMBER, dump_json, read_json, write_table
+from ._io import _X87_LONG_DOUBLE, NUMBER, dump_json, read_json, write_table
 from .glm import FitOptions, LogisticModel, fit_logistic, predict_proba
 
 
@@ -265,10 +265,6 @@ _NO_FIELD_LIMIT = 2**31 - 1
 _COUNT_SLICE = 1 << 16
 # The only bytes of a plain body's cells (see _plain_rows).
 _PLAIN_CELL_BYTES = b"0123456789.eE+-"
-# _parse_piece reads the bits of x87's 80-bit long double, stored little-endian
-# in 16 bytes; with any other long double a body goes to np.loadtxt.
-_X87_LONG_DOUBLE = (np.finfo(np.longdouble).nmant == 63
-                    and np.dtype(np.longdouble).itemsize == 16 and np.little_endian)
 # The biased x87 exponent of the smallest normal double, 2**-1022.
 _MIN_NORMAL_EXPONENT = 16383 - 1022
 # A plain body is parsed in pieces of whole lines, each the shortest run of
@@ -302,9 +298,13 @@ def load_csv(path, label_column: str = "label") -> Dataset:
 
     A body of at least _SPLIT_BYTES (1 MiB) whose cells hold only digits,
     '.', 'e', 'E', '+' and '-', with every line ended by \\n, is parsed
-    instead through np.longdouble, in two threads, to the same doubles
-    (_plain_rows). Where that parse declines, for an unreadable cell, say,
-    np.loadtxt parses the body, so every error is the one above.
+    instead through np.longdouble, to the same doubles (_plain_rows): the
+    calling thread and one helper thread each take the next 256 KiB piece of
+    lines from a shared iterator until none is left, so the caller does not
+    wait for a fixed half of the helper's. Where that parse declines, for an
+    unreadable cell, say, np.loadtxt parses the body, so every error is the
+    one above; the check for ASCII separators runs only then, because the
+    plain parse's byte check already rejects them.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -354,10 +354,10 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
     """
     if raw[start:start + 1] in (b"\r", b"\n"):  # loadtxt warns on a body of blank lines
         raise ValueError("blank first data line")
-    if any(raw.find(sep, start) >= 0 for sep in _SEPARATORS):
-        raise ValueError("ASCII separator character in the data rows")
     table = _plain_rows(raw, start, n_columns)
-    if table is None:
+    if table is None:  # a plain body holds no separator: its byte check rejects them
+        if any(raw.find(sep, start) >= 0 for sep in _SEPARATORS):
+            raise ValueError("ASCII separator character in the data rows")
         table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
                            quotechar='"')
         n_lines = _line_feeds(raw, start, len(raw)) + (not raw.endswith((b"\n", b"\r")))
@@ -386,9 +386,10 @@ def _plain_rows(raw: bytes, start: int, n_columns: int) -> Optional[np.ndarray]:
     """The body from byte start as n_columns doubles a line, or None for a
     body shorter than _SPLIT_BYTES or one that the parse declines.
 
-    A helper thread parses the second half of the body's pieces while this
-    one parses the first; numpy releases the GIL while it parses. A
-    ValueError in either thread declines; any other exception is raised
+    This thread and one helper thread take the body's pieces from one shared
+    iterator, each the next piece when it has parsed its last, so neither
+    waits for the other at the end; numpy releases the GIL while it parses.
+    A ValueError in either thread declines; any other exception is raised
     here, once the helper has ended.
     """
     if not _X87_LONG_DOUBLE or len(raw) - start < _SPLIT_BYTES:
@@ -399,21 +400,35 @@ def _plain_rows(raw: bytes, start: int, n_columns: int) -> Optional[np.ndarray]:
     cells = n_columns * np.cumsum([0, *(_line_feeds(raw, a, b)
                                         for a, b in zip(bounds, bounds[1:]))])
     table = np.empty((cells[-1] // n_columns, n_columns))
-    pieces = list(zip(bounds, bounds[1:], cells, cells[1:]))
-    half = (len(pieces) + 1) // 2
+    # An iterator over a list of tuples hands each piece to exactly one
+    # thread: its next() runs in C under the GIL and allocates nothing. This
+    # thread takes the first piece before the helper starts, so that with
+    # two pieces or more each thread parses at least one.
+    pieces = iter(list(zip(bounds, bounds[1:], cells.tolist(), cells[1:].tolist())))
+    first = [next(pieces)]
     failures = []
-    helper = threading.Thread(target=_parse_pieces, args=(raw, pieces[half:], table, failures))
+    helper = threading.Thread(target=_parse_shared, args=(raw, pieces, table, failures))
     try:
         helper.start()
     except RuntimeError:  # no thread can be started: this one parses every piece
-        helper, half = None, len(pieces)
-    _parse_pieces(raw, pieces[:half], table, failures)
+        helper = None
+    _parse_pieces(raw, first, table, failures)
+    _parse_shared(raw, pieces, table, failures)
     if helper is not None:
         helper.join()
     for exc in failures:
         if not isinstance(exc, ValueError):
             raise exc
     return None if failures else table
+
+
+def _parse_shared(raw: bytes, pieces, table: np.ndarray, failures: list) -> None:
+    """_parse_pieces on one piece at a time from the shared iterator pieces,
+    until it is empty or either thread has failed."""
+    for piece in pieces:
+        if failures:
+            return
+        _parse_pieces(raw, [piece], table, failures)
 
 
 def _parse_pieces(raw: bytes, pieces, table: np.ndarray, failures: list) -> None:
@@ -425,21 +440,20 @@ def _parse_pieces(raw: bytes, pieces, table: np.ndarray, failures: list) -> None
     try:
         n_columns = table.shape[1]
         line = b"," * (n_columns - 1) + b"\n"
-        cells = table.reshape(-1)
         for start, end, first, stop in pieces:
-            if failures:  # the other thread's half has failed
+            if failures:  # the other thread has failed
                 return
             piece = raw[start:end]
             if piece.translate(None, _PLAIN_CELL_BYTES) != line * ((stop - first) // n_columns):
                 raise ValueError("not a plain piece")
-            _parse_piece(piece, cells[first:stop])
+            _parse_piece(piece, table[first // n_columns:stop // n_columns])
     except BaseException as exc:
         failures.append(exc)
 
 
 def _parse_piece(piece: bytes, out: np.ndarray) -> None:
-    """Fill out with the cells of piece, plain lines, each the double that
-    float() reads; ValueError if a cell is unreadable.
+    """Fill out, one row per line, with the cells of piece, plain lines,
+    each the double that float() reads; ValueError if a cell is unreadable.
 
     strtold rounds a cell to the nearest 64-bit significand, and the cast
     rounds that to 53 bits. Every midpoint between two doubles, and the
@@ -447,22 +461,24 @@ def _parse_piece(piece: bytes, out: np.ndarray) -> None:
     rounding is monotone, so the cast gives the double that float() gives
     unless strtold landed on a midpoint (low 11 bits 0x400) or below the
     normal doubles, where a double has fewer bits. Those cells are read
-    again with float().
+    again with float(), each from its own line.
     """
-    text = piece.replace(b"\n", b",")
-    values = np.fromstring(text, dtype=np.longdouble, sep=",")
-    if values.size != out.size:  # older numpy stops at an unreadable cell, with a warning
+    values = np.fromstring(piece.replace(b"\n", b","), dtype=np.longdouble, sep=",")
+    cells = out.reshape(-1)
+    if values.size != cells.size:  # older numpy stops at an unreadable cell, with a warning
         raise ValueError("cell count")
     with np.errstate(over="ignore"):  # a cell beyond the doubles casts to inf, as float() reads it
-        out[...] = values
+        cells[...] = values
     words = values.view(np.uint64).reshape(-1, 2)  # significand, then sign and exponent
     significand, exponent = words[:, 0], words[:, 1] & 0x7FFF
     again = ((significand & 0x7FF) == 0x400) | ((exponent < _MIN_NORMAL_EXPONENT)
                                                 & (significand != 0))
     if again.any():
-        ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
-        for k in np.flatnonzero(again):
-            out[k] = float(text[ends[k - 1] + 1 if k else 0:ends[k]])
+        ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == ord("\n")).tolist()
+        for k in np.flatnonzero(again).tolist():
+            row, column = divmod(k, out.shape[1])
+            line = piece[ends[row - 1] + 1 if row else 0:ends[row]]
+            cells[k] = float(line.split(b",")[column])
 
 
 def _raise_first_bad_cell(raw: bytes, header, label_pos: int) -> None:

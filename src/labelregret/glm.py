@@ -187,9 +187,41 @@ def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
 def _flagged_fit_error(X, opts: FitOptions) -> errors.LabelRegretError:
     """The error that fit_logistic raises on a row that the engine flags."""
     d = X.shape[1]
-    if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
+    if opts.ridge == 0.0 and _rank_deficient(X):
         return errors.SingularHessian(f"feature matrix has rank below {d} and no ridge is applied")
     return errors.FitDiverged("data looks separable; no finite optimum")
+
+
+def _rank_deficient(X) -> bool:
+    """np.linalg.matrix_rank(X) < d, without the SVD where the eigenvalues of
+    the Gram matrix X'X certify that matrix_rank returns d.
+
+    matrix_rank counts the computed singular values of X above
+    tol = s_max * max(n, d) * eps; they lie within e = max(n, d) * d * eps *
+    ||X||_F of the exact ones (a generous bound on the SVD's backward error),
+    and s_max <= ||X||_F. The exact s_min**2 is the least eigenvalue of X'X.
+    The computed Gram differs from X'X by at most gamma_n ||X||_F**2 in norm
+    2, and eigvalsh's eigenvalues are those of a matrix within a small
+    multiple of d eps ||X||_F**2 of the Gram, so the least computed
+    eigenvalue less slack = (n + 4 d**2) eps ||X||_F**2 is at most s_min**2;
+    slack also covers products that underflow, each off by at most the
+    smallest subnormal. When the square root of that difference, less e,
+    exceeds (||X||_F + e) max(n, d) eps, every computed singular value
+    passes tol and X has full rank. Otherwise, as for a design near or at
+    rank deficiency, or one whose Gram overflows, matrix_rank decides.
+    """
+    n, d = X.shape
+    with np.errstate(over="ignore"):
+        gram = X.T @ X
+    if np.isfinite(gram).all():
+        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        frobenius = math.sqrt(np.trace(gram) * (1 + 2 * n * eps))
+        slack = (n + 4 * d * d) * eps * frobenius ** 2 + n * d * tiny
+        least = np.linalg.eigvalsh(gram)[0] - slack
+        error = max(n, d) * d * eps * frobenius
+        if least > 0 and math.sqrt(least) - error > (frobenius + error) * max(n, d) * eps:
+            return False
+    return bool(np.linalg.matrix_rank(X) < d)
 
 
 def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0=None):
@@ -245,7 +277,7 @@ def _fit_rows(X, label_rows, opts: FitOptions, theta0, trace):
             f"warm start has shape {start.shape}, expected ({d},) or ({K}, {d})")
     thetas = np.full((K, d), np.nan)
     separable = np.ones(K, dtype=bool)
-    if opts.ridge == 0.0 and np.linalg.matrix_rank(X) < d:
+    if opts.ridge == 0.0 and _rank_deficient(X):
         return thetas, separable
     # Row i of XX is the flattened outer product x_i x_i', so w @ XX is X' diag(w) X.
     XX = (X[:, :, None] * X[:, None, :]).reshape(n, d * d) \

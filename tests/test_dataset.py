@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -579,6 +580,28 @@ class TestSplitParse:
         assert plain_tables == [True, False]
 
 
+    def test_helper_may_take_more_pieces_than_the_caller(self, tmp_path, monkeypatch,
+                                                         split_tables):
+        """Both threads take pieces from one shared iterator: when the
+        caller's parse is slow, the helper takes most of the pieces, and the
+        table is still the reference's, bit for bit."""
+        parse_piece, parsed = dataset._parse_piece, []
+
+        def slow_caller(piece, out):
+            caller = threading.current_thread() is threading.main_thread()
+            if caller:
+                time.sleep(0.002)
+            parse_piece(piece, out)
+            parsed.append(caller)
+
+        monkeypatch.setattr(dataset, "_parse_piece", slow_caller)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,label\n" + b"".join(b"%r,%r,%d\n" % (0.1 * i, -1.0 / (i + 3), i % 2)
+                                                   for i in range(200)))
+        assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
+        assert split_tables == [True] and len(parsed) == 200
+        assert 1 <= parsed.count(True) < parsed.count(False)
+
 # cells that every fuzz case holds, beside its own
 SPECIAL_CELLS = ["-0", "+0", ".5", "5.", "+1", "00012", "1E5", "1e400", "1e-400",
                  "1.7976931348623157e308", "1.7976931348623158e308", "5e-324",
@@ -645,6 +668,28 @@ def test_plain_parse_matches_loadtxt_bit_for_bit(monkeypatch, case):
                              sep=",").astype(float)
     assert cast.tobytes() != expected.tobytes()  # the case needs the re-read
 
+
+
+@pytest.mark.skipif(not dataset._X87_LONG_DOUBLE, reason="needs x87 80-bit long double")
+def test_cells_read_again_on_the_first_and_last_line_of_a_piece(monkeypatch):
+    """A cell that strtold lands on a double midpoint is read again from its
+    own line, on a piece's first and last line as on any other: each such
+    cell is read once, and the table is np.loadtxt's, bit for bit."""
+    gen = np.random.default_rng(31)
+    mids = midpoint_cells(gen, 80)
+    lines = [f"{mids[2 * i]},{0.5 * i!r},{mids[2 * i + 1]},{i % 2}\n" for i in range(40)]
+    body = "".join(lines)
+    monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(dataset, "_PIECE_BYTES", 5 * len(lines[0]))  # pieces of 4 to 6 lines
+    read = []
+    monkeypatch.setattr(dataset, "float", lambda cell: read.append(cell) or float(cell),
+                        raising=False)
+    table = dataset._plain_rows(b"header\n" + body.encode(), len(b"header\n"), 4)
+    expected = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    assert table is not None and table.tobytes() == expected.tobytes()
+    cells = np.fromstring(",".join(mids).encode(), dtype=np.longdouble, sep=",")
+    assert ((cells.view(np.uint64)[::2] & 0x7FF) == 0x400).all()  # each one a re-read
+    assert sorted(read) == sorted(cell.encode() for cell in mids)
 
 class TestDrawLabels:
     def test_degenerate_probabilities(self):

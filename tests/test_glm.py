@@ -208,6 +208,57 @@ def per_row_fits(features, label_rows, opts, theta0=None):
     return thetas, raised
 
 
+
+def near_collinear_designs():
+    """(X, label) pairs: random designs whose last column is the first plus
+    delta times noise, delta from 1e-2 to 0, at scales 1e-8 to 1e8."""
+    gen = np.random.default_rng(41)
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        for delta in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16, 0.0):
+            for n, d in ((6, 2), (9, 3), (200, 4), (2000, 6)):
+                X = gen.standard_normal((n, d)) * scale
+                X[:, -1] = X[:, 0] + delta * scale * gen.standard_normal(n)
+                yield X, f"scale={scale:g} delta={delta:g} {n}x{d}"
+
+
+class TestRankCertificate:
+    """glm._rank_deficient: matrix_rank's verdict, certified from the Gram
+    matrix's eigenvalues where they leave no doubt."""
+
+    def test_agrees_with_matrix_rank_on_near_collinear_designs(self):
+        designs = list(near_collinear_designs())
+        verdicts = [(glm._rank_deficient(X), bool(np.linalg.matrix_rank(X) < X.shape[1]), label)
+                    for X, label in designs]
+        assert [v for v in verdicts if v[0] != v[1]] == []
+        assert len(designs) == 180 and 0 < sum(v[1] for v in verdicts) < 180
+
+    @pytest.mark.parametrize("n, d", [(6, 1), (9, 3), (200, 2), (10_000, 21)])
+    def test_certificate_decides_well_conditioned_designs(self, monkeypatch, n, d):
+        """No SVD runs on a well-conditioned design, in the rank check or in
+        a ridge-0 fit."""
+        def no_svd(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+        gen = np.random.default_rng(n)
+        features = gen.standard_normal((n, d))
+        assert not glm._rank_deficient(features)
+        labels = np.where(gen.random(n) < 0.5, 1, -1)
+        labels[:2] = [1, -1]
+        try:
+            lr.fit_logistic(lr.Dataset(features, labels), lr.FitOptions(include_intercept=False))
+        except errors.FitDiverged:  # a separable draw: the rank check ran all the same
+            pass
+
+    @pytest.mark.parametrize("X", [np.full((4, 2), 1e200), np.zeros((5, 2)),
+                                   np.array([[1e-170, 1.0], [2e-170, 0.0], [0.0, 1.0]])],
+                             ids=["Gram overflows", "zero design", "column underflows"])
+    def test_matrix_rank_decides_what_the_certificate_cannot(self, monkeypatch, X):
+        calls = []
+        matrix_rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda A: calls.append(1) or matrix_rank(A))
+        assert glm._rank_deficient(X) == (matrix_rank(X) < 2) and calls == [1]
+
 class TestFitLogisticBatch:
     """The batched engine against one reference fit per row."""
 

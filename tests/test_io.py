@@ -107,6 +107,105 @@ class TestWriteTable:
         assert list(tmp_path.iterdir()) == []
 
 
+def repr_text(values) -> str:
+    """float.__repr__ of each double, one per line: the kernel's reference."""
+    return "".join(text + "\n" for text in map(float.__repr__, values.tolist()))
+
+
+def fuzz_doubles(name, gen, n) -> np.ndarray:
+    """n doubles of one kind, for the table kernel's fuzz test."""
+    if name == "standard normal":
+        return gen.standard_normal(n)
+    if name == "q-like":
+        return 10.0 ** gen.uniform(-7, -3, n)
+    if name == "log-uniform":
+        return gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-12, 17, n)
+    if name == "integers":
+        return gen.integers(-10 ** 15, 10 ** 15, n) // 10.0 ** gen.integers(0, 15, n)
+    if name == "short decimals":
+        return gen.integers(-10 ** 6, 10 ** 6, n) / 10.0 ** gen.integers(0, 12, n)
+    if name == "eighths":
+        return gen.integers(-10 ** 9, 10 ** 9, n) / 8.0
+    # powers of 2 and 10, their neighbours, and the format and carry boundaries
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309),
+                             [1e16, 1e-4, 1e-10, 9999999999999998.0, 0.1, 0.3]])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0 ** -1022,
+                        np.nextafter(2.0 ** -1022, 0.0), 1.7976931348623157e308])
+    near = powers[None, :] * (1 + gen.integers(-8, 9, (n // (20 * powers.size) + 1, 1)) * 2.0 ** -52)
+    carries = (10.0 - gen.integers(1, 200, n // 4) * 2.0 ** -49) * 10.0 ** gen.integers(-11, 16, n // 4)
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                             special, near.ravel(), carries])
+    values = np.concatenate([values, -values, gen.standard_normal(n) * 10.0 ** gen.integers(-320, 300, n)])
+    return values[:n] if values.size > n else values
+
+
+FUZZ_KINDS = ["standard normal", "q-like", "log-uniform", "integers", "short decimals",
+              "eighths", "boundaries"]
+
+
+@pytest.mark.skipif(not _io._X87_LONG_DOUBLE, reason="the kernel needs x87's 80-bit long double")
+class TestTableKernel:
+    """write_table's vectorised formatting of large tables (_io._table_text)
+    against float.__repr__ and str(int)."""
+
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_digits_equal_float_repr(self, kind):
+        """Over the seven kinds, 5.25 million doubles, each written as
+        float.__repr__ writes it."""
+        gen = np.random.default_rng(FUZZ_KINDS.index(kind) + 11)
+        certified = 0
+        for _ in range(5):
+            values = fuzz_doubles(kind, gen, 150_000)
+            assert _io._table_text([values], [values]) == repr_text(values)
+            certified += _io._shortest(values)[0].size
+        assert certified > {"boundaries": 0.3, "log-uniform": 0.8}.get(kind, 0.9) * 750_000
+
+    def test_cells_left_to_repr(self):
+        """The kernel certifies none of the cells outside its reach: zeros,
+        non-finite values, powers of two and |x| outside [1e-10, 1e16)."""
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, 2.0 ** 40, -0.125,
+                           9.9e-11, 1e16, 3e17, 5e-324])
+        assert _io._shortest(values)[0].size == 0
+        assert _io._table_text([values], [values]) == repr_text(values)
+
+    @pytest.mark.parametrize("rows", [2048, 5000])
+    def test_mixed_tables_equal_the_repr_path(self, tmp_path, monkeypatch, rows):
+        """Above the size rule, a table of int, uint, float, negative and
+        special columns is written byte for byte as the per-cell path writes it."""
+        gen = np.random.default_rng(rows)
+        columns = [np.arange(rows), gen.integers(-2 ** 63, 2 ** 63 - 1, rows, dtype=np.int64),
+                   gen.integers(0, 2 ** 64 - 1, rows, dtype=np.uint64),
+                   -(10.0 ** gen.uniform(-7, -3, rows)), gen.standard_normal(rows),
+                   gen.choice([0.0, -0.0, np.inf, np.nan, 0.25, 1e300, 5e-324, 1.5], rows),
+                   (gen.standard_normal(rows) * 100).astype(np.float32), gen.random(rows) < 0.5]
+        header = [f"c{i}" for i in range(len(columns))]
+        calls = []
+        table_text = _io._table_text
+        monkeypatch.setattr(_io, "_table_text", lambda *a: calls.append(1) or table_text(*a))
+        write_table(tmp_path / "kernel.csv", header, columns)
+        monkeypatch.setattr(_io, "TABLE_KERNEL_CELLS", math.inf)
+        write_table(tmp_path / "repr.csv", header, columns)
+        assert calls == [1]
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join([*map(str, row[:3]), *map(format_float, row[3:])]) + "\n"
+            for row in zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / "repr.csv").read_text(encoding="utf-8") == expected
+        assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+    def test_size_rule_reads_the_float_cell_count(self, tmp_path, monkeypatch):
+        """A table goes to the kernel when it has at least TABLE_KERNEL_CELLS
+        float cells, whatever its integer columns hold."""
+        calls = []
+        table_text = _io._table_text
+        monkeypatch.setattr(_io, "_table_text", lambda *a: calls.append(1) or table_text(*a))
+        cells = _io.TABLE_KERNEL_CELLS
+        below = np.ones(cells - 1)
+        write_table(tmp_path / "t.csv", ["i", "j", "x"], [np.arange(cells - 1)] * 2 + [below])
+        assert calls == []
+        write_table(tmp_path / "t.csv", ["x", "y"], [np.ones(cells // 2)] * 2)
+        assert calls == [1]
+
+
 class TestJson:
     def test_numpy_array_written_as_list_of_floats(self, tmp_path):
         values = np.array([-0.0, 5e-324, 1e308, 0.1, -2.5])
