@@ -31,8 +31,10 @@ def _default_names(d: int) -> tuple:
 class Dataset:
     """An n-by-d feature matrix with one {-1,+1} label per row.
 
-    Arrays are copied on construction and frozen read-only, so an instance
-    can be shared freely and never changes after it is built.
+    The constructor copies the features and labels, checks the copies and
+    freezes them read-only, so an instance can be shared freely and never
+    changes after it is built. Only load_csv builds one without copying
+    (_adopted): it keeps the arrays that it has just made and checked.
     """
 
     features: np.ndarray
@@ -40,17 +42,23 @@ class Dataset:
     feature_names: tuple = ()
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=float)
+        self._keep(np.array(self.features, dtype=float), self.labels, checked=False)
+
+    def _keep(self, X: np.ndarray, labels, checked: bool) -> None:
+        """Check the shapes and names, freeze X and the labels, and keep them.
+        checked: X is finite and labels an int64 vector of -1 and +1, both
+        made by the caller, so neither is copied and their values are not
+        checked again."""
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise errors.EmptyDataset(
                 f"features must be a non-empty 2-D matrix, got shape {X.shape}")
-        if not np.all(np.isfinite(X)):
+        if not checked and not np.all(np.isfinite(X)):
             raise ValueError("feature entries must be finite")
-        y = np.array(self.labels, dtype=np.int64)
+        y = labels if checked else np.array(labels, dtype=np.int64)
         if y.shape != (X.shape[0],):
             raise errors.DimensionMismatch(
                 f"{X.shape[0]} rows but {y.size} labels")
-        if not np.all(np.abs(y) == 1):
+        if not checked and not np.all(np.abs(y) == 1):
             raise errors.InvalidLabelValue(
                 int(np.argmax(np.abs(y) != 1)), y[np.abs(y) != 1][0])
         names = tuple(self.feature_names) if self.feature_names else _default_names(X.shape[1])
@@ -76,6 +84,16 @@ class Dataset:
     def with_labels(self, labels) -> "Dataset":
         """Same features and names, different labels."""
         return Dataset(self.features, labels, self.feature_names)
+
+
+def _adopted(features: np.ndarray, labels: np.ndarray, feature_names: tuple) -> Dataset:
+    """A Dataset that keeps features, a finite C-contiguous float matrix,
+    and labels, an int64 vector of -1 and +1, as they are: no copy, and no
+    second check of their values (see Dataset._keep)."""
+    data = object.__new__(Dataset)
+    object.__setattr__(data, "feature_names", feature_names)
+    data._keep(features, labels, checked=True)
+    return data
 
 
 @dataclass(frozen=True)
@@ -301,10 +319,16 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     instead through np.longdouble, to the same doubles (_plain_rows): the
     calling thread and one helper thread each take the next 256 KiB piece of
     lines from a shared iterator until none is left, so the caller does not
-    wait for a fixed half of the helper's. Where that parse declines, for an
-    unreadable cell, say, np.loadtxt parses the body, so every error is the
-    one above; the check for ASCII separators runs only then, because the
-    plain parse's byte check already rejects them.
+    wait for a fixed half of the helper's. Each thread learns its piece's
+    row count from the piece's byte check, so no pass counts the body's
+    lines first, and parses the piece into a table of its own. Where that
+    parse declines, for an unreadable cell, say, np.loadtxt parses the body,
+    so every error is the one above; the check for ASCII separators runs
+    only then, because the plain parse's byte check already rejects them.
+
+    The rows, from the piece tables or np.loadtxt's table, are copied once
+    into the feature matrix and the label vector that the Dataset keeps;
+    finiteness and label values are checked once, on those.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -328,12 +352,11 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     if start == len(raw):
         raise errors.EmptyDataset(f"{path} has a header but no data rows")
     try:
-        table = _parse_rows(raw, start, lines, len(header), label_pos)
+        features, labels = _parse_rows(raw, start, lines, len(header), label_pos)
     except ValueError:
         _raise_first_bad_cell(raw, header, label_pos)
         raise
-    labels = np.where(table[:, label_pos] == 1.0, 1, -1)
-    return Dataset(np.delete(table, label_pos, axis=1), labels, feature_names)
+    return _adopted(features, np.where(labels == 1.0, 1, -1), feature_names)
 
 
 def _text_lines(raw: bytes):
@@ -347,15 +370,17 @@ def _body_start(raw: bytes, header_lines: int) -> int:
     return ends[-1] if len(ends) == header_lines else len(raw)
 
 
-def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -> np.ndarray:
-    """The data rows as one float array; ValueError unless every check passes.
+def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int):
+    """The data rows as (features, labels), a C-contiguous float matrix of
+    every column but label_pos and a float vector of that one; ValueError
+    unless every check passes.
 
     lines is positioned at the first data row, which starts at byte start.
     """
     if raw[start:start + 1] in (b"\r", b"\n"):  # loadtxt warns on a body of blank lines
         raise ValueError("blank first data line")
-    table = _plain_rows(raw, start, n_columns)
-    if table is None:  # a plain body holds no separator: its byte check rejects them
+    tables = _plain_rows(raw, start, n_columns)
+    if tables is None:  # a plain body holds no separator: its byte check rejects them
         if any(raw.find(sep, start) >= 0 for sep in _SEPARATORS):
             raise ValueError("ASCII separator character in the data rows")
         table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
@@ -367,12 +392,28 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int) -
         # leaves fewer rows than lines
         if table.shape != (n_lines, n_columns):
             raise ValueError("blank line, quoted line break or wrong row length")
-    if not np.isfinite(table).all():
-        raise ValueError("non-finite value")
-    labels = table[:, label_pos]
-    if not ((labels == 0.0) | (np.abs(labels) == 1.0)).all():
+        tables = [table]
+    features, labels = _split_label(tables, label_pos)
+    if not np.isfinite(features).all():
+        raise ValueError("non-finite feature")
+    if not ((labels == 0.0) | (np.abs(labels) == 1.0)).all():  # rejects nan and inf too
         raise ValueError("label outside {-1, 0, 1}")
-    return table
+    return features, labels
+
+
+def _split_label(tables: list, label_pos: int):
+    """The rows of tables, in order, as a C-contiguous matrix of every
+    column but label_pos and a vector of that one."""
+    n_rows = sum(len(table) for table in tables)
+    features = np.empty((n_rows, tables[0].shape[1] - 1))
+    labels = np.empty(n_rows)
+    end = 0
+    for table in tables:
+        row, end = end, end + len(table)
+        features[row:end, :label_pos] = table[:, :label_pos]
+        features[row:end, label_pos:] = table[:, label_pos + 1:]
+        labels[row:end] = table[:, label_pos]
+    return features, labels
 
 
 def _line_feeds(raw: bytes, start: int, end: int) -> int:
@@ -382,71 +423,77 @@ def _line_feeds(raw: bytes, start: int, end: int) -> int:
                for i in range(0, text.size, _COUNT_SLICE))
 
 
-def _plain_rows(raw: bytes, start: int, n_columns: int) -> Optional[np.ndarray]:
-    """The body from byte start as n_columns doubles a line, or None for a
-    body shorter than _SPLIT_BYTES or one that the parse declines.
+def _plain_rows(raw: bytes, start: int, n_columns: int) -> Optional[list]:
+    """The body from byte start as one table of n_columns doubles a line
+    for each piece, in order, or None for a body shorter than _SPLIT_BYTES
+    or one that the parse declines.
 
     This thread and one helper thread take the body's pieces from one shared
     iterator, each the next piece when it has parsed its last, so neither
     waits for the other at the end; numpy releases the GIL while it parses.
-    A ValueError in either thread declines; any other exception is raised
-    here, once the helper has ended.
+    A piece's row count is the number of lines that its byte check finds,
+    so the body's lines are not counted beforehand. A ValueError in either
+    thread declines; any other exception is raised here, once the helper
+    has ended.
     """
     if not _X87_LONG_DOUBLE or len(raw) - start < _SPLIT_BYTES:
         return None
     bounds = [start]
     while bounds[-1] < len(raw):
         bounds.append(raw.find(b"\n", bounds[-1] + _PIECE_BYTES - 1) + 1 or len(raw))
-    cells = n_columns * np.cumsum([0, *(_line_feeds(raw, a, b)
-                                        for a, b in zip(bounds, bounds[1:]))])
-    table = np.empty((cells[-1] // n_columns, n_columns))
+    tables = [None] * (len(bounds) - 1)
     # An iterator over a list of tuples hands each piece to exactly one
     # thread: its next() runs in C under the GIL and allocates nothing. This
     # thread takes the first piece before the helper starts, so that with
     # two pieces or more each thread parses at least one.
-    pieces = iter(list(zip(bounds, bounds[1:], cells.tolist(), cells[1:].tolist())))
+    pieces = iter(list(zip(range(len(tables)), bounds, bounds[1:])))
     first = [next(pieces)]
     failures = []
-    helper = threading.Thread(target=_parse_shared, args=(raw, pieces, table, failures))
+    helper = threading.Thread(target=_parse_shared,
+                              args=(raw, pieces, n_columns, tables, failures))
     try:
         helper.start()
     except RuntimeError:  # no thread can be started: this one parses every piece
         helper = None
-    _parse_pieces(raw, first, table, failures)
-    _parse_shared(raw, pieces, table, failures)
+    _parse_pieces(raw, first, n_columns, tables, failures)
+    _parse_shared(raw, pieces, n_columns, tables, failures)
     if helper is not None:
         helper.join()
     for exc in failures:
         if not isinstance(exc, ValueError):
             raise exc
-    return None if failures else table
+    return None if failures else tables
 
 
-def _parse_shared(raw: bytes, pieces, table: np.ndarray, failures: list) -> None:
+def _parse_shared(raw: bytes, pieces, n_columns: int, tables: list, failures: list) -> None:
     """_parse_pieces on one piece at a time from the shared iterator pieces,
     until it is empty or either thread has failed."""
     for piece in pieces:
         if failures:
             return
-        _parse_pieces(raw, [piece], table, failures)
+        _parse_pieces(raw, [piece], n_columns, tables, failures)
 
 
-def _parse_pieces(raw: bytes, pieces, table: np.ndarray, failures: list) -> None:
-    """_parse_piece on each (start, end, first cell, end cell) piece of raw;
-    ValueError for a piece that is not plain, that is, whose bytes other
-    than _PLAIN_CELL_BYTES are not the commas and \\n of its lines. The
-    first exception, in this thread or the other, ends the loop; this
-    thread's goes to failures, not to threading.excepthook."""
+def _parse_pieces(raw: bytes, pieces, n_columns: int, tables: list, failures: list) -> None:
+    """For each (index, start, end) piece of raw, _parse_piece into a new
+    table of n_columns doubles a line, put at tables[index]; ValueError for
+    a piece that is not plain, that is, whose bytes other than
+    _PLAIN_CELL_BYTES are not the commas and \\n of whole lines. The first
+    exception, in this thread or the other, ends the loop; this thread's
+    goes to failures, not to threading.excepthook."""
     try:
-        n_columns = table.shape[1]
         line = b"," * (n_columns - 1) + b"\n"
-        for start, end, first, stop in pieces:
+        for index, start, end in pieces:
             if failures:  # the other thread has failed
                 return
             piece = raw[start:end]
-            if piece.translate(None, _PLAIN_CELL_BYTES) != line * ((stop - first) // n_columns):
+            rest = piece.translate(None, _PLAIN_CELL_BYTES)
+            n_rows = len(rest) // n_columns
+            if rest != line * n_rows:
                 raise ValueError("not a plain piece")
-            _parse_piece(piece, table[first // n_columns:stop // n_columns])
+            table = np.empty((n_rows, n_columns))
+            _parse_piece(piece, table)
+            tables[index] = table
     except BaseException as exc:
         failures.append(exc)
 

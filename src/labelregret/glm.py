@@ -613,7 +613,10 @@ def auc(probs, labels) -> float:
 
 def _average_ranks(values) -> np.ndarray:
     """1-based ranks of values, each tie group given the mean of its positions."""
-    order = np.argsort(values, kind="stable")
+    # Each member of a tie group gets the group's mean rank, so the order
+    # within a group, which an unstable sort leaves arbitrary, cannot change
+    # a rank. (A NaN is a group of its own, so NaNs are ranked in any order.)
+    order = np.argsort(values)
     ordered = values[order]
     # first sorted position of each group of equal values, plus the end
     bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])

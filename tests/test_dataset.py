@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -198,6 +199,10 @@ def load_outcome(loader, path, label_column="label"):
         d = loader(path, label_column)
     except errors.LabelRegretError as exc:
         return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    except ValueError as exc:  # Dataset's check of the feature names
+        if type(exc) is not ValueError:  # UnicodeDecodeError: see outcome
+            raise
+        return ValueError, str(exc)
     return (d.features.shape, d.features.dtype, d.features.tobytes(),
             d.labels.dtype, d.labels.tobytes(), d.feature_names)
 
@@ -250,6 +255,8 @@ LOADER_CORPUS = {
     "label last": ("a,b,y\n0.5,2,1\n1.5,3,0\n", "y"),
     "bad label first": ("y,a\n3,1\n", "y"),
     "quoted header": ('"a","b",label\n1,2,0\n', "label"),
+    "duplicate feature names": ("a,a,label\n1,2,0\n", "label"),
+    "empty feature name": ("a,,label\n1,2,0\n", "label"),
     "header only": ("a,label\n", "label"),
     "header without line end": ("a,label", "label"),
     "empty file": ("", "label"),
@@ -453,9 +460,9 @@ class TestSplitParse:
         monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
         parse_pieces, starts = dataset._parse_pieces, []
 
-        def recording(raw, pieces, table, failures):
-            starts.extend(piece[0] for piece in pieces)
-            parse_pieces(raw, pieces, table, failures)
+        def recording(raw, pieces, n_columns, tables, failures):
+            starts.extend(start for _, start, _ in pieces)
+            parse_pieces(raw, pieces, n_columns, tables, failures)
 
         monkeypatch.setattr(dataset, "_parse_pieces", recording)
         first = -(-dataset._PIECE_BYTES // len(ROW))  # the second piece's first row
@@ -547,10 +554,10 @@ class TestSplitParse:
         parsed = []
         monkeypatch.setattr(dataset, "_parse_piece", lambda piece, out: parsed.append(piece))
         raw = b"h\n" + ROW * 4
-        pieces = [(2 + i * len(ROW), 2 + (i + 1) * len(ROW), 3 * i, 3 * i + 3) for i in range(4)]
-        dataset._parse_pieces(raw, pieces, np.zeros((4, 3)), [ValueError("other half")])
+        pieces = [(i, 2 + i * len(ROW), 2 + (i + 1) * len(ROW)) for i in range(4)]
+        dataset._parse_pieces(raw, pieces, 3, [None] * 4, [ValueError("other half")])
         assert parsed == []
-        dataset._parse_pieces(raw, pieces, np.zeros((4, 3)), [])
+        dataset._parse_pieces(raw, pieces, 3, [None] * 4, [])
         assert parsed == [ROW] * 4
 
     @pytest.mark.parametrize("condition", ["quote in the body", "no 80-bit long double",
@@ -601,6 +608,54 @@ class TestSplitParse:
         assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
         assert split_tables == [True] and len(parsed) == 200
         assert 1 <= parsed.count(True) < parsed.count(False)
+
+    def test_body_declined_in_its_last_piece(self, tmp_path, monkeypatch, split_tables):
+        """A quoted cell on the last line declines the plain parse in the
+        last piece: each piece is parsed plain at most once, np.loadtxt then
+        loads the body once, and the load is the reference's."""
+        monkeypatch.setattr(dataset, "_PIECE_BYTES", 100 * len(ROW))
+        rows = [b"%d.5,2.5,%d\n" % (i, i % 2) for i in range(1999)]  # no two pieces alike
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,label\n" + b"".join(rows) + b'"1.5",2.5,0\n')
+        parse_piece, loadtxt, events = dataset._parse_piece, np.loadtxt, []
+
+        def recording_piece(piece, out):
+            events.append(piece)
+            parse_piece(piece, out)
+
+        def recording_loadtxt(*args, **kwargs):
+            events.append("loadtxt")
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "_parse_piece", recording_piece)
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)
+        assert split_tables == [False] and events[-1] == "loadtxt"
+        pieces = events[:-1]
+        assert "loadtxt" not in pieces and len(set(pieces)) == len(pieces)
+        assert not any(piece.endswith(b'"1.5",2.5,0\n') for piece in pieces)
+
+    def test_load_holds_no_third_copy_of_the_table(self, tmp_path, plain_tables):
+        """The tracemalloc peak of one load of a 2 MiB plain body of short
+        cells, less the body, stays below 2.5 times the feature matrix. The
+        piece tables, the matrix that the Dataset keeps and the finiteness
+        check's mask come to 2.23 times it; a third copy of the table would
+        add one more."""
+        gen = np.random.default_rng(43)
+        cells = gen.integers(0, 10, ((1 << 21) // 42 + 1, 21))
+        cells[:, -1] %= 2
+        path = tmp_path / "d.csv"
+        body = "".join(",".join(map(str, row)) + "\n" for row in cells.tolist())
+        path.write_text("".join(f"x{j}," for j in range(20)) + "label\n" + body)
+        tracemalloc.start()
+        try:
+            loaded = lr.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plain_tables == [True]
+        np.testing.assert_array_equal(loaded.features, cells[:, :-1])
+        assert peak - path.stat().st_size < 2.5 * loaded.features.nbytes
 
 # cells that every fuzz case holds, beside its own
 SPECIAL_CELLS = ["-0", "+0", ".5", "5.", "+1", "00012", "1E5", "1e400", "1e-400",
@@ -661,8 +716,8 @@ def test_plain_parse_matches_loadtxt_bit_for_bit(monkeypatch, case):
     monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
     monkeypatch.setattr(dataset, "_PIECE_BYTES", 1 << 16)
     expected = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-    table = dataset._plain_rows(b"header\n" + body.encode(), len(b"header\n"), 21)
-    assert table is not None and table.tobytes() == expected.tobytes()
+    tables = dataset._plain_rows(b"header\n" + body.encode(), len(b"header\n"), 21)
+    assert tables is not None and np.concatenate(tables).tobytes() == expected.tobytes()
     with np.errstate(over="ignore"):
         cast = np.fromstring(body.replace("\n", ",").encode(), dtype=np.longdouble,
                              sep=",").astype(float)
@@ -684,9 +739,9 @@ def test_cells_read_again_on_the_first_and_last_line_of_a_piece(monkeypatch):
     read = []
     monkeypatch.setattr(dataset, "float", lambda cell: read.append(cell) or float(cell),
                         raising=False)
-    table = dataset._plain_rows(b"header\n" + body.encode(), len(b"header\n"), 4)
+    tables = dataset._plain_rows(b"header\n" + body.encode(), len(b"header\n"), 4)
     expected = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-    assert table is not None and table.tobytes() == expected.tobytes()
+    assert tables is not None and np.concatenate(tables).tobytes() == expected.tobytes()
     cells = np.fromstring(",".join(mids).encode(), dtype=np.longdouble, sep=",")
     assert ((cells.view(np.uint64)[::2] & 0x7FF) == 0x400).all()  # each one a re-read
     assert sorted(read) == sorted(cell.encode() for cell in mids)

@@ -1,3 +1,4 @@
+import fractions
 import math
 import os
 import subprocess
@@ -930,6 +931,23 @@ class TestAuc:
             wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
             expected = wins / (len(pos) * len(neg))
             assert abs(lr.auc(scores, labels) - expected) < 1e-12
+
+    @pytest.mark.parametrize("n, levels", [(7, 2), (300, 3), (2_000, 5), (4_000, 40)])
+    def test_tie_heavy_scores_equal_an_exact_pairwise_count(self, n, levels):
+        """Scores of a few distinct values, so that most pairs tie: the AUC
+        is (wins + ties / 2) / (n_pos n_neg) from an exact count of all
+        pairs, correctly rounded, and a permutation of the points, which
+        reorders every tie group, leaves it bit for bit."""
+        gen = np.random.default_rng(n)
+        scores = gen.integers(0, levels, n) / levels
+        labels = np.where(np.arange(n) % 3 == 0, 1, -1)
+        gen.shuffle(labels)
+        pos, neg = scores[labels == 1][:, None], scores[labels == -1][None, :]
+        wins, ties = int((pos > neg).sum()), int((pos == neg).sum())
+        exact = fractions.Fraction(2 * wins + ties, 2 * pos.size * neg.size)
+        assert lr.auc(scores, labels) == float(exact)
+        order = gen.permutation(n)
+        assert lr.auc(scores[order], labels[order]) == float(exact)
 
 
 class TestMeanKl:
