@@ -24,9 +24,9 @@ from .harness import (ActiveLearningTrace, SelectiveCurve, TrialsResult,
                       TrialSummary, active_learning_run, oracle_error_scores,
                       run_trials, selective_prediction_curve, summarize_trials)
 from .regret import (RegretReport, estimate_regret, exact_regret_enumeration,
-                     save_regret_report, true_regret, variance_standard_error)
+                     true_regret, variance_standard_error)
 from .theory import (TheoryReport, compute_hessian, epsilon_bound, q_values,
-                     save_theory_report, theory_report)
+                     theory_report)
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,7 @@ __all__ = [
     "gaussian_semisynthetic", "load_csv", "load_model", "load_semisynthetic",
     "log_loss", "make_semisynthetic", "mean_kl", "oracle_error_scores",
     "predict_proba", "q_values", "run_trials",
-    "save_regret_report", "save_semisynthetic",
-    "save_theory_report", "selective_prediction_curve",
+    "save_semisynthetic", "selective_prediction_curve",
     "semisynthetic_from_model", "sigmoid", "standardize_features",
     "summarize_trials", "theory_report", "true_regret",
     "two_cluster_population", "two_cluster_semisynthetic",

@@ -2,11 +2,7 @@
 
 CSV text is built only by write_table, JSON text only by dump_json and JSON
 is parsed only by read_json, so the number format, the line layout and the
-error raised for a bad file are decided here once. dump_json writes the bytes
-of json.dumps(payload, indent=2, sort_keys=True) through a small recursive
-writer: with an indent, json.dumps runs its pure-Python encoder, one call per
-value, while the writer formats a finite float64 vector in one join of float
-reprs and hands json.dumps only what it does not handle itself.
+error raised for a bad file are decided here once.
 
 write_table formats a table of at least TABLE_KERNEL_CELLS float cells in
 numpy (_table_text), to the bytes that float.__repr__ and str give each
@@ -45,9 +41,7 @@ float.__repr__'s 0.8-1 us a cell saves.
 from __future__ import annotations
 
 import json
-import math
 import os
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -307,47 +301,8 @@ def _plain(value):
 
 def dump_json(path, payload) -> None:
     """Deterministic JSON file: sorted keys, two-space indent, trailing newline;
-    the text of json.dumps(payload, indent=2, sort_keys=True, default=_plain)."""
-    atomic_write_text(path, _render(payload, "") + "\n")
-
-
-def _render(value, pad: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True, default=_plain), written at
-    an indentation of pad. Non-finite floats, objects with a key that is not a
-    string, and types not handled here go to json.dumps itself; its only line
-    breaks are those of its indent, so pad is added after each of them."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        if value.ndim == 1 and value.dtype == np.float64 and np.isfinite(value).all():
-            return _bracketed("[", map(float.__repr__, value.tolist()), "]", pad)
-        value = value.tolist()
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        return _bracketed("[", (_render(item, inner) for item in value), "]", pad)
-    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
-        return _bracketed("{", (f"{encode_basestring_ascii(key)}: {_render(value[key], inner)}"
-                                for key in sorted(value)), "}", pad)
-    text = json.dumps(value, indent=2, sort_keys=True, default=_plain)
-    return text.replace("\n", "\n" + pad)
-
-
-def _bracketed(opening: str, items, closing: str, pad: str) -> str:
-    """The rendered items, one per line at pad plus two spaces, between the
-    brackets; the bare brackets when there are none."""
-    inner = pad + "  "
-    body = (",\n" + inner).join(items)
-    return f"{opening}\n{inner}{body}\n{pad}{closing}" if body else opening + closing
+    json.dumps(payload, indent=2, sort_keys=True, default=_plain)."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n")
 
 
 # A schema maps each key of a JSON object to the kind its value must have: a

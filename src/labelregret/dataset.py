@@ -277,10 +277,6 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # The largest csv field size limit that a C long holds on every platform.
 _NO_FIELD_LIMIT = 2**31 - 1
-# Line feeds are counted in slices of this many bytes, faster than
-# bytes.count and with a comparison temporary too small to raise the peak
-# memory of a large file's load.
-_COUNT_SLICE = 1 << 16
 # The only bytes of a plain body's cells (see _plain_rows).
 _PLAIN_CELL_BYTES = b"0123456789.eE+-"
 # The biased x87 exponent of the smallest normal double, 2**-1022.
@@ -385,7 +381,7 @@ def _parse_rows(raw: bytes, start: int, lines, n_columns: int, label_pos: int):
             raise ValueError("ASCII separator character in the data rows")
         table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None,
                            quotechar='"')
-        n_lines = _line_feeds(raw, start, len(raw)) + (not raw.endswith((b"\n", b"\r")))
+        n_lines = raw.count(b"\n", start) + (not raw.endswith((b"\n", b"\r")))
         if raw.find(b"\r", start) >= 0:
             n_lines += raw.count(b"\r", start) - raw.count(b"\r\n", start)
         # loadtxt skips blank lines and joins quoted line breaks, so either
@@ -414,13 +410,6 @@ def _split_label(tables: list, label_pos: int):
         features[row:end, label_pos:] = table[:, label_pos + 1:]
         labels[row:end] = table[:, label_pos]
     return features, labels
-
-
-def _line_feeds(raw: bytes, start: int, end: int) -> int:
-    """The number of \\n bytes in raw[start:end]."""
-    text = np.frombuffer(raw, np.uint8, end - start, start)
-    return sum(np.count_nonzero(text[i:i + _COUNT_SLICE] == 10)
-               for i in range(0, text.size, _COUNT_SLICE))
 
 
 def _plain_rows(raw: bytes, start: int, n_columns: int) -> Optional[list]:

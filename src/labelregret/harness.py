@@ -21,8 +21,7 @@ from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset,
                       two_cluster_population)
 from .glm import (FitOptions, LogisticTrainer, TrainerHandle, bernoulli_kl,
                   fit_logistic, LogisticModel, mean_kl, predict_proba)
-from .regret import (_initial_fit, _mean_and_variance, _prediction_samples, estimate_regret,
-                     true_regret)
+from .regret import _initial_fit, _prediction_samples, estimate_regret, true_regret
 from .theory import q_values
 
 RANKINGS = ("true_regret", "estimated_regret", "oracle_error")
@@ -195,7 +194,7 @@ def _pool_scores(ss: SemiSyntheticDataset, labeled: np.ndarray, pool: np.ndarray
     step_seed = rng.derive_master(seed, rng.ACQUISITION_SCORE, step)
     samples, _ = _prediction_samples(labeled_data, resample_probs, features[pool],
                                      trainer, K, step_seed, predictor)
-    return _mean_and_variance(samples, keep_samples=False)[1]
+    return samples.var(axis=0, ddof=1)
 
 
 def active_learning_run(ss: SemiSyntheticDataset, trainer: TrainerHandle, K: int,

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from ._io import dump_json, write_table
 from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_rows
 # The mc_separable benchmark oracle imports FALLBACK_RIDGES from this module.
 from .glm import FALLBACK_RIDGES, TrainerHandle
@@ -117,29 +116,14 @@ def _prediction_samples(train: Dataset, resample_probs, eval_features,
     return trainer.fit_many(train, labels, eval_features, start)
 
 
-def _mean_and_variance(samples: np.ndarray, keep_samples: bool):
-    """samples.mean(axis=0) and samples.var(axis=0, ddof=1), bit for bit, by
-    numpy's own sums and divisions but with no K x m temporary: the deviations
-    from the mean are squared in the samples themselves, or in one K x m
-    buffer when the samples are kept. The variance, a sum of squares, is
-    never negative."""
-    K = len(samples)
-    mean = np.add.reduce(samples, axis=0) / K
-    deviations = np.subtract(samples, mean, out=None if keep_samples else samples)
-    np.square(deviations, out=deviations)
-    return mean, np.add.reduce(deviations, axis=0) / (K - 1)
-
-
 def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
                      seed: int, trainer_name: str, n_fallbacks: int,
                      keep_samples: bool) -> RegretReport:
-    """The report of K x m samples, which are overwritten unless kept. Kept
-    samples, an array that no caller holds, become the report's own, read-only
-    and not copied."""
-    mean_pred, regret = _mean_and_variance(samples, keep_samples)
+    """The report of K x m samples. Kept samples, an array that no caller
+    holds, become the report's own, read-only and not copied."""
     report = RegretReport(
-        regret=regret,
-        mean_pred=mean_pred,
+        regret=samples.var(axis=0, ddof=1),
+        mean_pred=samples.mean(axis=0),
         base_pred=base_pred,
         n_resamples=samples.shape[0],
         estimator=estimator,
@@ -305,8 +289,3 @@ def regret_report_metadata(report: RegretReport) -> dict:
         "trainer": report.trainer_name,
         "n_fallback_refits": int(report.n_fallback_refits),
     }
-
-
-def save_regret_report(report: RegretReport, csv_path, json_path) -> None:
-    write_table(csv_path, *regret_report_table(report))
-    dump_json(json_path, regret_report_metadata(report))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from ._io import dump_json, write_table
 from .glm import LogisticModel, design_matrix, sigmoid
 
 DEFAULT_CONSTANT = 800.0
@@ -162,8 +161,3 @@ def theory_report_metadata(report: TheoryReport) -> dict:
         "bound_applies": report.bound_applies,
         "constant": report.constant,
     }
-
-
-def save_theory_report(report: TheoryReport, csv_path, json_path) -> None:
-    write_table(csv_path, *theory_report_table(report))
-    dump_json(json_path, theory_report_metadata(report))

@@ -310,9 +310,10 @@ class TestLoaderMatchesReference:
                              ids=["lf", "no final line end", "blank line", "trailing blank line",
                                   "crlf and lone cr"])
     def test_body_of_several_count_slices(self, tmp_path, tail):
-        """Line ends are counted slice by slice; a body that spans slices loads
-        as the reference loads it, whatever its last slice holds."""
-        text = "a,label\n" + "1.25,0\n" * (3 * dataset._COUNT_SLICE // 7) + tail
+        """A body of three 64 KiB slices loads as the reference loads it,
+        whatever its last slice holds."""
+        slice_bytes = 1 << 16
+        text = "a,label\n" + "1.25,0\n" * (3 * slice_bytes // 7) + tail
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         outcome = load_outcome(lr.load_csv, path)
@@ -432,10 +433,11 @@ class TestSplitParse:
                              ids=["lf", "no final line end", "blank line", "trailing blank line",
                                   "crlf and lone cr"])
     def test_body_of_several_count_slices(self, tmp_path, monkeypatch, split_tables, tail):
-        """Pieces of two count slices or more: a body that ends in \\n
+        """Pieces of two 64 KiB slices or more: a body that ends in \\n
         parses plain, and any other loads as the reference loads it."""
-        monkeypatch.setattr(dataset, "_PIECE_BYTES", 2 * dataset._COUNT_SLICE)
-        text = "a,label\n" + "1.25,0\n" * (3 * dataset._COUNT_SLICE // 7) + tail
+        slice_bytes = 1 << 16
+        monkeypatch.setattr(dataset, "_PIECE_BYTES", 2 * slice_bytes)
+        text = "a,label\n" + "1.25,0\n" * (3 * slice_bytes // 7) + tail
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(lr.load_csv, path) == outcome(reference_load_csv, path)

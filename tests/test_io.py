@@ -8,8 +8,7 @@ import stat
 import numpy as np
 import pytest
 
-import labelregret as lr
-from labelregret import _io, cli, errors
+from labelregret import _io, errors
 from labelregret._io import (NUMBER, atomic_write_text, dump_json, format_float, read_json,
                              write_table)
 
@@ -293,35 +292,3 @@ class TestJsonWriter:
             reference_json(payload)
         with pytest.raises(TypeError):
             dump_json(tmp_path / "a.json", payload)
-
-    def test_every_cli_artifact_matches_json_dumps(self, tmp_path, monkeypatch, capsys):
-        """Each JSON file that these seed-5 command lines write, checked
-        against json.dumps of the payload it was written from."""
-        written = []
-        render = _io._render
-
-        def recording(value, pad):
-            text = render(value, pad)
-            if pad == "":
-                written.append((value, text))
-            return text
-
-        monkeypatch.setattr(_io, "_render", recording)
-        ss = lr.gaussian_semisynthetic(10, 1, [1.2], 5)
-        data = tmp_path / "data.csv"
-        write_table(data, ["a", "label"], [ss.base.features[:, 0], (ss.base.labels + 1) // 2])
-        seed = ["--seed", "5"]
-        command_lines = [
-            *(["trials", "--experiment", experiment, "--profile", "desk", "--n-trials", "1",
-               *seed] for experiment in ("theory_vs_actual", "selective", "active")),
-            ["fit", "--data", str(data), *seed],
-            ["theory", "--data", str(data), *seed],
-            ["regret", "--data", str(data), "--k", "30", *seed],
-            ["enumerate", "--data", str(data), *seed],
-        ]
-        for k, argv in enumerate(command_lines):
-            count = len(written)
-            assert cli.dispatch([*argv, "--out", str(tmp_path / str(k))]) == 0
-            assert len(written) > count, argv
-        for value, text in written:
-            assert text + "\n" == reference_json(value)

@@ -1,12 +1,18 @@
-"""tools/output_digests.py digests what a run writes, not where it writes it."""
+"""tools/output_digests.py digests what a run writes, not where it writes it,
+and the runs it pins give the outputs that tests/output_digests.json records."""
 
 import importlib.util
+import json
 import pathlib
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+import pytest
+
+TESTS = pathlib.Path(__file__).resolve().parent
+TOOL = TESTS.parent / "tools" / "output_digests.py"
 _spec = importlib.util.spec_from_file_location("output_digests", TOOL)
 output_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(output_digests)
+PINNED_FILE = TESTS / "output_digests.json"
 
 
 def test_digest_ignores_the_directory_and_sees_one_byte(tmp_path):
@@ -23,3 +29,36 @@ def test_digest_ignores_the_directory_and_sees_one_byte(tmp_path):
     raw[-2] ^= 1
     table.write_bytes(bytes(raw))
     assert output_digests.digest(run_dir, codes, stdout) != digests[0]
+
+
+def test_pinned_runs_give_the_recorded_outputs():
+    """A versioned change to the outputs rewrites the file with
+    `python tools/output_digests.py --write tests/output_digests.json`."""
+    pinned = json.loads(PINNED_FILE.read_text(encoding="utf-8"))
+    reason = output_digests.skip_reason(pinned)
+    if reason:
+        pytest.skip(reason)
+    lines = []
+    for label, kept in output_digests.run_records(pinned["seeds"], output_digests.PINNED):
+        assert "numbers" in pinned["runs"][label], label
+        lines += [f"{label}: {line}"
+                  for line in output_digests.differences(pinned["runs"][label], kept)]
+    assert not lines, f"outputs differ from {PINNED_FILE.name}:\n" + "\n".join(lines)
+
+
+def test_another_platform_is_a_skip_reason():
+    here = output_digests.environment()
+    assert output_digests.skip_reason(here) is None
+    reason = output_digests.skip_reason({**here, "numpy": "0.0"})
+    assert "numpy 0.0" in reason and f"numpy {here['numpy']}" in reason
+
+
+def test_a_difference_names_the_file_and_the_largest_numeric_difference():
+    expected = {"exit": [0], "files": {"a.csv": "1", "b.json": "2", "c.csv": "3"},
+                "numbers": {"a.csv": "1 2.5 -3", "b.json": "7"}}
+    actual = {"exit": [1], "files": {"a.csv": "4", "b.json": "2", "c.csv": "5"},
+              "numbers": {"a.csv": "1 2.5000001 -3.5", "b.json": "7", "c.csv": "0"}}
+    assert output_digests.differences(expected, actual) == [
+        "exit codes [0] -> [1]",
+        "a.csv: largest numeric difference 0.5 (number 3 of 3: -3.0 -> -3.5)",
+        "c.csv: differs (its numbers are not recorded)"]

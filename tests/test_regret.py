@@ -3,7 +3,8 @@ import pytest
 
 import labelregret as lr
 from labelregret import errors
-from labelregret.regret import FALLBACK_RIDGES, _sampling_report, save_regret_report
+from labelregret._io import write_table
+from labelregret.regret import FALLBACK_RIDGES, _sampling_report, regret_report_table
 
 import glm_reference as reference
 from conftest import ConstantTrainer
@@ -399,7 +400,7 @@ class TestReportValidation:
 
     def test_csv_round_trip_values(self, small_dataset, flat_trainer, tmp_path):
         report = lr.estimate_regret(small_dataset, flat_trainer, 20, seed=14)
-        save_regret_report(report, tmp_path / "regret.csv", tmp_path / "regret.json")
+        write_table(tmp_path / "regret.csv", *regret_report_table(report))
         lines = (tmp_path / "regret.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "point_index,base_pred,mean_pred,regret"
         parsed = np.array([[float(v) for v in line.split(",")[1:]]

@@ -7,7 +7,8 @@ import pytest
 import labelregret as lr
 from labelregret import errors, rng
 from labelregret.glm import design_matrix
-from labelregret.theory import save_theory_report
+from labelregret._io import write_table
+from labelregret.theory import theory_report_table
 
 from glm_reference import loss_gradient, loss_hessian
 
@@ -246,7 +247,7 @@ class TestTheoryReport:
     def test_csv_layout(self, cluster_ss, tmp_path):
         model = lr.fit_logistic(cluster_ss.base, lr.FitOptions(include_intercept=False))
         report = lr.theory_report(model, cluster_ss.base.features)
-        save_theory_report(report, tmp_path / "theory.csv", tmp_path / "theory.json")
+        write_table(tmp_path / "theory.csv", *theory_report_table(report))
         lines = (tmp_path / "theory.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "point_index,q"
         assert len(lines) == cluster_ss.base.n_points + 1
