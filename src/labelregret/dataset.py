@@ -98,12 +98,12 @@ def _adopted(features: np.ndarray, labels: np.ndarray, feature_names: tuple) -> 
 
 @dataclass(frozen=True)
 class LabelDrawSeed:
-    """Identifies one label-drawing substream.
+    """Identifies one row of a master seed's label stream.
 
-    (master_seed, stream_index, point index) fully determines each Bernoulli
-    outcome, independent of evaluation order and of how many streams are drawn
-    together. Stream 0 is the initial draw of a semi-synthetic dataset;
-    resample k uses stream k.
+    (master_seed, stream_index, number of points, point index) fully
+    determines each Bernoulli outcome, independent of evaluation order and of
+    how many rows are drawn together. Stream 0 is the initial draw of a
+    semi-synthetic dataset; resample k uses stream k.
     """
 
     master_seed: int
@@ -115,35 +115,31 @@ class LabelDrawSeed:
             raise ValueError("stream_index must be non-negative")
 
 
-def draw_labels(probs, seed: LabelDrawSeed, point_indices=None) -> np.ndarray:
+def draw_labels(probs, seed: LabelDrawSeed) -> np.ndarray:
     """Draw one {-1,+1} label per point, +1 with the given probability.
 
-    The outcome for point i depends only on (seed, i), so evaluating a
-    permuted or partial set of points reproduces exactly the labels those
-    points get in a full draw.
+    The n labels at stream index k come from the row of n draws at index k of
+    the master seed's label stream (rng.point_uniforms): point i is +1 when
+    draw k*n + i falls below its probability, whatever else is drawn.
     """
-    p = _checked_probs(probs)
-    if point_indices is None:
-        idx = np.arange(p.size, dtype=np.int64)
-    else:
-        idx = np.asarray(point_indices, dtype=np.int64)
-        if idx.shape != p.shape:
-            raise errors.LengthMismatch("point_indices must match probs in length")
-    u = rng.point_uniforms(seed.master_seed, rng.LABELS, seed.stream_index, idx)
-    return np.where(u < p, 1, -1).astype(np.int64)
+    return _label_rows(_checked_probs(probs), seed.master_seed, seed.stream_index, 1)[0]
 
 
 def draw_label_rows(probs, master_seed: int, n_rows: int) -> np.ndarray:
     """n_rows x n matrix of {-1,+1} labels, one row per resample.
 
-    Row k-1 is bit-identical to draw_labels(probs, LabelDrawSeed(master_seed,
-    k)); the probabilities are validated once for all rows. A negative n_rows
-    raises ValueError.
+    The rows are those of stream indices 1 to n_rows, one Philox skip and one
+    draw for all of them, so row k-1 is bit-identical to draw_labels(probs,
+    LabelDrawSeed(master_seed, k)) and n_rows rows are the first rows of any
+    longer batch. The probabilities are validated once for all rows. A
+    negative n_rows raises ValueError.
     """
-    if n_rows < 0:
-        raise ValueError(f"row count must be non-negative, got {n_rows}")
-    p = _checked_probs(probs)
-    u = rng.stream_prefixes(master_seed, rng.LABELS, range(1, n_rows + 1), p.size)
+    return _label_rows(_checked_probs(probs), master_seed, 1, n_rows)
+
+
+def _label_rows(p: np.ndarray, master_seed: int, stream_index: int, n_rows: int) -> np.ndarray:
+    """+1 where a label-stream uniform falls below p, else -1, as int64."""
+    u = rng.point_uniforms(master_seed, rng.LABELS, stream_index, n_rows, p.size)
     labels = np.less(u, p, out=np.empty(u.shape, dtype=np.int64))  # 1 where u < p, else 0
     labels *= 2
     labels -= 1

@@ -381,9 +381,10 @@ def _trial_series(experiment, ss, trainer, config, trial_seed, reference, fitted
 def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
     """Repeat an experiment across label redraws and aggregate per position.
 
-    Trial t regenerates the semi-synthetic labels with stream index t while
-    the features and ground truth stay fixed, so trials differ only in which
-    labels were originally observed. Everything derives from the master seed;
+    Trial t regenerates the semi-synthetic labels with stream index t, the
+    row of n draws at t of the master seed's label stream, while the features
+    and ground truth stay fixed, so trials differ only in which labels were
+    originally observed. Everything derives from the master seed;
     permuting trial execution order cannot change any per-trial artifact.
 
     theory_vs_actual and selective share one true regret, that of the

@@ -107,10 +107,12 @@ def _prediction_samples(train: Dataset, resample_probs, eval_features,
     """K x m matrix of predictions at eval_features across label resamples,
     plus the number of refits that needed the ridge fallback.
 
-    Resample k draws its labels from stream k of the master seed and every
-    refit starts from the predictor start, so row k-1 is the same refit
-    whatever K is. A LogisticTrainer refits each distinct label row once and
-    counts a fallback once per resample that drew it.
+    Resample k draws its n labels from the row at stream index k of the
+    master seed's label stream, its draws k*n to k*n + n - 1; the K rows are
+    one skip and one draw (draw_label_rows). Every refit starts from the
+    predictor start, so row k-1 is the same refit whatever K is. A
+    LogisticTrainer refits each distinct label row once and counts a fallback
+    once per resample that drew it.
     """
     labels = draw_label_rows(resample_probs, master_seed, K)
     return trainer.fit_many(train, labels, eval_features, start)

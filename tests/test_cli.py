@@ -193,10 +193,11 @@ BAD_INPUTS = {
     # A rank-deficient design has no unique fit at ridge 0, whatever its labels.
     "enumerate --semisynth on a rank-deficient design": (
         _rank_deficient_semisynth, 1.0, "SingularHessian"),
-    # The label streams list K stream indices, and a K past the C ssize_t range
-    # overflows there. (A K at or below 2**63 - 1 would try to allocate K rows.)
+    # The K label rows are one Generator.random((K, n)) call, and numpy rejects
+    # a K past the C ssize_t range in its shape check, before allocating.
+    # (A K at or below 2**63 - 1 would try to allocate K rows.)
     "regret --k past the index range": (
-        _flags, ["regret", "--data", "DATA", "--k", str(10 ** 20)], "OverflowError"),
+        _flags, ["regret", "--data", "DATA", "--k", str(10 ** 20)], "ValueError"),
     # numpy rejects a feature matrix of this shape before allocating it, and the
     # default ground truth is built only after the features.
     "trials --n-features past the dimension limit": (

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import labelregret as lr
-from labelregret import dataset, errors
+from labelregret import dataset, errors, rng
 from labelregret._io import write_table
 from labelregret.dataset import draw_label_rows, load_semisynthetic, save_semisynthetic
 
@@ -768,15 +768,23 @@ class TestDrawLabels:
                                       lr.draw_labels(probs, seed))
 
     def test_label_rows_match_single_draws(self):
-        """Row k-1 of the resample matrix is the draw of stream k, bit for bit."""
-        # 25 long rows re-key a Philox per row; 400 rows of 6 run the vectorised Philox.
-        for n, n_rows in [(30, 25), (6, 400)]:
+        """Row k-1 of the resample matrix is the draw at stream index k, bit for bit:
+        draws k*n to k*n + n - 1 of the master seed's label stream."""
+        for n, n_rows in [(1, 40), (3, 40), (4, 40), (5, 40), (200, 25), (6, 400)]:
             probs = np.random.default_rng(4).uniform(size=n)
             rows = draw_label_rows(probs, 77, n_rows)
-            assert rows.shape == (n_rows, n)
+            assert rows.shape == (n_rows, n) and rows.dtype == np.int64
+            stream = rng.substream(77, rng.LABELS, 0).random((n_rows + 1) * n)
+            expected = np.where(stream.reshape(n_rows + 1, n)[1:] < probs, 1, -1)
+            np.testing.assert_array_equal(rows, expected)
             for k in range(1, n_rows + 1):
                 np.testing.assert_array_equal(rows[k - 1],
                                               lr.draw_labels(probs, lr.LabelDrawSeed(77, k)))
+            np.testing.assert_array_equal(draw_label_rows(probs, 77, n_rows // 2),
+                                          rows[:n_rows // 2])
+        assert draw_label_rows([0.5, 0.2], 7, 0).shape == (0, 2)
+        assert draw_label_rows([], 7, 3).shape == (3, 0)
+        assert lr.draw_labels([], lr.LabelDrawSeed(7, 5)).shape == (0,)
         with pytest.raises(errors.ProbOutOfRange) as info:
             draw_label_rows([0.5, -0.1], 77, 3)
         assert info.value.index == 1
@@ -784,6 +792,26 @@ class TestDrawLabels:
             draw_label_rows(probs, -1, 3)
         with pytest.raises(ValueError):
             draw_label_rows([0.5, 0.2], 7, -3)
+
+    def test_stream_zero_keeps_its_labels(self):
+        """Stream index 0 is the first n draws of the label stream, as it has been
+        since the seed contract was first written: these labels are pinned."""
+        probs = np.linspace(0.05, 0.95, 24)
+        for master, pinned in [(77, "----------+-++--++-++--+"),
+                               (2**64 - 1, "-+++---++-----+---++++++")]:
+            labels = lr.draw_labels(probs, lr.LabelDrawSeed(master, 0))
+            assert "".join("+" if v > 0 else "-" for v in labels) == pinned
+            stream = rng.substream(master, rng.LABELS, 0).random(24)
+            np.testing.assert_array_equal(labels, np.where(stream < probs, 1, -1))
+
+    def test_stream_index_past_the_64_bit_offsets(self):
+        """A stream index k whose offset k*n passes 2**64 draws from that offset."""
+        probs = np.random.default_rng(5).uniform(size=7)
+        k = 2**64 // 3
+        u = rng.point_uniforms(77, rng.LABELS, k, 1, 7)[0]
+        labels = lr.draw_labels(probs, lr.LabelDrawSeed(77, k))
+        np.testing.assert_array_equal(labels, np.where(u < probs, 1, -1))
+        assert not np.array_equal(u, rng.point_uniforms(77, rng.LABELS, k - 1, 1, 7)[0])
 
     def test_streams_differ(self):
         probs = np.full(200, 0.5)
@@ -804,18 +832,6 @@ class TestDrawLabels:
             labels = lr.draw_labels(np.full(n, p), lr.LabelDrawSeed(13))
             frac = np.mean(labels == 1)
             assert abs(frac - p) <= 3 * math.sqrt(p * (1 - p) / n)
-
-    def test_shuffle_unshuffle_identity(self):
-        """Per-point outcomes do not depend on the evaluation order."""
-        gen = np.random.default_rng(3)
-        probs = gen.uniform(size=64)
-        seed = lr.LabelDrawSeed(5, 2)
-        direct = lr.draw_labels(probs, seed)
-        perm = gen.permutation(64)
-        shuffled = lr.draw_labels(probs[perm], seed, point_indices=perm)
-        unshuffled = np.empty_like(shuffled)
-        unshuffled[perm] = shuffled
-        np.testing.assert_array_equal(unshuffled, direct)
 
 
 class TestSemiSynthetic:

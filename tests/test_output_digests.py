@@ -51,6 +51,10 @@ def test_another_platform_is_a_skip_reason():
     assert output_digests.skip_reason(here) is None
     reason = output_digests.skip_reason({**here, "numpy": "0.0"})
     assert "numpy 0.0" in reason and f"numpy {here['numpy']}" in reason
+    reason = output_digests.skip_reason({**here, "cpu_simd": ["X86_V2"]})
+    assert "cpu_simd ['X86_V2']" in reason
+    assert "blas None" in output_digests.skip_reason(
+        {key: value for key, value in here.items() if key != "blas"})
 
 
 def test_a_difference_names_the_file_and_the_largest_numeric_difference():

@@ -20,19 +20,21 @@ class TestSubstreams:
 
 class TestPointUniforms:
     def test_positional_semantics(self):
-        """The value for point i is draw i of the substream, however requested."""
-        full = rng.point_uniforms(7, rng.LABELS, 0, np.arange(100))
-        subset = rng.point_uniforms(7, rng.LABELS, 0, [5, 17, 99])
-        np.testing.assert_array_equal(subset, full[[5, 17, 99]])
+        """Entry (r, i) of the rows from stream index k is draw (k + r) * n + i of stream 0."""
+        sequential = rng.substream(7, rng.LABELS, 0).random(8 * 7)
+        rows = rng.point_uniforms(7, rng.LABELS, 3, 5, 7)
+        np.testing.assert_array_equal(rows, sequential[21:].reshape(5, 7))
 
     def test_permutation_invariance(self):
-        perm = np.random.default_rng(0).permutation(50)
-        full = rng.point_uniforms(7, rng.LABELS, 2, np.arange(50))
-        shuffled = rng.point_uniforms(7, rng.LABELS, 2, perm)
-        np.testing.assert_array_equal(shuffled, full[perm])
+        """Rows requested one at a time, in any order, are the rows of one call."""
+        together = rng.point_uniforms(7, rng.LABELS, 2, 50, 9)
+        for r in np.random.default_rng(0).permutation(50):
+            np.testing.assert_array_equal(rng.point_uniforms(7, rng.LABELS, 2 + r, 1, 9)[0],
+                                          together[r])
 
     def test_empty(self):
-        assert rng.point_uniforms(7, rng.LABELS, 0, []).size == 0
+        assert rng.point_uniforms(7, rng.LABELS, 0, 0, 5).shape == (0, 5)
+        assert rng.point_uniforms(7, rng.LABELS, 4, 3, 0).shape == (3, 0)
 
 
 class TestDeriveMaster:
@@ -48,14 +50,29 @@ class TestDeriveMaster:
 # Seeds of one and two 32-bit words at their edges, purposes 0, 1 and 5.
 ORACLE_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
 ORACLE_PURPOSES = [rng.LABELS, rng.BOOTSTRAP_ROWS, rng.ACQUISITION_SCORE]
-# Stream 0, indices of one, two and three spawn-key words, reordered and repeated.
-MIXED_INDICES = [7, 0, 2**32 + 5, 3, 2**32 - 1, 2**32, 2**40 + 1, 2**64 - 1, 2**64, 0, 2**70]
+# Stream 0 and indices whose offsets fill one, two and three 64-bit counter
+# words at n = 9, reordered and repeated.
+MIXED_INDICES = [7, 0, 2**62 + 5, 3, 2**62 - 1, 2**64, 2**66 + 1, 2**64 - 1, 2**128, 0, 2**70]
+# Row lengths of 0 to 5 Philox blocks, at each remainder modulo 4, and a desk-size row.
+DRAW_COUNTS = (0, 1, 3, 4, 6, 9, 15, 16, 17, 200)
 
 
-def per_stream_prefixes(seed, purpose, indices, n):
-    """The reference: one numpy SeedSequence and Philox per stream."""
-    return np.array([rng.substream(seed, purpose, k).random(n) for k in indices]).reshape(
-        len(indices), n)
+def sequential_rows(seed, purpose, first, count, n):
+    """The reference: rows first to first + count - 1 of one sequential draw of stream 0."""
+    draws = rng.substream(seed, purpose, 0).random((first + count) * n)
+    return draws.reshape(first + count, n)[first:]
+
+
+def counter_rows(seed, purpose, first, count, n):
+    """The reference at any offset: numpy's Philox for stream 0 with its 256-bit
+    counter set to the block that holds draw first * n, read from that block on."""
+    gen = rng.substream(seed, purpose, 0)
+    blocks, rest = divmod(first * n, 4)
+    state = gen.bit_generator.state
+    state["state"]["counter"] = np.array([blocks >> 64 * w & 2**64 - 1 for w in range(4)],
+                                         dtype=np.uint64)
+    gen.bit_generator.state = state
+    return gen.random(rest + count * n)[rest:].reshape(count, n)
 
 
 def assert_same_bits(got, expected):
@@ -63,104 +80,65 @@ def assert_same_bits(got, expected):
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-# Draw counts of 0 to 5 Philox blocks, on both sides of the vectorised path's
-# limit of 16 draws, and a desk-size stream.
-DRAW_COUNTS = (0, 1, 3, 4, 6, 9, 15, 16, 17, 200)
-
-
 class TestStreamPrefixesMatchNumpy:
-    """stream_prefixes keys all streams in one vectorised hash, then re-keys one
-    Philox per stream or, for many short streams, runs Philox4x64-10 on all of
-    them at once; numpy is the oracle of both paths."""
+    """point_uniforms cuts the stream substream(seed, purpose, 0) into rows of n
+    draws and reaches the first row by one Philox skip; numpy's sequential draw,
+    or its Philox with the counter set by hand, is the oracle."""
 
     @pytest.mark.parametrize("purpose", ORACLE_PURPOSES)
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_first_300_streams(self, seed, purpose):
-        """Vectorised up to 16 draws, re-keyed per stream beyond."""
+        """Rows 0 to 299, and rows 1 to 300 as draw_label_rows takes them."""
         for n in DRAW_COUNTS:
-            assert_same_bits(rng.stream_prefixes(seed, purpose, range(300), n),
-                             per_stream_prefixes(seed, purpose, range(300), n))
+            for first in (0, 1):
+                assert_same_bits(rng.point_uniforms(seed, purpose, first, 300, n),
+                                 sequential_rows(seed, purpose, first, 300, n))
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_one_stream_below_the_count_threshold(self, seed):
-        """255 streams are re-keyed per stream, and give the first rows of a vectorised call."""
-        count = rng._VECTOR_MIN_STREAMS - 1
+        """255 rows are the first 255 of 300 rows from the same stream index."""
         for purpose in ORACLE_PURPOSES:
             for n in DRAW_COUNTS:
-                got = rng.stream_prefixes(seed, purpose, range(count), n)
-                assert_same_bits(got, per_stream_prefixes(seed, purpose, range(count), n))
-                assert_same_bits(got, rng.stream_prefixes(seed, purpose, range(300), n)[:count])
-
-    def test_the_call_shape_selects_the_path(self, monkeypatch):
-        """At least 256 streams of at most 16 draws run the kernel, in parts of 256 to
-        511 streams; every other call loops."""
-        calls = []
-        kernel = rng._philox_uniforms
-
-        def counted(keys, n):
-            calls.append((len(keys), n))
-            return kernel(keys, n)
-
-        monkeypatch.setattr(rng, "_philox_uniforms", counted)
-        for count, n in [(256, 16), (256, 0), (1000, 1), (255, 16), (256, 17), (300, 200), (3, 4)]:
-            assert rng.stream_prefixes(5, rng.LABELS, range(count), n).shape == (count, n)
-        assert calls == [(256, 16), (256, 0), (334, 1), (333, 1), (333, 1)]
+                for first in (1, 13):
+                    got = rng.point_uniforms(seed, purpose, first, 255, n)
+                    assert_same_bits(got, rng.point_uniforms(seed, purpose, first, 300, n)[:255])
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_reordered_indices_of_several_words(self, seed):
+        """Stream indices whose offset k * n passes 2**64 and 2**128, in any order."""
+        assert_same_bits(counter_rows(seed, rng.LABELS, 13, 4, 9),
+                         sequential_rows(seed, rng.LABELS, 13, 4, 9))
         for purpose in ORACLE_PURPOSES:
-            got = rng.stream_prefixes(seed, purpose, MIXED_INDICES, 9)
-            assert_same_bits(got, per_stream_prefixes(seed, purpose, MIXED_INDICES, 9))
-            subset = [2, 8, 5]
-            assert_same_bits(rng.stream_prefixes(seed, purpose,
-                                                 [MIXED_INDICES[j] for j in subset], 9),
-                             got[subset])
+            for k in MIXED_INDICES:
+                assert_same_bits(rng.point_uniforms(seed, purpose, k, 2, 9),
+                                 counter_rows(seed, purpose, k, 2, 9))
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_reordered_indices_of_several_words_vectorised(self, seed):
-        """MIXED_INDICES and a descending run across 2**32, so 611 streams in two kernel
-        parts: the rows match numpy, and so do those of a reordered subset on either path."""
-        indices = MIXED_INDICES + list(range(2**32 + 300, 2**32 - 300, -1))
-        large = [j for j in reversed(range(len(indices))) if j % 17]  # 575 streams
+        """611 rows in one call whose offsets cross from one 64-bit counter word into
+        two match the oracle, and so does each row requested alone, last first."""
         for purpose in ORACLE_PURPOSES:
             for n in (1, 6, 16):
-                got = rng.stream_prefixes(seed, purpose, indices, n)
-                assert_same_bits(got, per_stream_prefixes(seed, purpose, indices, n))
-                for subset in (large, [2, 8, 5]):
-                    assert_same_bits(rng.stream_prefixes(seed, purpose,
-                                                         [indices[j] for j in subset], n),
-                                     got[subset])
+                first = 2**66 // n - 300
+                got = rng.point_uniforms(seed, purpose, first, 611, n)
+                assert_same_bits(got, counter_rows(seed, purpose, first, 611, n))
+                for r in range(610, -1, -61):
+                    assert_same_bits(rng.point_uniforms(seed, purpose, first + r, 1, n), got[[r]])
 
     def test_no_streams(self):
-        assert rng.stream_prefixes(5, rng.LABELS, [], 4).shape == (0, 4)
-        assert rng.stream_prefixes(5, rng.LABELS, range(3), 0).shape == (3, 0)
+        assert rng.point_uniforms(5, rng.LABELS, 1, 0, 4).shape == (0, 4)
+        assert rng.point_uniforms(5, rng.LABELS, 1, 3, 0).shape == (3, 0)
 
     @pytest.mark.parametrize("count", [3, 300])
     def test_negative_draw_count_raises(self, count):
         with pytest.raises(ValueError):
-            rng.stream_prefixes(5, rng.LABELS, range(count), -2)
+            rng.point_uniforms(5, rng.LABELS, 1, count, -2)
 
     def test_bad_index_or_seed_raises(self):
         with pytest.raises(ValueError):
-            rng.stream_prefixes(5, rng.LABELS, [3, -1], 4)
+            rng.point_uniforms(5, rng.LABELS, -1, 3, 4)
+        with pytest.raises(ValueError):
+            rng.point_uniforms(5, rng.LABELS, 1, -3, 4)
         for seed in (-1, 2**64):
             with pytest.raises(ValueError):
-                rng.stream_prefixes(seed, rng.LABELS, [3], 4)
-
-
-class TestKeyedGenerators:
-    """rng._rekeyed, the one re-keyed Generator of stream_prefixes' per-stream path."""
-
-    @pytest.mark.parametrize("seed", [5, 2**64 - 1])
-    def test_draws_match_substream_after_a_dirty_buffer(self, seed):
-        """Each re-keyed stream starts clean, whatever the previous one left buffered."""
-        draws = (lambda g: g.integers(0, 2**32, size=3),  # raw 32-bit words: no rejection
-                 lambda g: g.integers(0, 37, size=37),  # bounded integers, by rejection
-                 lambda g: g.random(2))
-        keys = rng._philox_keys(seed, rng.BOOTSTRAP_ROWS, MIXED_INDICES)
-        streams = rng._rekeyed(keys.tolist())
-        for k, gen in zip(MIXED_INDICES, streams):
-            expected = rng.substream(seed, rng.BOOTSTRAP_ROWS, k)
-            for draw in draws:
-                np.testing.assert_array_equal(draw(gen), draw(expected))
-            gen.integers(0, 2**32, size=3)  # leave half a 64-bit word buffered
+                rng.point_uniforms(seed, rng.LABELS, 1, 3, 4)

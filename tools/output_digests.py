@@ -13,16 +13,17 @@ to the run's output directory), after the run's directory is replaced by
 TOKEN, so that the input and output paths the outputs record do not matter.
 Equal digests at two revisions mean byte-identical outputs.
 
---write FILE also records, in JSON, the Python and numpy versions and
-platform.machine(), and for each run its digest, its exit codes, the SHA-256
-of stdout and of each file, and for the PINNED runs the numbers in each of
-those texts. --check FILE runs the seeds that FILE records and compares: it
-names each run and file that differ and, where FILE holds the numbers, the
-largest difference between them. It exits 1 on a difference, and 2, without
-running, when the versions or the machine differ from FILE's, because the
-outputs depend on numpy's and the BLAS's rounding. A versioned change to the
-outputs rewrites FILE with --write. tests/test_output_digests.py re-runs the
-PINNED runs against tests/output_digests.json.
+--write FILE also records, in JSON, the Python and numpy versions,
+platform.machine(), numpy's BLAS build and the SIMD extensions numpy found on
+the CPU, and for each run its digest, its exit codes, the SHA-256 of stdout
+and of each file, and for the PINNED runs the numbers in each of those texts.
+--check FILE runs the seeds that FILE records and compares: it names each run
+and file that differ and, where FILE holds the numbers, the largest
+difference between them. It exits 1 on a difference, and 2, without running,
+when the versions, the machine, the BLAS build or the SIMD extensions differ
+from FILE's, because the outputs depend on numpy's and the BLAS's rounding. A
+versioned change to the outputs rewrites FILE with --write.
+tests/test_output_digests.py re-runs the PINNED runs against tests/output_digests.json.
 """
 
 import os
@@ -135,17 +136,22 @@ def _largest_difference(old, new) -> str:
 
 
 def environment() -> dict:
-    """What the outputs' rounding depends on, as --write records it."""
+    """What the outputs' rounding depends on, as --write records it: the
+    versions, the machine, and the BLAS build and the CPU's SIMD extensions
+    as perfbench/run.py records them. An OpenBLAS built with DYNAMIC_ARCH picks
+    its kernels by the CPU, so one machine name can round two ways."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine()}
+            "machine": platform.machine(), "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu_simd": np.__config__.CONFIG["SIMD Extensions"]["found"]}
 
 
 def skip_reason(pinned: dict):
     """Why outputs recorded as pinned cannot be compared here, or None."""
     here = environment()
-    if all(pinned[key] == here[key] for key in here):
+    if all(pinned.get(key) == here[key] for key in here):
         return None
-    return ("outputs recorded on " + ", ".join(f"{k} {pinned[k]}" for k in here)
+    return ("outputs recorded on " + ", ".join(f"{k} {pinned.get(k)}" for k in here)
             + "; this is " + ", ".join(f"{k} {v}" for k, v in here.items()))
 
 
