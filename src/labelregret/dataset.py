@@ -33,8 +33,7 @@ class Dataset:
 
     The constructor copies the features and labels, checks the copies and
     freezes them read-only, so an instance can be shared freely and never
-    changes after it is built. Only load_csv builds one without copying
-    (_adopted): it keeps the arrays that it has just made and checked.
+    changes after it is built.
     """
 
     features: np.ndarray
@@ -42,23 +41,17 @@ class Dataset:
     feature_names: tuple = ()
 
     def __post_init__(self):
-        self._keep(np.array(self.features, dtype=float), self.labels, checked=False)
-
-    def _keep(self, X: np.ndarray, labels, checked: bool) -> None:
-        """Check the shapes and names, freeze X and the labels, and keep them.
-        checked: X is finite and labels an int64 vector of -1 and +1, both
-        made by the caller, so neither is copied and their values are not
-        checked again."""
+        X = np.array(self.features, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise errors.EmptyDataset(
                 f"features must be a non-empty 2-D matrix, got shape {X.shape}")
-        if not checked and not np.all(np.isfinite(X)):
+        if not np.all(np.isfinite(X)):
             raise ValueError("feature entries must be finite")
-        y = labels if checked else np.array(labels, dtype=np.int64)
+        y = np.array(self.labels, dtype=np.int64)
         if y.shape != (X.shape[0],):
             raise errors.DimensionMismatch(
                 f"{X.shape[0]} rows but {y.size} labels")
-        if not checked and not np.all(np.abs(y) == 1):
+        if not np.all(np.abs(y) == 1):
             raise errors.InvalidLabelValue(
                 int(np.argmax(np.abs(y) != 1)), y[np.abs(y) != 1][0])
         names = tuple(self.feature_names) if self.feature_names else _default_names(X.shape[1])
@@ -84,16 +77,6 @@ class Dataset:
     def with_labels(self, labels) -> "Dataset":
         """Same features and names, different labels."""
         return Dataset(self.features, labels, self.feature_names)
-
-
-def _adopted(features: np.ndarray, labels: np.ndarray, feature_names: tuple) -> Dataset:
-    """A Dataset that keeps features, a finite C-contiguous float matrix,
-    and labels, an int64 vector of -1 and +1, as they are: no copy, and no
-    second check of their values (see Dataset._keep)."""
-    data = object.__new__(Dataset)
-    object.__setattr__(data, "feature_names", feature_names)
-    data._keep(features, labels, checked=True)
-    return data
 
 
 @dataclass(frozen=True)
@@ -318,9 +301,10 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     so every error is the one above; the check for ASCII separators runs
     only then, because the plain parse's byte check already rejects them.
 
-    The rows, from the piece tables or np.loadtxt's table, are copied once
-    into the feature matrix and the label vector that the Dataset keeps;
-    finiteness and label values are checked once, on those.
+    The rows, from the piece tables or np.loadtxt's table, are gathered into
+    one feature matrix and one label vector, where finiteness and label
+    values are checked; the Dataset constructor copies those once the tables
+    are freed.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -348,7 +332,7 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     except ValueError:
         _raise_first_bad_cell(raw, header, label_pos)
         raise
-    return _adopted(features, np.where(labels == 1.0, 1, -1), feature_names)
+    return Dataset(features, np.where(labels == 1.0, 1, -1), feature_names)
 
 
 def _text_lines(raw: bytes):
@@ -434,14 +418,14 @@ def _plain_rows(raw: bytes, start: int, n_columns: int) -> Optional[list]:
     pieces = iter(list(zip(range(len(tables)), bounds, bounds[1:])))
     first = [next(pieces)]
     failures = []
-    helper = threading.Thread(target=_parse_shared,
+    helper = threading.Thread(target=_parse_pieces,
                               args=(raw, pieces, n_columns, tables, failures))
     try:
         helper.start()
     except RuntimeError:  # no thread can be started: this one parses every piece
         helper = None
     _parse_pieces(raw, first, n_columns, tables, failures)
-    _parse_shared(raw, pieces, n_columns, tables, failures)
+    _parse_pieces(raw, pieces, n_columns, tables, failures)
     if helper is not None:
         helper.join()
     for exc in failures:
@@ -450,18 +434,10 @@ def _plain_rows(raw: bytes, start: int, n_columns: int) -> Optional[list]:
     return None if failures else tables
 
 
-def _parse_shared(raw: bytes, pieces, n_columns: int, tables: list, failures: list) -> None:
-    """_parse_pieces on one piece at a time from the shared iterator pieces,
-    until it is empty or either thread has failed."""
-    for piece in pieces:
-        if failures:
-            return
-        _parse_pieces(raw, [piece], n_columns, tables, failures)
-
-
 def _parse_pieces(raw: bytes, pieces, n_columns: int, tables: list, failures: list) -> None:
-    """For each (index, start, end) piece of raw, _parse_piece into a new
-    table of n_columns doubles a line, put at tables[index]; ValueError for
+    """For each (index, start, end) piece of raw, taken from pieces one at a
+    time, so that two threads can share one iterator, _parse_piece into a
+    new table of n_columns doubles a line, put at tables[index]; ValueError for
     a piece that is not plain, that is, whose bytes other than
     _PLAIN_CELL_BYTES are not the commas and \\n of whole lines. The first
     exception, in this thread or the other, ends the loop; this thread's

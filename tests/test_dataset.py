@@ -130,6 +130,24 @@ class TestLoadCsv:
         np.testing.assert_array_equal(da.features, db.features)
         np.testing.assert_array_equal(da.labels, db.labels)
 
+    @pytest.mark.parametrize("large", [False, True], ids=["np.loadtxt", "plain parse"])
+    def test_loaded_arrays_are_owned_and_read_only(self, tmp_path, large):
+        """Below _SPLIT_BYTES np.loadtxt parses the body, above it the plain
+        parse does: either way the Dataset holds a C-contiguous float64
+        matrix and an int64 label vector, each read-only and owning its
+        memory, so no caller's array can change them."""
+        p = tmp_path / "d.csv"
+        if large:
+            write_large_csv(p)
+            assert p.stat().st_size > dataset._SPLIT_BYTES
+        else:
+            write_lines(p, ["a,b,label", "1,2,0", "3,4,1"])
+        d = lr.load_csv(p)
+        assert d.features.dtype == np.float64 and d.features.flags.c_contiguous
+        assert d.labels.dtype == np.int64
+        for array in (d.features, d.labels):
+            assert array.base is None and not array.flags.writeable
+
     def test_round_trip_random_datasets(self, tmp_path):
         """write_table then load_csv reproduces the Dataset bit for bit."""
         gen = np.random.default_rng(5)
@@ -463,8 +481,12 @@ class TestSplitParse:
         parse_pieces, starts = dataset._parse_pieces, []
 
         def recording(raw, pieces, n_columns, tables, failures):
-            starts.extend(start for _, start, _ in pieces)
-            parse_pieces(raw, pieces, n_columns, tables, failures)
+            def taken():  # each start as its piece is taken: both threads share one iterator
+                for piece in pieces:
+                    starts.append(piece[1])
+                    yield piece
+
+            parse_pieces(raw, taken(), n_columns, tables, failures)
 
         monkeypatch.setattr(dataset, "_parse_pieces", recording)
         first = -(-dataset._PIECE_BYTES // len(ROW))  # the second piece's first row
@@ -640,9 +662,11 @@ class TestSplitParse:
     def test_load_holds_no_third_copy_of_the_table(self, tmp_path, plain_tables):
         """The tracemalloc peak of one load of a 2 MiB plain body of short
         cells, less the body, stays below 2.5 times the feature matrix. The
-        piece tables, the matrix that the Dataset keeps and the finiteness
-        check's mask come to 2.23 times it; a third copy of the table would
-        add one more."""
+        piece tables, the matrix they are gathered into and the finiteness
+        check's mask come to 2.23 times it. The Dataset constructor copies
+        that matrix once the piece tables are freed, so the copy and its own
+        mask stay below that peak; a third copy of the table would add one
+        more."""
         gen = np.random.default_rng(43)
         cells = gen.integers(0, 10, ((1 << 21) // 42 + 1, 21))
         cells[:, -1] %= 2

@@ -1,9 +1,12 @@
 """tools/output_digests.py digests what a run writes, not where it writes it,
-and the runs it pins give the outputs that tests/output_digests.json records."""
+and the runs it pins, and the large-CSV run theory_large seed=1, give the
+outputs that tests/output_digests.json records."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +47,36 @@ def test_pinned_runs_give_the_recorded_outputs():
         lines += [f"{label}: {line}"
                   for line in output_digests.differences(pinned["runs"][label], kept)]
     assert not lines, f"outputs differ from {PINNED_FILE.name}:\n" + "\n".join(lines)
+
+
+# Prints the record of one run at one seed, made in a fresh interpreter that
+# imports the tool, and so pins BLAS to one thread, before numpy loads.
+RUN_ONE = """import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("output_digests", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+for _, run in tool.run_records([int(sys.argv[3])], {sys.argv[2]}):
+    print(json.dumps(run))
+"""
+
+
+def test_large_csv_run_gives_the_recorded_files():
+    """theory_large seed=1 loads a 10,000-row CSV twice through the plain
+    parse, with its midpoint re-read and helper thread, and writes
+    theory.csv through _io's table kernel. Its file hashes are recorded,
+    its numbers are not (about 270 KB). It runs in a fresh interpreter:
+    under pytest numpy has already loaded with more than one BLAS thread,
+    and the fit and theory files of a design this large depend on their
+    count."""
+    pinned = json.loads(PINNED_FILE.read_text(encoding="utf-8"))
+    reason = output_digests.skip_reason(pinned)
+    if reason:
+        pytest.skip(reason)
+    label = "theory_large seed=1"
+    done = subprocess.run([sys.executable, "-c", RUN_ONE, str(TOOL), label, "1"],
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = output_digests.differences(pinned["runs"][label], json.loads(done.stdout))
+    assert not lines, f"{label} differs from {PINNED_FILE.name}:\n" + "\n".join(lines)
 
 
 def test_another_platform_is_a_skip_reason():

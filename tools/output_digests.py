@@ -23,7 +23,9 @@ difference between them. It exits 1 on a difference, and 2, without running,
 when the versions, the machine, the BLAS build or the SIMD extensions differ
 from FILE's, because the outputs depend on numpy's and the BLAS's rounding. A
 versioned change to the outputs rewrites FILE with --write.
-tests/test_output_digests.py re-runs the PINNED runs against tests/output_digests.json.
+tests/test_output_digests.py re-runs the PINNED runs against tests/output_digests.json,
+and theory_large seed=1, whose numbers are not recorded, in a fresh interpreter
+against its file hashes.
 """
 
 import os
@@ -55,7 +57,9 @@ TOKEN = b"<RUN>"
 EXPERIMENTS = ("theory_vs_actual", "selective", "active")
 # The runs whose numbers --write records, and which the tests re-run: about
 # 0.2 s together, through every command, the label streams, the ridge rung,
-# the tie rule and the trials summary, though not the large-CSV paths.
+# the tie rule and the trials summary. The large-CSV paths (the plain parse,
+# its midpoint re-read and helper thread, and the table kernel) are checked
+# by the tests' run of theory_large seed=1, against its file hashes alone.
 PINNED = ("mc_trials seed=1", "enum_gray seed=1", "mc_separable seed=1", "commands seed=5")
 STDOUT = "(stdout)"
 # A number as the package writes it, in JSON or CSV, and not part of a word.
