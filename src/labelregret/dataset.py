@@ -601,10 +601,10 @@ def load_semisynthetic(csv_path, json_path) -> SemiSyntheticDataset:
     """Read back a saved semi-synthetic dataset, re-verifying its invariants."""
     sidecar = read_json(json_path, _SIDECAR_SCHEMA)
     names = tuple(sidecar["feature_names"])
-    model = LogisticModel(np.asarray(sidecar["theta"], dtype=float),
-                          sidecar["includes_intercept"])
+    model = LogisticModel(sidecar["theta"], sidecar["includes_intercept"])
     seed = LabelDrawSeed(sidecar["seed"]["master_seed"], sidecar["seed"]["stream_index"])
-    table = load_csv(csv_path, sidecar.get("label_column", "label"))
+    label_column = sidecar.get("label_column")
+    table = load_csv(csv_path, "label" if label_column is None else label_column)
     expected = (*names, "true_prob")
     if table.feature_names != expected:
         raise errors.MissingLabelColumn(

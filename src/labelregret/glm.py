@@ -7,10 +7,11 @@ definiteness and solved in closed form; any other Hessian passes a Cholesky
 test before np.linalg.solve takes the step (see _newton_steps). There is one
 implementation, fit_logistic_batch, which fits many label vectors on one
 feature matrix at once; fit_logistic is its one-row case and equals the
-matching batch row bit for bit. Without ridge, an iterate that gives every
-point a positive margin proves the labels separable, so that there is no
-finite optimum; this proof is checked on every pass, the warm start included,
-and such a row stops there. It reads each row's largest margin product, which
+matching batch row bit for bit. Without ridge, a rank-deficient design raises
+SingularHessian before any row runs, and an iterate that gives every point a
+positive margin proves the labels separable, so that there is no finite
+optimum; this proof is checked on every pass, the warm start included, and
+such a row stops there. It reads each row's largest margin product, which
 the loss sweep takes on its way. The rows of a block advance together, so a
 block runs as many passes as its slowest row still iterating; a batch of up to
 BATCH_ENTRIES labels runs as one block. When every row of a block starts at the
@@ -21,6 +22,7 @@ allocates one workspace of ten min(block, K) x n floats (5 MiB at most while n
 <= BATCH_ENTRIES), and a Newton pass writes its labels, margins,
 exp(-|margin|), loss terms, probabilities, residuals and weights into it in
 place: allocating them on every pass cost page faults (see _newton_rows).
+A trainer implements fit, plus fit_many where it fits many rows together.
 LogisticTrainer.fit_many, the estimators' refit entry point, sends each
 distinct label row to the engine once, copies its predictions to the rows
 that repeat it and counts the ridge fallbacks of every row, copies included;
@@ -162,34 +164,29 @@ def design_matrix(features, include_intercept: bool) -> np.ndarray:
     return X
 
 
+# The message of the FitDiverged that a fit of a flagged row raises.
+_SEPARABLE = "data looks separable; no finite optimum"
+
+
 def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
                  theta0=None, return_trace: bool = False):
     """Fit a logistic model to data's labels: fit_logistic_batch on one row.
 
     The model equals, bit for bit, row k of any fit_logistic_batch call on the
     same design, options and theta0 whose row k holds these labels. A flagged
-    row raises SingularHessian when no ridge is applied and the features are
-    rank deficient, and FitDiverged otherwise; without ridge, labels are
-    flagged as separable on the first pass, the warm start included, whose
-    theta gives every point a positive margin. With return_trace the penalized
-    loss at the start and after each Newton step comes back with the model;
-    it never increases, and its length less one is the number of steps.
+    row raises FitDiverged; without ridge, labels are flagged as separable on
+    the first pass, the warm start included, whose theta gives every point a
+    positive margin. With return_trace the penalized loss at the start and
+    after each Newton step comes back with the model; it never increases, and
+    its length less one is the number of steps.
     """
     X = design_matrix(data.features, opts.include_intercept)
     trace = [] if return_trace else None
     thetas, separable = _fit_rows(X, np.asarray(data.labels)[None, :], opts, theta0, trace)
     if separable[0]:
-        raise _flagged_fit_error(X, opts)
+        raise errors.FitDiverged(_SEPARABLE)
     model = LogisticModel(thetas[0], opts.include_intercept)
     return (model, np.concatenate(trace).tolist()) if return_trace else model
-
-
-def _flagged_fit_error(X, opts: FitOptions) -> errors.LabelRegretError:
-    """The error that fit_logistic raises on a row that the engine flags."""
-    d = X.shape[1]
-    if opts.ridge == 0.0 and _rank_deficient(X):
-        return errors.SingularHessian(f"feature matrix has rank below {d} and no ridge is applied")
-    return errors.FitDiverged("data looks separable; no finite optimum")
 
 
 def _rank_deficient(X) -> bool:
@@ -249,14 +246,15 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     way in every batch.
 
     Returns (thetas, separable): the K x d fitted parameters and a boolean
-    K-vector, True (with NaN thetas) where a row has no finite unique optimum.
-    That needs ridge 0 and either a rank-deficient design or linearly
-    separable data, shown by an iterate that classifies every point strictly
-    correctly (a proof checked on every pass, the start included), a parameter
-    norm past DIVERGENCE_GUARD before the last pass, or a Hessian that is not
-    positive definite or whose solve finds it singular (see _newton_steps).
-    Raises NoConvergence when another row is still above opts.grad_tol after
-    opts.max_iters steps, or when its step halving finds no decrease.
+    K-vector, True (with NaN thetas) where a row's labels are separable, so
+    that it has no finite optimum. That needs ridge 0, and is shown by an
+    iterate that classifies every point strictly correctly (a proof checked on
+    every pass, the start included), a parameter norm past DIVERGENCE_GUARD
+    before the last pass, or a Hessian that is not positive definite or whose
+    solve finds it singular (see _newton_steps). Raises SingularHessian at
+    ridge 0 on a rank-deficient design, whatever the labels and even with no
+    rows, and NoConvergence when another row is still above opts.grad_tol
+    after opts.max_iters steps, or when its step halving finds no decrease.
     """
     return _fit_rows(X, label_rows, opts, theta0, None)
 
@@ -275,10 +273,10 @@ def _fit_rows(X, label_rows, opts: FitOptions, theta0, trace):
     if start.shape != (d,) and start.shape != (K, d):
         raise errors.DimensionMismatch(
             f"warm start has shape {start.shape}, expected ({d},) or ({K}, {d})")
+    if opts.ridge == 0.0 and _rank_deficient(X):
+        raise errors.SingularHessian(f"feature matrix has rank below {d} and no ridge is applied")
     thetas = np.full((K, d), np.nan)
     separable = np.ones(K, dtype=bool)
-    if opts.ridge == 0.0 and _rank_deficient(X):
-        return thetas, separable
     # Row i of XX is the flattened outer product x_i x_i', so w @ XX is X' diag(w) X.
     XX = (X[:, :, None] * X[:, None, :]).reshape(n, d * d) \
         if n * d * d <= HESSIAN_TABLE_ENTRIES else None
@@ -670,10 +668,10 @@ class TrainerHandle:
     returned; a trainer may start its optimizer there (the estimators pass the
     base fit, so that every refit starts from the base optimum), and a trainer
     with nothing to warm-start ignores it. fit_many is the estimators' entry
-    point for many refits on one feature matrix, and fit_each makes many cold
-    fits on one (the base fits of a trials run). Only LogisticTrainer has a
-    ridge fallback for resamples that turn out separable; any other
-    trainer's fit errors propagate.
+    point for many refits on one feature matrix; a trainer that fits many rows
+    together overrides it. Only LogisticTrainer has a ridge fallback for
+    resamples that turn out separable; any other trainer's fit errors
+    propagate.
 
     mirrors_label_flips declares a symmetry that exact enumeration uses to
     refit only one assignment of each complementary pair: when True, a cold
@@ -687,19 +685,6 @@ class TrainerHandle:
 
     def fit(self, data: "Dataset", start=None) -> Predictor:
         raise NotImplementedError
-
-    def fit_each(self, data: "Dataset", label_rows) -> list:
-        """Cold fits on data's features, one per row of label_rows: entry k is
-        fit(data.with_labels(label_rows[k])), or the LabelRegretError that this
-        fit raises, so that a caller can raise it where it would have made the
-        fit. Subclasses may fit the rows together, as LogisticTrainer does."""
-        fits = []
-        for labels in label_rows:
-            try:
-                fits.append(self.fit(data.with_labels(labels)))
-            except errors.LabelRegretError as exc:
-                fits.append(exc)
-        return fits
 
     def fit_many(self, data: "Dataset", label_rows, eval_features, start=None):
         """Refit on data's features once per row of label_rows, each from start.
@@ -738,17 +723,25 @@ class LogisticTrainer(TrainerHandle):
         return fit_logistic(data, self.opts, theta0=None if start is None else start.theta)
 
     def fit_each(self, data: "Dataset", label_rows) -> list:
-        """TrainerHandle.fit_each by one fit_logistic_batch call from theta = 0,
-        whose rows are fit_logistic's models bit for bit; a flagged row gets the
-        error that fit_logistic raises on it. When the call raises (a row that
-        does not converge), each row is fitted alone, so that every row still
-        gets its own outcome."""
+        """Cold fits on data's features, one per row of label_rows: entry k is
+        fit(data.with_labels(label_rows[k])) bit for bit, or the LabelRegretError
+        that this fit raises, so that a caller (the base fits of a trials run)
+        can raise it where it would have made the fit. The rows are one
+        fit_logistic_batch call from theta = 0; when it raises (a rank-deficient
+        design at ridge 0, or a row that does not converge), each row is fitted
+        alone, so that every row still gets its own outcome."""
         X = design_matrix(data.features, self.opts.include_intercept)
         try:
             thetas, separable = fit_logistic_batch(X, label_rows, self.opts)
         except errors.LabelRegretError:
-            return super().fit_each(data, label_rows)
-        return [_flagged_fit_error(X, self.opts) if flagged
+            fits = []
+            for labels in label_rows:
+                try:
+                    fits.append(self.fit(data.with_labels(labels)))
+                except errors.LabelRegretError as exc:
+                    fits.append(exc)
+            return fits
+        return [errors.FitDiverged(_SEPARABLE) if flagged
                 else LogisticModel(theta, self.opts.include_intercept)
                 for theta, flagged in zip(thetas, separable)]
 
@@ -762,19 +755,16 @@ class LogisticTrainer(TrainerHandle):
 
         Each distinct row is refit once, in order of first appearance, and its
         predictions are copied to every row that repeats it; when no row
-        repeats, label_rows itself goes to the engine. At ridge 0 a
-        rank-deficient design raises SingularHessian, as fit_logistic does;
-        the rank is read only when the first call flags every row, as it does
-        on such a design. The rows that call flags as separable are refit
-        together at the trainer's ridge plus the FALLBACK_RIDGES ridge, from
-        theta = 0, or on a one-column design from _rung_starts' line optimum
-        along the first Newton step, where a row takes no Newton step and ends
-        within the grad_tol band of the cold fit, not at its bits; a row still
-        flagged raises RefitFallbackExhausted. The count returned is the
-        number of rows that needed the rung, each with its copies. Row k of
-        the samples is the same whatever other rows share the call or the
-        rung: no engine row depends on another, nor does a row's rung start
-        or prediction.
+        repeats, label_rows itself goes to the engine. The rows that call
+        flags as separable are refit together at the trainer's ridge plus the
+        FALLBACK_RIDGES ridge, from theta = 0, or on a one-column design from
+        _rung_starts' line optimum along the first Newton step, where a row
+        takes no Newton step and ends within the grad_tol band of the cold fit,
+        not at its bits; a row still flagged raises RefitFallbackExhausted.
+        The count returned is the number of rows that needed the rung, each
+        with its copies. Row k of the samples is the same whatever other rows
+        share the call or the rung: no engine row depends on another, nor does
+        a row's rung start or prediction.
         """
         include = self.opts.include_intercept
         X = design_matrix(data.features, include)
@@ -784,10 +774,6 @@ class LogisticTrainer(TrainerHandle):
         thetas, separable = fit_logistic_batch(
             X, rows, self.opts, theta0=None if start is None else start.theta)
         pending = np.flatnonzero(separable)
-        if pending.size == len(rows) > 0:
-            error = _flagged_fit_error(X, self.opts)
-            if isinstance(error, errors.SingularHessian):
-                raise error
         n_fallbacks = pending.size if copies is None else int(separable[copies].sum())
         if pending.size:
             (extra,) = FALLBACK_RIDGES

@@ -91,7 +91,7 @@ class RegretReport:
 def _initial_fit(trainer: TrainerHandle, data: Dataset, fitted=None):
     """The trainer's fit on data: the base predictor and every refit's start.
     fitted, when given, is that fit made earlier, as an entry of
-    TrainerHandle.fit_each: the predictor, or the error that the fit raised."""
+    LogisticTrainer.fit_each: the predictor, or the error that the fit raised."""
     try:
         if fitted is None:
             return trainer.fit(data)

@@ -13,7 +13,7 @@ the default constant, but its scaling in n is informative long before that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,13 +151,5 @@ def theory_report_table(report: TheoryReport):
 
 
 def theory_report_metadata(report: TheoryReport) -> dict:
-    return {
-        "lambda_min": report.lambda_min,
-        "lambda_max": report.lambda_max,
-        "x_max": report.x_max,
-        "x_min": report.x_min,
-        "theta_norm": report.theta_norm,
-        "epsilon": report.epsilon,
-        "bound_applies": report.bound_applies,
-        "constant": report.constant,
-    }
+    """Every field of the report but q, in field order."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "q"}

@@ -1,6 +1,7 @@
 import csv
 import decimal
 import io
+import json
 import math
 import os
 import sys
@@ -927,6 +928,21 @@ class TestSemiSynthetic:
         np.testing.assert_array_equal(loaded.ground_truth.theta,
                                       cluster_ss.ground_truth.theta)
         assert loaded.seed == cluster_ss.seed
+
+    @pytest.mark.parametrize("absent", [False, True], ids=["null", "absent"])
+    def test_sidecar_without_label_column_reads_label(self, tmp_path, cluster_ss, absent):
+        """A sidecar whose label_column is null reads the "label" column, as
+        one without the key does."""
+        csv_path, json_path = tmp_path / "ss.csv", tmp_path / "ss.json"
+        save_semisynthetic(cluster_ss, csv_path, json_path)
+        sidecar = json.loads(json_path.read_text(encoding="utf-8"))
+        if absent:
+            del sidecar["label_column"]
+        else:
+            sidecar["label_column"] = None
+        json_path.write_text(json.dumps(sidecar), encoding="utf-8")
+        loaded = load_semisynthetic(csv_path, json_path)
+        np.testing.assert_array_equal(loaded.base.labels, cluster_ss.base.labels)
 
 
 class TestStandardize:

@@ -260,6 +260,29 @@ class TestRankCertificate:
         monkeypatch.setattr(np.linalg, "matrix_rank", lambda A: calls.append(1) or matrix_rank(A))
         assert glm._rank_deficient(X) == (matrix_rank(X) < 2) and calls == [1]
 
+    @pytest.mark.parametrize("ridge, expected_calls", [(0.0, 1), (0.1, 0)])
+    def test_each_fit_reads_the_rank_once(self, monkeypatch, ridge, expected_calls):
+        """On the 4-point design [x, 2x], fit_logistic and fit_many each read
+        the rank once at ridge 0, where they raise SingularHessian, and never
+        with ridge."""
+        calls = []
+        rank_deficient = glm._rank_deficient
+        monkeypatch.setattr(glm, "_rank_deficient", lambda X: calls.append(1) or rank_deficient(X))
+        features = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, -2.0]])
+        label_rows = np.array([[1, -1, 1, -1], [1, 1, -1, -1]])
+        data = lr.Dataset(features, label_rows[0])
+        opts = lr.FitOptions(ridge=ridge, include_intercept=False)
+        trainer = lr.LogisticTrainer(opts)
+        for fit in (lambda: lr.fit_logistic(data, opts),
+                    lambda: trainer.fit_many(data, label_rows, features)):
+            calls.clear()
+            if ridge:
+                fit()
+            else:
+                with pytest.raises(errors.SingularHessian):
+                    fit()
+            assert len(calls) == expected_calls
+
 class TestFitLogisticBatch:
     """The batched engine against one reference fit per row."""
 
@@ -278,21 +301,25 @@ class TestFitLogisticBatch:
             np.testing.assert_allclose(thetas, expected, rtol=0, atol=1e-9)
 
     def test_separable_rows_flagged_exactly_where_per_row_fit_raises(self):
-        """All 16 label assignments of the 4-point set, and a rank-deficient
-        design whose every row must take the ridge fallback."""
+        """All 16 label assignments of the 4-point set; on the rank-deficient
+        design [x, 2x] the batch raises what each per-row fit raises."""
         opts = lr.FitOptions(include_intercept=False)
-        cases = [
-            (np.array([[1.0], [1.0], [-1.0], [-1.0]]),
-             np.array([[1 if (code >> i) & 1 else -1 for i in range(4)]
-                       for code in range(16)])),
-            (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, -2.0]]),
-             np.array([[1, -1, 1, -1], [1, 1, -1, -1]])),
-        ]
-        for features, label_rows in cases:
-            expected, raised = per_row_fits(features, label_rows, opts)
-            thetas, separable = fit_logistic_batch(features, label_rows, opts)
-            np.testing.assert_array_equal(separable, raised)
-            np.testing.assert_allclose(thetas, expected, rtol=0, atol=1e-9)
+        features = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        label_rows = np.array([[1 if (code >> i) & 1 else -1 for i in range(4)]
+                               for code in range(16)])
+        expected, raised = per_row_fits(features, label_rows, opts)
+        thetas, separable = fit_logistic_batch(features, label_rows, opts)
+        np.testing.assert_array_equal(separable, raised)
+        np.testing.assert_allclose(thetas, expected, rtol=0, atol=1e-9)
+
+        features = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, -2.0]])
+        label_rows = np.array([[1, -1, 1, -1], [1, 1, -1, -1]])
+        with pytest.raises(errors.SingularHessian) as batch:
+            fit_logistic_batch(features, label_rows, opts)
+        for labels in label_rows:
+            with pytest.raises(errors.SingularHessian) as row:
+                reference.fit_logistic(lr.Dataset(features, labels), opts)
+            assert str(batch.value) == str(row.value)
 
     def test_no_convergence_when_budget_tiny(self):
         features = lr.gaussian_features(200, 2, 3)
@@ -1086,28 +1113,6 @@ class TestTrainers:
         assert n_fallbacks == 0
         np.testing.assert_array_equal(samples, np.full((3, 3), 0.3))
         assert trainer.calls == [(row.tolist(), start) for row in label_rows]
-
-    def test_default_fit_each_fits_each_row_cold(self, small_dataset):
-        """The generic fit_each calls fit once per label row with no start, and
-        keeps the error a fit raises in that row's entry."""
-        class Picky(ConstantTrainer):
-            def __init__(self):
-                super().__init__(0.3)
-                self.calls = []
-
-            def fit(self, data, start=None):
-                self.calls.append((data.labels.tolist(), start))
-                if data.labels[0] == -1:
-                    raise errors.SingleClass("no positive label")
-                return super().fit(data)
-
-        trainer = Picky()
-        label_rows = np.array([[1] * 8, [-1] * 8, [1, -1] * 4])
-        fits = trainer.fit_each(small_dataset, label_rows)
-        assert trainer.calls == [(row.tolist(), None) for row in label_rows]
-        assert isinstance(fits[1], errors.SingleClass) and str(fits[1]) == "no positive label"
-        for k in (0, 2):
-            np.testing.assert_array_equal(fits[k](small_dataset.features), np.full(8, 0.3))
 
     @pytest.mark.parametrize("opts", [
         lr.FitOptions(include_intercept=False), lr.FitOptions(ridge=0.1),

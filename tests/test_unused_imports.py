@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no module
+defines a private top-level name that the package never uses.
 
 The toolchain has no linter, so this reads each module's syntax tree. Only
 top-level imports are checked. __init__ is exempt, because its imports are
 the public re-exports, and so is `from __future__`. A name counts as used
-when it appears anywhere else in the module, string annotations included.
+when it is read anywhere else in the module, string annotations included. A
+private name (one leading underscore) counts as used when any module of the
+package reads it, as a name, an attribute or an imported name.
 """
 
 import ast
@@ -39,7 +42,8 @@ def _annotations(tree):
 
 
 def _used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
     for annotation in filter(None, _annotations(tree)):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -53,10 +57,39 @@ def unused_imports(source: str) -> set:
     return {name for name in _imported_names(tree) if name not in used}
 
 
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_top_level_import(module):
     unused = unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert unused == ALLOWED.get(module, set())
+
+
+def test_every_private_top_level_name_is_used():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        used |= _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = {f"{module}.{name}" for module, tree in trees.items()
+              for name in _private_definitions(tree) if name not in used}
+    assert unused == set()
 
 
 def test_the_check_sees_annotations_and_ignores_nested_imports():
