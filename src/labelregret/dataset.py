@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors, rng
 from ._io import _X87_LONG_DOUBLE, NUMBER, dump_json, read_json, write_table
-from .glm import FitOptions, LogisticModel, fit_logistic, predict_proba
+from .glm import FitOptions, LogisticModel, _freeze, fit_logistic, predict_proba
 
 
 def _default_names(d: int) -> tuple:
@@ -41,13 +41,13 @@ class Dataset:
     feature_names: tuple = ()
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=float)
+        X = _freeze(self, "features")
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise errors.EmptyDataset(
                 f"features must be a non-empty 2-D matrix, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("feature entries must be finite")
-        y = np.array(self.labels, dtype=np.int64)
+        y = _freeze(self, "labels", np.int64)
         if y.shape != (X.shape[0],):
             raise errors.DimensionMismatch(
                 f"{X.shape[0]} rows but {y.size} labels")
@@ -60,10 +60,6 @@ class Dataset:
                 f"{X.shape[1]} feature columns but {len(names)} names")
         if len(set(names)) != len(names) or any(not n for n in names):
             raise ValueError("feature names must be unique and non-empty")
-        X.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y)
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -156,7 +152,7 @@ class SemiSyntheticDataset:
     gt_ridge: Optional[float] = None  # ridge used when the ground truth was fit
 
     def __post_init__(self):
-        p = np.array(self.true_probs, dtype=float)
+        p = _freeze(self, "true_probs")
         if p.shape != (self.base.n_points,):
             raise errors.DimensionMismatch("true_probs length must match the dataset")
         if not np.all((p >= 0.0) & (p <= 1.0)):
@@ -167,8 +163,6 @@ class SemiSyntheticDataset:
         regenerated = draw_labels(p, self.seed)
         if not np.array_equal(regenerated, self.base.labels):
             raise ValueError("labels do not regenerate from the recorded seed")
-        p.setflags(write=False)
-        object.__setattr__(self, "true_probs", p)
 
 
 def semisynthetic_from_model(features, ground_truth: LogisticModel,

@@ -74,7 +74,8 @@ class LengthMismatch(LabelRegretError):
 # model fitting
 
 class FitDiverged(LabelRegretError):
-    """Parameter norm blew past the divergence guard; data is separable."""
+    """Separable labels, flagged by the margin proof, the norm guard or a Hessian
+    with no Newton step: the fit has no finite optimum."""
 
 
 class SingularHessian(LabelRegretError):

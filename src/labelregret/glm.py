@@ -108,6 +108,16 @@ def _logistic(z, e, out=None, spare=None):
     return np.divide(numerator, np.add(1.0, e, out=spare), out=out)
 
 
+def _freeze(record, name, dtype=float) -> np.ndarray:
+    """Set field name of the frozen dataclass record to a read-only copy of its
+    value as an array of dtype, and return the copy. The rule for every record:
+    it holds read-only copies of the arrays it is given, in a fixed dtype."""
+    arr = np.array(getattr(record, name), dtype=dtype)
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class LogisticModel:
     """Parameter vector of a logistic model.
@@ -120,13 +130,11 @@ class LogisticModel:
     includes_intercept: bool = False
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
+        theta = _freeze(self, "theta")
         if theta.ndim != 1 or theta.size == 0:
             raise errors.DimensionMismatch("theta must be a non-empty 1-D vector")
         if not np.all(np.isfinite(theta)):
             raise ValueError("model parameters must be finite")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
 
     @property
     def n_features(self) -> int:
@@ -727,12 +735,14 @@ class LogisticTrainer(TrainerHandle):
         fit(data.with_labels(label_rows[k])) bit for bit, or the LabelRegretError
         that this fit raises, so that a caller (the base fits of a trials run)
         can raise it where it would have made the fit. The rows are one
-        fit_logistic_batch call from theta = 0; when it raises (a rank-deficient
-        design at ridge 0, or a row that does not converge), each row is fitted
-        alone, so that every row still gets its own outcome."""
+        fit_logistic_batch call from theta = 0. Its SingularHessian (a rank-deficient
+        design at ridge 0) is every row's entry; when a row does not converge,
+        each row is fitted alone, so that every row still gets its own outcome."""
         X = design_matrix(data.features, self.opts.include_intercept)
         try:
             thetas, separable = fit_logistic_batch(X, label_rows, self.opts)
+        except errors.SingularHessian as exc:
+            return [exc] * len(label_rows)
         except errors.LabelRegretError:
             fits = []
             for labels in label_rows:

@@ -19,7 +19,7 @@ from .config import ExperimentConfig
 from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset,
                       gaussian_features, load_csv, semisynthetic_from_model,
                       two_cluster_population)
-from .glm import (FitOptions, LogisticTrainer, TrainerHandle, bernoulli_kl,
+from .glm import (FitOptions, LogisticTrainer, TrainerHandle, _freeze, bernoulli_kl,
                   fit_logistic, LogisticModel, mean_kl, predict_proba)
 from .regret import _initial_fit, _prediction_samples, estimate_regret, true_regret
 from .theory import q_values
@@ -57,12 +57,8 @@ class SelectiveCurve:
 
     def __post_init__(self):
         for name in ("cutoffs", "coverages", "mean_kls"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        kept = np.array(self.n_kept, dtype=np.int64)
-        kept.setflags(write=False)
-        object.__setattr__(self, "n_kept", kept)
+            _freeze(self, name)
+        _freeze(self, "n_kept", np.int64)
         if np.any(np.diff(self.coverages) < 0):
             raise ValueError("coverage must be non-decreasing in the cutoff")
         if self.coverages.size and self.coverages[-1] != 1.0:
@@ -108,17 +104,11 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
         kept = int(keep.sum())
         if kept == 0:
             continue
+        if dedupe and rows and rows[-1][3] == kept:
+            rows.pop()  # same kept set: keep the larger cutoff
         rows.append((float(c), kept / n, float(kl[keep].mean()), kept))
     if not rows:
         raise errors.EmptyKeptSet("every cutoff lies below the smallest score")
-    if dedupe:
-        deduped = []
-        for row in rows:
-            if deduped and deduped[-1][3] == row[3]:
-                deduped[-1] = row  # same kept set: keep the larger cutoff
-            else:
-                deduped.append(row)
-        rows = deduped
     cut, cov, kls, kept = zip(*rows)
     return SelectiveCurve(np.array(cut), np.array(cov), np.array(kls),
                           np.array(kept))
@@ -165,16 +155,12 @@ class ActiveLearningTrace:
     mean_kl: np.ndarray
 
     def __post_init__(self):
-        n_labeled = np.array(self.n_labeled, dtype=np.int64)
-        kl = np.array(self.mean_kl, dtype=float)
+        n_labeled = _freeze(self, "n_labeled", np.int64)
+        kl = _freeze(self, "mean_kl")
         if n_labeled.shape != kl.shape:
             raise errors.LengthMismatch("trace arrays must share one length")
         if np.any(np.diff(n_labeled) <= 0):
             raise ValueError("n_labeled must be strictly increasing")
-        n_labeled.setflags(write=False)
-        kl.setflags(write=False)
-        object.__setattr__(self, "n_labeled", n_labeled)
-        object.__setattr__(self, "mean_kl", kl)
 
 
 def _pool_scores(ss: SemiSyntheticDataset, labeled: np.ndarray, pool: np.ndarray,
@@ -286,12 +272,7 @@ class TrialSummary:
     n_trials: int
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("median", "q25", "q75", "min", "max"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            arrays[name] = arr
-            object.__setattr__(self, name, arr)
+        arrays = {name: _freeze(self, name) for name in ("median", "q25", "q75", "min", "max")}
         if not (np.all(arrays["min"] <= arrays["q25"])
                 and np.all(arrays["q25"] <= arrays["median"])
                 and np.all(arrays["median"] <= arrays["q75"])

@@ -19,7 +19,7 @@ import numpy as np
 from . import errors
 from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_rows
 # The mc_separable benchmark oracle imports FALLBACK_RIDGES from this module.
-from .glm import FALLBACK_RIDGES, TrainerHandle
+from .glm import FALLBACK_RIDGES, TrainerHandle, _freeze
 
 ENUMERATION_LIMIT = 22
 # Pair members (one assignment of each complementary pair) refit together by
@@ -56,9 +56,9 @@ class RegretReport:
             raise ValueError(f"unknown estimator tag {self.estimator!r}")
         if self.n_resamples < 2:
             raise errors.TooFewResamples("variance needs at least 2 resamples")
-        regret = np.array(self.regret, dtype=float)
-        mean_pred = np.array(self.mean_pred, dtype=float)
-        base_pred = np.array(self.base_pred, dtype=float)
+        regret = _freeze(self, "regret")
+        mean_pred = _freeze(self, "mean_pred")
+        base_pred = _freeze(self, "base_pred")
         if not (regret.shape == mean_pred.shape == base_pred.shape):
             raise errors.LengthMismatch("report arrays must share one length")
         for name, arr in (("regret", regret), ("mean_pred", mean_pred), ("base_pred", base_pred)):
@@ -71,13 +71,8 @@ class RegretReport:
             raise ValueError(f"regret values must lie in [0, {cap:.6g}]")
         if np.min(mean_pred) < -1e-12 or np.max(mean_pred) > 1 + 1e-12:
             raise ValueError("mean predictions must lie in [0, 1]")
-        for name, arr in (("regret", regret), ("mean_pred", mean_pred), ("base_pred", base_pred)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         if self.samples is not None:
-            samples = np.array(self.samples, dtype=float)
-            samples.setflags(write=False)
-            object.__setattr__(self, "samples", samples)
+            _freeze(self, "samples")
 
     @property
     def n_points(self) -> int:

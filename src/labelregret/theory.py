@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import errors
-from .glm import LogisticModel, design_matrix, sigmoid
+from .glm import LogisticModel, _freeze, design_matrix, sigmoid
 
 DEFAULT_CONSTANT = 800.0
 
@@ -121,15 +121,13 @@ class TheoryReport:
     constant: float
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float)
+        q = _freeze(self, "q")
         if np.min(q) < 0:
             raise ValueError("q values must be non-negative")
         if not (0 < self.lambda_min <= self.lambda_max):
             raise errors.SingularHessian("need 0 < lambda_min <= lambda_max")
         if self.bound_applies != (self.epsilon < 1.0 and q.size >= 2):
             raise ValueError("bound_applies is inconsistent with epsilon and n")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
 
 
 def theory_report(model: LogisticModel, features,

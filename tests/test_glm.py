@@ -262,9 +262,10 @@ class TestRankCertificate:
 
     @pytest.mark.parametrize("ridge, expected_calls", [(0.0, 1), (0.1, 0)])
     def test_each_fit_reads_the_rank_once(self, monkeypatch, ridge, expected_calls):
-        """On the 4-point design [x, 2x], fit_logistic and fit_many each read
-        the rank once at ridge 0, where they raise SingularHessian, and never
-        with ridge."""
+        """On the 4-point design [x, 2x], fit_logistic, fit_many and fit_each
+        (on 3 label rows) each read the rank once at ridge 0, where the first
+        two raise SingularHessian and every entry of fit_each is that error,
+        and never with ridge."""
         calls = []
         rank_deficient = glm._rank_deficient
         monkeypatch.setattr(glm, "_rank_deficient", lambda X: calls.append(1) or rank_deficient(X))
@@ -279,9 +280,18 @@ class TestRankCertificate:
             if ridge:
                 fit()
             else:
-                with pytest.raises(errors.SingularHessian):
+                with pytest.raises(errors.SingularHessian) as raised:
                     fit()
             assert len(calls) == expected_calls
+        calls.clear()
+        fits = trainer.fit_each(data, np.vstack([label_rows, [-1, 1, 1, -1]]))
+        assert len(calls) == expected_calls and len(fits) == 3
+        for entry in fits:
+            if ridge:
+                assert isinstance(entry, lr.LogisticModel)
+            else:
+                assert isinstance(entry, errors.SingularHessian)
+                assert str(entry) == str(raised.value)
 
 class TestFitLogisticBatch:
     """The batched engine against one reference fit per row."""
@@ -1525,3 +1535,56 @@ class TestModelSerialization:
         model = lr.LogisticModel(np.ones(2))
         with pytest.raises(errors.DimensionMismatch):
             model_to_dict(model, ["only-one-name", "x", "y"])
+
+
+def _semisynthetic_fields():
+    ground_truth, seed = lr.LogisticModel(np.array([0.4, -0.2])), lr.LabelDrawSeed(3)
+    features = np.array([[0.5, -1.0], [1.5, 0.25], [-0.75, 2.0]])
+    true_probs = lr.predict_proba(ground_truth, features)
+    return {"base": lr.Dataset(features, lr.draw_labels(true_probs, seed)),
+            "true_probs": true_probs, "ground_truth": ground_truth, "seed": seed}
+
+
+# Every record class that holds arrays, with the fields of a valid instance.
+RECORD_FIELDS = {
+    lr.LogisticModel: lambda: {"theta": np.array([0.4, -0.2])},
+    lr.Dataset: lambda: {"features": np.array([[0.5, -1.0], [1.5, 0.25]]),
+                         "labels": np.array([1, -1])},
+    lr.SemiSyntheticDataset: _semisynthetic_fields,
+    lr.RegretReport: lambda: {
+        "regret": np.array([0.01, 0.02]), "mean_pred": np.array([0.4, 0.7]),
+        "base_pred": np.array([0.45, 0.65]), "n_resamples": 10, "estimator": "monte_carlo",
+        "seed": 0, "trainer_name": "logistic", "samples": np.full((10, 2), 0.5)},
+    lr.TheoryReport: lambda: {
+        "q": np.array([0.01, 0.03]), "lambda_min": 1.0, "lambda_max": 2.0, "x_max": 1.0,
+        "x_min": 0.5, "theta_norm": 0.3, "epsilon": 2.0, "bound_applies": False,
+        "constant": 1.0},
+    lr.SelectiveCurve: lambda: {
+        "cutoffs": np.array([0.1, 0.2]), "coverages": np.array([0.5, 1.0]),
+        "mean_kls": np.array([0.02, 0.03]), "n_kept": np.array([1, 2])},
+    lr.ActiveLearningTrace: lambda: {"n_labeled": np.array([2, 4]),
+                                     "mean_kl": np.array([0.05, 0.04])},
+    lr.TrialSummary: lambda: {
+        "min": np.array([0.1]), "q25": np.array([0.2]), "median": np.array([0.3]),
+        "q75": np.array([0.4]), "max": np.array([0.5]), "n_trials": 5},
+}
+INT_FIELDS = {"labels", "n_kept", "n_labeled"}
+
+
+@pytest.mark.parametrize("record_class", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_record_holds_read_only_copies_of_its_arrays(record_class):
+    """Built from writable caller arrays, a record holds read-only copies of
+    them in its fixed dtype, so that writing to the caller's arrays afterwards
+    leaves it unchanged."""
+    fields = RECORD_FIELDS[record_class]()
+    record = record_class(**fields)
+    callers = {name: value for name, value in fields.items() if isinstance(value, np.ndarray)}
+    held = {name: getattr(record, name).copy() for name in callers}
+    for name, caller in callers.items():
+        array = getattr(record, name)
+        assert not array.flags.writeable
+        assert array.dtype == (np.int64 if name in INT_FIELDS else np.float64)
+        assert not np.shares_memory(array, caller)
+        caller += 1
+    for name, array in held.items():
+        np.testing.assert_array_equal(getattr(record, name), array)

@@ -60,6 +60,20 @@ class TestSelectivePredictionCurve:
                                      lr.predict_proba(model, cluster_ss.base.features))
             assert curve.mean_kls[-1] == pytest.approx(all_kl.mean(), rel=1e-12)
 
+    def test_dedupe_keeps_the_largest_cutoff_of_each_kept_set(self, cluster_ss):
+        """With dedupe, each run of cutoffs that keep the same points leaves
+        one row: the row of its largest cutoff, as dedupe=False computes it."""
+        model = _fit(cluster_ss)
+        scores = np.random.default_rng(0).integers(1, 6, cluster_ss.base.n_points) / 5.0
+        grid = np.linspace(0.0, 1.0, 41)
+        every = harness.selective_prediction_curve(cluster_ss, model, scores, grid,
+                                                   dedupe=False)
+        deduped = harness.selective_prediction_curve(cluster_ss, model, scores, grid)
+        last = np.flatnonzero(np.append(np.diff(every.n_kept) != 0, True))
+        assert 5 == last.size < every.n_kept.size
+        for name in ("cutoffs", "coverages", "mean_kls", "n_kept"):
+            np.testing.assert_array_equal(getattr(deduped, name), getattr(every, name)[last])
+
     def test_near_tied_scores_are_kept_together(self, cluster_ss):
         """Scores equal in exact arithmetic fall on the same side of every cutoff."""
         model = _fit(cluster_ss)

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no module
-defines a private top-level name that the package never uses.
+"""No module of the package imports a name it never uses, no module defines
+a private top-level name that the package never uses, and one helper freezes
+the arrays of every record.
 
 The toolchain has no linter, so this reads each module's syntax tree. Only
 top-level imports are checked. __init__ is exempt, because its imports are
@@ -90,6 +91,27 @@ def test_every_private_top_level_name_is_used():
     unused = {f"{module}.{name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in used}
     assert unused == set()
+
+
+def _setflags_callers(node, scope):
+    """Qualified names of the functions under node that call .setflags(."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _setflags_callers(child, f"{scope}.{child.name}")
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "setflags"):
+            yield scope
+        yield from _setflags_callers(child, scope)
+
+
+def test_only_the_freeze_helper_and_the_sample_adoption_set_flags():
+    """Records freeze their arrays through glm._freeze; _sampling_report
+    adopts an estimator's samples without a copy."""
+    callers = {caller for path in PACKAGE.glob("*.py")
+               for caller in _setflags_callers(ast.parse(path.read_text(encoding="utf-8")),
+                                               path.stem)}
+    assert callers == {"glm._freeze", "regret._sampling_report"}
 
 
 def test_the_check_sees_annotations_and_ignores_nested_imports():
