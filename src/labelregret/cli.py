@@ -36,8 +36,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, dest="master_seed",
                         help="master seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect (every "
-                             "run is single-threaded)")
+                        help="accepted for compatibility; starts no workers and "
+                             "changes no output")
     parser.add_argument("--out", required=True, help="output directory")
 
 

@@ -52,7 +52,7 @@ class ExperimentConfig:
     batch_size: int = 1
     n_batches: Optional[int] = None  # None -> acquire until the pool is empty
 
-    # execution; threads has no effect (runs are single-threaded) and stays so
+    # execution; threads starts no workers and changes no output, and stays so
     # that command lines and saved configs that set it keep working
     threads: int = 1
     out_dir: Optional[str] = None

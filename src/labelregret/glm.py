@@ -17,11 +17,13 @@ block runs as many passes as its slowest row still iterating; a batch of up to
 BATCH_ENTRIES labels runs as one block. When every row of a block starts at the
 same theta, the start's margins, probabilities, weights and Hessian are formed
 once per block, and only the label-dependent parts per row (see _newton_rows);
-a call may also give each row a start of its own. Each fit_logistic_batch call
-allocates one workspace of ten min(block, K) x n floats (5 MiB at most while n
-<= BATCH_ENTRIES), and a Newton pass writes its labels, margins,
-exp(-|margin|), loss terms, probabilities, residuals and weights into it in
-place: allocating them on every pass cost page faults (see _newton_rows).
+a call may also give each row a start of its own. Every Hessian X' diag(w) X
+but the engine's outer-product table, theory's included, is S'S with
+S = sqrt(w) X (_gram), whose bits do not depend on the BLAS thread count. Each
+fit_logistic_batch call allocates one workspace of ten min(block, K) x n floats
+(5 MiB at most while n <= BATCH_ENTRIES), and a Newton pass writes its labels,
+margins, exp(-|margin|), loss terms, probabilities, residuals and weights into
+it in place: allocating them on every pass cost page faults (see _newton_rows).
 A trainer implements fit, plus fit_many where it fits many rows together.
 LogisticTrainer.fit_many, the estimators' refit entry point, sends each
 distinct label row to the engine once, copies its predictions to the rows
@@ -248,10 +250,10 @@ def fit_logistic_batch(X, label_rows, opts: FitOptions = FitOptions(), *, theta0
     product with X is a vector-matrix product of its own, since one matrix
     product lets BLAS pick its kernel, and so its rounding, by the row count.
     The Hessians X' diag(w) X come from an n x d^2 table of outer products when
-    n * d^2 is at most HESSIAN_TABLE_ENTRIES, and as X'(w X) otherwise. The
-    table is fast for many rows on a small design and grows as n d^2; as the
-    rule reads the design alone, never K, a row's Hessian is formed the same
-    way in every batch.
+    n * d^2 is at most HESSIAN_TABLE_ENTRIES, and as S'S otherwise (_gram);
+    neither depends on the BLAS thread count. The table is fast for many rows
+    on a small design and grows as n d^2; as the rule reads the design alone,
+    never K, a row's Hessian is formed the same way in every batch.
 
     Returns (thetas, separable): the K x d fitted parameters and a boolean
     K-vector, True (with NaN thetas) where a row's labels are separable, so
@@ -369,10 +371,7 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         """Each row's penalized Hessian X' diag(w) X + ridge I, with the weights
         w = P(1 - P) written to W."""
         np.multiply(P, np.subtract(1.0, P, out=W), out=W)
-        if XX is None:
-            H = np.matmul(XT, W[:, :, None] * X)
-        else:
-            H = _row_products(W, XX).reshape(-1, d, d)
+        H = _gram(X, W) if XX is None else _row_products(W, XX).reshape(-1, d, d)
         if ridge:
             H += ridge_eye
         return H
@@ -496,6 +495,15 @@ def _row_products(A, B, out=None):
     return np.matmul(A[:, None, :], B, out=None if out is None else out[:, None, :])[:, 0, :]
 
 
+def _gram(X, w):
+    """X' diag(w) X for a weight vector w, or one per row of a stack of them, as
+    S'S with S = sqrt(w) X. numpy hands a matrix times its own transpose to
+    syrk, which, unlike the gemm X'(w X), gives an exactly symmetric result
+    with the same bits at any BLAS thread count (measured on OpenBLAS)."""
+    S = np.sqrt(w)[..., None] * X
+    return np.matmul(np.swapaxes(S, -1, -2), S)
+
+
 def _newton_steps(H, grad):
     """Newton steps -H[k]^-1 grad[k] of a stack of symmetric Hessians, and
     whether each exists: H[k] must pass the Cholesky test, and rounding can
@@ -560,16 +568,19 @@ def _factored_steps(H, grad):
 def predict_proba(model: LogisticModel, x):
     """Predicted probability of the +1 label, for one point or a matrix of rows."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = design_matrix(np.atleast_2d(x), model.includes_intercept)
+    p = _design_and_probs(model, np.atleast_2d(x))[1]
+    return float(p[0]) if x.ndim == 1 else p
+
+
+def _design_and_probs(model: LogisticModel, features):
+    """The design matrix of a matrix of points and the model's probabilities at
+    its rows: predict_proba's work, which theory's closed form shares."""
+    X = design_matrix(features, model.includes_intercept)
     if X.shape[1] != model.theta.size:
         raise errors.DimensionMismatch(
             f"model has {model.theta.size} parameters but points have "
             f"{X.shape[1]} columns (intercept included)")
-    p = sigmoid(X @ model.theta)
-    if single:
-        return float(p[0])
-    return p
+    return X, sigmoid(X @ model.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,10 @@ class SelectiveCurve:
     n_kept: np.ndarray
 
     def __post_init__(self):
-        for name in ("cutoffs", "coverages", "mean_kls"):
-            _freeze(self, name)
-        _freeze(self, "n_kept", np.int64)
+        arrays = [_freeze(self, name) for name in ("cutoffs", "coverages", "mean_kls")]
+        arrays.append(_freeze(self, "n_kept", np.int64))
+        if len({arr.shape for arr in arrays}) > 1:
+            raise errors.LengthMismatch("curve arrays must share one length")
         if np.any(np.diff(self.coverages) < 0):
             raise ValueError("coverage must be non-decreasing in the cutoff")
         if self.coverages.size and self.coverages[-1] != 1.0:
@@ -273,6 +274,8 @@ class TrialSummary:
 
     def __post_init__(self):
         arrays = {name: _freeze(self, name) for name in ("median", "q25", "q75", "min", "max")}
+        if len({arr.shape for arr in arrays.values()}) > 1:
+            raise errors.LengthMismatch("summary arrays must share one length")
         if not (np.all(arrays["min"] <= arrays["q25"])
                 and np.all(arrays["q25"] <= arrays["median"])
                 and np.all(arrays["median"] <= arrays["q75"])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import errors
-from .glm import LogisticModel, _freeze, design_matrix, sigmoid
+from .glm import LogisticModel, _design_and_probs, _freeze, _gram
 
 DEFAULT_CONSTANT = 800.0
 
@@ -29,14 +29,12 @@ def compute_hessian(model: LogisticModel, features) -> np.ndarray:
     When the model has an intercept the constant-1 column participates as an
     ordinary feature, so the matrix is (d+1) x (d+1).
     """
-    X, p = _design_and_probs(model, features)
-    return _hessian(X, p)
+    return _terms(model, features)[2]
 
 
 def q_values(model: LogisticModel, features) -> np.ndarray:
     """Closed-form variance q_i per point, via one inverse of the d x d matrix H."""
-    X, p = _design_and_probs(model, features)
-    return _q_from(X, p, _hessian(X, p))
+    return _q_from(*_terms(model, features))
 
 
 def epsilon_bound(model: LogisticModel, features,
@@ -51,25 +49,16 @@ def epsilon_bound(model: LogisticModel, features,
     true iff epsilon < 1 and n >= 2. The default constant 800 is loose by
     construction; it is a parameter so tighter empirical values can be tried.
     """
-    X, p = _design_and_probs(model, features)
-    bound = _bound_fields(model, X, _hessian(X, p), constant)
+    X, _, H = _terms(model, features)
+    bound = _bound_fields(model, X, H, constant)
     return bound["epsilon"], bound["bound_applies"]
 
 
-def _design_and_probs(model: LogisticModel, features):
-    """The design matrix of features and the model's probabilities at its rows."""
-    X = design_matrix(features, model.includes_intercept)
-    if X.shape[1] != model.theta.size:
-        raise errors.DimensionMismatch(
-            f"model has {model.theta.size} parameters but points have {X.shape[1]} columns")
-    return X, sigmoid(X @ model.theta)
-
-
-def _hessian(X, p) -> np.ndarray:
-    """X' diag(p (1 - p)) X, symmetrized."""
-    w = p * (1.0 - p)
-    H = X.T @ (w[:, None] * X)
-    return (H + H.T) / 2.0
+def _terms(model: LogisticModel, features):
+    """The design matrix of features, the model's probabilities p at its rows
+    (predict_proba's code) and H = X' diag(p (1 - p)) X, by glm's one rule."""
+    X, p = _design_and_probs(model, features)
+    return X, p, _gram(X, p * (1.0 - p))
 
 
 def _q_from(X, p, H) -> np.ndarray:
@@ -137,8 +126,7 @@ def theory_report(model: LogisticModel, features,
     The design, the probabilities and the Hessian are computed once and
     shared by q and epsilon.
     """
-    X, p = _design_and_probs(model, features)
-    H = _hessian(X, p)
+    X, p, H = _terms(model, features)
     bound = _bound_fields(model, X, H, constant)
     return TheoryReport(q=_q_from(X, p, H), **bound)
 

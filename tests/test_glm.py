@@ -345,11 +345,24 @@ class TestFitLogisticBatch:
             fit_logistic_batch(np.ones((3, 1)), np.ones((2, 4)), lr.FitOptions())
 
 
+def test_gram_of_a_stack_is_each_rows_exactly_symmetric_gram():
+    """glm._gram on a stack of weight rows gives each row the bits of that row
+    alone, exactly symmetric, and X' diag(w) X up to rounding."""
+    gen = np.random.default_rng(19)
+    X = gen.standard_normal((2000, 21))
+    W = gen.uniform(0.0, 0.25, (3, 2000))
+    H = glm._gram(X, W)
+    for k, w in enumerate(W):
+        assert H[k].tobytes() == glm._gram(X, w).tobytes()
+        np.testing.assert_array_equal(H[k], H[k].T)
+        np.testing.assert_allclose(H[k], X.T @ (w[:, None] * X), rtol=1e-12, atol=1e-12)
+
+
 class TestSingleFitIsABatchRow:
     """fit_logistic is the engine run on one row, and no row's arithmetic
     depends on the others, so a single fit equals its batch row bit for bit."""
 
-    # 60 x 4 takes the Hessians from the outer-product table, 600 x 21 as X'(w X)
+    # 60 x 4 takes the Hessians from the outer-product table, 600 x 21 as S'S
     @pytest.mark.parametrize("n, n_features", [(60, 3), (600, 20)])
     @pytest.mark.parametrize("ridge", [0.0, 0.1])
     def test_equals_batch_row(self, n, n_features, ridge):

@@ -23,6 +23,19 @@ def test_trials_reject_custom_grid_before_any_refit(monkeypatch):
         harness.run_trials(cfg, "selective")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: lr.SelectiveCurve([0.1], [0.5, 1.0], [0.1], [1, 2, 3]),
+    lambda: lr.SelectiveCurve([0.1, 0.2], [0.5, 1.0], [0.1, 0.2], [1]),
+    lambda: lr.TrialSummary(median=[0.3] * 3, q25=[0.2], q75=[0.4] * 3, min=[0.1],
+                            max=[0.5], n_trials=5),
+    lambda: harness.ActiveLearningTrace([4, 6], [0.1]),
+], ids=["curve", "curve_n_kept", "summary", "trace"])
+def test_record_arrays_of_unequal_length_are_rejected(build):
+    """Broadcasting would let the summary's order check pass on lengths 3 and 1."""
+    with pytest.raises(errors.LengthMismatch, match="share one length"):
+        build()
+
+
 @pytest.fixture
 def ss40():
     return lr.two_cluster_semisynthetic(40, lr.LabelDrawSeed(7))

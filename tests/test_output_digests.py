@@ -1,9 +1,12 @@
 """tools/output_digests.py digests what a run writes, not where it writes it,
 and the runs it pins, and the large-CSV run theory_large seed=1, give the
-outputs that tests/output_digests.json records."""
+outputs that tests/output_digests.json records, the latter at one and at two
+BLAS threads alike."""
 
+import functools
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -50,33 +53,49 @@ def test_pinned_runs_give_the_recorded_outputs():
 
 
 # Prints the record of one run at one seed, made in a fresh interpreter that
-# imports the tool, and so pins BLAS to one thread, before numpy loads.
-RUN_ONE = """import importlib.util, json, sys
+# loads numpy, with the BLAS thread count its environment sets, before the tool
+# sets its one-thread pin.
+RUN_ONE = """import numpy, importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("output_digests", sys.argv[1])
 tool = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tool)
 for _, run in tool.run_records([int(sys.argv[3])], {sys.argv[2]}):
     print(json.dumps(run))
 """
+LARGE = "theory_large seed=1"
+
+
+@functools.cache
+def large_run(threads: int) -> dict:
+    """The record of LARGE, made in a fresh interpreter on threads OpenBLAS threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+    done = subprocess.run([sys.executable, "-c", RUN_ONE, str(TOOL), LARGE, "1"], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
 
 
 def test_large_csv_run_gives_the_recorded_files():
     """theory_large seed=1 loads a 10,000-row CSV twice through the plain
     parse, with its midpoint re-read and helper thread, and writes
     theory.csv through _io's table kernel. Its file hashes are recorded,
-    its numbers are not (about 270 KB). It runs in a fresh interpreter:
-    under pytest numpy has already loaded with more than one BLAS thread,
-    and the fit and theory files of a design this large depend on their
-    count."""
+    its numbers are not (about 270 KB). It runs in a fresh interpreter on
+    one BLAS thread, the tool's pin."""
     pinned = json.loads(PINNED_FILE.read_text(encoding="utf-8"))
     reason = output_digests.skip_reason(pinned)
     if reason:
         pytest.skip(reason)
-    label = "theory_large seed=1"
-    done = subprocess.run([sys.executable, "-c", RUN_ONE, str(TOOL), label, "1"],
-                          capture_output=True, text=True, timeout=120, check=True)
-    lines = output_digests.differences(pinned["runs"][label], json.loads(done.stdout))
-    assert not lines, f"{label} differs from {PINNED_FILE.name}:\n" + "\n".join(lines)
+    lines = output_digests.differences(pinned["runs"][LARGE], large_run(1))
+    assert not lines, f"{LARGE} differs from {PINNED_FILE.name}:\n" + "\n".join(lines)
+
+
+def test_large_csv_run_does_not_depend_on_the_blas_thread_count():
+    """The fit and the closed form of a 10,000 x 21 design give the same bits
+    on one and on two OpenBLAS threads, because glm forms each weighted Gram
+    matrix that a BLAS call reduces over the points as S'S, a syrk. The
+    digests are compared, as the files record the run's directory."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS runs one thread whatever the setting")
+    assert large_run(1)["digest"] == large_run(2)["digest"]
 
 
 def test_another_platform_is_a_skip_reason():
@@ -88,6 +107,13 @@ def test_another_platform_is_a_skip_reason():
     assert "cpu_simd ['X86_V2']" in reason
     assert "blas None" in output_digests.skip_reason(
         {key: value for key, value in here.items() if key != "blas"})
+    assert output_digests.skip_reason({**here, "blas_pin": {"OPENBLAS_NUM_THREADS": "2"}}) is None
+
+
+def test_the_file_records_the_blas_pin():
+    pinned = json.loads(PINNED_FILE.read_text(encoding="utf-8"))
+    assert pinned["blas_pin"] == output_digests.BLAS_PIN
+    assert all(value == "1" for value in output_digests.BLAS_PIN.values())
 
 
 def test_a_difference_names_the_file_and_the_largest_numeric_difference():

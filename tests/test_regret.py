@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -374,6 +376,58 @@ class TestPairedEnumeration:
     def test_no_points(self):
         with pytest.raises(errors.EmptyDataset):
             lr.exact_regret_enumeration(np.ones((0, 1)), [], lr.EchoTrainer())
+
+
+def grouped_enumeration(X, probs, trainer):
+    """Exact regret by pattern counts: (regret, mean_pred, refit count).
+
+    A fit sees its labels only through X'y, so every label vector with the
+    same count of +1 labels on each distinct feature row (pattern) has one
+    fit, up to rounding. The count of pattern g is Poisson-binomial in its
+    points' probabilities. Each count vector is refit once, cold, through one
+    fit_many call, on a representative row that labels +1 the first k_g points
+    of pattern g, and weighs the product of its patterns' count probabilities.
+    """
+    X = np.asarray(X, dtype=float)
+    _, pattern = np.unique(X, axis=0, return_inverse=True)
+    members = [np.flatnonzero(pattern == g) for g in range(pattern.max() + 1)]
+    pmfs = []
+    for points in members:
+        pmf = np.ones(1)
+        for p in probs[points]:
+            pmf = np.convolve(pmf, [1.0 - p, p])
+        pmfs.append(pmf)
+    counts = np.array(list(itertools.product(*(range(pmf.size) for pmf in pmfs))))
+    rows = -np.ones((len(counts), X.shape[0]), dtype=np.int64)
+    for g, points in enumerate(members):
+        rows[:, points] = np.where(np.arange(points.size) < counts[:, g, None], 1, -1)
+    weights = np.prod([pmf[counts[:, g]] for g, pmf in enumerate(pmfs)], axis=0)
+    values, _ = trainer.fit_many(lr.Dataset(X, rows[0]), rows, X, None)
+    m1, m2 = weights @ values, weights @ values ** 2
+    return np.maximum(m2 - m1 ** 2, 0.0), np.clip(m1, 0.0, 1.0), len(rows)
+
+
+class TestGroupedEnumeration:
+    @pytest.mark.parametrize("n, refits", [(12, 5 * 5 * 5), (14, 5 * 6 * 6)])
+    @pytest.mark.parametrize("ridge", [0.1, 0.0])
+    def test_pattern_counts_give_the_enumerated_regret(self, n, refits, ridge):
+        """Three patterns x in {-1, 0.5, 2} with an intercept, interleaved, and
+        probabilities unequal within each pattern: one refit per count vector
+        against 2**(n-1) pairs. At ridge 0 the count vectors that separate the
+        patterns take the fallback rung on both sides. Over 240 cases, with
+        probabilities from default_rng(100 s + n) for s = 0-59 at each n and
+        ridge (this test is s = 1), the largest difference was 2.1e-15 in
+        regret and 1.7e-15 in mean_pred; the bound is about five times that."""
+        gen = np.random.default_rng(100 + n)
+        X = np.array([-1.0, 0.5, 2.0])[np.arange(n) % 3][:, None]
+        probs = gen.uniform(0.2, 0.8, n)
+        trainer = lr.LogisticTrainer(lr.FitOptions(ridge=ridge))
+        exact = lr.exact_regret_enumeration(X, probs, trainer)
+        regret, mean_pred, n_refits = grouped_enumeration(X, probs, trainer)
+        assert n_refits == refits
+        assert (exact.n_fallback_refits > 0) == (ridge == 0.0)
+        np.testing.assert_allclose(regret, exact.regret, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(mean_pred, exact.mean_pred, rtol=0, atol=1e-14)
 
 
 class TestReportValidation:

@@ -60,7 +60,7 @@ class TestComputeHessian:
         np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-8)
 
     def test_agrees_with_optimizer_route(self, cluster_ss):
-        """The symmetrized X'(w X) product and the reference optimizer's own
+        """The S'S product, S = sqrt(w) X, and the reference optimizer's own
         weighted product match."""
         model = lr.fit_logistic(cluster_ss.base, lr.FitOptions(include_intercept=False))
         via_theory = lr.compute_hessian(model, cluster_ss.base.features)
@@ -72,9 +72,10 @@ class TestComputeHessian:
     def test_equals_the_sum_of_weighted_outer_products(self, include_intercept):
         """H = sum_i w_i x_i x_i' summed point by point, w_i = p_i (1 - p_i).
 
-        Each route forms every entry as a sum of n rounded products w x_j x_k,
-        so each lies within (n + 2) eps of the exact sum of their magnitudes,
-        and the symmetrization adds one rounding; the tolerance is twice that,
+        Each route forms every entry as a sum of n products w x_j x_k, each
+        with at most five roundings (S'S rounds sqrt(w), both entries of S
+        and their product), so each lies within (n + 4) eps / 2 of the exact
+        sum of their magnitudes; the tolerance, 2 (n + 3) eps, covers that,
         set from float64's eps alone. Features span six orders of magnitude.
         """
         gen = np.random.default_rng(22)

@@ -7,31 +7,35 @@ runs are one pass of every benchmark workload of perfbench/workloads.py at each
 seed, desk `trials --seed 5` of each experiment, and every other command at
 seed 5 on a 12-point CSV made with numpy's own generator. Each run writes into a
 fresh temporary directory outside the checkout, by labelregret.cli.dispatch in
-this process, with BLAS pinned to one thread as in perfbench/run.py. Its digest
+this process, with BLAS pinned to one thread (BLAS_PIN) as in perfbench/run.py,
+although the outputs do not depend on the BLAS thread count. Its digest
 covers the exit codes, stdout and every file the run writes (paths relative
 to the run's output directory), after the run's directory is replaced by
 TOKEN, so that the input and output paths the outputs record do not matter.
 Equal digests at two revisions mean byte-identical outputs.
 
 --write FILE also records, in JSON, the Python and numpy versions,
-platform.machine(), numpy's BLAS build and the SIMD extensions numpy found on
-the CPU, and for each run its digest, its exit codes, the SHA-256 of stdout
-and of each file, and for the PINNED runs the numbers in each of those texts.
+platform.machine(), numpy's BLAS build, the SIMD extensions numpy found on
+the CPU and the BLAS_PIN thread variables, and for each run its digest, its
+exit codes, the SHA-256 of stdout and of each file, and for the PINNED runs
+the numbers in each of those texts.
 --check FILE runs the seeds that FILE records and compares: it names each run
 and file that differ and, where FILE holds the numbers, the largest
 difference between them. It exits 1 on a difference, and 2, without running,
 when the versions, the machine, the BLAS build or the SIMD extensions differ
-from FILE's, because the outputs depend on numpy's and the BLAS's rounding. A
-versioned change to the outputs rewrites FILE with --write.
+from FILE's, because the outputs depend on numpy's and the BLAS's rounding; a
+recorded BLAS_PIN that differs is no such reason. A versioned change to the
+outputs rewrites FILE with --write.
 tests/test_output_digests.py re-runs the PINNED runs against tests/output_digests.json,
-and theory_large seed=1, whose numbers are not recorded, in a fresh interpreter
-against its file hashes.
+and theory_large seed=1, whose numbers are not recorded, in fresh interpreters
+against its file hashes and at one and two BLAS threads against each other.
 """
 
 import os
 
-os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1"})
+# The BLAS thread variables set before numpy loads, as perfbench/run.py sets them.
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+os.environ.update(BLAS_PIN)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -247,8 +251,8 @@ def main(argv=None) -> int:
         recorded[label] = run
     if args.write:
         with open(args.write, "w", encoding="utf-8") as fh:
-            json.dump({**environment(), "seeds": seeds, "runs": recorded}, fh, indent=1,
-                      sort_keys=True)
+            json.dump({**environment(), "blas_pin": BLAS_PIN, "seeds": seeds,
+                       "runs": recorded}, fh, indent=1, sort_keys=True)
             fh.write("\n")
     return int(differ)
 
