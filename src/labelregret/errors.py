@@ -119,10 +119,6 @@ class ZeroNormPoint(LabelRegretError):
 # ---------------------------------------------------------------------------
 # experiment harness and configuration
 
-class EmptyKeptSet(LabelRegretError):
-    pass
-
-
 class EmptyPool(LabelRegretError):
     pass
 

@@ -174,10 +174,6 @@ def design_matrix(features, include_intercept: bool) -> np.ndarray:
     return X
 
 
-# The message of the FitDiverged that a fit of a flagged row raises.
-_SEPARABLE = "data looks separable; no finite optimum"
-
-
 def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
                  theta0=None, return_trace: bool = False):
     """Fit a logistic model to data's labels: fit_logistic_batch on one row.
@@ -194,7 +190,7 @@ def fit_logistic(data: "Dataset", opts: FitOptions = FitOptions(), *,
     trace = [] if return_trace else None
     thetas, separable = _fit_rows(X, np.asarray(data.labels)[None, :], opts, theta0, trace)
     if separable[0]:
-        raise errors.FitDiverged(_SEPARABLE)
+        raise errors.FitDiverged("data looks separable; no finite optimum")
     model = LogisticModel(thetas[0], opts.include_intercept)
     return (model, np.concatenate(trace).tolist()) if return_trace else model
 
@@ -485,7 +481,6 @@ def _newton_rows(X, XX, label_rows, opts: FitOptions, theta0, trace, work):
         shared = False
         if trace is not None:
             trace.append(loss.copy())
-    thetas[separable] = np.nan
     return thetas, separable
 
 
@@ -742,28 +737,18 @@ class LogisticTrainer(TrainerHandle):
         return fit_logistic(data, self.opts, theta0=None if start is None else start.theta)
 
     def fit_each(self, data: "Dataset", label_rows) -> list:
-        """Cold fits on data's features, one per row of label_rows: entry k is
-        fit(data.with_labels(label_rows[k])) bit for bit, or the LabelRegretError
-        that this fit raises, so that a caller (the base fits of a trials run)
-        can raise it where it would have made the fit. The rows are one
-        fit_logistic_batch call from theta = 0. Its SingularHessian (a rank-deficient
-        design at ridge 0) is every row's entry; when a row does not converge,
-        each row is fitted alone, so that every row still gets its own outcome."""
+        """Cold fits on data's features, one per row of label_rows, made by one
+        fit_logistic_batch call from theta = 0. Entry k is the LogisticModel of
+        fit(data.with_labels(label_rows[k])), bit for bit, or None: where the
+        call flags row k as separable, and for every row when the call raises.
+        A caller fits a None entry alone to learn its error (the base fits of
+        a trials run do, in regret._initial_fit)."""
         X = design_matrix(data.features, self.opts.include_intercept)
         try:
             thetas, separable = fit_logistic_batch(X, label_rows, self.opts)
-        except errors.SingularHessian as exc:
-            return [exc] * len(label_rows)
         except errors.LabelRegretError:
-            fits = []
-            for labels in label_rows:
-                try:
-                    fits.append(self.fit(data.with_labels(labels)))
-                except errors.LabelRegretError as exc:
-                    fits.append(exc)
-            return fits
-        return [errors.FitDiverged(_SEPARABLE) if flagged
-                else LogisticModel(theta, self.opts.include_intercept)
+            return [None] * len(label_rows)
+        return [None if flagged else LogisticModel(theta, self.opts.include_intercept)
                 for theta, flagged in zip(thetas, separable)]
 
     def fit_with_extra_ridge(self, data: "Dataset", extra_ridge: float) -> LogisticModel:

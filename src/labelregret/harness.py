@@ -75,11 +75,11 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
     the true probabilities is computed over them. Scores and cutoffs are
     compared after rounding both to multiples of TIE_TOLERANCE (1e-9) times
     max|score|, so scores within that tolerance are kept or dropped together.
-    Cutoffs keeping no point are dropped (an all-empty grid is an error); the
-    grid must reach max(score) so the last entry always covers the whole
-    dataset. The default grid is the 21 evenly spaced quantiles of the rounded
-    scores. Ranking by the per-point KL itself (oracle_error_scores) gives the
-    best achievable curve.
+    Cutoffs keeping no point are dropped; the grid must hold no NaN and reach
+    max(score), so that the last entry always covers the whole dataset. The
+    default grid is the 21 evenly spaced quantiles of the rounded scores.
+    Ranking by the per-point KL itself (oracle_error_scores) gives the best
+    achievable curve.
     """
     scores = np.asarray(ranking_scores, dtype=float)
     n = ss.base.n_points
@@ -93,6 +93,8 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
     cutoffs = np.sort(np.asarray(grid, dtype=float))
     if cutoffs.size < 2:
         raise ValueError("the cutoff grid must contain at least 2 values")
+    if np.isnan(cutoffs).any():
+        raise ValueError("the cutoff grid must not contain NaN")
     cutoff_keys = _tie_rounded(cutoffs, scores)
     if cutoff_keys[-1] < key.max():
         raise ValueError("the cutoff grid must include a value >= max(score)")
@@ -108,8 +110,6 @@ def selective_prediction_curve(ss: SemiSyntheticDataset, model: LogisticModel,
         if dedupe and rows and rows[-1][3] == kept:
             rows.pop()  # same kept set: keep the larger cutoff
         rows.append((float(c), kept / n, float(kl[keep].mean()), kept))
-    if not rows:
-        raise errors.EmptyKeptSet("every cutoff lies below the smallest score")
     cut, cov, kls, kept = zip(*rows)
     return SelectiveCurve(np.array(cut), np.array(cov), np.array(kls),
                           np.array(kept))
@@ -341,7 +341,7 @@ def population_draw(config: ExperimentConfig, stream_index: int,
 
 def _trial_series(experiment, ss, trainer, config, trial_seed, reference, fitted):
     """(positions, series by name) of one trial of the experiment; fitted is
-    the trial's base fit, made in run_trials (None for active)."""
+    the trial's entry of run_trials' fit_each call (None for active)."""
     if experiment == "active":
         traces = active_runs(ss, trainer, config, trial_seed)
         return (traces["uniform"].n_labeled.astype(float),
@@ -374,8 +374,9 @@ def run_trials(config: ExperimentConfig, experiment: str) -> TrialsResult:
     theory_vs_actual and selective share one true regret, that of the
     REFERENCE draw of the master seed. Its base model and every trial's are
     cold fits on the population's features, so they are made together by one
-    trainer.fit_each call, each equal to its own fit; a base fit that fails
-    raises InitialFitFailed where its draw's turn comes, the reference first.
+    trainer.fit_each call, each equal to its own fit. A draw whose entry is
+    None is fitted alone when its turn comes, the reference first, and a fit
+    that fails there raises InitialFitFailed (see _initial_fit).
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}")

@@ -19,12 +19,9 @@ import numpy as np
 from . import errors
 from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_rows
 # The mc_separable benchmark oracle imports FALLBACK_RIDGES from this module.
-from .glm import FALLBACK_RIDGES, TrainerHandle, _freeze
+from .glm import BATCH_ENTRIES, FALLBACK_RIDGES, TrainerHandle, _freeze
 
 ENUMERATION_LIMIT = 22
-# Pair members (one assignment of each complementary pair) refit together by
-# one fit_many call during enumeration.
-ENUMERATION_BLOCK = 4096
 SKIP_WEIGHT = 1e-15
 SKIP_MASS = 1e-12
 
@@ -37,8 +34,7 @@ class RegretReport:
     resampled refits: the K-1 denominator for the sampling estimators, the
     exact population variance for enumeration. samples (K x n) is retained
     only on request. The report holds read-only copies of the arrays it is
-    given; an estimator hands over its own samples instead (see
-    _sampling_report).
+    given, kept samples included.
     """
 
     regret: np.ndarray
@@ -85,14 +81,13 @@ class RegretReport:
 
 def _initial_fit(trainer: TrainerHandle, data: Dataset, fitted=None):
     """The trainer's fit on data: the base predictor and every refit's start.
-    fitted, when given, is that fit made earlier, as an entry of
-    LogisticTrainer.fit_each: the predictor, or the error that the fit raised."""
-    try:
-        if fitted is None:
-            return trainer.fit(data)
-        if isinstance(fitted, errors.LabelRegretError):
-            raise fitted
+    fitted, an entry of LogisticTrainer.fit_each made earlier, is returned
+    when it is not None; otherwise data is fitted here, and an error of that
+    fit is raised as InitialFitFailed."""
+    if fitted is not None:
         return fitted
+    try:
+        return trainer.fit(data)
     except errors.LabelRegretError as exc:
         raise errors.InitialFitFailed(f"initial fit failed: {exc}") from exc
 
@@ -116,9 +111,8 @@ def _prediction_samples(train: Dataset, resample_probs, eval_features,
 def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
                      seed: int, trainer_name: str, n_fallbacks: int,
                      keep_samples: bool) -> RegretReport:
-    """The report of K x m samples. Kept samples, an array that no caller
-    holds, become the report's own, read-only and not copied."""
-    report = RegretReport(
+    """The report of K x m samples, which keeps a copy of them on request."""
+    return RegretReport(
         regret=samples.var(axis=0, ddof=1),
         mean_pred=samples.mean(axis=0),
         base_pred=base_pred,
@@ -127,11 +121,8 @@ def _sampling_report(samples: np.ndarray, base_pred: np.ndarray, estimator: str,
         seed=int(seed),
         trainer_name=trainer_name,
         n_fallback_refits=int(n_fallbacks),
+        samples=samples if keep_samples else None,
     )
-    if keep_samples:
-        samples.setflags(write=False)
-        object.__setattr__(report, "samples", samples)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +176,13 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle) -> RegretR
     regret[i] is the exact population variance sum(w p~**2) - (sum(w p~))**2.
     The assignments come in complementary pairs {y, -y}, and the enumeration
     walks the member of each pair whose last point is labelled -1, in blocks
-    of ENUMERATION_BLOCK members through one trainer.fit_many call each, every
-    refit starting from theta = 0 (the trainer's cold start). When the
-    trainer mirrors label flips, the partner's predictions are 1 minus the
-    member's; otherwise the partners are refit too. A pair is skipped only
-    when both of its assignments weigh below 1e-15 and all such assignments
-    together weigh below 1e-12. n_resamples and n_fallback_refits count
-    both members of every pair.
+    of glm.BATCH_ENTRIES // n members (one engine block) through one
+    trainer.fit_many call each, every refit starting from theta = 0 (the
+    trainer's cold start). When the trainer mirrors label flips, the
+    partner's predictions are 1 minus the member's; otherwise the partners
+    are refit too. A pair is skipped only when both of its assignments weigh
+    below 1e-15 and all such assignments together weigh below 1e-12.
+    n_resamples and n_fallback_refits count both members of every pair.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -225,8 +216,9 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle) -> RegretR
     m2 = np.zeros(n)
     n_fallbacks = 0
     bits = np.arange(n)
-    for start in range(0, kept.size, ENUMERATION_BLOCK):
-        codes = kept[start:start + ENUMERATION_BLOCK]
+    block = BATCH_ENTRIES // n
+    for start in range(0, kept.size, block):
+        codes = kept[start:start + block]
         labels = np.where((codes[:, None] >> bits) & 1, 1, -1)
         values, block_fallbacks = trainer.fit_many(template, labels, X, None)
         if trainer.mirrors_label_flips:

@@ -111,6 +111,16 @@ class TestSelectivePredictionCurve:
             harness.selective_prediction_curve(cluster_ss, model, scores,
                                                [0.0, 0.5 * scores.max()])
 
+    @pytest.mark.parametrize("grid", [[np.nan, np.nan], [0.1, np.nan]],
+                             ids=["every cutoff", "last cutoff"])
+    def test_a_nan_cutoff_is_rejected(self, cluster_ss, grid):
+        """NaN sorts last, where a comparison with it would pass the check that
+        the grid reaches max(score)."""
+        model = _fit(cluster_ss)
+        scores = np.random.default_rng(3).random(cluster_ss.base.n_points)
+        with pytest.raises(ValueError, match="NaN"):
+            harness.selective_prediction_curve(cluster_ss, model, scores, grid)
+
 
 class TestActiveLearningRun:
     @pytest.mark.parametrize("strategy", harness.STRATEGIES)
@@ -262,7 +272,9 @@ class TestRunTrials:
 class TestBaseFitBlock:
     """run_trials makes the reference's and every trial's base fit in one
     trainer.fit_each call; each must be the fit that the trial would make
-    alone, and a fit that fails must fail where its turn comes."""
+    alone. A draw whose entry is None (a separable draw, or every draw when
+    the call raises) is fitted alone at its turn, and a fit that fails there
+    raises InitialFitFailed."""
 
     @staticmethod
     def _record(monkeypatch, calls):
@@ -328,6 +340,28 @@ class TestBaseFitBlock:
         expected = [] if failing is None else [rng.derive_master(ref_master, rng.TRIAL, 0),
                                                *trial_seeds]
         assert [seed for _, _, seed, _ in calls] == expected
+
+    @pytest.mark.parametrize("experiment", ["theory_vs_actual", "selective"])
+    def test_a_rank_deficient_population_fails_at_the_reference(self, experiment,
+                                                                 tmp_path, monkeypatch):
+        """A CSV population whose two columns are x and 2x, at ridge 0: the
+        ground truth keeps its ridge of 1 and fits, but the one base-fit batch
+        raises, so every entry of fit_each is None. The reference draw, fitted
+        alone, raises InitialFitFailed from SingularHessian before any
+        estimate runs."""
+        x = np.random.default_rng(0).standard_normal(12)
+        path = tmp_path / "collinear.csv"
+        lr._io.write_table(path, ["x", "x2", "label"], [x, 2 * x, (x > 0).astype(int)])
+        cfg = ExperimentConfig(master_seed=3, dataset="csv", data_path=str(path),
+                               n_trials=3, k_resamples=10)
+        calls = []
+        self._record(monkeypatch, calls)
+        with pytest.raises(errors.InitialFitFailed) as raised:
+            harness.run_trials(cfg, experiment)
+        assert isinstance(raised.value.__cause__, errors.SingularHessian)
+        assert str(raised.value) == ("initial fit failed: feature matrix has rank "
+                                     "below 2 and no ridge is applied")
+        assert calls == []
 
 
 class TestSeedContract:

@@ -49,8 +49,8 @@ class TestSampleMoments:
 
 
 class TestKeptSamples:
-    """An estimator's kept samples become its report's, read-only and not
-    copied; samples that a caller passes to RegretReport are copied."""
+    """A report holds a read-only copy of its samples, whether an estimator
+    keeps them or a caller passes them to RegretReport."""
 
     def test_estimators_hand_over_their_samples(self):
         class Recording(lr.EchoTrainer):
@@ -65,8 +65,9 @@ class TestKeptSamples:
                                                     keep_samples=True),
                          lambda: lr.true_regret(ss, trainer, 30, 1, keep_samples=True)):
             report = estimate()
-            assert report.samples is trainer.returned
+            np.testing.assert_array_equal(report.samples, trainer.returned)
             assert not report.samples.flags.writeable
+            assert not np.shares_memory(report.samples, trainer.returned)
 
     def test_a_callers_samples_are_copied(self):
         samples = np.random.default_rng(3).uniform(size=(5, 2))
@@ -237,8 +238,9 @@ class TestEnumeration:
 
 def unpaired_enumeration(X, probs, trainer):
     """The enumeration refitting every one of the 2**n assignments through
-    fit_many, in blocks of ENUMERATION_BLOCK, with the same weights and skip
-    rule; returns (regret, mean_pred, fallback count)."""
+    fit_many, in blocks of glm.BATCH_ENTRIES // n (one engine block), with
+    the same weights and skip rule; returns (regret, mean_pred, fallback
+    count)."""
     n = len(probs)
     weights = np.ones(1)
     for pi in probs:
@@ -248,8 +250,9 @@ def unpaired_enumeration(X, probs, trainer):
     kept = np.flatnonzero(~skip)
     template = lr.Dataset(X, -np.ones(n, dtype=np.int64))
     m1, m2, n_fallbacks = np.zeros(n), np.zeros(n), 0
-    for start in range(0, kept.size, lr.regret.ENUMERATION_BLOCK):
-        codes = kept[start:start + lr.regret.ENUMERATION_BLOCK]
+    block = lr.glm.BATCH_ENTRIES // n
+    for start in range(0, kept.size, block):
+        codes = kept[start:start + block]
         labels = np.where((codes[:, None] >> np.arange(n)) & 1, 1, -1)
         values, fallbacks = trainer.fit_many(template, labels, X, None)
         n_fallbacks += fallbacks

@@ -105,13 +105,13 @@ def _setflags_callers(node, scope):
         yield from _setflags_callers(child, scope)
 
 
-def test_only_the_freeze_helper_and_the_sample_adoption_set_flags():
-    """Records freeze their arrays through glm._freeze; _sampling_report
-    adopts an estimator's samples without a copy."""
+def test_only_the_freeze_helper_sets_flags():
+    """Records freeze their arrays through glm._freeze, and nothing else
+    calls setflags."""
     callers = {caller for path in PACKAGE.glob("*.py")
                for caller in _setflags_callers(ast.parse(path.read_text(encoding="utf-8")),
                                                path.stem)}
-    assert callers == {"glm._freeze", "regret._sampling_report"}
+    assert callers == {"glm._freeze"}
 
 
 def test_the_check_sees_annotations_and_ignores_nested_imports():
