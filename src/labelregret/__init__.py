@@ -12,10 +12,9 @@ active-learning use cases on semi-synthetic data.
 
 from .config import ExperimentConfig
 from .dataset import (Dataset, LabelDrawSeed, SemiSyntheticDataset, draw_labels,
-                      gaussian_features, gaussian_semisynthetic, load_csv,
-                      load_semisynthetic, make_semisynthetic, save_semisynthetic,
-                      semisynthetic_from_model, standardize_features,
-                      two_cluster_population, two_cluster_semisynthetic)
+                      gaussian_features, load_csv, load_semisynthetic,
+                      save_semisynthetic, semisynthetic_from_model,
+                      standardize_features, two_cluster_population)
 from .errors import LabelRegretError
 from .glm import (EchoTrainer, FitOptions, LogisticModel, LogisticTrainer,
                   TrainerHandle, auc, bernoulli_kl, design_matrix, fit_logistic,
@@ -39,12 +38,11 @@ __all__ = [
     "auc", "bernoulli_kl", "compute_hessian",
     "design_matrix", "draw_labels", "epsilon_bound", "estimate_regret",
     "exact_regret_enumeration", "fit_logistic", "gaussian_features",
-    "gaussian_semisynthetic", "load_csv", "load_model", "load_semisynthetic",
-    "log_loss", "make_semisynthetic", "mean_kl", "oracle_error_scores",
+    "load_csv", "load_model", "load_semisynthetic",
+    "log_loss", "mean_kl", "oracle_error_scores",
     "predict_proba", "q_values", "run_trials",
     "save_semisynthetic", "selective_prediction_curve",
     "semisynthetic_from_model", "sigmoid", "standardize_features",
     "summarize_trials", "theory_report", "true_regret",
-    "two_cluster_population", "two_cluster_semisynthetic",
-    "variance_standard_error",
+    "two_cluster_population", "variance_standard_error",
 ]

@@ -19,8 +19,8 @@ import sys
 from . import errors
 from ._io import dump_json, write_table
 from .config import ExperimentConfig
-from .dataset import (LabelDrawSeed, load_csv, load_semisynthetic,
-                      make_semisynthetic, save_semisynthetic, standardize_features)
+from .dataset import (load_csv, load_semisynthetic, save_semisynthetic,
+                      standardize_features)
 from .glm import (LogisticTrainer, auc, fit_logistic, load_model, log_loss,
                   model_to_dict, predict_proba)
 from .harness import (active_runs, population_draw, run_trials, save_trials_result,
@@ -204,13 +204,10 @@ def _cmd_theory(args):
 
 
 def _cmd_semisynth(args):
+    """Save the draw at stream --stream of the CSV population: trial --stream
+    of a trials run with the same flags."""
     cfg = _resolve_config(args)
-    data = load_csv(args.data, cfg.label_column)
-    seed = LabelDrawSeed(cfg.master_seed, args.stream)
-    ss = make_semisynthetic(data.features, data.labels,
-                            ridge=cfg.ground_truth_ridge, seed=seed,
-                            include_intercept=cfg.ground_truth_intercept,
-                            feature_names=data.feature_names)
+    ss = population_draw(cfg, args.stream)
     csv_path = os.path.join(args.out, "semisynth.csv")
     json_path = os.path.join(args.out, "semisynth.json")
     save_semisynthetic(ss, csv_path, json_path)

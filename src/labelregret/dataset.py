@@ -1,9 +1,11 @@
-"""Dataset ingestion, label drawing, and semi-synthetic data generation.
+"""Dataset ingestion, label drawing, and semi-synthetic datasets.
 
 Labels live in {-1, +1} everywhere. CSV files may encode them as {0, 1}; the
 loader maps 0 to -1. Semi-synthetic datasets pair real or generated features
 with labels drawn from a known logistic ground truth, which is what makes the
-true per-point resampling variance computable at all.
+true per-point resampling variance computable at all. semisynthetic_from_model
+draws one from features and a model; harness.population_draw draws one from a
+config, whose ground truth may be a fit to a CSV's labels.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import errors, rng
 from ._io import _X87_LONG_DOUBLE, NUMBER, dump_json, read_json, write_table
-from .glm import FitOptions, LogisticModel, _freeze, fit_logistic, predict_proba
+from .glm import LogisticModel, _freeze, predict_proba
 
 
 def _default_names(d: int) -> tuple:
@@ -176,23 +178,6 @@ def semisynthetic_from_model(features, ground_truth: LogisticModel,
     return SemiSyntheticDataset(base, true_probs, ground_truth, seed, gt_ridge)
 
 
-def make_semisynthetic(features, raw_labels, ridge: float = 1.0,
-                       seed: LabelDrawSeed = LabelDrawSeed(0), *,
-                       include_intercept: bool = False,
-                       feature_names=None) -> SemiSyntheticDataset:
-    """Fit a ridge logistic ground truth on the raw labels, then redraw labels.
-
-    The ridge keeps the fitted ground truth finite on separable inputs and is
-    recorded in the result; ridge 0 on separable data raises FitDiverged, and
-    FitOptions rejects a negative or non-finite ridge.
-    """
-    raw = Dataset(features, raw_labels, tuple(feature_names) if feature_names else ())
-    opts = FitOptions(ridge=ridge, include_intercept=include_intercept)
-    ground_truth = fit_logistic(raw, opts)
-    return semisynthetic_from_model(raw.features, ground_truth, seed,
-                                    feature_names=raw.feature_names, gt_ridge=ridge)
-
-
 # ---------------------------------------------------------------------------
 # built-in feature geometries
 
@@ -218,25 +203,9 @@ def two_cluster_population(n: int, *, p_high: float = 0.8):
     return features, LogisticModel(np.array([0.0, logit]), includes_intercept=False)
 
 
-def two_cluster_semisynthetic(n: int, seed: LabelDrawSeed, *,
-                              p_high: float = 0.8) -> SemiSyntheticDataset:
-    """Labels drawn for the two-cluster population; see two_cluster_population."""
-    features, ground_truth = two_cluster_population(n, p_high=p_high)
-    return semisynthetic_from_model(features, ground_truth, seed)
-
-
 def gaussian_features(n: int, d: int, master_seed: int) -> np.ndarray:
     """Standard-normal feature matrix, deterministic in the master seed."""
     return rng.substream(master_seed, rng.FEATURES, 0).standard_normal((n, d))
-
-
-def gaussian_semisynthetic(n: int, d: int, theta, master_seed: int, *,
-                           stream_index: int = 0) -> SemiSyntheticDataset:
-    """Standard-normal features with labels drawn from the supplied parameters."""
-    features = gaussian_features(n, d, master_seed)
-    ground_truth = LogisticModel(np.asarray(theta, dtype=float), includes_intercept=False)
-    return semisynthetic_from_model(features, ground_truth,
-                                    LabelDrawSeed(master_seed, stream_index))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +535,13 @@ def standardize_features(data: Dataset, transform=None):
 
 
 def save_semisynthetic(ss: SemiSyntheticDataset, csv_path, json_path) -> None:
+    """Write ss as a CSV of its feature columns, "label" and "true_prob", and a
+    JSON sidecar; FeatureNameMismatch, before any file is written, if a feature
+    has the name of a column that the CSV adds, which no reader could read."""
     names = ss.base.feature_names
+    if {"label", "true_prob"} & set(names):
+        raise errors.FeatureNameMismatch(f"feature names {list(names)} must not include "
+                                         f"'label' or 'true_prob'")
     write_table(csv_path, [*names, "label", "true_prob"],
                 [*ss.base.features.T, ss.base.labels, ss.true_probs])
     sidecar = {

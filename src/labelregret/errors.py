@@ -52,7 +52,8 @@ class UnreadableCsvRecord(LabelRegretError):
 
 
 class FeatureNameMismatch(LabelRegretError):
-    """A saved model's feature names differ from the data's feature columns."""
+    """A saved model's feature names differ from the data's feature columns, or
+    a feature name clashes with a column that a written table adds."""
 
 
 class ProbOutOfRange(LabelRegretError):

@@ -110,14 +110,19 @@ def _logistic(z, e, out=None, spare=None):
     return np.divide(numerator, np.add(1.0, e, out=spare), out=out)
 
 
-def _freeze(record, name, dtype=float) -> np.ndarray:
+def _freeze(record, name, dtype=float):
     """Set field name of the frozen dataclass record to a read-only copy of its
-    value as an array of dtype, and return the copy. The rule for every record:
-    it holds read-only copies of the arrays it is given, in a fixed dtype."""
-    arr = np.array(getattr(record, name), dtype=dtype)
-    arr.setflags(write=False)
-    object.__setattr__(record, name, arr)
-    return arr
+    value as an array of dtype, or, where the value is a dict, to a new dict of
+    such copies of its values, and return what was set. The rule for every
+    record: it holds read-only copies of the arrays it is given, in a fixed
+    dtype."""
+    value = getattr(record, name)
+    frozen = ({key: np.array(item, dtype=dtype) for key, item in value.items()}
+              if isinstance(value, dict) else np.array(value, dtype=dtype))
+    for arr in frozen.values() if isinstance(frozen, dict) else [frozen]:
+        arr.setflags(write=False)
+    object.__setattr__(record, name, frozen)
+    return frozen
 
 
 @dataclass(frozen=True)
@@ -937,11 +942,16 @@ def load_model(path):
     """Read a model JSON file; returns (model, feature_names, standardization).
 
     standardization is the {"mean", "std"} record stored by model_to_dict,
-    or None for a model fitted on the raw features.
+    or None for a model fitted on the raw features. Feature names or
+    standardization arrays whose lengths do not match the model raise
+    DimensionMismatch naming the file.
     """
     payload = read_json(path, _MODEL_SCHEMA)
     model = LogisticModel(np.asarray(payload["theta"], dtype=float),
                           payload["includes_intercept"])
+    if len(payload["feature_names"]) != model.n_features:
+        raise errors.DimensionMismatch(f"{path}: the model has {model.n_features} features "
+                                       f"but {len(payload['feature_names'])} feature_names")
     standardization = payload.get("standardization")
     if standardization is not None:
         mean, std = (np.asarray(standardization[k], dtype=float) for k in ("mean", "std"))

@@ -302,15 +302,20 @@ class TrialsResult:
     extras: Dict[str, np.ndarray]          # trial-independent vectors
     config: ExperimentConfig
 
+    def __post_init__(self):
+        for name in ("positions", "series", "extras"):
+            _freeze(self, name)
+
 
 def base_population(config: ExperimentConfig):
-    """Fixed features and ground-truth model shared by all trials.
-
-    Returns (features, ground_truth, ground_truth_ridge_or_None).
+    """(features, ground_truth, ground_truth_ridge_or_None, feature_names) of
+    the config's population, shared by all trials. A CSV's ground truth is a
+    ridge fit to its labels, and its names are the header's; the built-in
+    populations have no ridge and the names (), the default names x0, x1, ...
     """
     if config.dataset == "two_cluster":
         features, model = two_cluster_population(config.n_points, p_high=config.p_high)
-        return features, model, None
+        return features, model, None, ()
     if config.dataset == "gaussian":
         # drawn first: numpy rejects an impossible shape before allocating anything
         features = gaussian_features(config.n_points, config.n_features,
@@ -319,24 +324,24 @@ def base_population(config: ExperimentConfig):
         if theta is None:
             theta = np.where(np.arange(config.n_features) % 2 == 0, 0.6, -0.6)
         model = LogisticModel(np.asarray(theta, dtype=float), includes_intercept=False)
-        return features, model, None
-    # csv: ground truth is a ridge fit on the raw labels
+        return features, model, None, ()
     data = load_csv(config.data_path, config.label_column)
     opts = FitOptions(ridge=config.ground_truth_ridge,
                       include_intercept=config.ground_truth_intercept)
     model = fit_logistic(data, opts)
-    return data.features, model, config.ground_truth_ridge
+    return data.features, model, config.ground_truth_ridge, data.feature_names
 
 
 def population_draw(config: ExperimentConfig, stream_index: int,
                     population=None) -> SemiSyntheticDataset:
     """Labels drawn from stream stream_index of the master seed over the
-    population, which is base_population(config) when not given."""
-    features, ground_truth, gt_ridge = (base_population(config) if population is None
-                                        else population)
+    population, which is base_population(config) when not given: the data of
+    trials, of semisynth, and of selective and active without --semisynth."""
+    features, ground_truth, gt_ridge, names = (base_population(config) if population is None
+                                               else population)
     return semisynthetic_from_model(features, ground_truth,
                                     LabelDrawSeed(config.master_seed, stream_index),
-                                    gt_ridge=gt_ridge)
+                                    names, gt_ridge)
 
 
 def _trial_series(experiment, ss, trainer, config, trial_seed, reference, fitted):

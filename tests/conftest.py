@@ -28,7 +28,7 @@ def small_dataset():
 @pytest.fixture
 def cluster_ss():
     """Two-cluster semi-synthetic dataset (true probabilities 0.8 / 0.2)."""
-    return lr.two_cluster_semisynthetic(200, lr.LabelDrawSeed(11))
+    return lr.semisynthetic_from_model(*lr.two_cluster_population(200), lr.LabelDrawSeed(11))
 
 
 class ConstantTrainer(lr.TrainerHandle):

@@ -15,7 +15,7 @@ from conftest import write_lines
 @pytest.fixture
 def semisynth_dir(tmp_path):
     """A saved 20-point two-cluster semi-synthetic dataset."""
-    ss = lr.two_cluster_semisynthetic(20, lr.LabelDrawSeed(7))
+    ss = lr.semisynthetic_from_model(*lr.two_cluster_population(20), lr.LabelDrawSeed(7))
     directory = tmp_path / "ss"
     directory.mkdir()
     save_semisynthetic(ss, directory / "semisynth.csv", directory / "semisynth.json")
@@ -58,7 +58,8 @@ class TestSemisynthLoadErrors:
 @pytest.fixture
 def data_csv(tmp_path):
     """A 12-point, 2-feature CSV with 0/1 labels."""
-    ss = lr.gaussian_semisynthetic(12, 2, [1.0, -0.7], 42)
+    ss = lr.semisynthetic_from_model(lr.gaussian_features(12, 2, 42),
+                                     lr.LogisticModel([1.0, -0.7]), lr.LabelDrawSeed(42))
     path = tmp_path / "data.csv"
     write_table(path, ["a", "b", "label"],
                 [*ss.base.features.T, (ss.base.labels + 1) // 2])
@@ -273,6 +274,24 @@ def test_config_round_trip(command, flags, tmp_path, data_csv):
     cfg.write_text(json.dumps(first), encoding="utf-8")
     assert cli.dispatch([*command, "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads(meta.read_text(encoding="utf-8"))["config"] == first
+
+
+@pytest.mark.parametrize("header, flags", [("true_prob,x,label", []),
+                                           ("label,x,y", ["--label-column", "y"])],
+                         ids=["feature true_prob", "feature label"])
+def test_semisynth_refuses_a_feature_named_as_an_added_column(header, flags, tmp_path,
+                                                              capsys):
+    """semisynth.csv adds the columns label and true_prob after the features,
+    so a feature of either name would make a directory that nothing reads
+    back. The command exits 1 and writes no file."""
+    path = tmp_path / "data.csv"
+    write_lines(path, [header, "0.1,-1.0,1", "0.7,-0.5,0", "0.4,0.5,1", "0.9,1.0,0"])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.dispatch(["semisynth", "--data", str(path), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FeatureNameMismatch: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestTheoryModelColumns:

@@ -16,7 +16,9 @@ import pytest
 import labelregret as lr
 from labelregret import dataset, errors, rng
 from labelregret._io import write_table
+from labelregret.config import ExperimentConfig
 from labelregret.dataset import draw_label_rows, load_semisynthetic, save_semisynthetic
+from labelregret.harness import population_draw
 
 from conftest import write_large_csv, write_lines
 
@@ -45,6 +47,10 @@ class TestDatasetValidation:
     def test_rejects_empty(self):
         with pytest.raises(errors.EmptyDataset):
             lr.Dataset(np.empty((0, 2)), [])
+
+    def test_length_mismatch(self):
+        with pytest.raises(errors.DimensionMismatch):
+            lr.Dataset(np.ones((3, 1)), [1, -1])
 
     def test_arrays_are_frozen(self):
         d = lr.Dataset([[1.0], [2.0]], [1, -1])
@@ -871,23 +877,38 @@ class TestSemiSynthetic:
                                     cluster_ss.true_probs,
                                     cluster_ss.ground_truth, cluster_ss.seed)
 
-    def test_make_semisynthetic_deterministic(self):
+    @staticmethod
+    def _csv_population(tmp_path, features, labels, **fields):
+        """A config whose population is a CSV of features, named f0, f1, ...,
+        and {0, 1} labels; the config is not validated."""
+        features = np.asarray(features, dtype=float)
+        path = tmp_path / "population.csv"
+        write_table(path, [*(f"f{i}" for i in range(features.shape[1])), "label"],
+                    [*features.T, (np.asarray(labels) + 1) // 2])
+        return ExperimentConfig(dataset="csv", data_path=str(path), **fields)
+
+    def test_csv_population_draw_is_deterministic(self, tmp_path):
         features = lr.gaussian_features(30, 2, 9)
         labels = lr.draw_labels(np.full(30, 0.5), lr.LabelDrawSeed(1))
-        a = lr.make_semisynthetic(features, labels, ridge=0.5, seed=lr.LabelDrawSeed(4))
-        b = lr.make_semisynthetic(features, labels, ridge=0.5, seed=lr.LabelDrawSeed(4))
+        cfg = self._csv_population(tmp_path, features, labels, ground_truth_ridge=0.5,
+                                   master_seed=4)
+        a, b = population_draw(cfg, 0), population_draw(cfg, 0)
         np.testing.assert_array_equal(a.base.labels, b.base.labels)
         np.testing.assert_array_equal(a.true_probs, b.true_probs)
         np.testing.assert_array_equal(a.ground_truth.theta, b.ground_truth.theta)
+        assert a.seed == lr.LabelDrawSeed(4, 0) and a.gt_ridge == 0.5
+        assert a.base.feature_names == ("f0", "f1")
 
-    def test_huge_ridge_flattens_probabilities(self):
+    def test_huge_ridge_flattens_probabilities(self, tmp_path):
         features = lr.gaussian_features(40, 2, 10)
         labels = lr.draw_labels(np.full(40, 0.7), lr.LabelDrawSeed(2))
-        ss = lr.make_semisynthetic(features, labels, ridge=1e8, seed=lr.LabelDrawSeed(3))
+        cfg = self._csv_population(tmp_path, features, labels, ground_truth_ridge=1e8,
+                                   master_seed=3)
+        ss = population_draw(cfg, 0)
         np.testing.assert_allclose(ss.ground_truth.theta, 0.0, atol=1e-6)
         np.testing.assert_allclose(ss.true_probs, 0.5, atol=1e-6)
 
-    def test_two_cluster_recovery_through_fitting(self):
+    def test_two_cluster_recovery_through_fitting(self, tmp_path):
         """Ten points in two clusters, 4-of-5 positive on top and 1-of-5 on the
         bottom: the fitted ground truth lands on cluster probabilities 0.8/0.2."""
         x1 = np.array([-1.0, -0.5, 0.0, 0.5, 1.0] * 2)
@@ -896,27 +917,29 @@ class TestSemiSynthetic:
         # the negative (top) / positive (bottom) exceptions sit at x1 = 0 so
         # the first coordinate carries no label signal
         labels = np.array([1, 1, -1, 1, 1, -1, -1, 1, -1, -1])
-        ss = lr.make_semisynthetic(features, labels, ridge=1e-6,
-                                   seed=lr.LabelDrawSeed(8))
+        cfg = self._csv_population(tmp_path, features, labels, ground_truth_ridge=1e-6,
+                                   master_seed=8)
+        ss = population_draw(cfg, 0)
         top, bottom = ss.true_probs[:5], ss.true_probs[5:]
         assert np.all((top >= 0.78) & (top <= 0.82))
         assert np.all((bottom >= 0.18) & (bottom <= 0.22))
 
-    def test_separable_with_zero_ridge_diverges(self):
-        features = np.array([[-1.0], [1.0]])
-        labels = np.array([-1, 1])
+    def test_separable_with_zero_ridge_diverges(self, tmp_path):
+        cfg = self._csv_population(tmp_path, [[-1.0], [1.0]], [-1, 1],
+                                   ground_truth_ridge=0.0)
         with pytest.raises(errors.FitDiverged):
-            lr.make_semisynthetic(features, labels, ridge=0.0,
-                                  seed=lr.LabelDrawSeed(0))
+            population_draw(cfg.validate(), 0)
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
-    def test_ridge_must_be_finite_and_non_negative(self, ridge):
-        with pytest.raises(ValueError):
-            lr.make_semisynthetic(np.array([[-1.0], [1.0]]), [-1, 1], ridge=ridge)
-
-    def test_length_mismatch(self):
-        with pytest.raises(errors.DimensionMismatch):
-            lr.make_semisynthetic(np.ones((3, 1)), [1, -1], seed=lr.LabelDrawSeed(0))
+    def test_ridge_must_be_finite_and_non_negative(self, tmp_path, ridge):
+        """The config rejects such a ground-truth ridge, and so does the fit
+        of an unvalidated config."""
+        cfg = self._csv_population(tmp_path, [[-1.0], [1.0]], [-1, 1],
+                                   ground_truth_ridge=ridge)
+        with pytest.raises(ValueError, match="ridge"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="ridge"):
+            population_draw(cfg, 0)
 
     def test_save_load_round_trip(self, tmp_path, cluster_ss):
         csv_path, json_path = tmp_path / "ss.csv", tmp_path / "ss.json"

@@ -1,4 +1,5 @@
 import fractions
+import json
 import math
 import os
 import subprocess
@@ -130,7 +131,8 @@ class TestFitLogistic:
         """Consistency at n = 50000: the fit lands within 0.05 per coordinate
         of the parameters the labels were drawn from."""
         theta0 = np.array([1.5, -0.7])
-        ss = lr.gaussian_semisynthetic(50000, 2, theta0, 2024)
+        ss = lr.semisynthetic_from_model(lr.gaussian_features(50000, 2, 2024),
+                                         lr.LogisticModel(theta0), lr.LabelDrawSeed(2024))
         model = lr.fit_logistic(ss.base, lr.FitOptions(include_intercept=False))
         np.testing.assert_allclose(model.theta, theta0, atol=0.05)
 
@@ -163,7 +165,9 @@ class TestFitLogistic:
     def test_loss_trace_never_increases(self, cluster_ss):
         """Also where the last, pure, Newton step raises the computed loss by
         a rounding error, which the recorded loss must not show."""
-        rounding = lr.gaussian_semisynthetic(200, 2, [1.0, -0.5], 23).base
+        rounding = lr.semisynthetic_from_model(lr.gaussian_features(200, 2, 23),
+                                               lr.LogisticModel([1.0, -0.5]),
+                                               lr.LabelDrawSeed(23)).base
         for data in (cluster_ss.base, rounding):
             _, trace = lr.fit_logistic(data, lr.FitOptions(include_intercept=False),
                                        return_trace=True)
@@ -1545,6 +1549,14 @@ class TestModelSerialization:
         with pytest.raises(errors.DimensionMismatch):
             model_to_dict(model, ["only-one-name", "x", "y"])
 
+    def test_loaded_name_count_checked(self, tmp_path):
+        """load_model rejects the names that model_to_dict would not write."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"theta": [1, 2], "includes_intercept": False,
+                                    "feature_names": ["a", "b", "c"]}), encoding="utf-8")
+        with pytest.raises(errors.DimensionMismatch, match="model.json"):
+            lr.load_model(path)
+
 
 def _semisynthetic_fields():
     ground_truth, seed = lr.LogisticModel(np.array([0.4, -0.2])), lr.LabelDrawSeed(3)
@@ -1576,24 +1588,39 @@ RECORD_FIELDS = {
     lr.TrialSummary: lambda: {
         "min": np.array([0.1]), "q25": np.array([0.2]), "median": np.array([0.3]),
         "q75": np.array([0.4]), "max": np.array([0.5]), "n_trials": 5},
+    lr.TrialsResult: lambda: {
+        "experiment": "theory_vs_actual", "positions": np.array([0.0, 1.0]),
+        "series": {"q": np.array([[0.1, 0.2], [0.3, 0.4]]),
+                   "estimated_regret": np.array([[0.01, 0.02], [0.03, 0.04]])},
+        "summaries": {}, "extras": {"true_regret": np.array([0.02, 0.03])},
+        "config": lr.ExperimentConfig()},
 }
 INT_FIELDS = {"labels", "n_kept", "n_labeled"}
+
+
+def _caller_arrays(fields):
+    """(field, key) -> array for each array field (key None) and each array
+    value of a dict field."""
+    return {(name, key): array for name, value in fields.items()
+            for key, array in (value.items() if isinstance(value, dict) else [(None, value)])
+            if isinstance(array, np.ndarray)}
 
 
 @pytest.mark.parametrize("record_class", RECORD_FIELDS, ids=lambda cls: cls.__name__)
 def test_record_holds_read_only_copies_of_its_arrays(record_class):
     """Built from writable caller arrays, a record holds read-only copies of
     them in its fixed dtype, so that writing to the caller's arrays afterwards
-    leaves it unchanged."""
+    leaves it unchanged. A dict of arrays is held as a dict of such copies."""
     fields = RECORD_FIELDS[record_class]()
     record = record_class(**fields)
-    callers = {name: value for name, value in fields.items() if isinstance(value, np.ndarray)}
-    held = {name: getattr(record, name).copy() for name in callers}
-    for name, caller in callers.items():
-        array = getattr(record, name)
-        assert not array.flags.writeable
-        assert array.dtype == (np.int64 if name in INT_FIELDS else np.float64)
-        assert not np.shares_memory(array, caller)
+    callers = _caller_arrays(fields)
+    held = _caller_arrays(vars(record))
+    assert held.keys() == callers.keys()
+    copies = {where: array.copy() for where, array in held.items()}
+    for where, caller in callers.items():
+        assert not held[where].flags.writeable
+        assert held[where].dtype == (np.int64 if where[0] in INT_FIELDS else np.float64)
+        assert not np.shares_memory(held[where], caller)
         caller += 1
-    for name, array in held.items():
-        np.testing.assert_array_equal(getattr(record, name), array)
+    for where, array in copies.items():
+        np.testing.assert_array_equal(held[where], array)

@@ -38,7 +38,7 @@ def test_record_arrays_of_unequal_length_are_rejected(build):
 
 @pytest.fixture
 def ss40():
-    return lr.two_cluster_semisynthetic(40, lr.LabelDrawSeed(7))
+    return lr.semisynthetic_from_model(*lr.two_cluster_population(40), lr.LabelDrawSeed(7))
 
 
 @pytest.fixture
@@ -201,7 +201,9 @@ class TestActiveLearningRun:
                 for intercept in (False, True):
                     trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=intercept))
                     for seed in range(8):
-                        ss = lr.gaussian_semisynthetic(n, d, [1.0, -1.0][:d], seed)
+                        ss = lr.semisynthetic_from_model(
+                            lr.gaussian_features(n, d, seed),
+                            lr.LogisticModel([1.0, -1.0][:d]), lr.LabelDrawSeed(seed))
                         try:
                             trace = harness.active_learning_run(
                                 ss, trainer, 6, seed, strategy="estimated_regret", batch=2)
@@ -217,7 +219,8 @@ class TestActiveLearningRun:
         """In these runs a pool-score resample warm-started far out has a
         Hessian that np.linalg.solve finds singular after it passed the
         Cholesky test. The run must not end in a raw LinAlgError."""
-        ss = lr.two_cluster_semisynthetic(16, lr.LabelDrawSeed(seed))
+        ss = lr.semisynthetic_from_model(*lr.two_cluster_population(16),
+                                         lr.LabelDrawSeed(seed))
         trainer = lr.LogisticTrainer(lr.FitOptions(include_intercept=True))
         try:
             harness.active_learning_run(ss, trainer, 20, seed, strategy="estimated_regret",
@@ -376,10 +379,10 @@ class TestSeedContract:
 
     @staticmethod
     def _draw(cfg, master, stream):
-        features, ground_truth, gt_ridge = harness.base_population(cfg)
+        features, ground_truth, gt_ridge, names = harness.base_population(cfg)
         return lr.semisynthetic_from_model(features, ground_truth,
                                            lr.LabelDrawSeed(master, stream),
-                                           gt_ridge=gt_ridge)
+                                           names, gt_ridge)
 
     def _trials(self, cfg):
         """(ss, trial seed) of each trial of cfg."""

@@ -60,7 +60,7 @@ class TestKeptSamples:
                 return self.returned, n_fallbacks
 
         trainer = Recording()
-        ss = lr.two_cluster_semisynthetic(20, lr.LabelDrawSeed(3))
+        ss = lr.semisynthetic_from_model(*lr.two_cluster_population(20), lr.LabelDrawSeed(3))
         for estimate in (lambda: lr.estimate_regret(ss.base, trainer, 30, 1,
                                                     keep_samples=True),
                          lambda: lr.true_regret(ss, trainer, 30, 1, keep_samples=True)):
@@ -187,7 +187,8 @@ class TestTrueRegret:
         true-probability resampling variances track each other per point."""
         correlations = []
         for t in range(20):
-            ss = lr.two_cluster_semisynthetic(200, lr.LabelDrawSeed(31, t))
+            ss = lr.semisynthetic_from_model(*lr.two_cluster_population(200),
+                                             lr.LabelDrawSeed(31, t))
             est = lr.estimate_regret(ss.base, flat_trainer, 300, seed=1000 + t)
             true = lr.true_regret(ss, flat_trainer, 300, seed=5000 + t)
             correlations.append(np.corrcoef(est.regret, true.regret)[0, 1])
@@ -431,6 +432,56 @@ class TestGroupedEnumeration:
         assert (exact.n_fallback_refits > 0) == (ridge == 0.0)
         np.testing.assert_allclose(regret, exact.regret, rtol=0, atol=1e-14)
         np.testing.assert_allclose(mean_pred, exact.mean_pred, rtol=0, atol=1e-14)
+
+
+class TestGroupedOracleGates:
+    """The closed form and Monte Carlo against exact regret past the reach of
+    exact_regret_enumeration. The design has three patterns x in {-1, 0.5, 2},
+    interleaved, with an intercept, at ridge 0. Labels are drawn from
+    theta = (0.8, -0.3) at LabelDrawSeed(s) for s = 0-2, and the exact regret
+    resamples from the base fit's probabilities, as estimate_regret does."""
+
+    TRAINER = lr.LogisticTrainer(lr.FitOptions(ridge=0.0, include_intercept=True))
+    SEEDS = range(3)
+    # Over seeds 0-239, in 80 blocks of 3, the largest |exact / q - 1| of a
+    # block at n = 60 had mean 0.086 and SD 0.009 (largest 0.100), and the
+    # largest ratio of that error to the one at n = 24 had mean 0.494 and SD
+    # 0.088 (largest 0.753). Each bound is the mean plus three SDs.
+    Q_ERROR_AT_60, Q_ERROR_RATIO = 0.115, 0.76
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """(n, seed) -> (observed data, base fit, exact regret)."""
+        truth = lr.LogisticModel([0.8, -0.3], includes_intercept=True)
+        cases = {}
+        for n, seed in itertools.product((24, 60), self.SEEDS):
+            X = np.array([-1.0, 0.5, 2.0])[np.arange(n) % 3][:, None]
+            data = lr.semisynthetic_from_model(X, truth, lr.LabelDrawSeed(seed)).base
+            model = self.TRAINER.fit(data)
+            regret, _, n_refits = grouped_enumeration(X, model(X), self.TRAINER)
+            assert n_refits == (n // 3 + 1) ** 3
+            cases[n, seed] = data, model, regret
+        return cases
+
+    def test_q_approaches_exact_regret_as_n_grows(self, cases):
+        """At n = 24 (729 refits) the largest relative error over the patterns
+        was 0.19, 0.13 and 0.23, at n = 60 (9,261 refits) 0.087, 0.077 and 0.069."""
+        for seed in self.SEEDS:
+            at_24, at_60 = (np.max(np.abs(exact / lr.q_values(model, data.features) - 1.0))
+                            for data, model, exact in (cases[24, seed], cases[60, seed]))
+            assert at_60 <= self.Q_ERROR_AT_60
+            assert at_60 <= self.Q_ERROR_RATIO * at_24
+
+    def test_monte_carlo_regret_is_within_three_standard_errors(self, cases):
+        """K = 400 at seed 11 and n = 60: the largest |z| over the points was
+        1.48, 1.82 and 1.56. Over seeds 0-239 it passed 3 at 3 seeds, the
+        largest 3.06, in 3 of the 80 blocks of 3."""
+        for seed in self.SEEDS:
+            data, model, exact = cases[60, seed]
+            report = lr.estimate_regret(data, self.TRAINER, 400, 11, keep_samples=True,
+                                        base=model)
+            se = lr.variance_standard_error(report.samples)
+            assert np.all(np.abs(report.regret - exact) <= 3.0 * se)
 
 
 class TestReportValidation:

@@ -53,7 +53,9 @@ def test_point_permutation_permutes_logistic_regret(n, seed):
 @pytest.mark.parametrize("intercept", [False, True])
 def test_column_permutation_keeps_monte_carlo_regret(intercept):
     trainer = lr.LogisticTrainer(lr.FitOptions(ridge=0.0, include_intercept=intercept))
-    data = lr.gaussian_semisynthetic(40, 3, [1.0, -0.5, 0.25], 7).base
+    data = lr.semisynthetic_from_model(lr.gaussian_features(40, 3, 7),
+                                       lr.LogisticModel([1.0, -0.5, 0.25]),
+                                       lr.LabelDrawSeed(7)).base
     columns = [2, 0, 1]
     permuted = lr.Dataset(data.features[:, columns], data.labels,
                           tuple(data.feature_names[c] for c in columns))
@@ -66,7 +68,8 @@ def test_column_permutation_keeps_laddered_monte_carlo_regret():
     """The rung's ridge penalizes every column alike, so its fits permute
     with the columns too."""
     trainer = lr.LogisticTrainer(lr.FitOptions(ridge=0.0, include_intercept=True))
-    data = lr.gaussian_semisynthetic(8, 2, [1.0, -0.5], 4).base
+    data = lr.semisynthetic_from_model(lr.gaussian_features(8, 2, 4),
+                                       lr.LogisticModel([1.0, -0.5]), lr.LabelDrawSeed(4)).base
     permuted = lr.Dataset(data.features[:, [1, 0]], data.labels, data.feature_names[::-1])
     report = lr.estimate_regret(data, trainer, 200, seed=7)
     assert report.n_fallback_refits > 0

@@ -289,7 +289,9 @@ class TestTheoryAtScale:
         relative error |regret - q| / q <= 0.15, with K = 1000 resamples."""
         opts = lr.FitOptions(ridge=0.0, include_intercept=False)
         for seed in (1, 2, 3):
-            ss = lr.gaussian_semisynthetic(2000, 2, [0.6, -0.6], seed)
+            ss = lr.semisynthetic_from_model(lr.gaussian_features(2000, 2, seed),
+                                             lr.LogisticModel([0.6, -0.6]),
+                                             lr.LabelDrawSeed(seed))
             model = lr.fit_logistic(ss.base, opts)
             q = lr.q_values(model, ss.base.features)
             regret = lr.estimate_regret(ss.base, lr.LogisticTrainer(opts), 1000, seed).regret

@@ -4,10 +4,11 @@ the arrays of every record.
 
 The toolchain has no linter, so this reads each module's syntax tree. Only
 top-level imports are checked. __init__ is exempt, because its imports are
-the public re-exports, and so is `from __future__`. A name counts as used
-when it is read anywhere else in the module, string annotations included. A
-private name (one leading underscore) counts as used when any module of the
-package reads it, as a name, an attribute or an imported name.
+the public re-exports, which must be exactly the names in its __all__, and
+so is `from __future__`. A name counts as used when it is read anywhere else
+in the module, string annotations included. A private name (one leading
+underscore) counts as used when any module of the package reads it, as a
+name, an attribute or an imported name.
 """
 
 import ast
@@ -91,6 +92,17 @@ def test_every_private_top_level_name_is_used():
     unused = {f"{module}.{name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in used}
     assert unused == set()
+
+
+def test_the_package_imports_exactly_its_public_names():
+    """__init__'s imports are exempt from the check above because they are the
+    public re-exports; so __all__ names each of them once, and nothing else."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    (public,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+    assert len(set(public)) == len(public)
+    assert sorted(_imported_names(tree)) == sorted(public)
 
 
 def _setflags_callers(node, scope):
