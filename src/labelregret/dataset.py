@@ -22,7 +22,7 @@ import numpy as np
 
 from . import errors, rng
 from ._io import _X87_LONG_DOUBLE, NUMBER, dump_json, read_json, write_table
-from .glm import LogisticModel, _freeze, predict_proba
+from .glm import LogisticModel, _freeze, _probabilities, predict_proba
 
 
 def _default_names(d: int) -> tuple:
@@ -103,7 +103,7 @@ def draw_labels(probs, seed: LabelDrawSeed) -> np.ndarray:
     the master seed's label stream (rng.point_uniforms): point i is +1 when
     draw k*n + i falls below its probability, whatever else is drawn.
     """
-    return _label_rows(_checked_probs(probs), seed.master_seed, seed.stream_index, 1)[0]
+    return _label_rows(_probabilities(probs), seed.master_seed, seed.stream_index, 1)[0]
 
 
 def draw_label_rows(probs, master_seed: int, n_rows: int) -> np.ndarray:
@@ -115,7 +115,7 @@ def draw_label_rows(probs, master_seed: int, n_rows: int) -> np.ndarray:
     longer batch. The probabilities are validated once for all rows. A
     negative n_rows raises ValueError.
     """
-    return _label_rows(_checked_probs(probs), master_seed, 1, n_rows)
+    return _label_rows(_probabilities(probs), master_seed, 1, n_rows)
 
 
 def _label_rows(p: np.ndarray, master_seed: int, stream_index: int, n_rows: int) -> np.ndarray:
@@ -125,18 +125,6 @@ def _label_rows(p: np.ndarray, master_seed: int, stream_index: int, n_rows: int)
     labels *= 2
     labels -= 1
     return labels
-
-
-def _checked_probs(probs) -> np.ndarray:
-    """probs as a 1-D float array, or ProbOutOfRange naming the first bad entry."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise errors.LengthMismatch("probs must be 1-D")
-    ok = (p >= 0.0) & (p <= 1.0)
-    if not np.all(ok):
-        bad = int(np.argmin(ok))
-        raise errors.ProbOutOfRange(bad, float(p[bad]))
-    return p
 
 
 @dataclass(frozen=True)
@@ -154,11 +142,7 @@ class SemiSyntheticDataset:
     gt_ridge: Optional[float] = None  # ridge used when the ground truth was fit
 
     def __post_init__(self):
-        p = _freeze(self, "true_probs")
-        if p.shape != (self.base.n_points,):
-            raise errors.DimensionMismatch("true_probs length must match the dataset")
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise ValueError("true_probs must lie in [0, 1]")
+        p = _probabilities(_freeze(self, "true_probs"), self.base.n_points)
         model_probs = predict_proba(self.ground_truth, self.base.features)
         if np.max(np.abs(model_probs - p)) > 1e-12:
             raise ValueError("true_probs disagree with the ground-truth model")

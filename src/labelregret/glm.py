@@ -587,18 +587,25 @@ def _design_and_probs(model: LogisticModel, features):
 # metrics
 
 
-def _as_prob_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise errors.LengthMismatch(f"{name} must be 1-D")
-    if arr.size and (np.min(arr) < 0 or np.max(arr) > 1 or not np.all(np.isfinite(arr))):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return arr
+def _probabilities(probs, n=None) -> np.ndarray:
+    """probs as a 1-D float array (of n entries when n is given), else
+    LengthMismatch; ProbOutOfRange names the first entry outside [0, 1], NaN
+    and +-inf included. The one check of every probability vector taken."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or (n is not None and p.size != n):
+        count = "" if n is None else f"{n} "
+        raise errors.LengthMismatch(
+            f"expected a 1-D vector of {count}probabilities, got shape {p.shape}")
+    ok = (p >= 0.0) & (p <= 1.0)
+    if not np.all(ok):
+        bad = int(np.argmin(ok))
+        raise errors.ProbOutOfRange(bad, float(p[bad]))
+    return p
 
 
 def log_loss(probs, labels) -> float:
     """Mean negative log probability of the observed labels (labels in {-1,+1})."""
-    p = _as_prob_array(probs, "probs")
+    p = _probabilities(probs)
     y = np.asarray(labels)
     if y.shape != p.shape:
         raise errors.LengthMismatch(
@@ -646,12 +653,8 @@ def _average_ranks(values) -> np.ndarray:
 
 def bernoulli_kl(true_probs, pred_probs) -> np.ndarray:
     """Per-point KL divergence from true to predicted Bernoulli distributions."""
-    p = _as_prob_array(true_probs, "true_probs")
-    q = _as_prob_array(pred_probs, "pred_probs")
-    if p.shape != q.shape:
-        raise errors.LengthMismatch(
-            f"true_probs has length {p.size} but pred_probs has length {q.size}")
-    q = np.clip(q, PROB_CLIP, 1.0 - PROB_CLIP)
+    p = _probabilities(true_probs)
+    q = np.clip(_probabilities(pred_probs, p.size), PROB_CLIP, 1.0 - PROB_CLIP)
     return _rel_entr(p, q) + _rel_entr(1.0 - p, 1.0 - q)
 
 

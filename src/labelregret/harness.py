@@ -293,7 +293,10 @@ def summarize_trials(per_trial: np.ndarray) -> TrialSummary:
 
 @dataclass(frozen=True)
 class TrialsResult:
-    """Raw per-trial series plus their across-trial summaries."""
+    """Raw per-trial series plus their across-trial summaries. Every series
+    is an n_trials x n_positions matrix, all of one shape, and every summary
+    has one entry per position, or LengthMismatch; the extras have no length
+    rule, as a selective run's true_regret has one entry per point."""
 
     experiment: str
     positions: np.ndarray
@@ -303,8 +306,12 @@ class TrialsResult:
     config: ExperimentConfig
 
     def __post_init__(self):
-        for name in ("positions", "series", "extras"):
-            _freeze(self, name)
+        positions, series, _ = (_freeze(self, name) for name in ("positions", "series", "extras"))
+        shapes = {m.shape for m in series.values()}
+        columns = {s[1:] for s in shapes} | {s.median.shape for s in self.summaries.values()}
+        if positions.ndim != 1 or len(shapes) > 1 or columns - {positions.shape}:
+            raise errors.LengthMismatch(f"{positions.size} positions need series of one shape "
+                                        "with one column each and summaries with one entry each")
 
 
 def base_population(config: ExperimentConfig):

@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .dataset import Dataset, SemiSyntheticDataset, _checked_probs, draw_label_rows
+from .dataset import Dataset, SemiSyntheticDataset, draw_label_rows
 # The mc_separable benchmark oracle imports FALLBACK_RIDGES from this module.
-from .glm import BATCH_ENTRIES, FALLBACK_RIDGES, TrainerHandle, _freeze
+from .glm import BATCH_ENTRIES, FALLBACK_RIDGES, TrainerHandle, _freeze, _probabilities
 
 ENUMERATION_LIMIT = 22
 SKIP_WEIGHT = 1e-15
@@ -192,10 +192,7 @@ def exact_regret_enumeration(features, probs, trainer: TrainerHandle) -> RegretR
         raise errors.TooLarge(
             f"enumeration over {n} points needs 2**{n} assignments in 2**{n - 1} "
             f"complementary pairs; limit is {ENUMERATION_LIMIT}")
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (n,):
-        raise errors.LengthMismatch(f"{n} points but {p.size} probabilities")
-    p = _checked_probs(p)
+    p = _probabilities(probs, n)
 
     # weights indexed by assignment bitmask; bit i set means label[i] = +1
     weights = np.ones(1)

@@ -48,6 +48,7 @@ def epsilon_bound(model: LogisticModel, features,
     eigenvalue of H. Returns (epsilon, bound_applies) where bound_applies is
     true iff epsilon < 1 and n >= 2. The default constant 800 is loose by
     construction; it is a parameter so tighter empirical values can be tried.
+    A constant that makes epsilon overflow raises ValueError.
     """
     X, _, H = _terms(model, features)
     bound = _bound_fields(model, X, H, constant)
@@ -89,6 +90,8 @@ def _bound_fields(model: LogisticModel, X, H, constant: float) -> dict:
     theta_norm = float(np.linalg.norm(model.theta))
     epsilon = constant * d * x_max * (math.log(n * x_max / x_min) + x_max * theta_norm) \
         / math.sqrt(lam_min)
+    if not math.isfinite(epsilon):  # JSON has no token for it
+        raise ValueError(f"epsilon is {epsilon!r} at constant {constant!r}; it must be finite")
     return {"lambda_min": lam_min, "lambda_max": float(eigenvalues[-1]),
             "x_max": x_max, "x_min": x_min, "theta_norm": theta_norm,
             "epsilon": epsilon, "bound_applies": bool(epsilon < 1.0 and n >= 2),

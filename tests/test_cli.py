@@ -106,6 +106,13 @@ def _non_numeric_cell(directory):
     write_lines(path, lines)
 
 
+def _true_prob_out_of_range(directory):
+    path = directory / "semisynth.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",1.5"  # the true_prob cell of data row 2
+    write_lines(path, lines)
+
+
 def _bad_data(tmp_path, data_csv, semisynth_dir, text):
     path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
@@ -158,6 +165,7 @@ BAD_INPUTS = {
                                           "MissingLabelColumn"),
     "empty semisynth.csv": (_bad_semisynth, _empty_csv, "EmptyDataset"),
     "non-numeric semisynth cell": (_bad_semisynth, _non_numeric_cell, "NonNumericCell"),
+    "semisynth true_prob of 1.5": (_bad_semisynth, _true_prob_out_of_range, "ProbOutOfRange"),
     "CSV header cell over the field limit": (
         _bad_data, f"{BIG_CELL},b,label\n1,2,1\n3,4,0\n", "UnreadableCsvRecord"),
     "cell over the field limit in a rejected row": (
@@ -178,6 +186,9 @@ BAD_INPUTS = {
                               "ValueError"),
     "theory --constant inf": (_flags, ["theory", "--data", "DATA", "--constant", "inf"],
                               "ValueError"),
+    # A finite constant can still make epsilon overflow, which JSON cannot write.
+    "theory --constant 1e307": (_flags, ["theory", "--data", "DATA", "--constant", "1e307"],
+                                "ValueError"),
     # At the default ridge of 0, the initial split of this population is separable.
     "active with a separable initial split": (
         _flags, ["active", "--seed", "7", "--n-points", "12", "--batch", "1", "--k", "50"],

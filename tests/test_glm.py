@@ -1023,6 +1023,60 @@ class TestMeanKl:
             lr.mean_kl([0.5], [0.5, 0.5])
 
 
+# Five points whose ground-truth probabilities are about 4e-18, 1 - 4e-18, and
+# three inner values, so that 0.0 and 1.0 at the first two agree with the model.
+PROB_FEATURES = np.array([[-40.0], [40.0], [0.5], [-0.5], [1.0]])
+PROB_MODEL, PROB_SEED = lr.LogisticModel([1.0]), lr.LabelDrawSeed(3)
+EDGE_PROBS = np.r_[0.0, 1.0, lr.predict_proba(PROB_MODEL, PROB_FEATURES)[2:]]
+HALVES = np.full(5, 0.5)
+# Every entry point that takes a probability vector p, by name.
+PROB_ENTRY_POINTS = {
+    "draw_labels": lambda p: lr.draw_labels(p, PROB_SEED),
+    "draw_label_rows": lambda p: draw_label_rows(p, 3, 4),
+    "exact_regret_enumeration": lambda p: lr.exact_regret_enumeration(
+        PROB_FEATURES, p, lr.EchoTrainer()),
+    "log_loss": lambda p: lr.log_loss(p, [1, -1, 1, -1, 1]),
+    "bernoulli_kl true_probs": lambda p: lr.bernoulli_kl(p, HALVES),
+    "bernoulli_kl pred_probs": lambda p: lr.bernoulli_kl(HALVES, p),
+    "mean_kl": lambda p: lr.mean_kl(p, HALVES),
+    "SemiSyntheticDataset": lambda p: lr.SemiSyntheticDataset(
+        lr.Dataset(PROB_FEATURES, lr.draw_labels(EDGE_PROBS, PROB_SEED)), p, PROB_MODEL,
+        PROB_SEED),
+}
+
+
+class TestOneProbabilityCheck:
+    """Every probability vector the package takes goes through glm._probabilities:
+    a bad entry raises ProbOutOfRange naming the first one, and a vector of the
+    wrong shape raises LengthMismatch."""
+
+    @pytest.mark.parametrize("entry", PROB_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, -math.inf])
+    def test_first_entry_outside_the_unit_interval_is_named(self, entry, bad):
+        probs = EDGE_PROBS.copy()
+        probs[2], probs[4] = bad, -5.0
+        with pytest.raises(errors.ProbOutOfRange) as info:
+            PROB_ENTRY_POINTS[entry](probs)
+        assert info.value.index == 2
+        np.testing.assert_array_equal(info.value.value, bad)
+
+    @pytest.mark.parametrize("entry", PROB_ENTRY_POINTS)
+    def test_zero_and_one_are_accepted(self, entry):
+        PROB_ENTRY_POINTS[entry](EDGE_PROBS)
+
+    @pytest.mark.parametrize("entry", PROB_ENTRY_POINTS)
+    def test_a_matrix_is_rejected(self, entry):
+        with pytest.raises(errors.LengthMismatch):
+            PROB_ENTRY_POINTS[entry](EDGE_PROBS[None, :])
+
+    @pytest.mark.parametrize("entry", ["exact_regret_enumeration", "bernoulli_kl true_probs",
+                                       "bernoulli_kl pred_probs", "mean_kl", "log_loss",
+                                       "SemiSyntheticDataset"])
+    def test_a_wrong_length_is_rejected_where_one_is_implied(self, entry):
+        with pytest.raises(errors.LengthMismatch):
+            PROB_ENTRY_POINTS[entry](EDGE_PROBS[:4])
+
+
 class TestScipyOracles:
     """The numpy replacements for scipy.stats.rankdata and scipy.special.rel_entr.
 

@@ -36,6 +36,20 @@ def test_record_arrays_of_unequal_length_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("series, summaries", [
+    ({"q": [[0.1, 0.2, 0.3]]}, None),
+    ({"q": [0.1, 0.2]}, None),
+    ({"q": [[0.1, 0.2]], "estimated_regret": [[0.1, 0.2], [0.3, 0.4]]}, None),
+    ({"q": [[0.1, 0.2]]}, {"q": harness.summarize_trials([[0.1, 0.2, 0.3]])}),
+], ids=["columns", "vector", "two_shapes", "summary"])
+def test_trials_result_needs_one_column_per_position(series, summaries):
+    """save_trials_result writes one column per position, so a result that
+    does not have them fails when built, not inside write_table."""
+    with pytest.raises(errors.LengthMismatch, match="2 positions"):
+        harness.TrialsResult("theory_vs_actual", [0.0, 1.0], series, summaries or {},
+                             {"true_regret": [1.0]}, ExperimentConfig())
+
+
 @pytest.fixture
 def ss40():
     return lr.semisynthetic_from_model(*lr.two_cluster_population(40), lr.LabelDrawSeed(7))

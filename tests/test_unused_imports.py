@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses, no module defines
-a private top-level name that the package never uses, and one helper freezes
-the arrays of every record.
+a private top-level name that the package never uses, one helper freezes
+the arrays of every record, and one function checks every probability vector.
 
 The toolchain has no linter, so this reads each module's syntax tree. Only
 top-level imports are checked. __init__ is exempt, because its imports are
@@ -105,25 +105,37 @@ def test_the_package_imports_exactly_its_public_names():
     assert sorted(_imported_names(tree)) == sorted(public)
 
 
-def _setflags_callers(node, scope):
-    """Qualified names of the functions under node that call .setflags(."""
+def _scopes(node, scope, matches):
+    """Qualified names of the functions under node that hold a node that matches."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _setflags_callers(child, f"{scope}.{child.name}")
+            yield from _scopes(child, f"{scope}.{child.name}", matches)
             continue
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "setflags"):
+        if matches(child):
             yield scope
-        yield from _setflags_callers(child, scope)
+        yield from _scopes(child, scope, matches)
+
+
+def _package_scopes(matches):
+    return {scope for path in PACKAGE.glob("*.py")
+            for scope in _scopes(ast.parse(path.read_text(encoding="utf-8")), path.stem, matches)}
 
 
 def test_only_the_freeze_helper_sets_flags():
     """Records freeze their arrays through glm._freeze, and nothing else
     calls setflags."""
-    callers = {caller for path in PACKAGE.glob("*.py")
-               for caller in _setflags_callers(ast.parse(path.read_text(encoding="utf-8")),
-                                               path.stem)}
-    assert callers == {"glm._freeze"}
+    assert _package_scopes(lambda node: isinstance(node, ast.Call)
+                           and isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "setflags") == {"glm._freeze"}
+
+
+def test_only_the_probability_check_raises_prob_out_of_range():
+    """Every probability vector goes through glm._probabilities, so no other
+    function raises ProbOutOfRange: a second validator would."""
+    assert _package_scopes(lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(n, ast.Attribute) and n.attr == "ProbOutOfRange"
+        or isinstance(n, ast.Name) and n.id == "ProbOutOfRange"
+        for n in ast.walk(node))) == {"glm._probabilities"}
 
 
 def test_the_check_sees_annotations_and_ignores_nested_imports():
